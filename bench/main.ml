@@ -807,16 +807,15 @@ let batch_throughput () =
   hr ()
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path kernel throughput: delta SA + eta simplex vs baselines      *)
+(* Hot-path kernel throughput: delta SA evaluation + sparse LU simplex  *)
 (* ------------------------------------------------------------------ *)
 
 let perf () =
-  section "Kernel throughput (delta vs full SA eval, eta vs dense simplex)";
+  section "Kernel throughput (delta SA evaluation, sparse LU simplex)";
   print_endline
-    "single host, one timed run per cell after a warm-up; same inputs and\n\
-     annealing/search parameters per pair, only the kernel differs.  The\n\
-     two SA evaluators explore different (equally valid) trajectories, so\n\
-     costs may differ slightly; docs/PERFORMANCE.md discusses caveats.\n";
+    "single host, one timed run per cell after a warm-up; the SA move\n\
+     kernel is priced against a from-scratch Cost_model.objective per move;\n\
+     docs/PERFORMANCE.md discusses caveats.\n";
   let rnd19 =
     Instance_gen.generate
       { Instance_gen.default_params with
@@ -929,16 +928,14 @@ let perf () =
          (Printf.sprintf "perf/sa/%s/kernel/speedup" name, Json.Float speedup)
          :: !json_results)
     insts;
-  (* Whole-annealer throughput: same schedule, only the evaluator differs.
-     The proposal machinery (perturbation + exact y-/x-steps) is shared,
-     so this ratio is much smaller than the kernel one; see
-     docs/PERFORMANCE.md. *)
+  (* Whole-annealer throughput: moves per second of a full annealing run,
+     proposal machinery (perturbation + exact y-/x-steps) included. *)
   Printf.printf "\n%-14s %-6s | %8s %9s %10s %10s  whole annealer\n"
     "instance" "eval" "seconds" "moves" "moves/s" "cost";
   hr ();
   List.iter
     (fun (name, inst) ->
-       let run full_eval =
+       let run () =
          let options =
            { Sa_solver.default_options with
              Sa_solver.num_sites = 2;
@@ -947,200 +944,107 @@ let perf () =
              seed = cfg.sa_seed;
              (* Grouping shrinks TPC-C to a handful of attribute groups,
                 which hides the evaluator contrast behind annealing-
-                schedule overhead; the kernel comparison runs on the raw
-                attribute space (same setting both sides). *)
+                schedule overhead; the throughput cell runs on the raw
+                attribute space. *)
              use_grouping = false;
-             full_eval;
            }
          in
          let r = Sa_solver.solve ~options inst in
          (r.Sa_solver.elapsed, r.Sa_solver.iterations, r.Sa_solver.cost)
        in
-       ignore (run false);
+       ignore (run ());
        (* warm-up *)
-       let rates =
-         List.map
-           (fun (tag, full_eval) ->
-              let seconds, moves, cost = run full_eval in
-              let rate = float_of_int moves /. Float.max 1e-9 seconds in
-              Printf.printf "%-14s %-6s | %8.3f %9d %10.0f %10s\n%!" name tag
-                seconds moves rate (fmt_cost cost);
-              json_results :=
-                ( Printf.sprintf "perf/sa/%s/anneal/%s" name tag,
-                  Json.Obj
-                    [
-                      ("seconds", Json.Float seconds);
-                      ("moves", Json.Int moves);
-                      ("moves_per_second", Json.Float rate);
-                      ("cost", Json.Float cost);
-                    ] )
-                :: !json_results;
-              rate)
-           [ ("full", true); ("delta", false) ]
-       in
-       match rates with
-       | [ full_rate; delta_rate ] ->
-         let speedup = delta_rate /. Float.max 1e-9 full_rate in
-         Printf.printf "%-14s anneal speedup %.1fx (delta vs full moves/s)\n%!"
-           name speedup;
-         json_results :=
-           ( Printf.sprintf "perf/sa/%s/anneal/speedup" name,
-             Json.Float speedup )
-           :: !json_results
-       | _ -> assert false)
+       let seconds, moves, cost = run () in
+       let rate = float_of_int moves /. Float.max 1e-9 seconds in
+       Printf.printf "%-14s %-6s | %8.3f %9d %10.0f %10s\n%!" name "delta"
+         seconds moves rate (fmt_cost cost);
+       json_results :=
+         ( Printf.sprintf "perf/sa/%s/anneal/delta" name,
+           Json.Obj
+             [
+               ("seconds", Json.Float seconds);
+               ("moves", Json.Int moves);
+               ("moves_per_second", Json.Float rate);
+               ("cost", Json.Float cost);
+             ] )
+         :: !json_results)
     insts;
-  (* Simplex: warm-started node LPs of the same branch-and-bound — dense
-     per-pivot inverse vs eta (product-form) updates vs the sparse LU
-     kernel. *)
+  (* Simplex: warm-started node LPs of a branch-and-bound on the sparse
+     LU kernel. *)
   Printf.printf "\n%-14s %-6s | %8s %6s %9s %10s %8s %7s %9s\n" "instance"
     "basis" "seconds" "nodes" "iters" "iters/s" "ms/node" "refacs" "eta_apps";
   hr ();
   List.iter
     (fun (name, inst) ->
-       let run kernel =
+       let run () =
          let options =
-           { (qp_options ~time_limit:30. 2) with
-             Qp_solver.gap = 0.01;
-             kernel;
-           }
+           { (qp_options ~time_limit:30. 2) with Qp_solver.gap = 0.01 }
          in
          let t0 = Obs.Clock.now () in
          let r = Qp_solver.solve ~options inst in
          (Obs.Clock.now () -. t0, r)
        in
-       ignore (run Simplex.Eta);
+       ignore (run ());
        (* warm-up *)
-       let cells =
-         List.map
-           (fun (tag, kernel) ->
-              let seconds, r = run kernel in
-              let nodes = r.Qp_solver.nodes
-              and iters = r.Qp_solver.simplex_iters in
-              let iters_s = float_of_int iters /. Float.max 1e-9 seconds in
-              let ms_node =
-                1000. *. seconds /. Float.max 1. (float_of_int nodes)
-              in
-              Printf.printf
-                "%-14s %-6s | %8.3f %6d %9d %10.0f %8.3f %7d %9d\n%!" name tag
-                seconds nodes iters iters_s ms_node
-                r.Qp_solver.refactorizations r.Qp_solver.eta_applications;
-              json_results :=
-                ( Printf.sprintf "perf/simplex/%s/%s" name tag,
-                  Json.Obj
-                    [
-                      ("seconds", Json.Float seconds);
-                      ("nodes", Json.Int nodes);
-                      ("simplex_iterations", Json.Int iters);
-                      ("iterations_per_second", Json.Float iters_s);
-                      ("ms_per_node", Json.Float ms_node);
-                      ("refactorizations", Json.Int r.Qp_solver.refactorizations);
-                      ("eta_applications", Json.Int r.Qp_solver.eta_applications);
-                    ] )
-                :: !json_results;
-              (tag, ms_node))
-           [
-             ("dense", Simplex.Dense);
-             ("eta", Simplex.Eta);
-             ("sparse", Simplex.Sparse);
-           ]
-       in
-       match cells with
-       | [ (_, dense_ms); (_, eta_ms); (_, sparse_ms) ] ->
-         let reduction = dense_ms /. Float.max 1e-9 eta_ms in
-         Printf.printf "%-14s node-LP wall-clock: %.2fx dense/eta ms/node\n%!"
-           name reduction;
-         json_results :=
-           ( Printf.sprintf "perf/simplex/%s/node_ms_dense_over_eta" name,
-             Json.Float reduction )
-           :: !json_results;
-         let reduction = dense_ms /. Float.max 1e-9 sparse_ms in
-         Printf.printf
-           "%-14s node-LP wall-clock: %.2fx dense/sparse ms/node\n%!" name
-           reduction;
-         json_results :=
-           ( Printf.sprintf "perf/simplex/%s/node_ms_dense_over_sparse" name,
-             Json.Float reduction )
-           :: !json_results
-       | _ -> assert false)
+       let seconds, r = run () in
+       let nodes = r.Qp_solver.nodes and iters = r.Qp_solver.simplex_iters in
+       let iters_s = float_of_int iters /. Float.max 1e-9 seconds in
+       let ms_node = 1000. *. seconds /. Float.max 1. (float_of_int nodes) in
+       Printf.printf "%-14s %-6s | %8.3f %6d %9d %10.0f %8.3f %7d %9d\n%!" name
+         "sparse" seconds nodes iters iters_s ms_node
+         r.Qp_solver.refactorizations r.Qp_solver.eta_applications;
+       json_results :=
+         ( Printf.sprintf "perf/simplex/%s/sparse" name,
+           Json.Obj
+             [
+               ("seconds", Json.Float seconds);
+               ("nodes", Json.Int nodes);
+               ("simplex_iterations", Json.Int iters);
+               ("iterations_per_second", Json.Float iters_s);
+               ("ms_per_node", Json.Float ms_node);
+               ("refactorizations", Json.Int r.Qp_solver.refactorizations);
+               ("eta_applications", Json.Int r.Qp_solver.eta_applications);
+             ] )
+         :: !json_results)
     insts;
-  (* Large node LP: the dense kernel rebuilds B^-1 from scratch (O(m^3))
-     every 1024 pivots, a cliff any node LP crossing that count pays; the
-     eta kernel folds its file into the inverse at cadence for
-     sum nnz(w) * m; the sparse kernel refactorizes a Markowitz LU in
-     O(nnz) fill work.  TPC-C at 4 sites is the smallest bundled
-     configuration whose root LP crosses the cliff. *)
+  (* Large node LP: the root LP of TPC-C at 4 sites, cold-solved; the
+     sparse kernel refactorizes a Markowitz LU in O(nnz) fill work. *)
   Printf.printf "\n%-14s %-6s | %8s %9s %7s  root node LP, 4 sites\n"
     "instance" "basis" "seconds" "iters" "refacs";
   hr ();
-  let root_cells =
-    List.map
-      (fun (tag, kernel) ->
-         let inst = get_instance "TPC-C v5" in
-         let options = qp_options 4 in
-         let stats = Stats.compute inst ~p:options.Qp_solver.p in
-         let model, _ = Qp_solver.build_model stats options in
-         let std = Lp.standardize model in
-         let t0 = Obs.Clock.now () in
-         let sx = Simplex.create ~kernel std in
-         let status = Simplex.reoptimize sx in
-         let seconds = Obs.Clock.now () -. t0 in
-         Printf.printf "%-14s %-6s | %8.3f %9d %7d  (%s, %d rows)\n%!"
-           "TPC-C v5" tag seconds (Simplex.iterations sx)
-           (Simplex.refactorizations sx)
-           (Simplex.string_of_status status)
-           (Simplex.nrows sx);
-         json_results :=
-           ( Printf.sprintf "perf/simplex/root4/%s" tag,
-             Json.Obj
-               [
-                 ("seconds", Json.Float seconds);
-                 ("simplex_iterations", Json.Int (Simplex.iterations sx));
-                 ("refactorizations", Json.Int (Simplex.refactorizations sx));
-                 ("rows", Json.Int (Simplex.nrows sx));
-               ] )
-           :: !json_results;
-         seconds)
-      [
-        ("dense", Simplex.Dense);
-        ("eta", Simplex.Eta);
-        ("sparse", Simplex.Sparse);
-      ]
-  in
-  (match root_cells with
-   | [ dense_s; eta_s; sparse_s ] ->
-     let reduction = dense_s /. Float.max 1e-9 eta_s in
-     Printf.printf
-       "%-14s root node-LP wall-clock: %.2fx dense/eta (eta avoids the \
-        O(m^3) rebuild cliff)\n%!"
-       "TPC-C v5" reduction;
-     json_results :=
-       ("perf/simplex/root4/wallclock_dense_over_eta", Json.Float reduction)
-       :: !json_results;
-     let reduction = dense_s /. Float.max 1e-9 sparse_s in
-     Printf.printf
-       "%-14s root node-LP wall-clock: %.2fx dense/sparse (LU ftran/btran \
-        never touch the dense inverse)\n%!"
-       "TPC-C v5" reduction;
-     json_results :=
-       ("perf/simplex/root4/wallclock_dense_over_sparse", Json.Float reduction)
-       :: !json_results
-   | _ -> assert false);
+  let inst = get_instance "TPC-C v5" in
+  let options = qp_options 4 in
+  let stats = Stats.compute inst ~p:options.Qp_solver.p in
+  let model, _ = Qp_solver.build_model stats options in
+  let std = Lp.standardize model in
+  let t0 = Obs.Clock.now () in
+  let sx = Simplex.create std in
+  let status = Simplex.reoptimize sx in
+  let seconds = Obs.Clock.now () -. t0 in
+  Printf.printf "%-14s %-6s | %8.3f %9d %7d  (%s, %d rows)\n%!" "TPC-C v5"
+    "sparse" seconds (Simplex.iterations sx) (Simplex.refactorizations sx)
+    (Simplex.string_of_status status) (Simplex.nrows sx);
+  json_results :=
+    ( "perf/simplex/root4/sparse",
+      Json.Obj
+        [
+          ("seconds", Json.Float seconds);
+          ("simplex_iterations", Json.Int (Simplex.iterations sx));
+          ("refactorizations", Json.Int (Simplex.refactorizations sx));
+          ("rows", Json.Int (Simplex.nrows sx));
+        ] )
+    :: !json_results;
   hr ()
 
 (* ------------------------------------------------------------------ *)
-(* Root-LP kernel sweep over growing basis sizes                        *)
+(* Root-LP sweep over growing basis sizes                               *)
 (* ------------------------------------------------------------------ *)
 
-(* How each basis kernel scales with m: the root LP of the layout model
-   for random instances of doubling table count, cold-solved under every
-   kernel.  The dense kernel's O(m^2)/pivot + O(m^3)/rebuild wall shows
-   as collapsing iters/s; the sparse LU kernel's refactorization seconds
-   stay near zero because fill-in is bounded by Markowitz pivoting. *)
-let simplex_kernel_sweep () =
-  (* The dense kernel allocates and inverts an m x m matrix; past this
-     row count one Gauss-Jordan inverse dominates the whole sweep, so
-     dense cells are reported as skipped rather than stalling the job. *)
-  let dense_row_cap = 5000 in
+(* How the sparse LU simplex scales with m: the root LP of the layout
+   model for random instances of doubling table count, cold-solved.
+   Refactorization seconds stay near zero because fill-in is bounded by
+   Markowitz pivoting. *)
+let simplex_sweep () =
   Printf.printf "\n%-14s %-6s | %6s %8s %8s %10s %9s %7s %9s\n" "instance"
     "basis" "rows" "seconds" "iters" "iters/s" "refac_s" "refacs" "lu_nnz";
   hr ();
@@ -1150,48 +1054,32 @@ let simplex_kernel_sweep () =
        let options = qp_options sites in
        let stats = Stats.compute inst ~p:options.Qp_solver.p in
        let model, _ = Qp_solver.build_model stats options in
-       List.iter
-         (fun (tag, kernel) ->
-            let std = Lp.standardize model in
-            if kernel = Simplex.Dense && std.Lp.nrows > dense_row_cap then
-              Printf.printf "%-14s %-6s | %6d  (skipped: dense inverse above \
-                             %d rows)\n%!"
-                name tag std.Lp.nrows dense_row_cap
-            else begin
-              let t0 = Obs.Clock.now () in
-              let sx = Simplex.create ~kernel std in
-              let status = Simplex.reoptimize sx in
-              let seconds = Obs.Clock.now () -. t0 in
-              let iters = Simplex.iterations sx in
-              let iters_s = float_of_int iters /. Float.max 1e-9 seconds in
-              Printf.printf
-                "%-14s %-6s | %6d %8.3f %8d %10.0f %9.3f %7d %9d  (%s)\n%!"
-                name tag std.Lp.nrows seconds iters iters_s
-                (Simplex.refactor_seconds sx)
-                (Simplex.refactorizations sx)
-                (Simplex.lu_nnz sx)
-                (Simplex.string_of_status status);
-              json_results :=
-                ( Printf.sprintf "perf/simplex/sweep/%s/%s" name tag,
-                  Json.Obj
-                    [
-                      ("rows", Json.Int std.Lp.nrows);
-                      ("seconds", Json.Float seconds);
-                      ("simplex_iterations", Json.Int iters);
-                      ("iterations_per_second", Json.Float iters_s);
-                      ("refactor_seconds",
-                       Json.Float (Simplex.refactor_seconds sx));
-                      ("refactorizations",
-                       Json.Int (Simplex.refactorizations sx));
-                      ("lu_nnz", Json.Int (Simplex.lu_nnz sx));
-                    ] )
-                :: !json_results
-            end)
-         [
-           ("dense", Simplex.Dense);
-           ("eta", Simplex.Eta);
-           ("sparse", Simplex.Sparse);
-         ])
+       let std = Lp.standardize model in
+       let t0 = Obs.Clock.now () in
+       let sx = Simplex.create std in
+       let status = Simplex.reoptimize sx in
+       let seconds = Obs.Clock.now () -. t0 in
+       let iters = Simplex.iterations sx in
+       let iters_s = float_of_int iters /. Float.max 1e-9 seconds in
+       Printf.printf "%-14s %-6s | %6d %8.3f %8d %10.0f %9.3f %7d %9d  (%s)\n%!"
+         name "sparse" std.Lp.nrows seconds iters iters_s
+         (Simplex.refactor_seconds sx)
+         (Simplex.refactorizations sx)
+         (Simplex.lu_nnz sx)
+         (Simplex.string_of_status status);
+       json_results :=
+         ( Printf.sprintf "perf/simplex/sweep/%s/sparse" name,
+           Json.Obj
+             [
+               ("rows", Json.Int std.Lp.nrows);
+               ("seconds", Json.Float seconds);
+               ("simplex_iterations", Json.Int iters);
+               ("iterations_per_second", Json.Float iters_s);
+               ("refactor_seconds", Json.Float (Simplex.refactor_seconds sx));
+               ("refactorizations", Json.Int (Simplex.refactorizations sx));
+               ("lu_nnz", Json.Int (Simplex.lu_nnz sx));
+             ] )
+         :: !json_results)
     [
       ("rndBt8x100", 2);
       ("rndBt16x100", 2);
@@ -1417,7 +1305,7 @@ let usage () =
   print_endline
     "usage: main.exe [--qp-limit SECONDS] [--lambda L] [--max-rows N] [--seed N]\n\
     \                [--json-out FILE]\n\
-    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|certify-exact|obs|par|batch|perf|simplex-kernel|analyze|bechamel|all]...";
+    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|certify-exact|obs|par|batch|perf|simplex-sweep|analyze|bechamel|all]...";
   exit 1
 
 let () =
@@ -1450,7 +1338,7 @@ let () =
     | "par" -> par_speedup ()
     | "batch" -> batch_throughput ()
     | "perf" -> perf ()
-    | "simplex-kernel" -> simplex_kernel_sweep ()
+    | "simplex-sweep" -> simplex_sweep ()
     | "analyze" -> analyze_bench ()
     | "bechamel" -> bechamel ()
     | "all" ->
@@ -1460,7 +1348,7 @@ let () =
       table2 (); table1 (); table3 (); table4 (); table5 (); table6 ();
       ablation (); suite (); certify_overhead (); certify_exact_overhead ();
       obs_overhead ();
-      par_speedup (); batch_throughput (); perf (); simplex_kernel_sweep ();
+      par_speedup (); batch_throughput (); perf (); simplex_sweep ();
       analyze_bench (); bechamel ()
     | j -> Printf.printf "unknown job %S\n" j; usage ()
   in

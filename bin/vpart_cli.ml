@@ -548,65 +548,14 @@ let solve_cmd =
              feasibility, dual bounds, cost-model agreement) and print the \
              certificate verdict; exits non-zero if certification fails.")
   in
-  let simplex_dense_term =
-    Arg.(
-      value & flag
-      & info [ "simplex-dense" ]
-          ~doc:
-            "Shorthand for $(b,--simplex-kernel dense): the dense \
-             explicit-inverse simplex kernel for node LPs.  Same certified \
-             answers, different wall-clock profile; see docs/PERFORMANCE.md.")
-  in
-  let simplex_kernel_term =
-    let kernel_conv =
-      Arg.conv
-        ( (fun s ->
-            match Simplex.kernel_of_string s with
-            | Some k -> Ok k
-            | None ->
-              Error (`Msg (Printf.sprintf "unknown simplex kernel %S" s))),
-          fun ppf k ->
-            Format.pp_print_string ppf (Simplex.string_of_kernel k) )
-    in
-    Arg.(
-      value
-      & opt (some kernel_conv) None
-      & info [ "simplex-kernel" ] ~docv:"KERNEL"
-          ~doc:
-            "Basis kernel for the node LPs: $(b,sparse) (default; Markowitz \
-             LU factorization with sparse ftran/btran), $(b,eta) (dense \
-             inverse + product-form eta file), or $(b,dense) (per-pivot \
-             dense inverse update, the bit-exact baseline).  Same certified \
-             answers on all three; see docs/PERFORMANCE.md.")
-  in
-  let pricing_term =
-    let pricing_conv =
-      Arg.conv
-        ( (fun s ->
-            match Simplex.pricing_of_string s with
-            | Some pr -> Ok pr
-            | None ->
-              Error (`Msg (Printf.sprintf "unknown pricing rule %S" s))),
-          fun ppf pr ->
-            Format.pp_print_string ppf (Simplex.string_of_pricing pr) )
-    in
-    Arg.(
-      value
-      & opt (some pricing_conv) None
-      & info [ "pricing" ] ~docv:"RULE"
-          ~doc:
-            "Dual-simplex pricing rule: $(b,devex) (reference weights; the \
-             sparse kernel's default) or $(b,dantzig) (most-violated; the \
-             dense/eta default).  Unset takes the kernel's default.")
-  in
   let refactor_every_term =
     Arg.(
       value
       & opt int Qp_solver.default_options.Qp_solver.refactor_every
       & info [ "refactor-every" ] ~docv:"N"
           ~doc:
-            "Pivots between basis refactorizations (sparse kernel) or \
-             eta-file folds (eta kernel); ignored by the dense kernel.")
+            "Pivots between sparse LU basis refactorizations of the node \
+             LPs.")
   in
   let scale_term =
     Arg.(
@@ -686,16 +635,8 @@ let solve_cmd =
              as the masked-vs-refuted boundary.")
   in
   let run inst solver sites p lambda disjoint no_grouping jobs time_limit seed
-      simplex_dense simplex_kernel pricing refactor_every scale break_symmetry
-      json lint_model certify exact tol trace progress metrics_summary gc_stats
-      output =
-    let kernel =
-      match simplex_kernel with
-      | Some k -> k
-      | None ->
-        if simplex_dense then Simplex.Dense
-        else Qp_solver.default_options.Qp_solver.kernel
-    in
+      refactor_every scale break_symmetry json lint_model certify exact tol
+      trace progress metrics_summary gc_stats output =
     let jobs = max 1 jobs in
     if lint_model then begin
       let grouping =
@@ -854,8 +795,6 @@ let solve_cmd =
           certify_exact = exact;
           certify_tol = tol;
           jobs;
-          kernel;
-          pricing;
           refactor_every;
           scale;
           break_symmetry;
@@ -897,8 +836,6 @@ let solve_cmd =
               certify_exact = exact;
               certify_tol = tol;
               jobs;
-              kernel;
-              pricing;
               refactor_every;
               scale;
               break_symmetry;
@@ -956,9 +893,7 @@ let solve_cmd =
       term_result
         (const run $ instance_term $ solver_term $ sites_term $ p_term
          $ lambda_term $ disjoint_term $ no_grouping_term $ jobs_term
-         $ time_limit_term $ seed_term $ simplex_dense_term
-         $ simplex_kernel_term $ pricing_term
-         $ refactor_every_term $ scale_term $ break_symmetry_term $ json_term
+         $ time_limit_term $ seed_term $ refactor_every_term $ scale_term $ break_symmetry_term $ json_term
          $ lint_model_term $ certify_term $ exact_term $ tol_term
          $ trace_term $ progress_term $ metrics_term $ gc_stats_term
          $ output_term))
@@ -1085,9 +1020,9 @@ let trace_cmd =
               "Absolute span floor: span rows whose time delta is below \
                $(docv) are neutral regardless of the relative threshold.  \
                Raise it when diffing runs with disjoint instrumentation \
-               (e.g. different simplex kernels open different span names, \
-               which would otherwise always read as appeared-from-nothing \
-               regressions).")
+               (e.g. runs of different builds that open different span \
+               names, which would otherwise always read as \
+               appeared-from-nothing regressions).")
     in
     let run fmt threshold min_span gate baseline current =
       let* base = read_trace baseline in

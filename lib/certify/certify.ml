@@ -395,18 +395,12 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
      (match audit.Mip.proven_bound with
       | Some pb ->
         let g = Float.max 0. ((obj_min -. pb) /. Float.max 1. (Float.abs obj_min)) in
-        if g > gap +. tol then begin
-          let f =
-            if audit.Mip.numerical_prunes > 0 then
-              Diagnostic.warning ~code:"C106"
-            else Diagnostic.error ~code:"C106"
-          in
+        if g > gap +. tol then
           add
-            (f
+            (Diagnostic.error ~code:"C106"
                "optimality claimed but the certified gap %g exceeds the gap \
                 tolerance %g (residual %g over the slack tolerance %g)"
                g gap (g -. gap) tol)
-        end
       | None ->
         add
           (Diagnostic.warning ~code:"C106"
@@ -1100,13 +1094,8 @@ module Exact = struct
             residual = Q.max Q.zero residual; threshold = tol };
         (match verdict with
          | Exactly_refuted ->
-           let f =
-             if adt.Mip.numerical_prunes > 0 then
-               Diagnostic.warning ~code:"E015"
-             else Diagnostic.error ~code:"E015"
-           in
            addf
-             (f
+             (Diagnostic.error ~code:"E015"
                 "optimality exactly refuted: the exact gap exceeds the gap \
                  tolerance %g by %s (float slack tolerance %g)"
                 gap

@@ -114,9 +114,7 @@ val certify_mip :
       supporting node bounds ([C110]); outcome bound, audited bound and
       [gap_achieved] are mutually consistent ([C105]); an [Optimal] claim
       whose certified gap exceeds [gap] (default
-      {!Vpart_mip.Mip.default_limits}[.gap]) is rejected ([C106],
-      downgraded to a warning when numerical prunes already voided the
-      proof).
+      {!Vpart_mip.Mip.default_limits}[.gap]) is rejected ([C106]).
     - [Infeasible]: the Farkas ray re-proves infeasibility ([C107]);
       claims with no checkable certificate are flagged [C108].
     - Missing/weakened certificates (no root LP, presolve row removal,

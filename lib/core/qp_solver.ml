@@ -15,8 +15,6 @@ type options = {
   certify_exact : bool;
   certify_tol : float option;
   jobs : int;
-  kernel : Simplex.kernel;
-  pricing : Simplex.pricing option;
   refactor_every : int;
   scale : bool;
   break_symmetry : bool;
@@ -41,8 +39,6 @@ let default_options =
     certify_exact = false;
     certify_tol = None;
     jobs = 1;
-    kernel = Simplex.Sparse;
-    pricing = None;
     refactor_every = 32;
     scale = false;
     break_symmetry = false;
@@ -65,7 +61,6 @@ type result = {
   model_rows : int;
   model_cols : int;
   row_limit : int option;
-  kernel : Simplex.kernel;
   diagnostics : Vpart_analysis.Diagnostic.t list;
   certificate : Vpart_analysis.Diagnostic.t list option;
   exact : Vpart_certify.Certify.Exact.report option;
@@ -438,8 +433,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
       node_limit = None;
       gap = options.gap;
       max_rows = options.max_rows;
-      kernel = options.kernel;
-      pricing = options.pricing;
       refactor_every = options.refactor_every;
       scale = options.scale;
     }
@@ -559,7 +552,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
       model_rows = Lp.num_constrs model;
       model_cols = ncols;
       row_limit = options.max_rows;
-      kernel = options.kernel;
       diagnostics;
       certificate;
       exact;

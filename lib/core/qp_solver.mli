@@ -62,14 +62,6 @@ type options = {
   jobs : int;
       (** Domains the branch-and-bound may use ({!Mip.solve}'s [jobs]);
           1 (default) keeps the sequential search bit for bit. *)
-  kernel : Simplex.kernel;
-      (** Basis kernel for the node LPs ({!Mip.limits.kernel}): [Sparse]
-          (default) for the Markowitz LU kernel, [Eta] for the dense
-          inverse + eta file, [Dense] for the per-pivot dense update kept
-          as the [bench perf] baseline and bit-exact fallback. *)
-  pricing : Simplex.pricing option;
-      (** Pricing rule override ({!Mip.limits.pricing}); [None] takes the
-          kernel's default (devex for [Sparse], Dantzig otherwise). *)
   refactor_every : int;
       (** Eta-file length at which the node LPs refactorize their basis
           ({!Mip.limits.refactor_every}). *)
@@ -96,9 +88,8 @@ type options = {
 
 val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, 60 s, 0.1 % gap,
-    32000-row cap, heuristic on, no latency term, one domain, sparse LU
-    kernel with its default (devex) pricing and refactorization every 32
-    pivots, no scaling, no symmetry breaking. *)
+    32000-row cap, heuristic on, no latency term, one domain,
+    refactorization every 32 pivots, no scaling, no symmetry breaking. *)
 
 type outcome =
   | Proved_optimal       (** optimal within the MIP gap *)
@@ -117,13 +108,12 @@ type result = {
   nodes : int;
   simplex_iters : int;
   refactorizations : int;  (** basis rebuilds across all node LPs *)
-  eta_applications : int;  (** eta-file applications; 0 with the [Dense] kernel *)
+  eta_applications : int;  (** eta-file applications across all node LPs *)
   model_rows : int;
   model_cols : int;
   row_limit : int option;
       (** the configured [max_rows] cap the solve ran under, so size
           refusals are self-explaining next to [model_rows] *)
-  kernel : Simplex.kernel;  (** the basis kernel the solve ran with *)
   diagnostics : Vpart_analysis.Diagnostic.t list;
       (** non-error findings of the model lint run on the built MIP
           (see {!Vpart_analysis.Model_lint}) *)

@@ -113,15 +113,11 @@ let pp_mip_kernel ppf (r : Qp_solver.result) =
        Format.fprintf ppf "kernel: refused at %d model row(s)"
          r.Qp_solver.model_rows)
   | _ ->
-    Format.fprintf ppf "kernel: %s, %d node(s), %d simplex iteration(s)"
-      (Simplex.string_of_kernel r.Qp_solver.kernel)
-      r.Qp_solver.nodes r.Qp_solver.simplex_iters;
-    if r.Qp_solver.eta_applications > 0 then
-      Format.fprintf ppf ", %d eta application(s), %d refactorization(s)"
-        r.Qp_solver.eta_applications r.Qp_solver.refactorizations
-    else
-      Format.fprintf ppf ", %d refactorization(s) (dense basis updates)"
-        r.Qp_solver.refactorizations
+    Format.fprintf ppf
+      "kernel: sparse LU, %d node(s), %d simplex iteration(s), %d eta \
+       application(s), %d refactorization(s)"
+      r.Qp_solver.nodes r.Qp_solver.simplex_iters
+      r.Qp_solver.eta_applications r.Qp_solver.refactorizations
 
 let pp_certificate ppf cert =
   let module D = Vpart_analysis.Diagnostic in

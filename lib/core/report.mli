@@ -26,12 +26,10 @@ val pp_sa_chains : Format.formatter -> Sa_solver.search_stats array -> unit
     [restarts > 1] runs; prints a single line for a one-chain array. *)
 
 val pp_mip_kernel : Format.formatter -> Qp_solver.result -> unit
-(** One-line LP-kernel summary of a QP/MIP solve: the basis kernel the
-    solve ran with ({!Qp_solver.options.kernel}), node and simplex
-    iteration counts, plus the basis-update statistics — eta applications
-    and refactorizations for the eta/sparse kernels, refactorizations
-    only for the dense one — so the update-vs-rebuild tradeoff of the
-    [refactor_every] cadence is visible in run output.  On a
+(** One-line LP-kernel summary of a QP/MIP solve: node and simplex
+    iteration counts plus the basis-update statistics (eta applications
+    and sparse LU refactorizations), so the update-vs-rebuild tradeoff of
+    the [refactor_every] cadence is visible in run output.  On a
     {!Qp_solver.Too_large} refusal it prints the row count next to the
     configured [max_rows] cap instead. *)
 

@@ -18,7 +18,6 @@ type options = {
   certify_tol : float option;
   restarts : int;
   jobs : int;
-  full_eval : bool;
 }
 
 let default_options =
@@ -42,7 +41,6 @@ let default_options =
     certify_tol = None;
     restarts = 1;
     jobs = 1;
-    full_eval = false;
   }
 
 type search_stats = {
@@ -146,36 +144,6 @@ let optimize_x_given_y (stats : Stats.t) opts (part : Partitioning.t) =
 
 let count_moves frac n = max 1 (int_of_float (Float.round (frac *. float_of_int n)))
 
-let perturb_x rng opts frac (part : Partitioning.t) =
-  let nt = Array.length part.Partitioning.txn_site in
-  if nt > 0 && opts.num_sites > 1 then begin
-    let k = count_moves frac nt in
-    List.iter
-      (fun t ->
-         let cur = part.Partitioning.txn_site.(t) in
-         let s = Rng.int rng (opts.num_sites - 1) in
-         part.Partitioning.txn_site.(t) <- (if s >= cur then s + 1 else s))
-      (Rng.sample_distinct rng k nt)
-  end
-
-(* Extend replication: each selected attribute gains one replica site. *)
-let perturb_y rng opts frac (part : Partitioning.t) =
-  let na = Array.length part.Partitioning.placed in
-  if na > 0 && opts.num_sites > 1 then begin
-    let k = count_moves frac na in
-    List.iter
-      (fun a ->
-         let row = part.Partitioning.placed.(a) in
-         let absent = ref [] in
-         for s = opts.num_sites - 1 downto 0 do
-           if not row.(s) then absent := s :: !absent
-         done;
-         match !absent with
-         | [] -> ()
-         | sites -> row.(List.nth sites (Rng.int rng (List.length sites))) <- true)
-      (Rng.sample_distinct rng k na)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Per-solve context: loop-invariant work hoisted out of the move loop *)
 (* ------------------------------------------------------------------ *)
@@ -267,11 +235,8 @@ let make_ctx (reduced : Instance.t) (stats : Stats.t) (opts : options) =
 (* ------------------------------------------------------------------ *)
 
 (* The annealing loop drives the search through this interface.  The
-   full-evaluation engines ([full_eval = true]) reproduce the pre-delta
-   behavior — copy the state, perturb, re-optimize, pay a full
-   {!Cost_model.objective} — and serve as the measured baseline; the
-   delta engines track the objective through {!Delta_cost} and undo
-   rejected moves through its journal instead of restoring snapshots. *)
+   engines track the objective through {!Delta_cost} and undo rejected
+   moves through its journal instead of restoring snapshots. *)
 type engine = {
   init_obj : float;
   propose : [ `Fix_x | `Fix_y ] -> float;
@@ -286,8 +251,8 @@ type engine = {
   delta_evals : unit -> int;  (** primitive delta updates performed *)
 }
 
-(* Shared by both replication engines: random x satisfying (2), then an
-   exact y-step. *)
+(* Replication-mode start: random x satisfying (2), then an exact
+   y-step. *)
 let init_replicated (stats : Stats.t) opts rng =
   let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
   let part =
@@ -298,38 +263,6 @@ let init_replicated (stats : Stats.t) opts rng =
   done;
   optimize_y_given_x stats opts part;
   part
-
-let full_replicated_engine ctx rng part =
-  let stats = ctx.stats and opts = ctx.opts in
-  let eval p =
-    Cost_model.objective stats ~lambda:opts.lambda p +. ctx.extra p
-  in
-  let state = ref part in
-  let saved = ref part in
-  {
-    init_obj = eval part;
-    propose =
-      (fun fix ->
-         saved := Partitioning.copy !state;
-         let p = !state in
-         perturb_x rng opts opts.move_fraction p;
-         perturb_y rng opts opts.move_fraction p;
-         (* [`Fix_x] re-optimizes y (a y-step) and vice versa. *)
-         (match fix with
-          | `Fix_x ->
-            Obs.timed "sa.ystep.seconds" (fun () ->
-                optimize_y_given_x stats opts p)
-          | `Fix_y ->
-            Obs.timed "sa.xstep.seconds" (fun () ->
-                optimize_x_given_y stats opts p));
-         Partitioning.repair_single_sitedness stats p;
-         eval p);
-    accept = (fun () -> ());
-    reject = (fun () -> state := !saved);
-    snapshot_best = (fun () -> Partitioning.copy !state);
-    epoch_refresh = (fun obj -> obj);
-    delta_evals = (fun () -> 0);
-  }
 
 (* Replication-mode delta engine.  On top of {!Delta_cost} it maintains
    the two aggregates the exact sub-steps need, so a full y- or x-step
@@ -672,47 +605,6 @@ let disjoint_apply (stats : Stats.t) opts comp_of comp_site
     end
   done
 
-let full_disjoint_engine ctx (dctx : disjoint_ctx) rng =
-  let stats = ctx.stats and opts = ctx.opts in
-  let comp_site =
-    Array.init dctx.ncomp (fun _ -> Rng.int rng opts.num_sites)
-  in
-  let part =
-    Partitioning.create ~num_sites:opts.num_sites
-      ~num_txns:stats.Stats.num_txns ~num_attrs:stats.Stats.num_attrs
-  in
-  let apply () = disjoint_apply stats opts dctx.comp_of comp_site part in
-  apply ();
-  let eval () =
-    Cost_model.objective stats ~lambda:opts.lambda part +. ctx.extra part
-  in
-  let saved_sites = ref (Array.copy comp_site) in
-  {
-    init_obj = eval ();
-    propose =
-      (fun _fix ->
-         saved_sites := Array.copy comp_site;
-         if opts.num_sites > 1 then begin
-           let k = count_moves opts.move_fraction dctx.ncomp in
-           List.iter
-             (fun c ->
-                let cur = comp_site.(c) in
-                let s = Rng.int rng (opts.num_sites - 1) in
-                comp_site.(c) <- (if s >= cur then s + 1 else s))
-             (Rng.sample_distinct rng k dctx.ncomp)
-         end;
-         apply ();
-         eval ());
-    accept = (fun () -> ());
-    reject =
-      (fun () ->
-         Array.blit !saved_sites 0 comp_site 0 dctx.ncomp;
-         apply ());
-    snapshot_best = (fun () -> Partitioning.copy part);
-    epoch_refresh = (fun obj -> obj);
-    delta_evals = (fun () -> 0);
-  }
-
 (* Disjoint-mode delta engine: component moves are {!Delta_cost}
    composites; only the greedy coefficient of the never-read attributes
    needs maintaining. *)
@@ -976,14 +868,9 @@ let solve ?(options = default_options) (inst : Instance.t) =
     let engine =
       if options.allow_replication then begin
         let part = init_replicated stats options rng in
-        if options.full_eval then full_replicated_engine ctx rng part
-        else delta_replicated_engine ctx rng part
+        delta_replicated_engine ctx rng part
       end
-      else begin
-        let dctx = Option.get dctx in
-        if options.full_eval then full_disjoint_engine ctx dctx rng
-        else delta_disjoint_engine ctx dctx rng
-      end
+      else delta_disjoint_engine ctx (Option.get dctx) rng
     in
     anneal ?epoch_hook stats options rng engine
   in

@@ -22,7 +22,12 @@
     formulation: single-sitedness without replication forces each connected
     component of the transaction–read-attribute graph to co-locate, so the
     annealer moves whole components between sites and greedily places
-    never-read attributes. *)
+    never-read attributes.
+
+    Moves are priced through the {!Delta_cost} incremental evaluator —
+    O(affected transactions) per move, with an undo journal instead of
+    per-move snapshots — resynced against float drift at every epoch
+    boundary; the final claims are re-derived from {!Cost_model}. *)
 
 type options = {
   num_sites : int;
@@ -70,18 +75,6 @@ type options = {
           1 (default) runs the chains sequentially on the caller.  The
           set of chain trajectories is identical for every [jobs] value
           when [time_limit] is [None]; only wall-clock changes. *)
-  full_eval : bool;
-      (** [false] (default): evaluate moves through the {!Delta_cost}
-          incremental kernel — O(affected transactions) per move, undo
-          journal instead of per-move snapshots; the kernel is resynced
-          against float drift at every epoch boundary and the final
-          claims are still re-derived from {!Cost_model}.  [true]: pay a
-          full {!Cost_model.objective} recompute (and a state snapshot)
-          per move — the pre-delta code path, kept as the measured
-          baseline of [bench perf] and as a cross-check.  The two modes
-          explore different (equally valid) trajectories: the delta
-          kernel's re-optimization steps break floating-point ties
-          through incrementally maintained coefficients. *)
 }
 
 val default_options : options

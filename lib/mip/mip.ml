@@ -3,16 +3,13 @@ type limits = {
   node_limit : int option;
   gap : float;
   max_rows : int option;
-  kernel : Simplex.kernel;
-  pricing : Simplex.pricing option;
   refactor_every : int;
   scale : bool;
 }
 
 let default_limits =
   { time_limit = Some 60.; node_limit = None; gap = 1e-3;
-    max_rows = Some 32000; kernel = Simplex.Sparse; pricing = None;
-    refactor_every = 32; scale = false }
+    max_rows = Some 32000; refactor_every = 32; scale = false }
 
 type solution = { x : float array; obj : float }
 
@@ -694,8 +691,8 @@ let solve ?(limits = default_limits) ?(presolve = false)
       ~refacs:0 ~etas:0 ~eta_len:0 ~gap_achieved:infinity ~audit:no_audit
   | _ ->
     let sx =
-      Simplex.create ?workspace:simplex_workspace ~kernel:limits.kernel
-        ?pricing:limits.pricing ~refactor_every:limits.refactor_every std
+      Simplex.create ?workspace:simplex_workspace
+        ~refactor_every:limits.refactor_every std
     in
     let deadline = Option.map (fun tl -> start +. tl) limits.time_limit in
     let int_vars =
@@ -806,6 +803,10 @@ let solve ?(limits = default_limits) ?(presolve = false)
              | Gap_reached (glb, support) -> (true, glb, support, 0, 0, 0))
            else parallel_search s ~root_bound ~jobs
          in
+         (* A subtree abandoned on numerical trouble voids the exhaustive
+            search: the bound falls back to the root bound and the claim
+            is read exactly as after an interruption. *)
+         let interrupted = interrupted || s.numerical_prunes > 0 in
          let iters = Simplex.iterations sx + par_iters in
          let refacs = Simplex.refactorizations sx + par_refacs in
          let etas = Simplex.eta_applications sx + par_etas in

@@ -5,8 +5,9 @@
     to {!solve} with a time limit and a relative MIP gap, mirroring the
     paper's 30-minute / 0.1 %-gap setup.
 
-    The search is depth-first with a single warm-started dual-simplex
-    instance: branching only changes variable bounds, and any basis stays
+    Node LPs run on the sparse LU dual simplex of
+    {!Vpart_simplex.Simplex} (devex pricing).  The search is depth-first
+    with a single warm-started dual-simplex instance: branching only changes variable bounds, and any basis stays
     dual feasible under bound changes, so each node costs one warm
     {!Vpart_simplex.Simplex.reoptimize}.  Branching picks the most
     fractional integer variable, preferring higher [priority] values;
@@ -21,18 +22,11 @@ type limits = {
   gap : float;                (** relative MIP gap at which to stop, e.g. 0.001 *)
   max_rows : int option;
       (** refuse models with more rows — a guard against runaway basis
-          work, sized to what the configured {!Vpart_simplex.Simplex}
-          kernel sustains (the sparse LU kernel raised it far beyond the
-          old dense-inverse ceiling) *)
-  kernel : Simplex.kernel;
-      (** basis kernel for the node LPs (see
-          {!Vpart_simplex.Simplex.create}); [Sparse] by default *)
-  pricing : Simplex.pricing option;
-      (** pricing rule override; [None] takes the kernel's default
-          (devex for the sparse kernel, Dantzig otherwise) *)
+          work, sized to what the sparse LU simplex of
+          {!Vpart_simplex.Simplex} sustains *)
   refactor_every : int;
-      (** eta-file length at which the basis is refactorized (sparse
-          kernel) or folded (eta kernel); ignored by the dense kernel *)
+      (** eta-file length at which the node LPs' sparse LU basis is
+          refactorized (see {!Vpart_simplex.Simplex.create}) *)
   scale : bool;
       (** geometric-mean scaling ({!Presolve.scaling}) of the search model
           (after presolve, when both are on).  The branch-and-bound then
@@ -45,9 +39,8 @@ type limits = {
 }
 
 val default_limits : limits
-(** 60 s, unlimited nodes, gap 0.001, 32000 rows, sparse LU kernel with
-    its default (devex) pricing and refactorization every 32 pivots, no
-    scaling. *)
+(** 60 s, unlimited nodes, gap 0.001, 32000 rows, refactorization every
+    32 pivots, no scaling. *)
 
 type solution = {
   x : float array;  (** structural values; integer variables are integral *)
@@ -57,11 +50,15 @@ type solution = {
 type outcome =
   | Optimal of solution        (** proven optimal within [gap] *)
   | Feasible of solution * float
-      (** a limit was hit; the float is the best proven bound
-          (lower bound for minimization, in the original sense) *)
+      (** a limit was hit, or a subtree was abandoned on numerical trouble,
+          before the gap closed; the float is the best proven bound (lower
+          bound for minimization, in the original sense) *)
   | No_incumbent of float option
-      (** a limit was hit before any integer solution was found *)
+      (** a limit was hit, or a subtree was abandoned on numerical trouble,
+          before any integer solution was found *)
   | Infeasible
+      (** the search was exhausted without an incumbent and without
+          numerical prunes *)
   | Unbounded
   | Too_large of { rows : int; limit : int }
       (** the model has [rows] rows, above the configured [max_rows]
@@ -110,7 +107,9 @@ type audit = {
           problem's internal bound *)
   numerical_prunes : int;
       (** subtrees abandoned on simplex numerical trouble; nonzero values
-          void the optimality proof down to the root bound *)
+          void the optimality proof down to the root bound, so the outcome
+          is [Optimal] only when the root bound alone closes the gap, and
+          never [Infeasible] *)
 }
 (** Independently checkable artifacts from the solve, in the {e original}
     (pre-presolve) spaces.  Consumed by [Vpart_certify.Certify.certify_mip];
@@ -121,11 +120,9 @@ type stats = {
   simplex_iterations : int;
   refactorizations : int;
       (** basis refactorizations across the root instance and all worker
-          copies; with the [Dense] kernel this counts only the
-          cadence/recovery rebuilds *)
+          copies *)
   eta_applications : int;
-      (** eta-matrix applications summed likewise; 0 with the [Dense]
-          kernel.  Emitted as the [simplex.eta_applications] counter (and
+      (** eta-matrix applications summed likewise.  Emitted as the [simplex.eta_applications] counter (and
           the root's high-water eta-file length as the [simplex.eta_len]
           gauge) next to [mip.nodes]/[mip.simplex_iterations]. *)
   elapsed : float;          (** seconds *)

@@ -1,4 +1,4 @@
-(* Bounded-variable revised simplex over a pluggable basis kernel.
+(* Bounded-variable revised simplex over a sparse LU basis factorization.
 
    Variable indexing: 0..n-1 are the structural variables of the Lp.std
    model, n..n+m-1 are slacks (one per row, turning every row into an
@@ -7,19 +7,12 @@
    boxed; a structural variable resting on a patched bound at optimality is
    reported as Unbounded.
 
-   Basis kernels:
-   - [Dense]: an explicit dense m x m inverse updated per pivot by
-     Gauss-Jordan — the original kernel, kept bit-identical as the
-     reference and recovery mode.
-   - [Eta]: a dense inverse at the last refactorization plus a
-     product-form eta file folded back at the [refactor_every] cadence.
-   - [Sparse]: a sparse LU factorization of the basis (Markowitz
-     pivoting, {!Sparse_lu}) with sparse-eta updates layered on top; no
-     dense inverse exists at all, so memory and ftran/btran cost scale
-     with the factor nonzeros instead of m².  Refactorization replaces
-     the eta fold.  If a basis defeats the sparse factorization the
-     kernel falls back to a dense rebuild when m is small enough to
-     afford one, else reports Numerical.
+   Basis: a sparse LU factorization (Markowitz pivoting, {!Sparse_lu})
+   with product-form eta updates layered on top and refreshed every
+   [refactor_every] pivots; no dense inverse exists, so memory and
+   ftran/btran cost scale with the factor nonzeros instead of m².  A basis
+   that defeats the factorization reports Numerical.  Pricing is dual
+   devex, with Bland's rule after a run of degenerate pivots.
 
    Invariant maintained by the dual method: the current basis is dual
    feasible (every nonbasic at lower has reduced cost >= -tol, at upper
@@ -37,28 +30,6 @@ let string_of_status = function
   | Time_limit -> "time limit"
   | Numerical -> "numerical failure"
 
-type kernel = Dense | Eta | Sparse
-
-let string_of_kernel = function
-  | Dense -> "dense"
-  | Eta -> "eta"
-  | Sparse -> "sparse"
-
-let kernel_of_string = function
-  | "dense" -> Some Dense
-  | "eta" -> Some Eta
-  | "sparse" -> Some Sparse
-  | _ -> None
-
-type pricing = Dantzig | Devex
-
-let string_of_pricing = function Dantzig -> "dantzig" | Devex -> "devex"
-
-let pricing_of_string = function
-  | "dantzig" -> Some Dantzig
-  | "devex" -> Some Devex
-  | _ -> None
-
 let big = 1e10
 let unbounded_threshold = 1e9
 let pivot_tol = 1e-8
@@ -66,11 +37,6 @@ let feas_tol = 1e-7
 let dual_tol = 1e-7
 let degen_limit = 60
 let drift_tol = 1e-7
-
-(* Sparse-kernel dense fallback ceiling: above this a dense m x m inverse
-   is the very memory wall the sparse kernel exists to avoid, so a failed
-   factorization reports Numerical instead of allocating one. *)
-let dense_fallback_rows = 2000
 
 (* Warm-reoptimize guards: fall back to a full compute_xb/recompute_d when
    too many bounds changed (the ftran replay would cost more than the
@@ -84,8 +50,8 @@ let warm_limit = 64
 (* One product-form elementary matrix E = I with column [er] replaced by
    the eta column derived from the entering column w = B^-1 A_q at pivot
    row [er]: E_{er,er} = 1/piv, E_{i,er} = -w_i/piv.  B^-1 after k pivots
-   is E_k ... E_1 B0^-1 with B0^-1 the basis inverse operator of the last
-   refactorization (dense matrix or sparse LU).  Records are immutable,
+   is E_k ... E_1 B0^-1 with B0^-1 the LU factors of the last
+   refactorization.  Records are immutable,
    so [copy] can share them. *)
 type eta = {
   er : int;            (* pivot basis position *)
@@ -112,19 +78,7 @@ type t = {
   b : Vec.t;
   basis : int array;              (* m: variable basic at each position *)
   loc : int array;                (* nn: -1 at lower, -2 at upper, pos >= 0 basic *)
-  kernel : kernel;
-  pricing : pricing;
-  mutable binv : Vec.mat;
-      (* m x m rows of B0^-1: the dense inverse at the last
-         refactorization.  In the Eta kernel the current B^-1 is the
-         product of the eta file over this matrix; in the Dense kernel
-         the eta file stays empty and binv is B^-1 itself, updated in
-         place per pivot.  In the Sparse kernel this is [||] (the LU
-         factors replace it) unless a singular-basis fallback forced a
-         dense rebuild. *)
-  mutable lu : Sparse_lu.t option;
-      (* Sparse kernel: the B0 factorization.  None means the dense binv
-         is live instead (Dense/Eta kernels, or sparse fallback). *)
+  mutable lu : Sparse_lu.t;       (* B0: the last refactorization *)
   lu_work : Vec.t;                (* m scratch for Sparse_lu solves *)
   xb : Vec.t;                     (* m basic values *)
   d : Vec.t;                      (* nn reduced costs (valid for nonbasic) *)
@@ -135,8 +89,7 @@ type t = {
   dw : Vec.t;                     (* m devex reference weights (rows) *)
   wscratch : Vec.t;               (* m scratch: ftran result *)
   zscratch : Vec.t;               (* m scratch: compute_xb right-hand side *)
-  duscratch : Vec.t;              (* m scratch: compute_duals btran input *)
-  dyscratch : Vec.t;              (* m scratch: compute_duals dense output *)
+  duscratch : Vec.t;              (* m scratch: compute_duals btran *)
   refactor_every : int;           (* eta-file length triggering refactor *)
   mutable etas : eta array;       (* stack; first neta entries valid *)
   mutable neta : int;
@@ -161,17 +114,13 @@ type t = {
       (* xb and d are current for the basis and bounds: the last
          reoptimize ended verified Optimal and only set_bounds calls
          happened since.  Lets the next reoptimize skip the full
-         compute_xb/recompute_d entry passes (eta-file kernels only). *)
+         compute_xb/recompute_d entry passes. *)
   mutable pending_bounds : (int * float) list;
       (* (j, new resting value - old) for nonbasic variables whose
          bound changed while [warm]; replayed as ftran updates of xb *)
   mutable npending : int;
   mutable warm_solves : int;      (* consecutive warm starts since full resync *)
 }
-
-(* The Dense kernel updates its inverse per pivot and never touches the
-   eta file; both eta-file kernels push per-pivot etas over B0^-1. *)
-let uses_etas t = t.kernel <> Dense
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -203,7 +152,7 @@ let col_major (std : Lp.std) =
 
 (* Domain-local arena for the float payload of a solver instance.  Batch
    solving creates one Simplex.t per request; with a workspace the
-   per-create float vectors (5·nn + 11·m doubles — the dominant
+   per-create float vectors (5·nn + 10·m doubles — the dominant
    allocation) are carved as views out of a single retained buffer that
    is zeroed and re-carved on every [create], so steady-state solving
    allocates O(1) float payload per request.  The buffer only grows (to
@@ -219,21 +168,12 @@ module Workspace = struct
   let create () = { buf = Vec.create 0 }
 
   (* Total float demand of [Simplex.create] for an n×m model. *)
-  let demand ~nn ~m = (5 * nn) + (11 * m)
+  let demand ~nn ~m = (5 * nn) + (10 * m)
 end
 
-let create ?workspace ?(kernel = Sparse) ?pricing ?(refactor_every = 32)
-    (std : Lp.std) =
+let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
   if refactor_every < 1 then
     invalid_arg "Simplex.create: refactor_every must be >= 1";
-  (* Devex pays off where iterations are the bottleneck; the Dense and
-     Eta kernels keep Dantzig so their per-pivot behavior (and the
-     dense-mode bit-identity guarantee) is unchanged. *)
-  let pricing =
-    match pricing with
-    | Some p -> p
-    | None -> ( match kernel with Sparse -> Devex | Dense | Eta -> Dantzig)
-  in
   let n = std.Lp.ncols and m = std.Lp.nrows in
   let nn = n + m in
   let alloc =
@@ -282,18 +222,6 @@ let create ?workspace ?(kernel = Sparse) ?pricing ?(refactor_every = 32)
   for i = 0 to m - 1 do
     loc.(n + i) <- i
   done;
-  (* The all-slack start basis is the identity under either kernel. *)
-  let binv =
-    if kernel = Sparse then Vec.mat_empty
-    else begin
-      let bm = Vec.mat_create m m in
-      for i = 0 to m - 1 do
-        bm.{i, i} <- 1.
-      done;
-      bm
-    end
-  in
-  let lu = if kernel = Sparse then Some (Sparse_lu.identity m) else None in
   let d = alloc nn in
   Vec.blit cost d;
   let b = alloc m in
@@ -311,10 +239,8 @@ let create ?workspace ?(kernel = Sparse) ?pricing ?(refactor_every = 32)
     row_val = std.Lp.row_val;
     b;
     basis; loc;
-    kernel;
-    pricing;
-    binv;
-    lu;
+    (* the all-slack start basis is the identity *)
+    lu = Sparse_lu.identity m;
     lu_work = alloc m;
     xb = alloc m;
     d;
@@ -326,7 +252,6 @@ let create ?workspace ?(kernel = Sparse) ?pricing ?(refactor_every = 32)
     wscratch = alloc m;
     zscratch = alloc m;
     duscratch = alloc m;
-    dyscratch = alloc m;
     refactor_every;
     etas = [||];
     neta = 0;
@@ -355,10 +280,9 @@ let create ?workspace ?(kernel = Sparse) ?pricing ?(refactor_every = 32)
    [col_val], [row_idx] and [row_val] are write-once after [create]
    (verified: no mutation site in this module), so the copy shares them;
    LU factors and eta records are immutable after construction, so they
-   are shared too.  Everything the solve mutates -- bounds, basis, the
-   dense inverse, values, reduced costs, scratch, counters -- is
-   deep-copied so the copy can reoptimize concurrently with (or instead
-   of) the original. *)
+   are shared too.  Everything the solve mutates -- bounds, basis,
+   values, reduced costs, scratch, counters -- is deep-copied so the copy
+   can reoptimize concurrently with (or instead of) the original. *)
 let copy t =
   {
     t with
@@ -368,7 +292,6 @@ let copy t =
     ub_patched = Array.copy t.ub_patched;
     basis = Array.copy t.basis;
     loc = Array.copy t.loc;
-    binv = Vec.mat_copy t.binv;
     lu_work = Vec.copy t.lu_work;
     xb = Vec.copy t.xb;
     d = Vec.copy t.d;
@@ -379,7 +302,6 @@ let copy t =
     wscratch = Vec.copy t.wscratch;
     zscratch = Vec.copy t.zscratch;
     duscratch = Vec.copy t.duscratch;
-    dyscratch = Vec.copy t.dyscratch;
     (* eta records are immutable; sharing them with the copy is safe *)
     etas = Array.copy t.etas;
     rho = Vec.copy t.rho;
@@ -400,7 +322,7 @@ let refactor_seconds t = t.refactor_seconds
 let eta_applications t = t.eta_apps
 let eta_length t = t.neta
 let max_eta_length t = t.eta_len_max
-let lu_nnz t = match t.lu with Some lu -> Sparse_lu.nnz lu | None -> 0
+let lu_nnz t = Sparse_lu.nnz t.lu
 
 (* Value of a nonbasic variable (forward declaration of the one below;
    needed here so set_bounds can record resting-value deltas). *)
@@ -471,7 +393,7 @@ let apply_etas_rev_row t (u : Vec.t) =
   done
 
 (* Push the eta derived from entering column w (= B^-1 A_q) at pivot row
-   r.  Replaces the dense O(m^2) Gauss-Jordan update of binv. *)
+   r. *)
 let push_eta t r (w : Vec.t) =
   let cnt = ref 0 in
   for i = 0 to t.m - 1 do
@@ -497,8 +419,7 @@ let push_eta t r (w : Vec.t) =
 
 (* rho := e_r B^-1 into t.rho, by a sparse btran of e_r: the unit vector
    stays sparse through the eta file (each eta touches only its own [er]
-   entry), so the B0^-1 half runs over the touched positions only — a
-   dense pass over the touched rows of binv, or a sparse-RHS LU btran. *)
+   entry), so the B0^-1 half is a sparse-RHS LU btran. *)
 let compute_rho t r =
   let u = t.uscratch and mark = t.umark and touched = t.utouched in
   let ntouch = ref 0 in
@@ -526,26 +447,12 @@ let compute_rho t r =
     end;
     t.eta_apps <- t.eta_apps + 1
   done;
-  (match t.lu with
-   | Some lu ->
-     Vec.fill t.rho 0.;
-     for ti = 0 to !ntouch - 1 do
-       let i = touched.(ti) in
-       t.rho.{i} <- u.{i}
-     done;
-     Sparse_lu.btran lu ~work:t.lu_work t.rho
-   | None ->
-     Vec.fill t.rho 0.;
-     for ti = 0 to !ntouch - 1 do
-       let i = touched.(ti) in
-       let ui = u.{i} in
-       if ui <> 0. then begin
-         let binv = t.binv in
-         for c = 0 to t.m - 1 do
-           t.rho.{c} <- t.rho.{c} +. (ui *. binv.{i, c})
-         done
-       end
-     done);
+  Vec.fill t.rho 0.;
+  for ti = 0 to !ntouch - 1 do
+    let i = touched.(ti) in
+    t.rho.{i} <- u.{i}
+  done;
+  Sparse_lu.btran t.lu ~work:t.lu_work t.rho;
   (* restore the all-zero / all-false scratch invariant *)
   for ti = 0 to !ntouch - 1 do
     let i = touched.(ti) in
@@ -577,81 +484,36 @@ let compute_xb t =
         else z.{j - t.n} <- z.{j - t.n} -. v
     end
   done;
-  (match t.lu with
-   | Some lu ->
-     Sparse_lu.ftran lu ~work:t.lu_work z;
-     Vec.blit z t.xb
-   | None ->
-     let binv = t.binv in
-     for i = 0 to t.m - 1 do
-       let acc = ref 0. in
-       for k = 0 to t.m - 1 do
-         acc := !acc +. (binv.{i, k} *. z.{k})
-       done;
-       t.xb.{i} <- !acc
-     done);
+  Sparse_lu.ftran t.lu ~work:t.lu_work z;
+  Vec.blit z t.xb;
   apply_etas_fwd t t.xb
 
 (* w := B^-1 A_j (ftran of column j) into t.wscratch. *)
 let ftran t j =
   let w = t.wscratch in
-  (match t.lu with
-   | Some lu ->
-     Vec.fill w 0.;
-     if j < t.n then begin
-       let ci = t.col_idx.(j) and cv = t.col_val.(j) in
-       for k = 0 to Array.length ci - 1 do
-         w.{ci.(k)} <- w.{ci.(k)} +. cv.(k)
-       done
-     end
-     else w.{j - t.n} <- 1.;
-     Sparse_lu.ftran lu ~work:t.lu_work w
-   | None ->
-     let binv = t.binv in
-     if j < t.n then begin
-       let ci = t.col_idx.(j) and cv = t.col_val.(j) in
-       for i = 0 to t.m - 1 do
-         let acc = ref 0. in
-         for k = 0 to Array.length ci - 1 do
-           acc := !acc +. (binv.{i, ci.(k)} *. cv.(k))
-         done;
-         w.{i} <- !acc
-       done
-     end
-     else begin
-       let r = j - t.n in
-       for i = 0 to t.m - 1 do
-         w.{i} <- binv.{i, r}
-       done
-     end);
+  Vec.fill w 0.;
+  if j < t.n then begin
+    let ci = t.col_idx.(j) and cv = t.col_val.(j) in
+    for k = 0 to Array.length ci - 1 do
+      w.{ci.(k)} <- w.{ci.(k)} +. cv.(k)
+    done
+  end
+  else w.{j - t.n} <- 1.;
+  Sparse_lu.ftran t.lu ~work:t.lu_work w;
   apply_etas_fwd t w;
   w
 
 (* Fresh duals y = c_B B^-1: btran of c_B through the eta file, then
-   through B0^-1 (dense rows or LU).  The returned vector is scratch
-   owned by [t] (clobbered by the next call) — public accessors copy. *)
+   through the LU factors.  The returned vector is scratch owned by [t]
+   (clobbered by the next call) — public accessors copy. *)
 let compute_duals t =
   let u = t.duscratch in
   for k = 0 to t.m - 1 do
     u.{k} <- t.cost.{t.basis.(k)}
   done;
   apply_etas_rev_row t u;
-  match t.lu with
-  | Some lu ->
-    Sparse_lu.btran lu ~work:t.lu_work u;
-    u
-  | None ->
-    let y = t.dyscratch in
-    Vec.fill y 0.;
-    let binv = t.binv in
-    for k = 0 to t.m - 1 do
-      let uk = u.{k} in
-      if uk <> 0. then
-        for i = 0 to t.m - 1 do
-          y.{i} <- y.{i} +. (uk *. binv.{k, i})
-        done
-    done;
-    y
+  Sparse_lu.btran t.lu ~work:t.lu_work u;
+  u
 
 (* Fresh reduced costs: d_j = c_j - y . A_j with y = c_B B^-1. *)
 let recompute_d t =
@@ -683,83 +545,11 @@ let reduced_costs t =
       done;
       !acc)
 
-(* Rebuild binv from the basis by Gauss-Jordan with partial pivoting.
-   Returns false if the basis matrix is (numerically) singular. *)
-let dense_refactor t =
-  Obs.with_span "simplex.refactor"
-    ~attrs:[ ("kind", Obs.Str "rebuild"); ("m", Obs.Int t.m) ]
-  @@ fun () ->
-  let t0 = Obs.Clock.now () in
-  t.total_refactors <- t.total_refactors + 1;
-  (* binv becomes the current B^-1 again: the eta file restarts empty *)
-  t.neta <- 0;
-  let m = t.m in
-  let a = Array.init m (fun _ -> Array.make m 0.) in
-  for k = 0 to m - 1 do
-    let j = t.basis.(k) in
-    if j < t.n then begin
-      let ci = t.col_idx.(j) and cv = t.col_val.(j) in
-      for e = 0 to Array.length ci - 1 do
-        a.(ci.(e)).(k) <- cv.(e)
-      done
-    end
-    else a.(j - t.n).(k) <- 1.
-  done;
-  let inv = Array.init m (fun i ->
-      let row = Array.make m 0. in
-      row.(i) <- 1.;
-      row)
-  in
-  let ok = ref true in
-  (try
-     for col = 0 to m - 1 do
-       (* partial pivot *)
-       let best = ref col and best_mag = ref (Float.abs a.(col).(col)) in
-       for i = col + 1 to m - 1 do
-         let mag = Float.abs a.(i).(col) in
-         if mag > !best_mag then begin best := i; best_mag := mag end
-       done;
-       if !best_mag < 1e-12 then begin ok := false; raise Exit end;
-       if !best <> col then begin
-         let tmp = a.(col) in a.(col) <- a.(!best); a.(!best) <- tmp;
-         let tmp = inv.(col) in inv.(col) <- inv.(!best); inv.(!best) <- tmp
-       end;
-       let piv = a.(col).(col) in
-       let arow = a.(col) and irow = inv.(col) in
-       let scale = 1. /. piv in
-       for k = 0 to m - 1 do
-         arow.(k) <- arow.(k) *. scale;
-         irow.(k) <- irow.(k) *. scale
-       done;
-       for i = 0 to m - 1 do
-         if i <> col then begin
-           let f = a.(i).(col) in
-           if f <> 0. then begin
-             let ai = a.(i) and ii = inv.(i) in
-             for k = 0 to m - 1 do
-               ai.(k) <- ai.(k) -. (f *. arow.(k));
-               ii.(k) <- ii.(k) -. (f *. irow.(k))
-             done
-           end
-         end
-       done
-     done
-   with Exit -> ());
-  if !ok then
-    for i = 0 to m - 1 do
-      let ii = inv.(i) in
-      for k = 0 to m - 1 do
-        t.binv.{i, k} <- ii.(k)
-      done
-    done;
-  t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
-  !ok
-
-(* Sparse-kernel refactorization: factor the current basis columns with
+(* Refactorization: factor the current basis columns with
    {!Sparse_lu.factor}.  On success the LU replaces both the previous
-   factors and the eta file; on a singular basis the kernel falls back to
-   a dense Gauss-Jordan rebuild when a dense inverse is affordable. *)
-let sparse_refactor t =
+   factors and the eta file; a singular basis returns false (the callers
+   report Numerical). *)
+let refactor t =
   Obs.with_span "simplex.lu_refactor"
     ~attrs:[ ("m", Obs.Int t.m); ("etas", Obs.Int t.neta) ]
   @@ fun () ->
@@ -782,7 +572,7 @@ let sparse_refactor t =
   done;
   match Sparse_lu.factor idx va with
   | Some lu ->
-    t.lu <- Some lu;
+    t.lu <- lu;
     t.neta <- 0;
     t.total_refactors <- t.total_refactors + 1;
     t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
@@ -794,69 +584,7 @@ let sparse_refactor t =
     true
   | None ->
     t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
-    if t.m > dense_fallback_rows then false
-    else begin
-      (* a dense inverse is affordable at this size; allocate it lazily
-         and let the dense rebuild arbitrate singularity *)
-      if Vec.dim1 t.binv = 0 then t.binv <- Vec.mat_create m m;
-      t.lu <- None;
-      dense_refactor t
-    end
-
-let refactor t =
-  match t.kernel with
-  | Sparse -> sparse_refactor t
-  | Dense | Eta -> dense_refactor t
-
-(* Gauss-Jordan update of binv for entering column w at basis position r. *)
-let update_binv t r (w : Vec.t) =
-  let piv = w.{r} in
-  let binv = t.binv in
-  let brow = Vec.row binv r in
-  let scale = 1. /. piv in
-  for k = 0 to t.m - 1 do
-    brow.{k} <- brow.{k} *. scale
-  done;
-  for i = 0 to t.m - 1 do
-    if i <> r then begin
-      let f = w.{i} in
-      if f <> 0. then
-        for k = 0 to t.m - 1 do
-          binv.{i, k} <- binv.{i, k} -. (f *. brow.{k})
-        done
-    end
-  done
-
-(* Cadence refactorization in the Eta kernel: fold the eta file into binv
-   so it becomes the current B^-1 again.  Each stored eta applies exactly
-   the row operations [update_binv] would have performed at pivot time
-   (oldest first), so the result is bit-identical to dense-mode updating
-   -- and since B^-1 itself is unchanged, xb and d stay valid: no
-   recompute follows a fold.  Cost is sum over the file of nnz(w) * m,
-   versus the O(m^3) from-scratch rebuild, which remains reserved for
-   drift and numerical recovery where folding would preserve the very
-   error being repaired. *)
-let fold_etas t =
-  Obs.with_span "simplex.refactor"
-    ~attrs:[ ("kind", Obs.Str "fold"); ("etas", Obs.Int t.neta) ]
-  @@ fun () ->
-  for e = 0 to t.neta - 1 do
-    let { er; idx; va; piv } = t.etas.(e) in
-    let binv = t.binv in
-    let brow = Vec.row binv er in
-    let scale = 1. /. piv in
-    for k = 0 to t.m - 1 do
-      brow.{k} <- brow.{k} *. scale
-    done;
-    for u = 0 to Array.length idx - 1 do
-      let i = idx.(u) and f = va.(u) in
-      for k = 0 to t.m - 1 do
-        binv.{i, k} <- binv.{i, k} -. (f *. brow.{k})
-      done
-    done
-  done;
-  t.neta <- 0;
-  t.total_refactors <- t.total_refactors + 1
+    false
 
 let objective t =
   let acc = ref 0. in
@@ -883,13 +611,12 @@ let check_deadline deadline iters =
     raise (Stop Time_limit)
   | _ -> ()
 
-(* Select the leaving row.  Dantzig: most-violated basic variable (or the
-   smallest variable index under Bland's rule).  Devex: largest
-   violation^2 / reference weight, steering toward rows whose pivots have
-   historically moved the iterate most per unit violation.  Returns None
-   when primal feasible. *)
+(* Select the leaving row.  Devex: largest violation^2 / reference weight,
+   steering toward rows whose pivots have historically moved the iterate
+   most per unit violation; under Bland's rule, the violated basic
+   variable of smallest index.  Returns None when primal feasible. *)
 let select_leaving t =
-  if t.pricing = Devex && not t.bland then begin
+  if not t.bland then begin
     let best = ref (-1) and best_score = ref 0. in
     for i = 0 to t.m - 1 do
       let p = t.basis.(i) in
@@ -912,25 +639,17 @@ let select_leaving t =
     if !best < 0 then None else Some !best
   end
   else begin
-    let best = ref (-1) and best_viol = ref feas_tol and best_var = ref max_int in
+    let best = ref (-1) and best_var = ref max_int in
     for i = 0 to t.m - 1 do
       let p = t.basis.(i) in
       let v = t.xb.{i} in
       let tol_lo = feas_tol *. (1. +. Float.abs t.lb.{p})
       and tol_hi = feas_tol *. (1. +. Float.abs t.ub.{p}) in
-      let viol =
-        if v < t.lb.{p} -. tol_lo then t.lb.{p} -. v
-        else if v > t.ub.{p} +. tol_hi then v -. t.ub.{p}
-        else 0.
-      in
-      if viol > 0. then
-        if t.bland then begin
-          if p < !best_var then begin best := i; best_var := p; best_viol := viol end
-        end
-        else if viol > !best_viol then begin
-          best := i;
-          best_viol := viol
-        end
+      let violated = v < t.lb.{p} -. tol_lo || v > t.ub.{p} +. tol_hi in
+      if violated && p < !best_var then begin
+        best := i;
+        best_var := p
+      end
     done;
     if !best < 0 then None else Some !best
   end
@@ -959,14 +678,12 @@ let devex_update t r (w : Vec.t) =
   t.dw.{r} <- Float.max (gr /. (wr *. wr)) 1.;
   if Float.max !mx t.dw.{r} > 1e12 then Vec.fill t.dw 1.
 
-(* Pivot-row pricing, sparse kernel: alpha_j = rho . A_j for every
-   column, computed by scattering the nonzero entries of rho through the
-   row-major matrix — O(nnz of the touched rows) instead of a gather
-   over all nn columns.  Scatter order is ascending row index, matching
-   the dense gather's per-column accumulation order, and the movable
-   list is sorted so the ratio test scans candidates in ascending
-   variable order (determinism).  Touched positions are recorded for
-   [clear_alpha]. *)
+(* Pivot-row pricing: alpha_j = rho . A_j for every column, computed by
+   scattering the nonzero entries of rho through the row-major matrix —
+   O(nnz of the touched rows) instead of a gather over all nn columns.
+   Scatter order is ascending row index, and the movable list is sorted
+   so the ratio test scans candidates in ascending variable order
+   (determinism).  Touched positions are recorded for [clear_alpha]. *)
 let scatter_price t (rho : Vec.t) =
   let ntouch = ref 0 in
   for i = 0 to t.m - 1 do
@@ -1021,41 +738,11 @@ let dual_step t =
     let p = t.basis.(r) in
     let above = t.xb.{r} > t.ub.{p} in
     let s = if above then 1. else -1. in
-    (* Pivot row in nonbasic space: alpha_j = (e_r B^-1) A_j.  In the
-       Dense kernel binv is B^-1 and its row r can be aliased (a
-       zero-copy bigarray slice); the eta kernels produce the row by a
-       sparse btran through the eta file. *)
-    let rho =
-      if uses_etas t then begin
-        compute_rho t r;
-        t.rho
-      end
-      else Vec.row t.binv r
-    in
-    let movable =
-      if t.kernel = Sparse then ref (scatter_price t rho)
-      else begin
-        let movable = ref [] in
-        for j = t.nn - 1 downto 0 do
-          if t.loc.(j) < 0 && t.ub.{j} -. t.lb.{j} > 1e-12 then begin
-            let a =
-              if j < t.n then begin
-                let ci = t.col_idx.(j) and cv = t.col_val.(j) in
-                let acc = ref 0. in
-                for k = 0 to Array.length ci - 1 do
-                  acc := !acc +. (rho.{ci.(k)} *. cv.(k))
-                done;
-                !acc
-              end
-              else rho.{j - t.n}
-            in
-            t.alpha.{j} <- a;
-            if Float.abs a > pivot_tol then movable := j :: !movable
-          end
-        done;
-        movable
-      end
-    in
+    (* Pivot row in nonbasic space: alpha_j = (e_r B^-1) A_j, with the
+       row e_r B^-1 from a sparse btran through the eta file. *)
+    compute_rho t r;
+    let rho = t.rho in
+    let movable = scatter_price t rho in
     (* Dual ratio test: keep reduced costs sign-feasible. *)
     let q = ref (-1) and best_ratio = ref infinity and best_mag = ref 0. in
     List.iter
@@ -1084,7 +771,7 @@ let dual_step t =
              best_mag := mag
            end
          end)
-      !movable;
+      movable;
     if !q < 0 then begin
       (* No entering column can repair the violated basic variable in row
          [r]: the row [e_r B^-1] of the basis inverse is a Farkas-style
@@ -1092,14 +779,14 @@ let dual_step t =
          re-derives the contradiction from it against the true, unpatched
          variable boxes). *)
       t.infeas_ray <- Some (Vec.to_array rho);
-      if t.kernel = Sparse then clear_alpha t;
+      clear_alpha t;
       `Infeasible
     end
     else begin
       let q = !q in
       let w = ftran t q in
       if Float.abs w.{r} < pivot_tol then begin
-        if t.kernel = Sparse then clear_alpha t;
+        clear_alpha t;
         `Numerical_pivot
       end
       else begin
@@ -1110,7 +797,7 @@ let dual_step t =
         let theta = t.d.{q} /. w.{r} in
         List.iter
           (fun j -> if j <> q then t.d.{j} <- t.d.{j} -. (theta *. t.alpha.{j}))
-          !movable;
+          movable;
         t.d.{p} <- -.theta;
         t.d.{q} <- 0.;
         (* Basic value update. *)
@@ -1122,9 +809,9 @@ let dual_step t =
         t.loc.(p) <- (if above then -2 else -1);
         t.loc.(q) <- r;
         t.basis.(r) <- q;
-        if t.pricing = Devex then devex_update t r w;
-        if uses_etas t then push_eta t r w else update_binv t r w;
-        if t.kernel = Sparse then clear_alpha t;
+        devex_update t r w;
+        push_eta t r w;
+        clear_alpha t;
         if Float.abs delta <= 1e-9 then t.degen_count <- t.degen_count + 1
         else begin
           t.degen_count <- 0;
@@ -1145,51 +832,35 @@ let dual_loop t ~max_iter ~deadline =
        check_deadline deadline !iter;
        incr iter;
        t.total_iters <- t.total_iters + 1;
-       (* Periodic resync against drift.  With an eta file the fresh
-          basic values double as a residual check: large disagreement
-          with the incrementally updated ones means the eta product has
-          degraded and triggers an early refactorization. *)
+       (* Periodic resync against drift: the fresh basic values double
+          as a residual check -- large disagreement with the
+          incrementally updated ones means the eta product has degraded
+          and triggers an early refactorization. *)
        if !iter mod 256 = 0 then begin
-         if uses_etas t then begin
-           Vec.blit t.xb t.xb_save;
+         Vec.blit t.xb t.xb_save;
+         compute_xb t;
+         let drift = ref 0. in
+         for i = 0 to t.m - 1 do
+           let d =
+             Float.abs (t.xb.{i} -. t.xb_save.{i})
+             /. (1. +. Float.abs t.xb.{i})
+           in
+           if d > !drift then drift := d
+         done;
+         if !drift > drift_tol then begin
+           t.drift_rebuilds <- t.drift_rebuilds + 1;
+           if not (refactor t) then raise (Stop Numerical);
            compute_xb t;
-           let drift = ref 0. in
-           for i = 0 to t.m - 1 do
-             let d =
-               Float.abs (t.xb.{i} -. t.xb_save.{i})
-               /. (1. +. Float.abs t.xb.{i})
-             in
-             if d > !drift then drift := d
-           done;
-           if !drift > drift_tol then begin
-             t.drift_rebuilds <- t.drift_rebuilds + 1;
-             if not (refactor t) then raise (Stop Numerical);
-             compute_xb t;
-             recompute_d t
-           end
+           recompute_d t
          end
-         else compute_xb t
        end;
-       (* Refactorization cadence: the Eta kernel folds a full file into
-          binv (no xb/d recompute needed -- B^-1 is unchanged); the
-          Sparse kernel re-factors the basis (cheap at O(fill) and
-          followed by an O(nnz) resync of xb and d, which the fresh
-          factors make affordable); the Dense kernel keeps the pre-eta
-          fixed-interval rebuild. *)
-       (match t.kernel with
-        | Eta -> if t.neta >= t.refactor_every then fold_etas t
-        | Sparse ->
-          if t.neta >= t.refactor_every then begin
-            if not (refactor t) then raise (Stop Numerical);
-            compute_xb t;
-            recompute_d t
-          end
-        | Dense ->
-          if !iter mod 1024 = 0 then begin
-            if not (refactor t) then raise (Stop Numerical);
-            compute_xb t;
-            recompute_d t
-          end);
+       (* Refactorization cadence: re-factor the basis (cheap at O(fill))
+          and resync xb and d in O(nnz) against the fresh factors. *)
+       if t.neta >= t.refactor_every then begin
+         if not (refactor t) then raise (Stop Numerical);
+         compute_xb t;
+         recompute_d t
+       end;
        match dual_step t with
        | `Progress -> ()
        | `Feasible -> result := Some Optimal
@@ -1272,8 +943,8 @@ let primal_step t =
       t.loc.(p) <- (if coef > 0. then -2 else -1);
       t.loc.(q) <- r;
       t.basis.(r) <- q;
-      if t.pricing = Devex then devex_update t r w;
-      if uses_etas t then push_eta t r w else update_binv t r w;
+      devex_update t r w;
+      push_eta t r w;
       if delta <= 1e-9 then t.degen_count <- t.degen_count + 1
       else begin
         t.degen_count <- 0;
@@ -1293,12 +964,9 @@ let primal_simplex ?(max_iter = 200_000) ?deadline t =
        check_deadline deadline !iter;
        incr iter;
        t.total_iters <- t.total_iters + 1;
-       if uses_etas t && t.neta >= t.refactor_every then begin
-         match t.kernel with
-         | Sparse ->
-           if not (refactor t) then raise (Stop Numerical);
-           compute_xb t
-         | Dense | Eta -> fold_etas t
+       if t.neta >= t.refactor_every then begin
+         if not (refactor t) then raise (Stop Numerical);
+         compute_xb t
        end;
        if !iter mod 256 = 0 then compute_xb t;
        match primal_step t with
@@ -1328,7 +996,7 @@ let dual_feasible t =
   !ok
 
 let reoptimize ?(max_iter = 200_000) ?deadline t =
-  (* Warm entry (eta-file kernels): the previous reoptimize ended
+  (* Warm entry: the previous reoptimize ended
      verified Optimal, so d is fresh for the unchanged basis and bounds
      do not enter reduced costs at all -- only the resting values of
      changed nonbasic variables moved.  Replaying those as ftran updates
@@ -1336,7 +1004,7 @@ let reoptimize ?(max_iter = 200_000) ?deadline t =
      solves.  Every [warm_limit] consecutive warm starts the full
      recompute runs anyway, bounding accumulated drift that short node
      solves would never hit a periodic resync for. *)
-  if uses_etas t && t.warm && t.warm_solves < warm_limit then begin
+  if t.warm && t.warm_solves < warm_limit then begin
     t.warm_solves <- t.warm_solves + 1;
     List.iter
       (fun (j, dv) ->
@@ -1356,7 +1024,7 @@ let reoptimize ?(max_iter = 200_000) ?deadline t =
   t.warm <- false;
   t.bland <- false;
   t.degen_count <- 0;
-  if t.pricing = Devex then Vec.fill t.dw 1.;
+  Vec.fill t.dw 1.;
   t.infeas_ray <- None;
   let status = dual_loop t ~max_iter ~deadline in
   match status with
@@ -1389,12 +1057,11 @@ type result = {
   iterations : int;
 }
 
-let solve ?(max_iter = 200_000) ?time_limit ?kernel ?pricing ?refactor_every
-    (std : Lp.std) =
+let solve ?(max_iter = 200_000) ?time_limit ?refactor_every (std : Lp.std) =
   Obs.with_span "simplex.solve"
     ~attrs:[ ("rows", Obs.Int std.Lp.nrows); ("cols", Obs.Int std.Lp.ncols) ]
     (fun () ->
-       let t = create ?kernel ?pricing ?refactor_every std in
+       let t = create ?refactor_every std in
        let deadline =
          match time_limit with
          | Some s -> Some (Obs.Clock.now () +. s)
@@ -1415,12 +1082,8 @@ let solve ?(max_iter = 200_000) ?time_limit ?kernel ?pricing ?refactor_every
              (float_of_int t.recovery_rebuilds);
          if t.eta_apps > 0 then
            Obs.count "simplex.eta_applications" (float_of_int t.eta_apps);
-         if uses_etas t then
-           Obs.gauge "simplex.eta_len" (float_of_int t.eta_len_max);
-         (match t.lu with
-          | Some lu ->
-            Obs.gauge "simplex.lu_nnz" (float_of_int (Sparse_lu.nnz lu))
-          | None -> ());
+         Obs.gauge "simplex.eta_len" (float_of_int t.eta_len_max);
+         Obs.gauge "simplex.lu_nnz" (float_of_int (Sparse_lu.nnz t.lu));
          Obs.point "simplex.done"
            ~attrs:
              [

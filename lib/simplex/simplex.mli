@@ -1,24 +1,15 @@
 (** Bounded-variable simplex solver over {!Vpart_lp.Lp.std} models.
 
     The implementation is a revised simplex supporting both the {e dual}
-    and {e primal} methods on variables with general (boxed) bounds, over
-    a pluggable {e basis kernel} ({!kernel}):
-
-    - [Sparse] (default): the basis is held as a sparse LU factorization
-      with Markowitz pivoting ({!Sparse_lu}), refreshed every
-      [refactor_every] pivots; between refactorizations pivots are
-      layered on top as product-form {e eta} updates.  ftran/btran cost
-      O(nnz(L)+nnz(U)) instead of O(rows²), no dense inverse is ever
-      allocated, and pricing scatters the pivot row through the row-major
-      matrix so a pivot costs O(nonzeros touched) rather than O(cols).
-      Pricing defaults to devex reference weights.
-    - [Eta]: a dense inverse [B₀⁻¹] from the last refactorization plus an
-      eta file applied on every ftran/btran, folded back into the dense
-      inverse at the cadence.  The PR-5 kernel, kept as a measured
-      baseline.
-    - [Dense]: a dense [B⁻¹] updated per pivot by Gauss-Jordan — the
-      original kernel, bit-identical to the pre-eta code path; the
-      reference for numerical cross-checks.
+    and {e primal} methods on variables with general (boxed) bounds.  The
+    basis is held as a sparse LU factorization with Markowitz pivoting
+    ({!Sparse_lu}), refreshed every [refactor_every] pivots; between
+    refactorizations pivots are layered on top as product-form {e eta}
+    updates.  ftran/btran cost O(nnz(L)+nnz(U)) instead of O(rows²), no
+    dense inverse is ever allocated, and pricing scatters the pivot row
+    through the row-major matrix so a pivot costs O(nonzeros touched)
+    rather than O(cols).  The dual method prices the leaving row by devex
+    reference weights.
 
     The dual method is the workhorse: starting from the all-slack basis, the
     solver first places every nonbasic variable on the bound that makes its
@@ -32,9 +23,8 @@
     Anti-cycling: Bland's rule is engaged after a run of degenerate pivots.
     Numerical safety: candidate pivots below a pivot tolerance are rejected,
     the basis is refactorized on demand, and basic values / reduced costs
-    are recomputed from scratch periodically.  A sparse factorization that
-    fails on a (near-)singular basis falls back to a dense rebuild when the
-    model is small enough to afford one. *)
+    are recomputed from scratch periodically.  A factorization that fails
+    on a (near-)singular basis ends the solve with [Numerical]. *)
 
 type status =
   | Optimal        (** primal and dual feasible within tolerances *)
@@ -46,25 +36,6 @@ type status =
 
 val string_of_status : status -> string
 
-type kernel =
-  | Dense   (** dense B⁻¹, Gauss-Jordan update per pivot (pre-eta baseline) *)
-  | Eta     (** dense B₀⁻¹ + product-form eta file, folded at the cadence *)
-  | Sparse  (** Markowitz sparse LU + eta updates; no dense inverse *)
-
-val string_of_kernel : kernel -> string
-
-val kernel_of_string : string -> kernel option
-(** Parses ["dense"], ["eta"], ["sparse"]; [None] otherwise. *)
-
-type pricing =
-  | Dantzig  (** most-violated row (dual) / most-improving column (primal) *)
-  | Devex    (** dual devex: violation² over reference weights *)
-
-val string_of_pricing : pricing -> string
-
-val pricing_of_string : string -> pricing option
-(** Parses ["dantzig"], ["devex"]; [None] otherwise. *)
-
 type result = {
   status : status;
   x : float array;     (** structural variable values (length [ncols]) *)
@@ -75,14 +46,12 @@ type result = {
 val solve :
   ?max_iter:int ->
   ?time_limit:float ->
-  ?kernel:kernel ->
-  ?pricing:pricing ->
   ?refactor_every:int ->
   Lp.std ->
   result
 (** Solve the continuous relaxation of [std] (integrality is ignored).
-    [time_limit] is wall-clock seconds.  [kernel], [pricing] and
-    [refactor_every] as in {!create}. *)
+    [time_limit] is wall-clock seconds.  [refactor_every] as in
+    {!create}. *)
 
 (** {1 Incremental interface (for branch-and-bound)} *)
 
@@ -113,21 +82,15 @@ module Workspace : sig
   val create : unit -> t
 end
 
-val create : ?workspace:Workspace.t -> ?kernel:kernel -> ?pricing:pricing ->
-  ?refactor_every:int -> Lp.std -> t
+val create : ?workspace:Workspace.t -> ?refactor_every:int -> Lp.std -> t
 (** Build an instance positioned at the dual-feasible all-slack basis.
     Integrality markers in [std] are ignored here.
 
     [workspace] pools the instance's dense float storage across calls;
-    see {!Workspace}.  [kernel] (default [Sparse]) selects the basis
-    representation; see the module documentation.  [pricing] defaults
-    to [Devex] for the sparse kernel and [Dantzig] otherwise (so the
-    dense kernel reproduces the pre-eta pivot sequence bit-identically).
-    [refactor_every] (default 32, must be ≥ 1) bounds the eta-file
-    length before the basis is refactorized (sparse) or the file is
-    folded (eta); an out-of-tolerance basic-value residual at the
-    periodic resync triggers an earlier rebuild regardless.  Ignored by
-    the dense kernel.
+    see {!Workspace}.  [refactor_every] (default 32, must be ≥ 1) bounds
+    the eta-file length before the basis is refactorized; an
+    out-of-tolerance basic-value residual at the periodic resync
+    triggers an earlier rebuild regardless.
     @raise Invalid_argument when [refactor_every < 1]. *)
 
 val copy : t -> t
@@ -135,8 +98,7 @@ val copy : t -> t
     but no mutable state shared with the original — the copy and the
     original can be reoptimized concurrently (e.g. on different domains).
     Immutable model data (costs, matrix, right-hand side), eta records
-    and LU factors are shared, so a sparse-kernel copy is O(rows + cols);
-    with a dense kernel the inverse copy dominates at O(rows²).  A copy
+    and LU factors are shared, so a copy is O(rows + cols).  A copy
     of a root-optimal instance is a valid warm start for any subtree of a
     branch-and-bound search: the basis stays dual feasible under the
     subtree's bound changes. *)
@@ -176,25 +138,22 @@ val drift_rebuilds : t -> int
 (** Refactorizations forced by the periodic basic-value resync detecting
     drift beyond tolerance — runtime evidence of ill-conditioning (the
     [N102] diagnostic of [Vpart_analysis.Numerics_lint]).  Subset of
-    {!refactorizations}; always 0 in the dense kernel. *)
+    {!refactorizations}. *)
 
 val recovery_rebuilds : t -> int
 (** Refactorizations forced by a rejected (below-tolerance) pivot —
     numerical-recovery rebuilds, the other [N102] evidence source. *)
 
 val refactor_seconds : t -> float
-(** Wall-clock seconds spent inside basis refactorizations (sparse LU
-    factor and dense Gauss-Jordan rebuilds; eta folds excluded) — the
-    refactorization-time column of the [simplex-kernel] bench job. *)
+(** Wall-clock seconds spent inside sparse LU refactorizations — the
+    refactorization-time column of the simplex scale-sweep bench job. *)
 
 val eta_applications : t -> int
 (** Total eta-matrix applications (ftran/btran passes through eta-file
-    entries) performed by this instance so far; 0 in the dense kernel.
-    Mirrored in the [simplex.eta_applications] observability counter. *)
+    entries) performed by this instance so far.  Mirrored in the [simplex.eta_applications] observability counter. *)
 
 val eta_length : t -> int
-(** Current eta-file length (pivots since the last refactorization);
-    always 0 in the dense kernel. *)
+(** Current eta-file length (pivots since the last refactorization). *)
 
 val max_eta_length : t -> int
 (** High-water eta-file length over the instance's lifetime — the
@@ -202,8 +161,7 @@ val max_eta_length : t -> int
 
 val lu_nnz : t -> int
 (** Stored nonzeros of the current sparse LU factors (the
-    [simplex.lu_nnz] observability gauge); 0 when no LU is live (dense
-    and eta kernels, or after a sparse singular-basis fallback). *)
+    [simplex.lu_nnz] observability gauge). *)
 
 (** {1 Dual information}
 

@@ -34,17 +34,6 @@ let mat_create rows cols : mat =
   Bigarray.Array2.fill m 0.;
   m
 
-let mat_empty : mat = Bigarray.Array2.create Float64 C_layout 0 0
-let dim1 (m : mat) = Bigarray.Array2.dim1 m
-let dim2 (m : mat) = Bigarray.Array2.dim2 m
-
-let mat_copy (m : mat) : mat =
-  let c =
-    Bigarray.Array2.create Float64 C_layout (Bigarray.Array2.dim1 m)
-      (Bigarray.Array2.dim2 m)
-  in
-  Bigarray.Array2.blit m c;
-  c
 
 let row (m : mat) i : t = Bigarray.Array2.slice_left m i
 

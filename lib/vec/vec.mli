@@ -54,15 +54,6 @@ val sum : t -> float
 val mat_create : int -> int -> mat
 (** [mat_create rows cols], zero-filled. *)
 
-val mat_empty : mat
-(** The 0×0 matrix (placeholder for kernels that allocate no inverse). *)
-
-val dim1 : mat -> int
-
-val dim2 : mat -> int
-
-val mat_copy : mat -> mat
-
 val row : mat -> int -> t
 (** [row m i] is a {e view} of row [i] sharing storage with [m]
     ([Bigarray.Array2.slice_left]). *)

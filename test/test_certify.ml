@@ -279,6 +279,68 @@ let test_qp_agrees_with_cost_model () =
        | Some ds -> check_clean file ds)
     files
 
+(* ------------------------------------------------------------------ *)
+(* Regression: numerical prunes void an optimality claim               *)
+(* ------------------------------------------------------------------ *)
+
+(* Scale every transaction's query frequencies by one factor drawn from
+   U(0.5, 1.5). *)
+let scale_frequencies rng (inst : Instance.t) =
+  let w = inst.Instance.workload in
+  let factor =
+    Array.init (Workload.num_transactions w) (fun _ -> 0.5 +. Rng.float rng)
+  in
+  let queries =
+    List.init (Workload.num_queries w) (fun q ->
+        let query = Workload.query w q in
+        {
+          query with
+          Workload.freq =
+            query.Workload.freq *. factor.(Workload.txn_of_query w q);
+        })
+  in
+  let transactions =
+    List.init (Workload.num_transactions w) (Workload.transaction w)
+  in
+  Instance.make ~name:inst.Instance.name inst.Instance.schema
+    (Workload.make ~queries ~transactions)
+
+(* TPC-C with frequencies scaled from this seed, at 3 sites, abandons a
+   branch-and-bound subtree on simplex numerical trouble.  The search
+   then only proves the root bound, which does not close the gap: the
+   claim must degrade to a limit-feasible answer that both certifiers
+   accept, not an optimality claim the exact audit refutes. *)
+let test_numerical_prune_voids_optimality () =
+  let inst =
+    scale_frequencies (Rng.create 42449740) (Lazy.force Tpcc.instance)
+  in
+  let options =
+    { Qp_solver.default_options with
+      Qp_solver.num_sites = 3;
+      p = 8.;
+      lambda = 0.9;
+      gap = 1e-3;
+      time_limit = 60.;
+      certify = true;
+      certify_exact = true;
+    }
+  in
+  let r = Qp_solver.solve ~options inst in
+  Alcotest.(check string) "outcome" "limit_feasible"
+    (match r.Qp_solver.outcome with
+     | Qp_solver.Proved_optimal -> "proved_optimal"
+     | Qp_solver.Limit_feasible -> "limit_feasible"
+     | Qp_solver.Limit_no_solution -> "limit_no_solution"
+     | Qp_solver.Too_large -> "too_large");
+  (match r.Qp_solver.certificate with
+   | None -> Alcotest.fail "no certificate returned"
+   | Some ds -> check_clean "float certificate" ds);
+  match r.Qp_solver.exact with
+  | None -> Alcotest.fail "no exact report returned"
+  | Some rep ->
+    let _, _, refuted, _ = C.Exact.counts rep in
+    Alcotest.(check int) "exactly refuted claims" 0 refuted
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "certify"
@@ -312,6 +374,9 @@ let () =
       ( "bundled-instances",
         [ Alcotest.test_case "qp agrees with cost model" `Slow
             test_qp_agrees_with_cost_model ] );
+      ( "regressions",
+        [ Alcotest.test_case "numerical prunes void optimality" `Quick
+            test_numerical_prune_voids_optimality ] );
       ( "properties",
         [ q prop_optimal_certifies;
           q prop_weak_duality;

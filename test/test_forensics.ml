@@ -324,10 +324,11 @@ let test_diff_one_sided_rows () =
   | Trace_diff.Improvement -> ()
   | _ -> Alcotest.fail "disappeared span not an improvement"
 
-(* Acceptance demo: dense vs eta simplex on the same model — the diff
-   must attribute the movement to the simplex.refactor span path. *)
-let test_diff_dense_vs_eta_attributes_refactor () =
-  let solve_traced eta_mode =
+(* Acceptance demo: the same model solved at a long and a short
+   refactorization cadence — the diff must attribute the movement to the
+   simplex.lu_refactor span path. *)
+let test_diff_refactor_cadence_attributes_lu_refactor () =
+  let solve_traced refactor_every =
     let buf = Buffer.create 4096 in
     let sink = Obs.jsonl_sink (Buffer.add_string buf) in
     let m = Lp.create () in
@@ -342,35 +343,31 @@ let test_diff_dense_vs_eta_attributes_refactor () =
          (Array.mapi
             (fun k vk -> (float_of_int ((k * 7919 mod 23) + 1), vk))
             v));
-    (* A short fold cadence guarantees the eta run opens instrumented
-       simplex.refactor spans even on this small model. *)
-    let limits =
-      { Mip.default_limits with
-        Mip.kernel = (if eta_mode then Simplex.Eta else Simplex.Dense);
-        refactor_every = 4;
-      }
-    in
+    (* A short cadence guarantees the second run opens instrumented
+       simplex.lu_refactor spans even on this small model. *)
+    let limits = { Mip.default_limits with Mip.refactor_every } in
     let _ = Obs.with_sink sink (fun () -> Mip.solve ~limits m) in
     parse "simplex trace" (Buffer.contents buf)
   in
-  let dense = solve_traced false and eta = solve_traced true in
-  let report = Trace_diff.diff dense eta in
+  let long = solve_traced 32 and short = solve_traced 4 in
+  let report = Trace_diff.diff long short in
   let refactor_rows =
     List.filter
       (fun r ->
         r.Trace_diff.kind = `Span
-        && Astring.String.is_infix ~affix:"simplex.refactor" r.Trace_diff.key)
+        && Astring.String.is_infix ~affix:"simplex.lu_refactor"
+             r.Trace_diff.key)
       report.Trace_diff.rows
   in
-  (* The eta run folds/rebuilds inside instrumented simplex.refactor
-     spans; the dense run never opens one.  The diff must surface that
-     span path so the delta is attributable. *)
+  (* The short-cadence run refactorizes inside instrumented
+     simplex.lu_refactor spans far more often.  The diff must surface
+     that span path so the delta is attributable. *)
   if refactor_rows = [] then
-    Alcotest.fail "dense-vs-eta diff carries no simplex.refactor row";
+    Alcotest.fail "cadence diff carries no simplex.lu_refactor row";
   List.iter
     (fun r ->
       if r.Trace_diff.cur_calls <= r.Trace_diff.base_calls then
-        Alcotest.fail "eta run should add refactor span calls")
+        Alcotest.fail "short cadence should add refactor span calls")
     refactor_rows
 
 (* ------------------------------------------------------------------ *)
@@ -786,8 +783,8 @@ let () =
             test_diff_injected_slowdown;
           Alcotest.test_case "noise band and floors" `Quick test_diff_noise_band;
           Alcotest.test_case "one-sided rows" `Quick test_diff_one_sided_rows;
-          Alcotest.test_case "dense-vs-eta attributes refactor" `Quick
-            test_diff_dense_vs_eta_attributes_refactor;
+          Alcotest.test_case "refactor cadence attributes lu_refactor"
+            `Quick test_diff_refactor_cadence_attributes_lu_refactor;
         ] );
       ( "trace-tree",
         [

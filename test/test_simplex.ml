@@ -490,36 +490,32 @@ let prop_zero_objective =
        res.Simplex.status = Simplex.Optimal && Float.abs res.Simplex.obj < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Kernel cross-agreement                                              *)
+(* Independent certification of random LP solves                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Every kernel (and both pricing rules on the sparse one) must land on
-   the same LP optimum.  The dense kernel is the reference; eta and
-   sparse runs may pivot differently (devex picks other leaving rows)
-   but the optimal value is unique. *)
-let prop_kernels_agree =
+(* Every random LP solved through the branch-and-bound front end must
+   certify: the float certifier re-derives primal feasibility, the dual
+   bound and complementary slackness with no Error finding, and the exact
+   rational audit refutes no claim.  Neither oracle shares code with the
+   simplex, so a wrong pivot, a stale factorization or a bad dual shows up
+   here whatever path the solve took. *)
+let prop_random_lp_certifies =
   QCheck2.Test.make ~count:200
-    ~name:"simplex: dense/eta/sparse kernels agree at the optimum"
+    ~name:"simplex: random LP solves certify in float and exact arithmetic"
     gen_rand_lp
     (fun r ->
-       let solve kernel pricing =
-         let m = build_rand_lp r in
-         Simplex.solve ~kernel ?pricing (Lp.standardize m)
+       let m = build_rand_lp r in
+       let outcome, stats = Mip.solve m in
+       let float_errors =
+         Vpart_analysis.Diagnostic.count Vpart_analysis.Diagnostic.Error
+           (Vpart_certify.Certify.certify_mip m outcome stats)
        in
-       let dense = solve Simplex.Dense None in
-       let runs =
-         [ solve Simplex.Eta None;
-           solve Simplex.Sparse None;                      (* devex default *)
-           solve Simplex.Sparse (Some Simplex.Dantzig);
-         ]
+       let _, _, refuted, _ =
+         Vpart_certify.Certify.Exact.counts
+           (Vpart_certify.Certify.Exact.audit m outcome stats)
        in
-       List.for_all
-         (fun (res : Simplex.result) ->
-            res.Simplex.status = dense.Simplex.status
-            && (dense.Simplex.status <> Simplex.Optimal
-                || Float.abs (res.Simplex.obj -. dense.Simplex.obj)
-                   <= 1e-9 *. (1. +. Float.abs dense.Simplex.obj)))
-         runs)
+       (match outcome with Mip.Optimal _ -> true | _ -> false)
+       && float_errors = 0 && refuted = 0)
 
 (* Pooled-vs-fresh bit-identity: a solve whose float storage is carved
    from a reused {!Simplex.Workspace} must reproduce the fresh-allocation
@@ -554,11 +550,13 @@ let prop_pooled_equals_fresh =
 (* A deterministic ill-scaled fixture run with the refactorization
    cadence disabled: the only way the solver can hold the basis together
    is the drift resync / rejected-pivot recovery machinery.  The run must
-   (a) still reach the dense optimum and (b) actually exercise a forced
-   rebuild, so the recovery path stays covered. *)
+   (a) still reach the cadenced solve's optimum and (b) actually exercise
+   a forced rebuild, so the recovery path stays covered.  The size is
+   chosen so devex needs more pivots than the 256-iteration drift
+   checkpoint interval. *)
 let build_drift_lp () =
   let m = Lp.create () in
-  let n = 250 in
+  let n = 400 in
   let vars =
     Array.init n (fun j ->
         Lp.add_var m ~ub:(10. ** float_of_int ((j mod 9) - 4)) ())
@@ -580,17 +578,13 @@ let build_drift_lp () =
           vars));
   m
 
-let test_drift_recovery kernel () =
+let test_drift_recovery () =
   let reference = Simplex.solve (Lp.standardize (build_drift_lp ())) in
   check_status "reference" Simplex.Optimal reference;
   let std = Lp.standardize (build_drift_lp ()) in
   (* max_int cadence: no scheduled refactorization ever fires, so every
-     rebuild the run records was forced by drift or a rejected pivot.
-     Dantzig pricing pinned: devex converges in fewer pivots than the
-     drift-checkpoint interval on this fixture. *)
-  let t =
-    Simplex.create ~kernel ~pricing:Simplex.Dantzig ~refactor_every:max_int std
-  in
+     rebuild the run records was forced by drift or a rejected pivot. *)
+  let t = Simplex.create ~refactor_every:max_int std in
   let st = Simplex.reoptimize t in
   Alcotest.(check string) "status" "optimal" (Simplex.string_of_status st);
   let rel =
@@ -605,54 +599,6 @@ let test_drift_recovery kernel () =
     Alcotest.failf
       "fixture no longer forces a recovery rebuild (%d iterations)"
       (Simplex.iterations t)
-
-(* Bit-identity guard: the dense and eta code paths predate the sparse
-   kernel and must keep reproducing their historical results exactly —
-   same pivot count, objective bits and primal point — so `--simplex-kernel
-   dense` stays a true pre-sparse-LU fallback.  The expected constants
-   were captured by running this very model against the tree as of commit
-   0c1f591 (before the kernel refactor). *)
-let build_bit_identity_lp () =
-  let m = Lp.create () in
-  let n = 60 in
-  let vars =
-    Array.init n (fun j ->
-        Lp.add_var m ~ub:(1. +. float_of_int ((j * 7) mod 13)) ())
-  in
-  for i = 0 to (2 * n) - 1 do
-    let terms = ref [] in
-    for j = 0 to n - 1 do
-      if (i + (2 * j)) mod 3 <> 0 then
-        terms :=
-          (float_of_int ((((i * 5) + (j * 11)) mod 17) + 1), vars.(j))
-          :: !terms
-    done;
-    Lp.add_constr m !terms Lp.Le (50. +. float_of_int ((i * 29) mod 97))
-  done;
-  Lp.set_objective m Lp.Minimize
-    (Array.to_list
-       (Array.mapi
-          (fun j v -> (-.float_of_int (((j * 13) mod 19) + 1), v))
-          vars));
-  m
-
-let test_bit_identity kernel ~iters ~obj_hex ~xhash () =
-  let std = Lp.standardize (build_bit_identity_lp ()) in
-  let t = Simplex.create ~kernel std in
-  let st = Simplex.reoptimize t in
-  Alcotest.(check string) "status" "optimal" (Simplex.string_of_status st);
-  Alcotest.(check int) "pivot count" iters (Simplex.iterations t);
-  let obj = Simplex.objective t in
-  if Int64.bits_of_float obj <> Int64.bits_of_float (float_of_string obj_hex)
-  then
-    Alcotest.failf "objective bits changed: got %h, pre-refactor value %s" obj
-      obj_hex;
-  let h =
-    Hashtbl.hash
-      (Array.to_list
-         (Array.map (fun v -> Int64.bits_of_float v) (Simplex.primal t)))
-  in
-  Alcotest.(check int) "primal point bits" xhash h
 
 let () =
   Alcotest.run "simplex"
@@ -688,17 +634,9 @@ let () =
          QCheck_alcotest.to_alcotest prop_pooled_equals_fresh;
        ]);
       ("kernels",
-       [ QCheck_alcotest.to_alcotest prop_kernels_agree;
-         Alcotest.test_case "drift recovery (eta)" `Quick
-           (test_drift_recovery Simplex.Eta);
+       [ QCheck_alcotest.to_alcotest prop_random_lp_certifies;
          Alcotest.test_case "drift recovery (sparse)" `Quick
-           (test_drift_recovery Simplex.Sparse);
-         Alcotest.test_case "dense kernel bit-identity" `Quick
-           (test_bit_identity Simplex.Dense ~iters:163
-              ~obj_hex:"-0x1.3ffd8807e9075p+7" ~xhash:776161708);
-         Alcotest.test_case "eta kernel bit-identity" `Quick
-           (test_bit_identity Simplex.Eta ~iters:163
-              ~obj_hex:"-0x1.3ffd8807e90f5p+7" ~xhash:776161708);
+           test_drift_recovery;
        ]);
       ("sparse-lu",
        [ Alcotest.test_case "identity factors" `Quick test_sparse_lu_identity;
