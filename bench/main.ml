@@ -1089,84 +1089,6 @@ let simplex_sweep () =
   hr ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per paper table                *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  section "Bechamel micro-benchmarks (one kernel per table)";
-  let open Bechamel in
-  let tpcc = get_instance "TPC-C v5" in
-  let rnd20 =
-    Instance_gen.generate
-      { Instance_gen.default_params with Instance_gen.name = "bench20" }
-  in
-  let stats = Stats.compute tpcc ~p:cfg.p in
-  let part = Partitioning.single_site tpcc in
-  let sa_opts sites =
-    { Sa_solver.default_options with
-      Sa_solver.num_sites = sites; lambda = cfg.lambda; max_outer = 20 }
-  in
-  let qp_opts sites =
-    { (qp_options ~time_limit:10. sites) with Qp_solver.gap = 0.01 }
-  in
-  let tests =
-    [ Test.make ~name:"table1-kernel: SA on rnd 20x20"
-        (Staged.stage (fun () ->
-             ignore (Sa_solver.solve ~options:(sa_opts 2) rnd20)));
-      Test.make ~name:"table3-kernel: QP on TPC-C S=2"
-        (Staged.stage (fun () ->
-             ignore (Qp_solver.solve ~options:(qp_opts 2) tpcc)));
-      Test.make ~name:"table5-kernel: disjoint QP on TPC-C S=2"
-        (Staged.stage (fun () ->
-             ignore
-               (Qp_solver.solve
-                  ~options:{ (qp_opts 2) with Qp_solver.allow_replication = false }
-                  tpcc)));
-      Test.make ~name:"table6-kernel: SA on TPC-C p=0"
-        (Staged.stage (fun () ->
-             ignore
-               (Sa_solver.solve ~options:{ (sa_opts 2) with Sa_solver.p = 0. } tpcc)));
-      Test.make ~name:"stats: derive c1..c4 for TPC-C"
-        (Staged.stage (fun () -> ignore (Stats.compute tpcc ~p:cfg.p)));
-      Test.make ~name:"cost: evaluate objective (4) on TPC-C"
-        (Staged.stage (fun () -> ignore (Cost_model.cost stats part)));
-      Test.make ~name:"grouping: reasonable cuts on TPC-C"
-        (Staged.stage (fun () -> ignore (Grouping.compute tpcc)));
-      (* The trusted checker alone: certify a solved MIP (dot products
-         over the pre-presolve rows), no solver time included. *)
-      (let m = Lp.create () in
-       let v = Array.init 12 (fun _ -> Lp.binary m ()) in
-       Array.iteri
-         (fun i x -> Lp.add_constr m [ (float_of_int (1 + (i mod 5)), x) ] Lp.Le 4.)
-         v;
-       Lp.add_constr m (Array.to_list (Array.map (fun x -> (1., x)) v)) Lp.Eq 6.;
-       Lp.set_objective m Lp.Minimize
-         (Array.to_list (Array.mapi (fun i x -> (float_of_int (1 + i), x)) v));
-       let out, stats = Mip.solve m in
-       Test.make ~name:"certify: re-check a solved 12-var MIP"
-         (Staged.stage (fun () ->
-              ignore (Vpart_certify.Certify.certify_mip m out stats))));
-    ]
-  in
-  List.iter
-    (fun test ->
-       let cfg_b =
-         Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-       in
-       let raw = Benchmark.all cfg_b Toolkit.Instance.[ monotonic_clock ] test in
-       let ols =
-         Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-       in
-       let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-       Hashtbl.iter
-         (fun name result ->
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> Printf.printf "%-45s %12.0f ns/run\n%!" name est
-            | _ -> Printf.printf "%-45s (no estimate)\n%!" name)
-         results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* N/S analysis: overhead of the static passes and the measured payoff  *)
 (* of their remediations (--scale, --break-symmetry)                    *)
 (* ------------------------------------------------------------------ *)
@@ -1223,7 +1145,7 @@ let analyze_bench () =
     (fun name ->
        let inst = get_instance name in
        let std = std_for inst 2 in
-       let sstd = Presolve.scale (Presolve.scaling std) std in
+       let sstd = Scaling.scale (Scaling.scaling std) std in
        let a = Simplex.solve std and b = Simplex.solve sstd in
        let agree =
          Float.abs (a.Simplex.obj -. b.Simplex.obj)
@@ -1305,7 +1227,7 @@ let usage () =
   print_endline
     "usage: main.exe [--qp-limit SECONDS] [--lambda L] [--max-rows N] [--seed N]\n\
     \                [--json-out FILE]\n\
-    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|certify-exact|obs|par|batch|perf|simplex-sweep|analyze|bechamel|all]...";
+    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|certify-exact|obs|par|batch|perf|simplex-sweep|analyze|all]...";
   exit 1
 
 let () =
@@ -1340,7 +1262,6 @@ let () =
     | "perf" -> perf ()
     | "simplex-sweep" -> simplex_sweep ()
     | "analyze" -> analyze_bench ()
-    | "bechamel" -> bechamel ()
     | "all" ->
       Printf.printf
         "vpart experiment harness (p=%.0f, lambda=%.2f, QP limit %.0fs)\n"
@@ -1349,7 +1270,7 @@ let () =
       ablation (); suite (); certify_overhead (); certify_exact_overhead ();
       obs_overhead ();
       par_speedup (); batch_throughput (); perf (); simplex_sweep ();
-      analyze_bench (); bechamel ()
+      analyze_bench ()
     | j -> Printf.printf "unknown job %S\n" j; usage ()
   in
   (* With --json-out, collect in-process solver metrics across all jobs

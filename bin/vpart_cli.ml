@@ -186,18 +186,41 @@ let write_output output content =
 (* Common solver options                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [base] narrowed to the values satisfying [ok], so an out-of-range
+   value is a command-line error rather than a failure deep in a solver;
+   [what] describes the accepted range in the error message. *)
+let checked base ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let sites_term =
-  Arg.(value & opt int 2 & info [ "s"; "sites" ] ~docv:"N" ~doc:"Number of sites.")
+  Arg.(
+    value
+    & opt (checked int ~what:"an integer >= 1" (fun n -> n >= 1)) 2
+    & info [ "s"; "sites" ] ~docv:"N" ~doc:"Number of sites.")
 
 let p_term =
   Arg.(
-    value & opt float 8.
+    value
+    & opt
+        (checked float ~what:"a finite number >= 0" (fun v ->
+             Float.is_finite v && v >= 0.))
+        8.
     & info [ "p" ] ~docv:"P"
         ~doc:"Network penalty factor (0 = local placement; paper default 8).")
 
 let lambda_term =
   Arg.(
-    value & opt float 0.9
+    value
+    & opt
+        (checked float ~what:"a finite number in [0, 1]" (fun v ->
+             Float.is_finite v && v >= 0. && v <= 1.))
+        0.9
     & info [ "lambda" ] ~docv:"L"
         ~doc:
           "Weight of total cost vs. load balancing in objective (6); 1.0 = \
@@ -1365,7 +1388,7 @@ let certify_cmd =
     (Cmd.info "certify"
        ~doc:
          "Solve each instance and independently certify every claim of the \
-          solve: incumbent feasibility against the pre-presolve model, dual \
+          solve: incumbent feasibility against the original model, dual \
           and Farkas bounds, bound/gap bookkeeping, and cost-model agreement \
           via Cost_model.breakdown (the [C]-code catalog in \
           docs/ANALYSIS.md).  Exits non-zero if any certificate has \
@@ -1612,6 +1635,10 @@ let batch_cmd =
           }
         in
         if count < 0 then Error (`Msg "--count must be >= 0")
+        else if Option.value tables ~default:1 < 1 then
+          Error (`Msg "--tables must be >= 1")
+        else if Option.value txns ~default:1 < 1 then
+          Error (`Msg "--txns must be >= 1")
         else begin
           let jobs = max 1 jobs in
           let options =

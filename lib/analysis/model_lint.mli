@@ -1,10 +1,10 @@
 (** Static analysis over MIP models in frozen standard form ({!Lp.std}).
 
-    This plays the role an industrial solver's presolve/diagnostic layer
+    This plays the role an industrial solver's model-diagnostic layer
     would: since the whole solver substrate is in-repo, nothing else
     rejects a mis-built model before branch-and-bound burns time on it.
-    The checks are read-only — nothing is simplified or rewritten (that is
-    {!Presolve}'s job); findings are returned as {!Diagnostic.t} values.
+    The checks are read-only — nothing is simplified or rewritten;
+    findings are returned as {!Diagnostic.t} values.
 
     Diagnostic codes (see [docs/ANALYSIS.md] for examples):
 

@@ -5,7 +5,7 @@
     behaviour from the coefficient data alone: ill-scaled rows and columns,
     big-M constants, near-parallel rows, duplicate columns, root-vertex
     degeneracy and a cheap basis-condition estimate.  Every finding points
-    at a remediation (the [--scale] presolve pass, model reformulation),
+    at a remediation ([--scale] geometric-mean scaling, model reformulation),
     so the codes are load-bearing rather than advisory.
 
     Codes are catalogued in [docs/ANALYSIS.md]:

@@ -162,7 +162,7 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
        && Array.for_all Float.is_finite sol.Mip.x
     then begin
       let fresh = Lp.eval_objective std sol.Mip.x in
-      if Float.abs (fresh -. obj_min) > rel tol obj_min then
+      if not (Float.abs (fresh -. obj_min) <= rel tol obj_min) then
         add
           (Diagnostic.error ~code:"C005"
              "claimed objective %g differs from independent re-evaluation %g \
@@ -239,33 +239,16 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
                 lb obj (lb -. obj) (rel tol obj))
          | _ -> ());
         (* C104: the claimed root LP objective vs the recomputed bound. *)
-        if audit.Mip.presolve_rows_removed = 0 then begin
-          if Float.abs (lb -. cert.Mip.lp_obj) > rel tol cert.Mip.lp_obj then
-            add
-              (Diagnostic.warning ~code:"C104"
-                 "root LP certificate inconsistent: recomputed Lagrangian \
-                  bound %g vs claimed LP objective %g (residual %g exceeds \
-                  tolerance %g)"
-                 lb cert.Mip.lp_obj
-                 (Float.abs (lb -. cert.Mip.lp_obj))
-                 (rel tol cert.Mip.lp_obj))
-        end
-        else begin
-          if lb > cert.Mip.lp_obj +. rel tol cert.Mip.lp_obj then
-            add
-              (Diagnostic.warning ~code:"C104"
-                 "root LP certificate inconsistent: back-mapped Lagrangian \
-                  bound %g exceeds claimed LP objective %g (residual %g \
-                  exceeds tolerance %g)"
-                 lb cert.Mip.lp_obj
-                 (lb -. cert.Mip.lp_obj)
-                 (rel tol cert.Mip.lp_obj));
+        if not (Float.abs (lb -. cert.Mip.lp_obj) <= rel tol cert.Mip.lp_obj)
+        then
           add
-            (Diagnostic.info ~code:"C111"
-               "presolve removed %d rows; the back-mapped dual certificate \
-                may be weaker than the solver's internal bound"
-               audit.Mip.presolve_rows_removed)
-        end;
+            (Diagnostic.warning ~code:"C104"
+               "root LP certificate inconsistent: recomputed Lagrangian \
+                bound %g vs claimed LP objective %g (residual %g exceeds \
+                tolerance %g)"
+               lb cert.Mip.lp_obj
+               (Float.abs (lb -. cert.Mip.lp_obj))
+               (rel tol cert.Mip.lp_obj));
         (* C109: complementary slackness at the root optimum. *)
         if
           Array.length cert.Mip.lp_x = std.Lp.ncols
@@ -320,7 +303,7 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
               "proven bound %g has no supporting node bounds in the audit" pb)
        else begin
          let m = Array.fold_left Float.min infinity audit.Mip.bound_support in
-         if Float.abs (pb -. m) > rel tol m then
+         if not (Float.abs (pb -. m) <= rel tol m) then
            add
              (Diagnostic.error ~code:"C110"
                 "claimed proven bound %g is not the minimum %g of its %d \
@@ -331,7 +314,8 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
                 (rel tol m))
        end;
        (match claimed_bound_min with
-        | Some cb when Float.is_finite cb && Float.abs (cb -. pb) > rel tol pb
+        | Some cb
+          when Float.is_finite cb && not (Float.abs (cb -. pb) <= rel tol pb)
           ->
           add
             (Diagnostic.error ~code:"C105"
@@ -432,7 +416,7 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
         add
           (Diagnostic.info ~code:"C108"
              "infeasibility claim carries no single-multiplier certificate \
-              (presolve reduction chain or exhaustive search)"))
+              (exhaustive search)"))
    | Mip.Unbounded ->
      add
        (Diagnostic.info ~code:"C111"
@@ -908,22 +892,10 @@ module Exact = struct
              | Some l ->
                let threshold = rel tol cert.Mip.lp_obj in
                let diff = Q.sub l (Q.of_float cert.Mip.lp_obj) in
-               let residual, float_ok =
-                 if adt.Mip.presolve_rows_removed = 0 then
-                   ( Q.abs diff,
-                     Float.abs (lbf -. cert.Mip.lp_obj) <= threshold )
-                 else (diff, not (lbf > cert.Mip.lp_obj +. threshold))
-               in
-               if adt.Mip.presolve_rows_removed > 0 then
-                 addf
-                   (Diagnostic.info ~code:"E008"
-                      "presolve removed %d row(s); the exact back-mapped \
-                       bound may be weaker than the claimed root objective, \
-                       so only overclaims are refutable"
-                      adt.Mip.presolve_rows_removed);
+               let float_ok = Float.abs (lbf -. cert.Mip.lp_obj) <= threshold in
                value_check ~claim:"root LP objective" ~refuted_code:"E007"
                  ~masked_code:"E008" ~refuted_sev:Diagnostic.Error
-                 ~masked_sev:Diagnostic.Info ~float_ok ~threshold residual
+                 ~masked_sev:Diagnostic.Info ~float_ok ~threshold (Q.abs diff)
                  (Printf.sprintf "exact Lagrangian bound %s vs claimed %g"
                     (Q.to_short_string l) cert.Mip.lp_obj)
              | None ->

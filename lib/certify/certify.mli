@@ -4,7 +4,7 @@
     claims: {e this point is feasible}, {e no better objective than this
     bound exists}, and {e the problem is infeasible}.  This module is the
     trusted checker of the untrusted-solver/trusted-checker split: it
-    re-derives every claim using only the {e original} (pre-presolve,
+    re-derives every claim using only the {e original} (unscaled,
     pre-patching) standard form and the artifacts the solver returned —
     it never re-runs the solver and never trusts intermediate solver
     state.  The arithmetic here is a few hundred lines of dot products;
@@ -117,8 +117,8 @@ val certify_mip :
       {!Vpart_mip.Mip.default_limits}[.gap]) is rejected ([C106]).
     - [Infeasible]: the Farkas ray re-proves infeasibility ([C107]);
       claims with no checkable certificate are flagged [C108].
-    - Missing/weakened certificates (no root LP, presolve row removal,
-      numerical prunes) are surfaced as [C111] infos.
+    - Missing/weakened certificates (no root LP, numerical prunes) are
+      surfaced as [C111] infos.
 
     Findings are sorted most-severe-first; an empty list means every
     claim was independently certified. *)
@@ -224,8 +224,8 @@ module Exact : sig
   (** Exact counterpart of {!certify_mip}: audits the incumbent
       ([E001]/[E002]), the claimed objective ([E003]/[E004]), the dual
       bound — weak duality, bound bookkeeping and the reported gap
-      ([E005]/[E006]) — the root-LP-objective agreement ([E007]/[E008],
-      one-sided under presolve), the float layer's reduced-cost noise
+      ([E005]/[E006]) — the two-sided root-LP-objective agreement
+      ([E007]/[E008]), the float layer's reduced-cost noise
       guard ([E009]), Farkas infeasibility ([E010] refuted / [E011]
       fragile margin), complementary slackness ([E012]/[E013]), bound
       provenance ([E014]) and the optimality-gap claim ([E015]).

@@ -7,10 +7,8 @@ type options = {
   time_limit : float;
   gap : float;
   max_rows : int option;
-  use_heuristic : bool;
   latency : float option;
   fixed_txns : (int * int) list;
-  seed_solution : Partitioning.t option;
   certify : bool;
   certify_exact : bool;
   certify_tol : float option;
@@ -31,10 +29,8 @@ let default_options =
     time_limit = 60.;
     gap = 1e-3;
     max_rows = Some 32000;
-    use_heuristic = true;
     latency = None;
     fixed_txns = [];
-    seed_solution = None;
     certify = false;
     certify_exact = false;
     certify_tol = None;
@@ -98,8 +94,8 @@ let build_layout_model ?instance (stats : Stats.t) opts =
     Array.init nt (fun t ->
         Array.init ns (fun s ->
             (* Lexicographic site ordering: x_{t,s} = 0 for s > t.  Fixing
-               the variable (rather than adding ordering rows) keeps the
-               row count unchanged and lets presolve drop the columns. *)
+               the variable's bounds (rather than adding ordering rows)
+               keeps the row count unchanged. *)
             if pin_sym && s > t then
               Lp.add_var m
                 ~name:(Printf.sprintf "x_%d_%d" t s)
@@ -422,11 +418,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
     else if v < (nt * ns) + (stats.Stats.num_attrs * ns) then 1
     else 0
   in
-  let heuristic =
-    if options.use_heuristic then
-      Some (fun point -> rounding_heuristic stats options layout ncols point)
-    else None
-  in
+  let heuristic point = rounding_heuristic stats options layout ncols point in
   let limits =
     {
       Mip.time_limit = Some options.time_limit;
@@ -437,17 +429,8 @@ let solve ?(options = default_options) (inst : Instance.t) =
       scale = options.scale;
     }
   in
-  let incumbent =
-    Option.map
-      (fun part ->
-         let reduced_part = Grouping.restrict grouping part in
-         Partitioning.repair_single_sitedness stats reduced_part;
-         canonicalize_sites options reduced_part;
-         encode_assignment stats options layout ncols reduced_part)
-      options.seed_solution
-  in
   let mip_outcome, mip_stats =
-    Mip.solve ~limits ~priority ?heuristic ?incumbent
+    Mip.solve ~limits ~priority ~heuristic
       ~jobs:(max 1 options.jobs)
       ?simplex_workspace:options.simplex_workspace model
   in

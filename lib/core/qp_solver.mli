@@ -25,7 +25,6 @@ type options = {
   time_limit : float;          (** seconds (the paper used 1800) *)
   gap : float;                 (** relative MIP gap (the paper used 0.001) *)
   max_rows : int option;       (** give up ("t/o") on larger models *)
-  use_heuristic : bool;        (** rounding-repair incumbents inside B&B *)
   latency : float option;
       (** Appendix A: when [Some pl], adds a latency indicator ψ_q per
           write query (forced to 1 by [ψ_q ≥ y_{a,s} - x_{t,s}] whenever an
@@ -36,10 +35,6 @@ type options = {
       (** Pre-assigned transactions [(t, site)] whose [x] variables are
           pinned — the hook the iterative 20/80 solver
           ({!Iterative_solver}) uses to grow a solution batch by batch. *)
-  seed_solution : Partitioning.t option;
-      (** Warm-start incumbent (original attribute space), e.g. an
-          {!Sa_solver} result: vetted and used for pruning from the first
-          node.  Off for paper-comparison runs. *)
   certify : bool;
       (** Self-certification: after the solve, re-derive every claim
           (incumbent feasibility, dual bounds, objective-(6)/cost
@@ -76,7 +71,7 @@ type options = {
           remediation for the site-interchangeability symmetry orbits
           ([S005]).  Sound because sites are fully interchangeable in the
           layout model; automatically disabled when [fixed_txns] names
-          concrete sites.  Heuristic and seed partitionings are relabeled
+          concrete sites.  Heuristic partitionings are relabeled
           to canonical site order so they stay feasible under the
           pinning. *)
   simplex_workspace : Simplex.Workspace.t option;
@@ -88,7 +83,7 @@ type options = {
 
 val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, 60 s, 0.1 % gap,
-    32000-row cap, heuristic on, no latency term, one domain,
+    32000-row cap, no latency term, one domain,
     refactorization every 32 pivots, no scaling, no symmetry breaking. *)
 
 type outcome =
@@ -128,7 +123,10 @@ type result = {
 }
 
 val solve : ?options:options -> Instance.t -> result
-(** Builds the MIP, runs {!Vpart_analysis.Model_lint} over it and solves.
+(** Builds the MIP, runs {!Vpart_analysis.Model_lint} over it and solves
+    it with {!Mip.solve}, whose [heuristic] hook is always the
+    rounding-repair procedure: it turns LP relaxation points into vetted
+    incumbents at the root and periodically during the search.
     @raise Vpart_analysis.Diagnostic.Errors if the lint reports
     Error-level findings — the solver refuses to run a provably broken
     model (this can only happen on corrupted statistics, e.g. non-finite

@@ -136,30 +136,3 @@ let pp_certificate ppf cert =
       Format.fprintf ppf
         "certificate: verified with %d warning(s), %d info note(s) [%s]" w i
         (String.concat " " (D.codes ds))
-
-let pp_exact ppf (exact : Vpart_certify.Certify.Exact.report option) =
-  let module E = Vpart_certify.Certify.Exact in
-  match exact with
-  | None -> Format.fprintf ppf "exact audit: not requested"
-  | Some r ->
-    let valid, masked, refuted, unchecked = E.counts r in
-    if refuted > 0 then
-      Format.fprintf ppf
-        "exact audit: REFUTED (%d claim(s) exactly refuted, %d masked, %d \
-         valid)"
-        refuted masked valid
-    else if masked > 0 then begin
-      Format.fprintf ppf
-        "exact audit: %d claim(s) exactly valid, %d tolerance-masked" valid
-        masked;
-      match E.worst_masked r with
-      | Some c ->
-        Format.fprintf ppf " (worst: %s, exact residual %a <= tolerance %g)"
-          c.E.claim Vpart_rational.Rational.pp c.E.residual c.E.threshold
-      | None -> ()
-    end
-    else if unchecked > 0 then
-      Format.fprintf ppf
-        "exact audit: %d claim(s) exactly valid, %d unchecked" valid unchecked
-    else
-      Format.fprintf ppf "exact audit: all %d claim(s) exactly valid" valid

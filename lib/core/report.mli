@@ -39,13 +39,6 @@ val pp_certificate :
     not requested / all claims verified / verified with warnings /
     FAILED, with severity counts and the distinct [C]-codes involved. *)
 
-val pp_exact :
-  Format.formatter -> Vpart_certify.Certify.Exact.report option -> unit
-(** One-line verdict for a solver's [exact] field ({!Qp_solver.result},
-    {!Sa_solver.result}, {!Iterative_solver.result}): not requested /
-    all claims exactly valid / counts of tolerance-masked claims with the
-    worst exact residual / REFUTED with counts. *)
-
 val row_width_reduction : Instance.t -> Partitioning.t -> (string * int * float) list
 (** Per table: name, original row width, and the average width of its
     fractions across sites holding any of it (smaller = narrower rows,

@@ -18,7 +18,7 @@ let certify_cost ?(tol = 1e-6) ?(code = "C202") inst ~p part ~claimed =
   Obs.timed "certify.cost.seconds" @@ fun () ->
   let b = Cost_model.breakdown inst part in
   let indep = independent_cost b ~p in
-  if Float.abs (indep -. claimed) > rel tol indep then
+  if not (Float.abs (indep -. claimed) <= rel tol indep) then
     [ Diagnostic.error ~code
         "claimed cost %g differs from the independent breakdown \
          re-derivation %g (read %g + write %g + %g x transfer %g)"
@@ -38,7 +38,7 @@ let certify_objective6 ?(tol = 1e-6) ?(code = "C201") inst ~p ~lambda ?latency
     | Some pl -> lambda *. Cost_model.latency inst ~pl part
   in
   let indep = (lambda *. cost) +. ((1. -. lambda) *. work) +. lat in
-  if Float.abs (indep -. claimed) > rel tol indep then
+  if not (Float.abs (indep -. claimed) <= rel tol indep) then
     [ Diagnostic.error ~code
         "claimed objective (6) %g differs from the independent instance \
          evaluation %g (lambda %g, cost %g, max site work %g%s)"

@@ -28,7 +28,8 @@ val certify_cost :
 (** Re-derive objective (4) as [read_local + write_local + p·transfer]
     from {!Cost_model.breakdown} ([p] must be the network penalty the
     claim was made with) and compare against [claimed] within relative
-    tolerance [tol] (default [1e-6]).  Emits [code] (default ["C202"];
+    tolerance [tol] (default [1e-6]); a non-finite claim or
+    re-derivation never passes.  Emits [code] (default ["C202"];
     {!Sa_solver} uses ["C203"] to mark the annealer's fresh-evaluation
     check). *)
 
@@ -44,7 +45,8 @@ val certify_objective6 :
   Diagnostic.t list
 (** Re-derive objective (6) — [λ·(A + p·B) + (1−λ)·max_s work(s)], plus
     [λ·pl·Σ_q f_q·ψ_q] when [latency] is set — from the breakdown and
-    {!Cost_model.latency}, and compare against [claimed].  Emits [code]
+    {!Cost_model.latency}, and compare against [claimed] (a non-finite
+    claim or re-derivation never passes).  Emits [code]
     (default ["C201"]).  This is the check that catches a drift between
     the MIP/SA objective arithmetic and the paper's cost model. *)
 

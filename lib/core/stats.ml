@@ -71,8 +71,3 @@ let compute (inst : Instance.t) ~p =
     c1; c2; c3; c4; phi;
     total_weight = !total_weight;
   }
-
-let reads_remote_possible t ~a ~t_ =
-  if t_ < 0 || t_ >= t.num_txns || a < 0 || a >= t.num_attrs then
-    invalid_arg "Stats.reads_remote_possible";
-  t.phi.(t_).(a)

@@ -37,5 +37,3 @@ val compute : Instance.t -> p:float -> t
 val w : Instance.t -> a:int -> q:int -> float
 (** [W_{a,q}]; zero if the query does not touch the attribute's table. *)
 
-val reads_remote_possible : t -> a:int -> t_:int -> bool
-(** [phi] accessor with bounds checking, for tests. *)

@@ -33,7 +33,6 @@ type audit = {
   farkas : float array option;
   bound_support : float array;
   proven_bound : float option;
-  presolve_rows_removed : int;
   numerical_prunes : int;
 }
 
@@ -529,7 +528,7 @@ let pp_outcome ppf = function
 
 (* Reduced costs d = c - yᵀA of [std] from a row-dual vector, computed
    against the original (sparse row) matrix — used to re-derive reduced
-   costs in the original column space after presolve back-mapping. *)
+   costs in the original column space after scaling back-mapping. *)
 let reduced_costs_from (std : Lp.std) y =
   let d = Array.copy std.Lp.obj in
   for r = 0 to std.Lp.nrows - 1 do
@@ -547,7 +546,6 @@ let no_audit =
     farkas = None;
     bound_support = [||];
     proven_bound = None;
-    presolve_rows_removed = 0;
     numerical_prunes = 0;
   }
 
@@ -559,9 +557,8 @@ let outcome_tag = function
   | Unbounded -> "unbounded"
   | Too_large _ -> "too_large"
 
-let solve ?(limits = default_limits) ?(presolve = false)
-    ?(priority = fun _ -> 0) ?heuristic ?incumbent ?(jobs = 1)
-    ?simplex_workspace model =
+let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
+    ?(jobs = 1) ?simplex_workspace model =
   let original_std = Lp.standardize model in
   Obs.with_span "mip.solve"
     ~attrs:
@@ -570,80 +567,36 @@ let solve ?(limits = default_limits) ?(presolve = false)
         ("cols", Obs.Int original_std.Lp.ncols);
       ]
   @@ fun () ->
-  (* Optional presolve: solve the reduced problem and map every solution
-     (and the callbacks' variable spaces) back to the original.
-     [restore_y] back-maps row duals ([None] when the search runs on the
-     synthetic contradiction below, whose row space is unrelated to the
-     original); [rows_removed] is recorded in the audit so a checker knows
-     the dual certificate may be weaker than the reduced problem's. *)
-  let std, restore, restore_y, rows_removed, project, priority, heuristic,
-      incumbent =
-    if not presolve then
-      (original_std, Fun.id, Some Fun.id, 0, Fun.id, priority, heuristic,
-       incumbent)
-    else
-      match Presolve.reduce original_std with
-      | { Presolve.verdict = Presolve.Infeasible; _ } ->
-        (* signalled via an empty, contradictory problem *)
-        let m = Lp.create ~name:"infeasible" () in
-        let x = Lp.add_var m ~lb:0. ~ub:0. () in
-        Lp.add_constr m [ (1., x) ] Lp.Ge 1.;
-        (Lp.standardize m, Fun.id, None, 0, Fun.id, priority, None, None)
-      | { Presolve.verdict = Presolve.Reduced red; kept_cols; _ } as r ->
-        let restore x = Presolve.restore r x in
-        let restore_y y = Presolve.restore_duals r y in
-        let project full = Array.map (fun j -> full.(j)) kept_cols in
-        let priority j = priority kept_cols.(j) in
-        let heuristic =
-          Option.map
-            (fun h x_red -> Option.map project (h (restore x_red)))
-            heuristic
-        in
-        let incumbent = Option.map project incumbent in
-        (red, restore, Some restore_y, r.Presolve.rows_removed, project,
-         priority, heuristic, incumbent)
-  in
-  ignore project;
-  let presolved = presolve in
-  (* Optional geometric-mean scaling of the (possibly reduced) search
-     model.  The search runs entirely in the scaled space x' = x / c;
-     every exit point back-maps through [restore]/[restore_y], and the
-     power-of-two factors make the back-mapping exact, so certificates on
-     the returned artifacts hold exactly as for an unscaled solve.
-     Integer columns keep factor 1: branching and integrality are
-     untouched, and the objective value is invariant. *)
-  let std, restore, restore_y, unscale_x, unscale_ray, heuristic, incumbent,
-      scaled =
-    if not limits.scale then
-      (std, restore, restore_y, Fun.id, Fun.id, heuristic, incumbent, false)
+  (* Optional geometric-mean scaling of the search model.  The search
+     runs entirely in the scaled space x' = x / c; every exit point
+     back-maps through [restore]/[restore_y], and the power-of-two factors
+     make the back-mapping exact, so certificates on the returned
+     artifacts hold exactly as for an unscaled solve.  Integer columns
+     keep factor 1: branching and integrality are untouched, and the
+     objective value is invariant. *)
+  let std, restore, restore_y, heuristic, scaled =
+    let unscaled = (original_std, Fun.id, Fun.id, heuristic, false) in
+    if not limits.scale then unscaled
     else begin
-      let sc = Presolve.scaling std in
-      if Presolve.is_identity sc then
-        (std, restore, restore_y, Fun.id, Fun.id, heuristic, incumbent, false)
+      let sc = Scaling.scaling original_std in
+      if Scaling.is_identity sc then unscaled
       else begin
-        let sstd = Presolve.scale sc std in
-        let restore x = restore (Presolve.unscale_point sc x) in
-        let restore_y =
-          Option.map
-            (fun ry y -> ry (Presolve.unscale_duals sc y))
-            restore_y
-        in
-        (* Heuristic candidates and seed incumbents live in the caller's
-           (reduced) space; translate both ways around the callback. *)
+        let sstd = Scaling.scale sc original_std in
+        (* Heuristic candidates live in the caller's space; translate both
+           ways around the callback. *)
         let heuristic =
           Option.map
             (fun h x ->
-               Option.map (Presolve.scale_point sc)
-                 (h (Presolve.unscale_point sc x)))
+               Option.map (Scaling.scale_point sc)
+                 (h (Scaling.unscale_point sc x)))
             heuristic
         in
-        let incumbent = Option.map (Presolve.scale_point sc) incumbent in
         if Obs.enabled () then
           Obs.point "mip.scaled"
             ~attrs:
               [ ("rows", Obs.Int sstd.Lp.nrows); ("cols", Obs.Int sstd.Lp.ncols) ];
-        (sstd, restore, restore_y, Presolve.unscale_point sc,
-         Presolve.unscale_duals sc, heuristic, incumbent, true)
+        (sstd, Scaling.unscale_point sc, Scaling.unscale_duals sc, heuristic,
+         true)
       end
     end
   in
@@ -677,7 +630,7 @@ let solve ?(limits = default_limits) ?(presolve = false)
        eta_applications = etas;
        elapsed = Obs.Clock.now () -. start;
        gap_achieved;
-       audit = { audit with presolve_rows_removed = rows_removed } })
+       audit })
   in
   match limits.max_rows with
   | Some r when std.Lp.nrows > r ->
@@ -713,18 +666,12 @@ let solve ?(limits = default_limits) ?(presolve = false)
         shared = None;
       }
     in
-    (match incumbent with Some c -> ignore (offer s c) | None -> ());
     let root_status = Simplex.reoptimize ?deadline s.sx in
     (match root_status with
      | Simplex.Infeasible ->
-       (* A Farkas multiplier is only meaningful in the original row space;
-          after presolve the proof is the reduction chain itself.  A scaled
-          ray unscales exactly (y = r·y'; positive factors preserve the
-          sign conditions). *)
-       let farkas =
-         if presolved then None
-         else Option.map unscale_ray (Simplex.farkas_ray sx)
-       in
+       (* A scaled ray unscales exactly (y = r·y'; positive factors
+          preserve the sign conditions). *)
+       let farkas = Option.map restore_y (Simplex.farkas_ray sx) in
        finish Infeasible ~nodes:1 ~iters:(Simplex.iterations sx)
          ~refacs:(Simplex.refactorizations sx)
          ~etas:(Simplex.eta_applications sx)
@@ -746,7 +693,7 @@ let solve ?(limits = default_limits) ?(presolve = false)
        (* The incremental interface cannot return Unbounded; detect patched
           bounds explicitly via the solution magnitude. *)
        let root_x = Simplex.primal sx in
-       if Array.exists (fun v -> Float.abs v > 1e9) (unscale_x root_x) then
+       if Array.exists (fun v -> Float.abs v > 1e9) (restore root_x) then
          finish Unbounded ~nodes:1 ~iters:(Simplex.iterations sx)
            ~refacs:(Simplex.refactorizations sx)
            ~etas:(Simplex.eta_applications sx)
@@ -761,22 +708,18 @@ let solve ?(limits = default_limits) ?(presolve = false)
             the original spaces so an independent checker can re-derive
             the bound without trusting the solver. *)
          let root_lp =
-           match restore_y with
-           | None -> None
-           | Some restore_y ->
-             let y = restore_y (Simplex.duals sx) in
-             let reduced =
-               (* [y] is back-mapped to the original row space; whenever
-                  the search space differs from the original (presolve or
-                  scaling), re-derive the reduced costs there too. *)
-               if presolved || scaled then reduced_costs_from original_std y
-               else Simplex.reduced_costs sx
-             in
-             Some
-               { lp_x = restore root_x;
-                 lp_y = y;
-                 lp_reduced = reduced;
-                 lp_obj = root_bound }
+           let y = restore_y (Simplex.duals sx) in
+           let reduced =
+             (* [y] is back-mapped to the original row space; a scaled
+                search re-derives the reduced costs there too. *)
+             if scaled then reduced_costs_from original_std y
+             else Simplex.reduced_costs sx
+           in
+           Some
+             { lp_x = restore root_x;
+               lp_y = y;
+               lp_reduced = reduced;
+               lp_obj = root_bound }
          in
          (* Root heuristic. *)
          (match heuristic with

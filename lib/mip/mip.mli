@@ -28,8 +28,8 @@ type limits = {
       (** eta-file length at which the node LPs' sparse LU basis is
           refactorized (see {!Vpart_simplex.Simplex.create}) *)
   scale : bool;
-      (** geometric-mean scaling ({!Presolve.scaling}) of the search model
-          (after presolve, when both are on).  The branch-and-bound then
+      (** geometric-mean scaling ({!Scaling.scaling}) of the search
+          model.  The branch-and-bound then
           runs on [r·A·c] with power-of-two factors; solutions, duals and
           Farkas rays are back-mapped {e exactly}, integer columns keep
           factor 1, and the objective value is invariant — so outcomes,
@@ -72,9 +72,8 @@ type lp_certificate = {
       (** row duals, original row space, minimization sense *)
   lp_reduced : float array;
       (** reduced costs [c - yᵀA], original structural space, minimization
-          sense.  With presolve these are recomputed against the original
-          matrix from the back-mapped [lp_y], so they may disagree with the
-          reduced solver's internal values on eliminated columns. *)
+          sense.  Under [limits.scale] these are recomputed against the
+          original matrix from the back-mapped [lp_y]. *)
   lp_obj : float;
       (** LP objective including the constant, minimization sense *)
 }
@@ -84,15 +83,16 @@ type lp_certificate = {
 
 type audit = {
   root_lp : lp_certificate option;
-      (** root LP relaxation certificate; [None] when the root did not
-          solve to optimality (time/iteration/numerical trouble) or the
-          model was rejected before any simplex work *)
+      (** root LP relaxation certificate; [Some] whenever the root solved
+          to optimality, [None] when it did not (time/iteration/numerical
+          trouble, unboundedness) or the model was rejected before any
+          simplex work *)
   farkas : float array option;
-      (** when the root relaxation proved [Infeasible] without presolve:
-          the dual-simplex Farkas-style multiplier row from which
-          infeasibility can be re-derived.  [None] when presolve detected
-          infeasibility (the reduction chain, not a single multiplier,
-          is the proof) or the outcome is not [Infeasible]. *)
+      (** when the root relaxation proved [Infeasible]: the dual-simplex
+          Farkas-style multiplier row from which infeasibility can be
+          re-derived.  [None] when the simplex produced no ray, when
+          infeasibility was established by exhausting the search tree, or
+          when the outcome is not [Infeasible]. *)
   bound_support : float array;
       (** minimization-sense node bounds backing the claimed global lower
           bound at termination: the claimed bound must equal their minimum.
@@ -100,11 +100,6 @@ type audit = {
   proven_bound : float option;
       (** minimization-sense global lower bound at exit, when the search
           ran far enough to establish one *)
-  presolve_rows_removed : int;
-      (** rows eliminated by presolve (0 without [~presolve]); nonzero
-          values mean dual certificates were back-mapped with zero
-          multipliers on removed rows and may be weaker than the reduced
-          problem's internal bound *)
   numerical_prunes : int;
       (** subtrees abandoned on simplex numerical trouble; nonzero values
           void the optimality proof down to the root bound, so the outcome
@@ -112,7 +107,7 @@ type audit = {
           never [Infeasible] *)
 }
 (** Independently checkable artifacts from the solve, in the {e original}
-    (pre-presolve) spaces.  Consumed by [Vpart_certify.Certify.certify_mip];
+    (unscaled) spaces.  Consumed by [Vpart_certify.Certify.certify_mip];
     the solver never verifies its own claims with these. *)
 
 type stats = {
@@ -135,10 +130,8 @@ type stats = {
 
 val solve :
   ?limits:limits ->
-  ?presolve:bool ->
   ?priority:(Lp.var -> int) ->
   ?heuristic:(float array -> float array option) ->
-  ?incumbent:float array ->
   ?jobs:int ->
   ?simplex_workspace:Simplex.Workspace.t ->
   Lp.model ->
@@ -146,13 +139,9 @@ val solve :
 (** Solve the model.  [priority v] orders branching candidates (higher
     first; default 0).  [heuristic lp_point] may propose a full structural
     assignment built from the current LP relaxation point; proposals are
-    vetted against the model before acceptance.  [incumbent] seeds the
-    search with a known feasible point (vetted likewise).
-
-    With [~presolve:true] (default false) the model is reduced with
-    {!Presolve} first; returned solutions are mapped back to the original
-    variable space, and the [priority]/[heuristic]/[incumbent] callbacks
-    continue to see original-space indices/points.
+    vetted against the model before acceptance.  Under [limits.scale]
+    the [heuristic] callback still sees and returns original-space
+    points.
 
     [jobs] (default 1) is the number of domains the branch-and-bound may
     use.  With [jobs = 1] the search is the sequential DFS, bit for bit.

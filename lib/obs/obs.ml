@@ -389,8 +389,6 @@ let gc_sampling_flag = ref false
 
 let set_gc_sampling b = gc_sampling_flag := b
 
-let gc_sampling () = !gc_sampling_flag
-
 let sample_gc () =
   if !gc_sampling_flag && st.active then begin
     (* [quick_stat] reads counters without forcing a heap walk, so the

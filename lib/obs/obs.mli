@@ -127,8 +127,6 @@ val set_gc_sampling : bool -> unit
     memory-flatness evidence of the batch throughput bench.  New gauge
     names only: schema version is unchanged per the policy above. *)
 
-val gc_sampling : unit -> bool
-
 val sample_gc : unit -> unit
 (** Emit one GC sample immediately (same gauges as above); a no-op when
     sampling is off or nothing is listening.  For request-loop callers

@@ -320,7 +320,6 @@ let drift_rebuilds t = t.drift_rebuilds
 let recovery_rebuilds t = t.recovery_rebuilds
 let refactor_seconds t = t.refactor_seconds
 let eta_applications t = t.eta_apps
-let eta_length t = t.neta
 let max_eta_length t = t.eta_len_max
 let lu_nnz t = Sparse_lu.nnz t.lu
 

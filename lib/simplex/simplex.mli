@@ -152,9 +152,6 @@ val eta_applications : t -> int
 (** Total eta-matrix applications (ftran/btran passes through eta-file
     entries) performed by this instance so far.  Mirrored in the [simplex.eta_applications] observability counter. *)
 
-val eta_length : t -> int
-(** Current eta-file length (pivots since the last refactorization). *)
-
 val max_eta_length : t -> int
 (** High-water eta-file length over the instance's lifetime — the
     [simplex.eta_len] observability gauge. *)

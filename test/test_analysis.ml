@@ -441,8 +441,7 @@ let test_solver_reports_diagnostics () =
     (error_codes r.Qp_solver.diagnostics)
 
 (* ------------------------------------------------------------------ *)
-(* Properties: generated instances build lint-clean MIPs; presolve     *)
-(* preserves lint-cleanliness                                          *)
+(* Property: generated instances build lint-clean MIPs                *)
 (* ------------------------------------------------------------------ *)
 
 let gen_params seed =
@@ -467,14 +466,6 @@ let prop_generated_mip_lints_clean =
   QCheck.Test.make ~count:25 ~name:"generated MIP has no lint errors"
     QCheck.small_int (fun seed ->
       error_codes (Model_lint.lint_model (model_for seed)) = [])
-
-let prop_presolve_preserves_cleanliness =
-  QCheck.Test.make ~count:25 ~name:"presolve output has no lint errors"
-    QCheck.small_int (fun seed ->
-      let std = Lp.standardize (model_for seed) in
-      match (Presolve.reduce std).Presolve.verdict with
-      | Presolve.Infeasible -> false
-      | Presolve.Reduced std' -> error_codes (Model_lint.lint std') = [])
 
 (* ------------------------------------------------------------------ *)
 
@@ -552,6 +543,6 @@ let () =
             test_solver_reports_diagnostics;
         ] );
       ( "properties",
-        [ q prop_generated_mip_lints_clean; q prop_presolve_preserves_cleanliness ]
+        [ q prop_generated_mip_lints_clean ]
       );
     ]

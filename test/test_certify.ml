@@ -45,20 +45,6 @@ let test_optimal_certifies () =
   ignore (get_optimal "assignment" out);
   check_clean "assignment" (C.certify_mip m out stats)
 
-let test_optimal_certifies_with_presolve () =
-  (* Certificates are against the pre-presolve model; presolve must not
-     break them (bound back-mapping may only weaken, never invalidate). *)
-  let m = Lp.create () in
-  let fixed = Lp.add_var m ~lb:1. ~ub:1. ~integer:true () in
-  let x = Lp.binary m () and y = Lp.binary m () and z = Lp.binary m () in
-  Lp.add_constr m [ (1., fixed); (1., x); (1., y) ] Lp.Ge 2.;
-  Lp.add_constr m [ (1., x); (1., y); (1., z) ] Lp.Le 10.;
-  Lp.add_constr m [ (2., z) ] Lp.Le 1.;
-  Lp.set_objective m Lp.Minimize [ (5., fixed); (2., x); (3., y); (1., z) ];
-  let out, stats = Mip.solve ~limits:exact_limits ~presolve:true m in
-  ignore (get_optimal "presolved" out);
-  check_clean "presolved" (C.certify_mip m out stats)
-
 let test_node_limited_certifies () =
   (* An interrupted solve's (bound, gap) bookkeeping must still certify. *)
   let m = assignment_model () in
@@ -279,6 +265,26 @@ let test_qp_agrees_with_cost_model () =
        | Some ds -> check_clean file ds)
     files
 
+(* A NaN cost or objective claim, or a NaN network penalty that makes
+   the re-derivation itself NaN, must be rejected: no tolerance
+   comparison against NaN can pass. *)
+let test_non_finite_claims_rejected () =
+  let inst = Lazy.force Tpcc.instance in
+  let part = Partitioning.single_site inst in
+  let cost = Cost_model.cost (Stats.compute inst ~p:8.) part in
+  check_clean "true cost"
+    (Solution_certify.certify_cost inst ~p:8. part ~claimed:cost);
+  Alcotest.(check bool) "NaN cost claim rejected (C202)" true
+    (has_code "C202"
+       (Solution_certify.certify_cost inst ~p:8. part ~claimed:nan));
+  Alcotest.(check bool) "NaN penalty rejected (C202)" true
+    (has_code "C202"
+       (Solution_certify.certify_cost inst ~p:nan part ~claimed:nan));
+  Alcotest.(check bool) "NaN objective (6) claim rejected (C201)" true
+    (has_code "C201"
+       (Solution_certify.certify_objective6 inst ~p:8. ~lambda:0.5 part
+          ~claimed:nan))
+
 (* ------------------------------------------------------------------ *)
 (* Regression: numerical prunes void an optimality claim               *)
 (* ------------------------------------------------------------------ *)
@@ -346,8 +352,6 @@ let () =
   Alcotest.run "certify"
     [ ( "clean",
         [ Alcotest.test_case "optimal certifies" `Quick test_optimal_certifies;
-          Alcotest.test_case "optimal certifies with presolve" `Quick
-            test_optimal_certifies_with_presolve;
           Alcotest.test_case "node-limited solve certifies" `Quick
             test_node_limited_certifies;
         ] );
@@ -360,6 +364,8 @@ let () =
             test_malformed_vector_rejected;
           Alcotest.test_case "fractional binary rejected (C003)" `Quick
             test_fractional_rejected;
+          Alcotest.test_case "non-finite claims rejected (C202/C201)" `Quick
+            test_non_finite_claims_rejected;
         ] );
       ( "dual",
         [ Alcotest.test_case "lagrangian bound exact" `Quick

@@ -197,14 +197,6 @@ let test_lp_pp_stats () =
          in
          has 0))
 
-let test_presolve_pp_summary () =
-  let m = Lp.create () in
-  let _x = Lp.add_var m ~lb:1. ~ub:1. () in
-  Lp.set_objective m Lp.Minimize [];
-  let r = Presolve.reduce (Lp.standardize m) in
-  let s = Format.asprintf "%a" Presolve.pp_summary r in
-  Alcotest.(check bool) "summary non-empty" true (String.length s > 5)
-
 (* ------------------------------------------------------------------ *)
 (* MIP bound sandwich                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -249,7 +241,6 @@ let () =
        [ Alcotest.test_case "row width reduction" `Quick test_row_width_reduction;
          Alcotest.test_case "pp functions" `Quick test_pp_functions_do_not_crash;
          Alcotest.test_case "lp pp stats" `Quick test_lp_pp_stats;
-         Alcotest.test_case "presolve summary" `Quick test_presolve_pp_summary;
        ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_lp_relaxation_bounds_mip ]);
     ]

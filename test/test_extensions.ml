@@ -251,39 +251,6 @@ let test_latency_reduces_remote_writes () =
     [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
-(* QP warm start                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_qp_seeded_with_sa () =
-  List.iter
-    (fun seed ->
-       let inst = small_instance ~txns:6 seed in
-       let sa =
-         Sa_solver.solve
-           ~options:{ Sa_solver.default_options with Sa_solver.num_sites = 2;
-                      lambda = 0.9 }
-           inst
-       in
-       let solve seed_solution =
-         Qp_solver.solve
-           ~options:{ Qp_solver.default_options with Qp_solver.num_sites = 2;
-                      lambda = 0.9; time_limit = 30.; seed_solution }
-           inst
-       in
-       let plain = solve None in
-       let seeded = solve (Some sa.Sa_solver.partitioning) in
-       match plain.Qp_solver.objective6, seeded.Qp_solver.objective6 with
-       | Some a, Some b ->
-         (* same optimum, and the seed never degrades the result *)
-         Alcotest.(check (float 1e-6)) (Printf.sprintf "seed %d same optimum" seed)
-           a b;
-         (* the seeded run's incumbent is at least as good as SA's *)
-         Alcotest.(check bool) "seeded <= SA" true
-           (b <= sa.Sa_solver.objective6 +. 1e-6 *. (1. +. sa.Sa_solver.objective6))
-       | _ -> Alcotest.failf "seed %d: missing solutions" seed)
-    [ 1; 2; 3 ]
-
-(* ------------------------------------------------------------------ *)
 (* Advisor                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -439,8 +406,6 @@ let () =
          Alcotest.test_case "reduces remote writes" `Quick
            test_latency_reduces_remote_writes;
        ]);
-      ("warm start",
-       [ Alcotest.test_case "qp seeded with sa" `Quick test_qp_seeded_with_sa ]);
       ("advisor",
        [ Alcotest.test_case "deltas exact" `Quick test_advisor_deltas_exact;
          Alcotest.test_case "optimum is local optimum" `Slow

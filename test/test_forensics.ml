@@ -108,6 +108,49 @@ let test_cli_summarize_exits_nonzero () =
             ] );
       ]
 
+(* Out-of-range solver parameters are command-line errors: each
+   invocation must exit non-zero, and not through an uncaught exception
+   (cmdliner's exit 125, "internal error" on stderr). *)
+let test_cli_rejects_bad_parameters () =
+  let cli = "../bin/vpart_cli.exe" in
+  if not (Sys.file_exists cli) then
+    Alcotest.skip ()
+  else
+    let inst = "../instances/smallbank.json" in
+    List.iter
+      (fun args ->
+        let err = Filename.temp_file "vpart_forensics" ".stderr" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove err)
+          (fun () ->
+            let code =
+              Sys.command
+                (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote cli)
+                   args (Filename.quote err))
+            in
+            let internal =
+              Astring.String.is_infix ~affix:"internal error"
+                (In_channel.with_open_bin err In_channel.input_all)
+            in
+            if code = 0 || code = 125 || internal then
+              Alcotest.failf "`vpart %s` exited %d%s" args code
+                (if internal then " with an internal error" else "")))
+      [
+        "solve -i " ^ inst ^ " -p nan --solver sa --certify";
+        "solve -i " ^ inst ^ " --sites 0 --solver sa";
+        "solve -i " ^ inst ^ " --sites=-1 --solver sa";
+        "solve -i " ^ inst ^ " --sites 0 --solver greedy";
+        "solve -i " ^ inst ^ " --sites 0 --solver affinity";
+        "solve -i " ^ inst ^ " --sites 0 --solver qp";
+        "solve -i " ^ inst ^ " --sites 0 --solver iter";
+        "solve -i " ^ inst ^ " --lambda nan --solver sa";
+        "solve -i " ^ inst ^ " --lambda 2 --solver sa";
+        "mps -i " ^ inst ^ " --sites 0";
+        "analyze " ^ inst ^ " --sites 0";
+        "batch --tables 0 --count 1";
+        "batch --txns 0 --count 1";
+      ]
+
 (* ------------------------------------------------------------------ *)
 (* Profile: folding, folded stacks, speedscope                         *)
 (* ------------------------------------------------------------------ *)
@@ -765,6 +808,8 @@ let () =
             test_reader_out_of_order_close;
           Alcotest.test_case "CLI summarize exits non-zero" `Quick
             test_cli_summarize_exits_nonzero;
+          Alcotest.test_case "CLI rejects bad parameters" `Quick
+            test_cli_rejects_bad_parameters;
         ] );
       ( "profile",
         [

@@ -91,162 +91,6 @@ let test_mps () =
        Alcotest.(check bool) (section ^ " present") true (has section))
     [ "NAME"; "ROWS"; "COLUMNS"; "RHS"; "BOUNDS"; "ENDATA"; "INTORG"; "INTEND" ]
 
-(* ------------------------------------------------------------------ *)
-(* Presolve                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let reduce_model m = Presolve.reduce (Lp.standardize m)
-
-let test_presolve_singleton_row () =
-  let m = Lp.create () in
-  let x = Lp.add_var m ~ub:10. () and y = Lp.add_var m ~ub:10. () in
-  Lp.add_constr m [ (2., x) ] Lp.Le 6.;         (* x <= 3 *)
-  Lp.add_constr m [ (1., x); (1., y) ] Lp.Le 8.;
-  Lp.set_objective m Lp.Minimize [ (1., x); (1., y) ];
-  let r = reduce_model m in
-  match r.Presolve.verdict with
-  | Presolve.Reduced red ->
-    Alcotest.(check int) "singleton row removed" 1 red.Lp.nrows;
-    (* x keeps index 0 with tightened bound *)
-    Alcotest.(check (float 1e-9)) "bound tightened" 3. red.Lp.ub.(0)
-  | Presolve.Infeasible -> Alcotest.fail "unexpected infeasible"
-
-let test_presolve_fixed_variable () =
-  let m = Lp.create () in
-  let x = Lp.add_var m ~lb:2. ~ub:2. () and y = Lp.add_var m ~ub:10. () in
-  Lp.add_constr m [ (1., x); (1., y) ] Lp.Le 5.;
-  Lp.set_objective m Lp.Minimize [ (3., x); (1., y) ];
-  let r = reduce_model m in
-  (match r.Presolve.verdict with
-   | Presolve.Reduced red ->
-     Alcotest.(check int) "one column left" 1 red.Lp.ncols;
-     Alcotest.(check (float 1e-9)) "objective constant picked up" 6. red.Lp.obj_const;
-     (* the row became y <= 3 (singleton) and was turned into a bound *)
-     Alcotest.(check int) "row absorbed" 0 red.Lp.nrows;
-     Alcotest.(check (float 1e-9)) "bound on y" 3. red.Lp.ub.(0)
-   | Presolve.Infeasible -> Alcotest.fail "unexpected infeasible");
-  ignore (x, y)
-
-let test_presolve_detects_infeasible () =
-  let m = Lp.create () in
-  let x = Lp.add_var m ~ub:1. () in
-  Lp.add_constr m [ (1., x) ] Lp.Ge 5.;
-  Lp.set_objective m Lp.Minimize [ (1., x) ];
-  let r = reduce_model m in
-  (match r.Presolve.verdict with
-   | Presolve.Infeasible -> ()
-   | Presolve.Reduced _ -> Alcotest.fail "expected infeasible");
-  (* a row that is directly contradictory after cancellation is now
-     rejected at construction time... *)
-  let m = Lp.create () in
-  let x = Lp.add_var m () in
-  (match Lp.add_constr m [ (1., x); (-1., x) ] Lp.Eq 3. with
-   | () -> Alcotest.fail "add_constr accepted 0 = 3"
-   | exception Invalid_argument _ -> ());
-  (* ...so presolve meets contradictory empty rows only via substitution:
-     x fixed at 0 by its bounds turns 1·x = 3 into 0 = 3 *)
-  let m = Lp.create () in
-  let x = Lp.add_var m ~lb:0. ~ub:0. () in
-  Lp.add_constr m [ (1., x) ] Lp.Eq 3.;
-  Lp.set_objective m Lp.Minimize [ (1., x) ];
-  match (reduce_model m).Presolve.verdict with
-  | Presolve.Infeasible -> ()
-  | Presolve.Reduced _ -> Alcotest.fail "expected infeasible empty row"
-
-let test_presolve_redundant_row () =
-  let m = Lp.create () in
-  let x = Lp.add_var m ~ub:1. () and y = Lp.add_var m ~ub:1. () in
-  Lp.add_constr m [ (1., x); (1., y) ] Lp.Le 5.;  (* max activity 2 <= 5 *)
-  Lp.add_constr m [ (1., x); (1., y) ] Lp.Ge 1.;
-  Lp.set_objective m Lp.Minimize [ (1., x); (1., y) ];
-  let r = reduce_model m in
-  match r.Presolve.verdict with
-  | Presolve.Reduced red -> Alcotest.(check int) "redundant row dropped" 1 red.Lp.nrows
-  | Presolve.Infeasible -> Alcotest.fail "unexpected infeasible"
-
-let test_presolve_integer_rounding () =
-  let m = Lp.create () in
-  let x = Lp.add_var m ~integer:true ~ub:10. () in
-  Lp.add_constr m [ (2., x) ] Lp.Le 7.;   (* x <= 3.5 -> 3 *)
-  Lp.add_constr m [ (2., x) ] Lp.Ge 3.;   (* x >= 1.5 -> 2 *)
-  Lp.set_objective m Lp.Minimize [ (1., x) ];
-  let r = reduce_model m in
-  match r.Presolve.verdict with
-  | Presolve.Reduced red ->
-    Alcotest.(check (float 1e-9)) "ub rounded down" 3. red.Lp.ub.(0);
-    Alcotest.(check (float 1e-9)) "lb rounded up" 2. red.Lp.lb.(0)
-  | Presolve.Infeasible -> Alcotest.fail "unexpected infeasible"
-
-let test_presolve_restore () =
-  let m = Lp.create () in
-  let _x = Lp.add_var m ~lb:2. ~ub:2. () in
-  let y = Lp.add_var m ~ub:10. () in
-  let _z = Lp.add_var m ~lb:1. ~ub:1. () in
-  Lp.add_constr m [ (1., y) ] Lp.Le 4.;
-  Lp.set_objective m Lp.Minimize [ (1., y) ];
-  let r = reduce_model m in
-  match r.Presolve.verdict with
-  | Presolve.Reduced red ->
-    Alcotest.(check int) "only y kept" 1 red.Lp.ncols;
-    let full = Presolve.restore r [| 3.5 |] in
-    Alcotest.(check (float 1e-9)) "x restored" 2. full.(0);
-    Alcotest.(check (float 1e-9)) "y restored" 3.5 full.(1);
-    Alcotest.(check (float 1e-9)) "z restored" 1. full.(2)
-  | Presolve.Infeasible -> Alcotest.fail "unexpected infeasible"
-
-(* Property: presolve preserves the LP optimum (checked with the simplex)
-   and the restored solution is feasible in the original. *)
-let gen_presolve_lp =
-  let open QCheck2.Gen in
-  let* nv = int_range 1 6 in
-  let* nr = int_range 1 6 in
-  let* ubs = list_size (return nv) (float_range 0.5 8.) in
-  let* fixed_mask = list_size (return nv) (int_range 0 3) in
-  let* costs = list_size (return nv) (float_range (-10.) 10.) in
-  let* rows =
-    list_size (return nr)
-      (pair (list_size (return nv) (float_range 0. 4.)) (float_range 0.5 20.))
-  in
-  return (ubs, fixed_mask, costs, rows)
-
-let prop_presolve_preserves_optimum =
-  QCheck2.Test.make ~count:200 ~name:"presolve preserves the LP optimum"
-    gen_presolve_lp
-    (fun (ubs, fixed_mask, costs, rows) ->
-       let m = Lp.create () in
-       let vars =
-         List.map2
-           (fun ub k ->
-              (* a quarter of the variables are fixed *)
-              if k = 0 then Lp.add_var m ~lb:(ub /. 2.) ~ub:(ub /. 2.) ()
-              else Lp.add_var m ~ub ())
-           ubs fixed_mask
-       in
-       List.iter
-         (fun (coefs, rhs) ->
-            Lp.add_constr m (List.map2 (fun c v -> (c, v)) coefs vars) Lp.Le rhs)
-         rows;
-       Lp.set_objective m Lp.Minimize (List.map2 (fun c v -> (c, v)) costs vars);
-       let std = Lp.standardize m in
-       let direct = Simplex.solve std in
-       let r = Presolve.reduce std in
-       match r.Presolve.verdict, direct.Simplex.status with
-       | Presolve.Infeasible, Simplex.Infeasible -> true
-       | Presolve.Infeasible, _ -> false
-       | Presolve.Reduced red, Simplex.Optimal ->
-         let via = Simplex.solve red in
-         (match via.Simplex.status with
-          | Simplex.Optimal ->
-            let restored = Presolve.restore r via.Simplex.x in
-            Float.abs (via.Simplex.obj -. direct.Simplex.obj)
-            <= 1e-5 *. (1. +. Float.abs direct.Simplex.obj)
-            && Lp.check_feasible ~tol:1e-5 std restored
-          | _ -> false)
-       | Presolve.Reduced red, Simplex.Infeasible ->
-         (* presolve may not detect all infeasibility; the simplex must *)
-         (Simplex.solve red).Simplex.status = Simplex.Infeasible
-       | Presolve.Reduced _, _ -> false)
-
 let () =
   Alcotest.run "lp"
     [ ("model",
@@ -258,14 +102,4 @@ let () =
          Alcotest.test_case "out of range" `Quick test_out_of_range;
          Alcotest.test_case "mps export" `Quick test_mps;
        ]);
-      ("presolve",
-       [ Alcotest.test_case "singleton row" `Quick test_presolve_singleton_row;
-         Alcotest.test_case "fixed variable" `Quick test_presolve_fixed_variable;
-         Alcotest.test_case "infeasible" `Quick test_presolve_detects_infeasible;
-         Alcotest.test_case "redundant row" `Quick test_presolve_redundant_row;
-         Alcotest.test_case "integer rounding" `Quick test_presolve_integer_rounding;
-         Alcotest.test_case "restore" `Quick test_presolve_restore;
-       ]);
-      ("properties",
-       [ QCheck_alcotest.to_alcotest prop_presolve_preserves_optimum ]);
     ]

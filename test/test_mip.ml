@@ -94,16 +94,6 @@ let test_too_large () =
    | Mip.Too_large { rows = 10; limit = 5 } -> ()
    | out -> Alcotest.failf "expected too large, got %a" Mip.pp_outcome out)
 
-let test_incumbent_seed () =
-  (* Seeding with the optimum must not be lost. *)
-  let m = Lp.create () in
-  let x = Lp.binary m () and y = Lp.binary m () in
-  Lp.add_constr m [ (1., x); (1., y) ] Lp.Ge 1.;
-  Lp.set_objective m Lp.Minimize [ (2., x); (3., y) ];
-  let out, _ = Mip.solve ~limits:exact_limits ~incumbent:[| 1.; 0. |] m in
-  let sol = get_optimal "seeded" out in
-  Alcotest.(check (float 1e-6)) "objective" 2. sol.Mip.obj
-
 let test_heuristic_hook () =
   (* The heuristic's proposal must be vetted and used when it is optimal. *)
   let m = Lp.create () in
@@ -119,38 +109,6 @@ let test_heuristic_hook () =
   let sol = get_optimal "heuristic" out in
   Alcotest.(check bool) "heuristic called" true !called;
   Alcotest.(check (float 1e-6)) "objective" 2. sol.Mip.obj
-
-let test_presolve_equivalence () =
-  (* a model with fixed variables and a redundant row: presolve on/off
-     must agree *)
-  let build () =
-    let m = Lp.create () in
-    let fixed = Lp.add_var m ~lb:1. ~ub:1. ~integer:true () in
-    let x = Lp.binary m () and y = Lp.binary m () and z = Lp.binary m () in
-    Lp.add_constr m [ (1., fixed); (1., x); (1., y) ] Lp.Ge 2.;
-    Lp.add_constr m [ (1., x); (1., y); (1., z) ] Lp.Le 10.;  (* redundant *)
-    Lp.add_constr m [ (2., z) ] Lp.Le 1.;                      (* z = 0 *)
-    Lp.set_objective m Lp.Minimize [ (5., fixed); (2., x); (3., y); (1., z) ];
-    m
-  in
-  let plain, _ = Mip.solve ~limits:exact_limits (build ()) in
-  let pre, _ = Mip.solve ~limits:exact_limits ~presolve:true (build ()) in
-  match plain, pre with
-  | Mip.Optimal a, Mip.Optimal b ->
-    Alcotest.(check (float 1e-6)) "same objective" a.Mip.obj b.Mip.obj;
-    Alcotest.(check int) "solution in original space" 4 (Array.length b.Mip.x);
-    Alcotest.(check (float 1e-6)) "fixed variable restored" 1. b.Mip.x.(0);
-    Alcotest.(check (float 1e-6)) "z forced to 0" 0. b.Mip.x.(3)
-  | _ -> Alcotest.fail "expected optimal from both"
-
-let test_presolve_infeasible () =
-  let m = Lp.create () in
-  let x = Lp.binary m () in
-  Lp.add_constr m [ (1., x) ] Lp.Ge 2.;
-  Lp.set_objective m Lp.Minimize [ (1., x) ];
-  match Mip.solve ~limits:exact_limits ~presolve:true m with
-  | Mip.Infeasible, _ -> ()
-  | out, _ -> Alcotest.failf "expected infeasible, got %a" Mip.pp_outcome out
 
 (* ------------------------------------------------------------------ *)
 (* Property: agree with brute force on random knapsacks                *)
@@ -250,22 +208,6 @@ let prop_vertex_cover =
          Float.abs (sol.Mip.obj -. float_of_int (brute_force_cover c)) < 1e-6
        | _ -> false)
 
-let prop_knapsack_presolve =
-  QCheck2.Test.make ~count:60
-    ~name:"mip with presolve agrees with brute force on knapsack" gen_knap
-    (fun k ->
-       let m = Lp.create () in
-       let vars = List.map (fun _ -> Lp.binary m ()) k.values in
-       Lp.add_constr m
-         (List.map2 (fun w v -> (float_of_int w, v)) k.weights vars)
-         Lp.Le (float_of_int k.cap);
-       Lp.set_objective m Lp.Maximize
-         (List.map2 (fun value v -> (float_of_int value, v)) k.values vars);
-       match Mip.solve ~limits:exact_limits ~presolve:true m with
-       | Mip.Optimal sol, _ ->
-         Float.abs (sol.Mip.obj -. float_of_int (brute_force_knapsack k)) < 1e-6
-       | _ -> false)
-
 let () =
   Alcotest.run "mip"
     [ ("exact",
@@ -276,14 +218,10 @@ let () =
          Alcotest.test_case "pure lp passthrough" `Quick test_pure_lp_passthrough;
          Alcotest.test_case "assignment" `Quick test_equality_assignment;
          Alcotest.test_case "too large" `Quick test_too_large;
-         Alcotest.test_case "incumbent seed" `Quick test_incumbent_seed;
          Alcotest.test_case "heuristic hook" `Quick test_heuristic_hook;
-         Alcotest.test_case "presolve equivalence" `Quick test_presolve_equivalence;
-         Alcotest.test_case "presolve infeasible" `Quick test_presolve_infeasible;
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_knapsack;
-         QCheck_alcotest.to_alcotest prop_knapsack_presolve;
          QCheck_alcotest.to_alcotest prop_vertex_cover;
        ]);
     ]

@@ -1,6 +1,6 @@
 (* Tests for the numerical/structural analysis layer and its remediations:
    Vpart_analysis.Numerics_lint (N-codes), Vpart_analysis.Structure
-   (S-codes), Diagnostic.dedup, Presolve scaling and the Qp_solver
+   (S-codes), Diagnostic.dedup, Scaling and the Qp_solver
    symmetry-breaking option. *)
 
 open Vpart
@@ -253,7 +253,7 @@ let test_dedup_ordering () =
     (contains report "(x3)")
 
 (* ------------------------------------------------------------------ *)
-(* Presolve scaling                                                    *)
+(* Scaling                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let is_pow2 f = f > 0. && Float.is_integer (Float.log2 f)
@@ -264,39 +264,39 @@ let ill_scaled () =
     ~ub:(fun _ -> 8.)
 
 let test_scaling_factors_pow2 () =
-  let sc = Presolve.scaling (ill_scaled ()) in
+  let sc = Scaling.scaling (ill_scaled ()) in
   Array.iter
     (fun r -> Alcotest.(check bool) "row factor is a power of two" true (is_pow2 r))
-    sc.Presolve.row_scale;
+    sc.Scaling.row_scale;
   Array.iter
     (fun c -> Alcotest.(check bool) "col factor is a power of two" true (is_pow2 c))
-    sc.Presolve.col_scale
+    sc.Scaling.col_scale
 
 let test_scaling_integer_cols_untouched () =
   let std = ill_scaled () in
   let std = { std with Lp.integer = [| true; false |] } in
-  let sc = Presolve.scaling std in
+  let sc = Scaling.scaling std in
   Alcotest.(check (float 0.)) "integer column factor 1" 1.
-    sc.Presolve.col_scale.(0)
+    sc.Scaling.col_scale.(0)
 
 let test_scaling_identity_on_unit_model () =
   Alcotest.(check bool) "unit coefficients need no scaling" true
-    (Presolve.is_identity (Presolve.scaling (benign ())))
+    (Scaling.is_identity (Scaling.scaling (benign ())))
 
 let test_scaling_roundtrip_exact () =
   let std = ill_scaled () in
-  let sc = Presolve.scaling std in
+  let sc = Scaling.scaling std in
   let x = [| 0.3; 7.25 |] in
-  let x' = Presolve.unscale_point sc (Presolve.scale_point sc x) in
+  let x' = Scaling.unscale_point sc (Scaling.scale_point sc x) in
   (* power-of-two factors: the round-trip is bit-exact, not just close *)
   Alcotest.(check bool) "bit-exact round-trip" true (x = x')
 
 let test_scaling_objective_invariant () =
   let std = ill_scaled () in
-  let sc = Presolve.scaling std in
-  let sstd = Presolve.scale sc std in
+  let sc = Scaling.scaling std in
+  let sstd = Scaling.scale sc std in
   let x = [| 0.3; 7.25 |] in
-  let sx = Presolve.scale_point sc x in
+  let sx = Scaling.scale_point sc x in
   let value (std : Lp.std) x =
     let acc = ref std.Lp.obj_const in
     Array.iteri (fun j c -> acc := !acc +. (c *. x.(j))) std.Lp.obj;
@@ -307,7 +307,7 @@ let test_scaling_objective_invariant () =
 
 let test_scaling_improves_range () =
   let std = ill_scaled () in
-  let sstd = Presolve.scale (Presolve.scaling std) std in
+  let sstd = Scaling.scale (Scaling.scaling std) std in
   let range (std : Lp.std) =
     let lo = ref infinity and hi = ref 0. in
     Array.iter
@@ -409,7 +409,7 @@ let prop_scaling_preserves_lp_optimum =
   QCheck.Test.make ~count:25 ~name:"scaling preserves the LP optimum to 1e-6"
     QCheck.small_int (fun seed ->
       let std = std_for seed in
-      let sstd = Presolve.scale (Presolve.scaling std) std in
+      let sstd = Scaling.scale (Scaling.scaling std) std in
       let a = Simplex.solve std and b = Simplex.solve sstd in
       match (a.Simplex.status, b.Simplex.status) with
       | Simplex.Optimal, Simplex.Optimal ->

@@ -23,12 +23,12 @@ let assignment_model () =
 
 (* Solve under a buffer-backed JSONL sink; return the raw trace text
    together with the solver's outcome and stats. *)
-let traced_mip_solve ?presolve () =
+let traced_mip_solve () =
   let buf = Buffer.create 4096 in
   let sink = Obs.jsonl_sink (Buffer.add_string buf) in
   let out, stats =
     Obs.with_sink sink (fun () ->
-        Mip.solve ~limits:exact_limits ?presolve (assignment_model ()))
+        Mip.solve ~limits:exact_limits (assignment_model ()))
   in
   (Buffer.contents buf, out, stats)
 
@@ -92,7 +92,7 @@ let test_reader_rejects_malformed () =
 (* ------------------------------------------------------------------ *)
 
 let test_trace_parses_and_nests () =
-  let text, _, _ = traced_mip_solve ~presolve:true () in
+  let text, _, _ = traced_mip_solve () in
   let lines =
     List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' text)
   in
@@ -135,7 +135,7 @@ let test_nesting_violations_detected () =
 (* ------------------------------------------------------------------ *)
 
 let test_counters_match_stats () =
-  let text, _, stats = traced_mip_solve ~presolve:true () in
+  let text, _, stats = traced_mip_solve () in
   let events = parse_trace "mip" text in
   Alcotest.(check (float 0.)) "mip.nodes counter = stats.nodes"
     (float_of_int stats.Mip.nodes)
@@ -143,10 +143,7 @@ let test_counters_match_stats () =
   Alcotest.(check (float 0.))
     "mip.simplex_iterations counter = stats.simplex_iterations"
     (float_of_int stats.Mip.simplex_iterations)
-    (counter_sum "mip.simplex_iterations" events);
-  (* Presolve ran under the same sink: its pass counter must be there. *)
-  if counter_sum "presolve.passes" events < 1. then
-    Alcotest.fail "presolve.passes counter missing from trace"
+    (counter_sum "mip.simplex_iterations" events)
 
 (* ------------------------------------------------------------------ *)
 (* No-op sink leaves solver results bit-identical                      *)
