@@ -198,19 +198,22 @@ let checked base ~what ok =
   in
   Arg.conv (parse, Arg.conv_printer base)
 
+let positive_int = checked Arg.int ~what:"an integer >= 1" (fun n -> n >= 1)
+
+let non_negative_float =
+  checked Arg.float ~what:"a finite number >= 0" (fun v ->
+      Float.is_finite v && v >= 0.)
+
 let sites_term =
   Arg.(
     value
-    & opt (checked int ~what:"an integer >= 1" (fun n -> n >= 1)) 2
+    & opt positive_int 2
     & info [ "s"; "sites" ] ~docv:"N" ~doc:"Number of sites.")
 
 let p_term =
   Arg.(
     value
-    & opt
-        (checked float ~what:"a finite number >= 0" (fun v ->
-             Float.is_finite v && v >= 0.))
-        8.
+    & opt non_negative_float 8.
     & info [ "p" ] ~docv:"P"
         ~doc:"Network penalty factor (0 = local placement; paper default 8).")
 
@@ -225,6 +228,29 @@ let lambda_term =
         ~doc:
           "Weight of total cost vs. load balancing in objective (6); 1.0 = \
            pure cost minimization.")
+
+(* A NaN limit would never trip the deadline test, so it is rejected
+   here rather than silently meaning "no limit". *)
+let time_limit_term ~default ~doc =
+  Arg.(
+    value & opt non_negative_float default
+    & info [ "time-limit" ] ~docv:"S" ~doc)
+
+(* An infinite tolerance would turn every float check into a pass. *)
+let tol_term =
+  Arg.(
+    value
+    & opt
+        (some
+           (checked float ~what:"a finite number > 0" (fun v ->
+                Float.is_finite v && v > 0.)))
+        None
+    & info [ "tol" ] ~docv:"T"
+        ~doc:
+          "Override the float certification tolerance (default 1e-5 for \
+           MIP-level checks); every float check reports its residual \
+           against this threshold, and the exact auditor uses it as the \
+           masked-vs-refuted boundary.")
 
 let disjoint_term =
   Arg.(
@@ -542,9 +568,7 @@ let solve_cmd =
              $(b,affinity) = Navathe-style affinity baseline.")
   in
   let time_limit_term =
-    Arg.(
-      value & opt float 60.
-      & info [ "time-limit" ] ~docv:"S" ~doc:"QP solver time limit (seconds).")
+    time_limit_term ~default:60. ~doc:"QP solver time limit (seconds)."
   in
   let seed_term =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"SA solver seed.")
@@ -574,7 +598,7 @@ let solve_cmd =
   let refactor_every_term =
     Arg.(
       value
-      & opt int Qp_solver.default_options.Qp_solver.refactor_every
+      & opt positive_int Qp_solver.default_options.Qp_solver.refactor_every
       & info [ "refactor-every" ] ~docv:"N"
           ~doc:
             "Pivots between sparse LU basis refactorizations of the node \
@@ -645,17 +669,6 @@ let solve_cmd =
              in exact rational arithmetic (zero tolerance; the [E]-code \
              catalog in docs/ANALYSIS.md), reporting per-check exact/float \
              verdict pairs and failing on exactly-refuted claims.")
-  in
-  let tol_term =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tol" ] ~docv:"T"
-          ~doc:
-            "Override the float certification tolerance (default 1e-5 for \
-             MIP-level checks); every float check reports its actual \
-             residual against this threshold, and the exact auditor uses it \
-             as the masked-vs-refuted boundary.")
   in
   let run inst solver sites p lambda disjoint no_grouping jobs time_limit seed
       refactor_every scale break_symmetry json lint_model certify exact tol
@@ -1233,10 +1246,7 @@ let certify_cmd =
           ~doc:"Solver whose claims to certify: $(b,qp), $(b,sa) or $(b,iter).")
   in
   let time_limit_term =
-    Arg.(
-      value & opt float 10.
-      & info [ "time-limit" ] ~docv:"S"
-          ~doc:"Per-instance solve budget (seconds).")
+    time_limit_term ~default:10. ~doc:"Per-instance solve budget (seconds)."
   in
   let exact_term =
     Arg.(
@@ -1248,16 +1258,6 @@ let certify_cmd =
              pairs, the worst tolerance-masked residual as an exact \
              rational, and [E]-code findings (docs/ANALYSIS.md).  Exits \
              non-zero on exactly-refuted claims.")
-  in
-  let tol_term =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "tol" ] ~docv:"T"
-          ~doc:
-            "Override the float certification tolerance (default 1e-5); \
-             float findings report their residual against it and the exact \
-             auditor uses it as the masked-vs-refuted boundary.")
   in
   let run files solver sites p lambda time_limit jobs exact tol fmt =
     (* Solve + certify every file independently (possibly across domains;
@@ -1466,17 +1466,39 @@ let eval_cmd =
          if diags <> [] then Format.printf "%a@." Report.pp_diagnostics diags;
          Format.printf "%a@."
            (Report.pp_solution_summary inst ~p ~lambda) part;
-         let eng = Engine.deploy inst part in
+         let c = Engine.run_workload (Engine.deploy inst part) in
          Format.printf "@.storage-engine check (one workload pass):@.%a@."
-           Engine.pp_counters (Engine.run_workload eng);
-         Format.printf "@.latency estimate (Appendix A, pl = 1): %.2f@."
-           (Cost_model.latency inst ~pl:1. part);
-         Ok ())
+           Engine.pp_counters c;
+         let b = Cost_model.breakdown inst part in
+         let differs (_, measured, modelled) =
+           Float.abs (measured -. modelled)
+           > 1e-9 *. Float.max 1. (Float.abs modelled)
+         in
+         (match
+            List.find_opt differs
+              [ ("bytes read", c.Engine.bytes_read, b.Cost_model.read_local);
+                ("bytes written", c.Engine.bytes_written, b.Cost_model.write_local);
+                ("bytes transferred", c.Engine.bytes_transferred,
+                 b.Cost_model.transfer) ]
+          with
+          | Some (field, measured, modelled) ->
+            Error
+              (`Msg
+                 (Printf.sprintf
+                    "storage engine disagrees with the cost model on %s: \
+                     measured %.17g, modelled %.17g"
+                    field measured modelled))
+          | None ->
+            Format.printf "agrees with cost model@.";
+            Format.printf "@.latency estimate (Appendix A, pl = 1): %.2f@."
+              (Cost_model.latency inst ~pl:1. part);
+            Ok ()))
   in
   Cmd.v
     (Cmd.info "eval"
        ~doc:"Evaluate a stored partitioning against an instance (cost model \
-             + storage-engine cross-check).")
+             + storage-engine cross-check); exits non-zero if the engine's \
+             byte counts differ from the cost model's.")
     Term.(
       term_result (const run $ instance_term $ part_term $ p_term $ lambda_term))
 
@@ -1583,10 +1605,7 @@ let batch_cmd =
           ~doc:"Override the instance class's transaction count.")
   in
   let time_limit_term =
-    Arg.(
-      value & opt float 5.
-      & info [ "time-limit" ] ~docv:"SEC"
-          ~doc:"Per-request solver time limit (default 5 s).")
+    time_limit_term ~default:5. ~doc:"Per-request solver time limit (seconds)."
   in
   let metrics_term =
     Arg.(

@@ -94,6 +94,4 @@ val survive_site_failure : t -> failed:int -> failure_report
 (** @raise Invalid_argument if [failed] is out of range or the deployment
     has a single site. *)
 
-val add : counters -> counters -> counters
-val zero : counters
 val pp_counters : Format.formatter -> counters -> unit

@@ -20,23 +20,26 @@ let test_single_site_matches_breakdown () =
 
 let test_partitioned_matches_breakdown () =
   let inst = tpcc () in
-  let sa =
-    Sa_solver.solve
-      ~options:{ Sa_solver.default_options with Sa_solver.num_sites = 3; lambda = 0.9 }
-      inst
-  in
-  let part = sa.Sa_solver.partitioning in
-  let eng = Engine.deploy inst part in
-  let c = Engine.run_workload eng in
-  let b = Cost_model.breakdown inst part in
-  feq "reads" b.Cost_model.read_local c.Engine.bytes_read;
-  feq "writes" b.Cost_model.write_local c.Engine.bytes_written;
-  feq "transfer" b.Cost_model.transfer c.Engine.bytes_transferred;
-  (* total cost identity through the engine *)
   let stats = Stats.compute inst ~p:8. in
-  feq "engine reproduces objective (4)"
-    (Cost_model.cost stats part)
-    (c.Engine.bytes_read +. c.Engine.bytes_written +. (8. *. c.Engine.bytes_transferred))
+  List.iter
+    (fun num_sites ->
+       let sa =
+         Sa_solver.solve
+           ~options:{ Sa_solver.default_options with Sa_solver.num_sites; lambda = 0.9 }
+           inst
+       in
+       let part = sa.Sa_solver.partitioning in
+       let c = Engine.run_workload (Engine.deploy inst part) in
+       let b = Cost_model.breakdown inst part in
+       feq "reads" b.Cost_model.read_local c.Engine.bytes_read;
+       feq "writes" b.Cost_model.write_local c.Engine.bytes_written;
+       feq "transfer" b.Cost_model.transfer c.Engine.bytes_transferred;
+       (* total cost identity through the engine *)
+       feq "engine reproduces objective (4)"
+         (Cost_model.cost stats part)
+         (c.Engine.bytes_read +. c.Engine.bytes_written
+          +. (8. *. c.Engine.bytes_transferred)))
+    [ 2; 3 ]
 
 let test_fractions () =
   let inst = tpcc () in
@@ -163,22 +166,32 @@ let test_invalid_partitioning_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* Property: engine counters equal the analytic breakdown on random
-   instances and random (repaired) partitionings. *)
+(* Property: engine counters equal the analytic breakdown, and reproduce
+   objective (4), on random instances of 1-4 tables and 1-5 transactions
+   at any update share, under random (repaired) partitionings over 1-4
+   sites with any replica density. *)
 let prop_engine_matches_model =
-  QCheck2.Test.make ~count:100 ~name:"engine counters = cost-model breakdown"
-    QCheck2.Gen.(pair (int_range 0 5000) (int_range 1 4))
-    (fun (seed, num_sites) ->
+  QCheck2.Test.make ~count:250 ~name:"engine counters = cost-model breakdown"
+    ~print:(fun (seed, tables, txns, updates, sites, replica) ->
+        Printf.sprintf
+          "seed %d, %d tables, %d txns, %d%% updates, %d sites, replica %g"
+          seed tables txns updates sites replica)
+    QCheck2.Gen.(
+      tup6 (int_range 0 5000) (int_range 1 4) (int_range 1 5)
+        (int_range 0 100) (int_range 1 4) (float_range 0. 1.))
+    (fun (seed, num_tables, num_transactions, update_percent, num_sites,
+          replica) ->
        let params =
          { Instance_gen.default_params with
            Instance_gen.name = Printf.sprintf "eng%d" seed;
-           num_tables = 4;
-           num_transactions = 5;
-           update_percent = 30;
+           num_tables;
+           num_transactions;
+           update_percent;
          }
        in
        let inst = Instance_gen.generate ~seed params in
-       let stats = Stats.compute inst ~p:8. in
+       let p = 8. in
+       let stats = Stats.compute inst ~p in
        let rng = Rng.create seed in
        let part =
          Partitioning.create ~num_sites
@@ -189,16 +202,19 @@ let prop_engine_matches_model =
          (fun t _ -> part.Partitioning.txn_site.(t) <- Rng.int rng num_sites)
          part.Partitioning.txn_site;
        Array.iter
-         (fun row -> Array.iteri (fun s _ -> row.(s) <- Rng.bool rng 0.3) row)
+         (fun row -> Array.iteri (fun s _ -> row.(s) <- Rng.bool rng replica) row)
          part.Partitioning.placed;
        Partitioning.repair_single_sitedness stats part;
-       let eng = Engine.deploy inst part in
-       let c = Engine.run_workload eng in
+       let c = Engine.run_workload (Engine.deploy inst part) in
        let b = Cost_model.breakdown inst part in
        let close a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.abs b) in
        close c.Engine.bytes_read b.Cost_model.read_local
        && close c.Engine.bytes_written b.Cost_model.write_local
-       && close c.Engine.bytes_transferred b.Cost_model.transfer)
+       && close c.Engine.bytes_transferred b.Cost_model.transfer
+       && close
+            (c.Engine.bytes_read +. c.Engine.bytes_written
+             +. (p *. c.Engine.bytes_transferred))
+            (Cost_model.cost stats part))
 
 let () =
   Alcotest.run "engine"

@@ -149,6 +149,21 @@ let test_cli_rejects_bad_parameters () =
         "analyze " ^ inst ^ " --sites 0";
         "batch --tables 0 --count 1";
         "batch --txns 0 --count 1";
+        (* an infinite tolerance passes every float check; the exact
+           audit cannot convert it *)
+        "certify --tol inf " ^ inst;
+        "certify --exact --tol inf " ^ inst;
+        "certify --tol nan " ^ inst;
+        "certify --tol=-1 " ^ inst;
+        "solve -i " ^ inst ^ " --solver qp --certify --tol inf";
+        (* a NaN deadline never trips, so the solve would run unbounded *)
+        "solve -i " ^ inst ^ " --solver qp --time-limit nan";
+        "solve -i " ^ inst ^ " --solver qp --time-limit=-1";
+        "certify --time-limit nan " ^ inst;
+        "certify --time-limit=-1 " ^ inst;
+        "batch --tables 2 --txns 2 --count 1 --time-limit nan";
+        "solve -i " ^ inst ^ " --solver qp --refactor-every 0";
+        "solve -i " ^ inst ^ " --solver qp --refactor-every=-5";
       ]
 
 (* ------------------------------------------------------------------ *)
