@@ -1090,7 +1090,7 @@ let simplex_sweep () =
 
 (* ------------------------------------------------------------------ *)
 (* N/S analysis: overhead of the static passes and the measured payoff  *)
-(* of their remediations (--scale, --break-symmetry)                    *)
+(* of the --scale remediation                                           *)
 (* ------------------------------------------------------------------ *)
 
 let analyze_bench () =
@@ -1166,57 +1166,6 @@ let analyze_bench () =
              ] )
          :: !json_results)
     names;
-  hr ();
-
-  section "Symmetry-breaking payoff (QP B&B, 3 sites, plain vs --break-symmetry)";
-  Printf.printf "%-10s | %8s %8s | %9s %9s | %8s %8s | %s\n" "instance"
-    "nodes" "nodes'" "time (s)" "time' (s)" "cost" "cost'" "certified";
-  hr ();
-  List.iter
-    (fun name ->
-       let inst = get_instance name in
-       let solve break_symmetry scale =
-         Qp_solver.solve
-           ~options:
-             { (qp_options ~time_limit:60. 3) with
-               Qp_solver.break_symmetry;
-               scale;
-               certify = true;
-             }
-           inst
-       in
-       let plain, t_plain = time (fun () -> solve false false) in
-       let pinned, t_pinned = time (fun () -> solve true true) in
-       let cost r = Option.value r.Qp_solver.cost ~default:Float.nan in
-       let certified r =
-         match r.Qp_solver.certificate with
-         | Some ds ->
-           not
-             (Vpart_analysis.Diagnostic.has_errors ds)
-         | None -> false
-       in
-       let ok = certified plain && certified pinned in
-       Printf.printf
-         "%-10s | %8d %8d | %9.3f %9.3f | %8.1f %8.1f | %s\n%!" name
-         plain.Qp_solver.nodes pinned.Qp_solver.nodes t_plain t_pinned
-         (cost plain) (cost pinned)
-         (if ok then "yes" else "NO");
-       json_results :=
-         ( "break-symmetry/" ^ name,
-           Json.Obj
-             [
-               ("plain_nodes", Json.Int plain.Qp_solver.nodes);
-               ("pinned_nodes", Json.Int pinned.Qp_solver.nodes);
-               ("plain_simplex_iters", Json.Int plain.Qp_solver.simplex_iters);
-               ("pinned_simplex_iters", Json.Int pinned.Qp_solver.simplex_iters);
-               ("plain_seconds", Json.Float t_plain);
-               ("pinned_seconds", Json.Float t_pinned);
-               ("plain_cost", Json.Float (cost plain));
-               ("pinned_cost", Json.Float (cost pinned));
-               ("both_certified", Json.Bool ok);
-             ] )
-         :: !json_results)
-    [ "SmallBank"; "Voter"; "TATP" ];
   hr ()
 
 (* ------------------------------------------------------------------ *)

@@ -540,9 +540,9 @@ let analyze_cmd =
           numerical/structural static-analysis passes over it: conditioning \
           and scaling ($(b,N001)-$(b,N008)), sparsity, block structure, \
           fill-in and symmetry orbits ($(b,S001)-$(b,S005)); see \
-          docs/ANALYSIS.md.  Findings point at remediations ($(b,solve \
-          --scale), $(b,--break-symmetry)).  Exits non-zero if any \
-          Error-level finding is present.")
+          docs/ANALYSIS.md.  Ill-scaling findings point at $(b,solve \
+          --scale); the QP solver pins site symmetry itself.  Exits \
+          non-zero if any Error-level finding is present.")
     Term.(
       const run $ files_term $ sites_term $ p_term $ lambda_term
       $ disjoint_term $ no_grouping_term $ strict_term $ format_term
@@ -614,16 +614,6 @@ let solve_cmd =
              certificates unaffected).  Remediation for the \
              $(b,N001)/$(b,N002)/$(b,N007) findings of $(b,vpart analyze).")
   in
-  let break_symmetry_term =
-    Arg.(
-      value & flag
-      & info [ "break-symmetry" ]
-          ~doc:
-            "Pin the interchangeable-site symmetry of the layout model \
-             (lexicographic site ordering: x_t,s = 0 for s > t) in the \
-             QP/iterative solvers.  Remediation for the $(b,S005) symmetry \
-             orbits of $(b,vpart analyze).")
-  in
   let trace_term =
     Arg.(
       value
@@ -671,7 +661,7 @@ let solve_cmd =
              verdict pairs and failing on exactly-refuted claims.")
   in
   let run inst solver sites p lambda disjoint no_grouping jobs time_limit seed
-      refactor_every scale break_symmetry json lint_model certify exact tol
+      refactor_every scale json lint_model certify exact tol
       trace progress metrics_summary gc_stats output =
     let jobs = max 1 jobs in
     if lint_model then begin
@@ -833,7 +823,6 @@ let solve_cmd =
           jobs;
           refactor_every;
           scale;
-          break_symmetry;
         }
       in
       let r = Qp_solver.solve ~options inst in
@@ -874,7 +863,6 @@ let solve_cmd =
               jobs;
               refactor_every;
               scale;
-              break_symmetry;
             };
         }
       in
@@ -929,7 +917,7 @@ let solve_cmd =
       term_result
         (const run $ instance_term $ solver_term $ sites_term $ p_term
          $ lambda_term $ disjoint_term $ no_grouping_term $ jobs_term
-         $ time_limit_term $ seed_term $ refactor_every_term $ scale_term $ break_symmetry_term $ json_term
+         $ time_limit_term $ seed_term $ refactor_every_term $ scale_term $ json_term
          $ lint_model_term $ certify_term $ exact_term $ tol_term
          $ trace_term $ progress_term $ metrics_term $ gc_stats_term
          $ output_term))

@@ -408,7 +408,8 @@ let lint_profile p =
        (D.warning ~code:"S005"
           "candidate symmetry: %d orbit(s) of interchangeable integer \
            columns (largest %d, covering %d columns) — branch-and-bound \
-           explores permuted duplicates; consider --break-symmetry"
+           explores permuted duplicates (the QP solver already pins site \
+           symmetry when no transaction is pre-assigned)"
           (List.length orbs) largest covered));
   List.rev !out
 

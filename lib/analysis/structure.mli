@@ -15,9 +15,11 @@
       sparse-LU viability (warning when heavy fill-in is predicted)
     - [S005] candidate symmetry orbits among integer columns, detected by
       color refinement on the bipartite variable/row graph with
-      coefficient edge labels — interchangeable sites show up as orbits
-      of size [#sites], explaining B&B branching blow-up; remediation is
-      the [--break-symmetry] flag.
+      coefficient edge labels — interchangeable columns explain B&B
+      branching blow-up.  A diagnosis only: the QP solver pins the
+      site symmetry of its layout model itself whenever no transaction
+      is pre-assigned, so the orbits left on a pinned model are the ones
+      it does not remove.
 
     Orbit detection is a {e necessary} condition (color refinement never
     splits a true orbit but may fail to split asymmetric columns), hence

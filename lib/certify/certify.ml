@@ -436,6 +436,205 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
   Diagnostic.sort (List.rev !diags)
 
 (* ------------------------------------------------------------------ *)
+(* Site-symmetry pinning                                              *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Order-independent hash of row [r] with every column [j] renamed to
+   [perm.(j)]: it only narrows the candidates, {!row_maps_to} decides. *)
+let row_hash (std : Lp.std) perm r =
+  let mix a v =
+    ((a * 0x9E3779B1) lxor Int64.to_int (Int64.bits_of_float v)) * 0x85EBCA6B
+  in
+  let cmp = match std.Lp.row_cmp.(r) with Lp.Le -> 1 | Lp.Ge -> 2 | Lp.Eq -> 3 in
+  let idx = std.Lp.row_idx.(r) and v = std.Lp.row_val.(r) in
+  let h = ref (mix cmp std.Lp.rhs.(r)) in
+  for i = 0 to Array.length idx - 1 do
+    h := !h + mix perm.(idx.(i)) v.(i)
+  done;
+  !h
+
+(* Is row [r], renamed through [perm], bit for bit row [r']?  Columns are
+   distinct and [perm] is a bijection, so equal lengths plus every
+   renamed entry found in [r'] is equality.  [pos] is all -1 scratch,
+   one slot per column, and is left that way. *)
+let row_maps_to (std : Lp.std) pos perm r r' =
+  let idx = std.Lp.row_idx.(r) and idx' = std.Lp.row_idx.(r') in
+  let v = std.Lp.row_val.(r) and v' = std.Lp.row_val.(r') in
+  Array.length idx = Array.length idx'
+  && std.Lp.row_cmp.(r) = std.Lp.row_cmp.(r')
+  && same_bits std.Lp.rhs.(r) std.Lp.rhs.(r')
+  &&
+  (for k = 0 to Array.length idx' - 1 do
+     pos.(idx'.(k)) <- k
+   done;
+   let ok = ref true in
+   for i = 0 to Array.length idx - 1 do
+     let k = pos.(perm.(idx.(i))) in
+     if not (k >= 0 && same_bits v.(i) v'.(k)) then ok := false
+   done;
+   for k = 0 to Array.length idx' - 1 do
+     pos.(idx'.(k)) <- -1
+   done;
+   !ok)
+
+let certify_site_pinning ?var_name ~sites ~assign ~families (std : Lp.std) =
+  Obs.with_span "certify.site_pinning" @@ fun () ->
+  let n = std.Lp.ncols in
+  let name j =
+    match var_name with Some f -> f j | None -> Printf.sprintf "x%d" j
+  in
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  (* Every family is one column per site, and no column is in two. *)
+  let all = Array.to_list assign @ families in
+  let owner = Array.make n false in
+  let shape_ok =
+    List.for_all
+      (fun f ->
+         Array.length f = sites
+         && Array.for_all
+              (fun j ->
+                 let fresh = j >= 0 && j < n && not owner.(j) in
+                 if fresh then owner.(j) <- true;
+                 fresh)
+              f)
+      all
+  in
+  if not shape_ok then
+    add
+      (Diagnostic.error ~code:"C112"
+         "site families are not %d distinct columns each, so no site \
+          permutation is defined"
+         sites)
+  else begin
+    (* The pins are exactly x_{t,s} = 0 for s > t, over binary columns. *)
+    let expected = Array.make n false in
+    Array.iteri
+      (fun t row -> Array.iteri (fun s j -> if s > t then expected.(j) <- true) row)
+      assign;
+    for j = 0 to n - 1 do
+      let fixed = std.Lp.lb.(j) = std.Lp.ub.(j) in
+      if expected.(j) && not (fixed && std.Lp.ub.(j) = 0.) then
+        add
+          (Diagnostic.error ~code:"C112"
+             "%s should be pinned to 0 but has bounds [%g, %g]" (name j)
+             std.Lp.lb.(j) std.Lp.ub.(j))
+      else if fixed && not expected.(j) then
+        add
+          (Diagnostic.error ~code:"C112"
+             "%s is fixed to %g but is not a lexicographic site pin" (name j)
+             std.Lp.lb.(j))
+    done;
+    (* The model with the pins relaxed back to [0, 1]. *)
+    let ub j = if expected.(j) then 1. else std.Lp.ub.(j) in
+    Array.iter
+      (Array.iter (fun j ->
+           if not (std.Lp.lb.(j) = 0. && ub j = 1. && std.Lp.integer.(j)) then
+             add
+               (Diagnostic.error ~code:"C112"
+                  "assignment column %s is not binary" (name j))))
+      assign;
+    (* Each assignment group needs a row sum_s x_{t,s} = 1: one home each,
+       so relabelling sites by first appearance meets every pin. *)
+    let assign_rows = Hashtbl.create (Array.length assign) in
+    for r = 0 to std.Lp.nrows - 1 do
+      if std.Lp.row_cmp.(r) = Lp.Eq && std.Lp.rhs.(r) = 1.
+         && Array.for_all (fun v -> v = 1.) std.Lp.row_val.(r)
+      then Hashtbl.replace assign_rows std.Lp.row_idx.(r) ()
+    done;
+    Array.iteri
+      (fun t row ->
+         let cols = Array.copy row in
+         Array.sort Int.compare cols;
+         if not (Hashtbl.mem assign_rows cols) then
+           add
+             (Diagnostic.error ~code:"C112"
+                "assignment group %d has no row summing its columns to 1" t))
+      assign;
+    (* Adjacent transpositions generate every site permutation: each must
+       map the relaxed model onto itself, bit for bit.  Rows form a
+       multiset: the image of row r must occur exactly as often as r. *)
+    let identity = Array.init n Fun.id in
+    (* Rows chained by hash: [head] per bucket, [next] per row. *)
+    let m = std.Lp.nrows in
+    let mask =
+      let rec pow2 k = if k >= 2 * m then k else pow2 (2 * k) in
+      pow2 1 - 1
+    in
+    let hash = Array.init m (row_hash std identity) in
+    let head = Array.make (mask + 1) (-1) and next = Array.make m (-1) in
+    for r = 0 to m - 1 do
+      let b = hash.(r) land mask in
+      next.(r) <- head.(b);
+      head.(b) <- r
+    done;
+    let pos = Array.make n (-1) in
+    (* Rows equal to [r] renamed through [p]; under [identity], [r] itself
+       counts without a comparison. *)
+    let occurrences p r h =
+      let rec walk r' k =
+        if r' < 0 then k
+        else
+          walk next.(r')
+            (if hash.(r') = h
+                && ((p == identity && r' = r) || row_maps_to std pos p r r')
+             then k + 1
+             else k)
+      in
+      walk head.(h land mask) 0
+    in
+    let copies = Array.init m (fun r -> occurrences identity r hash.(r)) in
+    let perm = Array.copy identity and moved = Array.make n false in
+    let set_swap s on =
+      List.iter
+        (fun f ->
+           let a = f.(s) and b = f.(s + 1) in
+           perm.(a) <- (if on then b else a);
+           perm.(b) <- (if on then a else b);
+           moved.(a) <- on;
+           moved.(b) <- on)
+        all
+    in
+    for s = 0 to sites - 2 do
+      set_swap s true;
+      let bad_cols = ref 0 in
+      for j = 0 to n - 1 do
+        let k = perm.(j) in
+        if moved.(j)
+           && not
+                (same_bits std.Lp.obj.(j) std.Lp.obj.(k)
+                 && same_bits std.Lp.lb.(j) std.Lp.lb.(k)
+                 && same_bits (ub j) (ub k)
+                 && std.Lp.integer.(j) = std.Lp.integer.(k))
+        then incr bad_cols
+      done;
+      let touched = ref 0 and bad_rows = ref 0 in
+      for r = 0 to m - 1 do
+        let idx = std.Lp.row_idx.(r) and hit = ref false in
+        for i = 0 to Array.length idx - 1 do
+          if moved.(idx.(i)) then hit := true
+        done;
+        if !hit then begin
+          incr touched;
+          if occurrences perm r (row_hash std perm r) <> copies.(r) then
+            incr bad_rows
+        end
+      done;
+      if !bad_cols > 0 || !bad_rows > 0 then
+        add
+          (Diagnostic.error ~code:"C112"
+             "swapping sites %d and %d is not a symmetry of the model: %d \
+              column(s) change objective, bounds or integrality, %d of %d \
+              row(s) map off the model"
+             s (s + 1) !bad_cols !bad_rows !touched);
+      set_swap s false
+    done
+  end;
+  Diagnostic.sort (List.rev !diags)
+
+(* ------------------------------------------------------------------ *)
 (* Exact rational re-verification                                     *)
 (* ------------------------------------------------------------------ *)
 

@@ -123,6 +123,35 @@ val certify_mip :
     Findings are sorted most-severe-first; an empty list means every
     claim was independently certified. *)
 
+val certify_site_pinning :
+  ?var_name:(Lp.var -> string) ->
+  sites:int ->
+  assign:Lp.var array array ->
+  families:Lp.var array list ->
+  Lp.std ->
+  Diagnostic.t list
+(** [C112]: prove that pinning [assign.(t).(s) = 0] for [s > t] loses no
+    optimum of [std].  [assign.(t)] and each of [families] hold one
+    column per site (index [s]); every other column is site-free.  With
+    the pinned columns of [std] relaxed back to [[0, 1]], the check
+    requires:
+
+    - the columns fixed in [std] are exactly [{assign.(t).(s) : s > t}],
+      each fixed to 0;
+    - every [assign] column is binary, and each [assign.(t)] has a row
+      [Σ_s assign.(t).(s) = 1];
+    - for every adjacent transposition [(s, s+1)], swapping the
+      site-[s] and site-[s+1] columns of every family (and of every
+      [assign.(t)]) maps the objective, the bounds, the integrality
+      flags and the multiset of rows onto themselves, bit for bit.
+
+    Adjacent transpositions generate every site permutation, so the
+    sites are interchangeable.  Any feasible point can then be
+    relabelled so that transaction [t]'s one home site is [<= t], with
+    the same objective.  Rows are matched through a hash index, so the
+    expected cost is [O(sites · nnz)].  Empty list = the pinning is
+    sound. *)
+
 (** Tolerance-free re-verification of every certificate in exact rational
     arithmetic ({!Vpart_rational.Rational}).
 

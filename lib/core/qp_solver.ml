@@ -15,7 +15,6 @@ type options = {
   jobs : int;
   refactor_every : int;
   scale : bool;
-  break_symmetry : bool;
   simplex_workspace : Simplex.Workspace.t option;
 }
 
@@ -37,7 +36,6 @@ let default_options =
     jobs = 1;
     refactor_every = 32;
     scale = false;
-    break_symmetry = false;
     simplex_workspace = None;
   }
 
@@ -74,14 +72,15 @@ type layout = {
   psiv : (Lp.var * int * int list) list;
 }
 
-(* Symmetry breaking is sound only while the sites are fully
+(* The lexicographic site pinning is sound while the sites are fully
    interchangeable: every constraint family of the layout model
    (assignment, coverage, linearization, load, latency) treats sites
    identically, so any solution can be relabeled so transaction t's home
    site has index <= t (order sites by first transaction appearance).
    Pre-assigned transactions name concrete sites and destroy the
-   invariance, so the pinning is disabled then. *)
-let sites_interchangeable opts = opts.break_symmetry && opts.fixed_txns = []
+   invariance, so the pinning is off then.  [site_pinning_findings]
+   checks this claim on the built model (C112). *)
+let sites_interchangeable opts = opts.fixed_txns = []
 
 let build_layout_model ?instance (stats : Stats.t) opts =
   let nt = stats.Stats.num_txns
@@ -239,6 +238,26 @@ let build_layout_model ?instance (stats : Stats.t) opts =
 let build_model stats opts =
   let m, layout = build_layout_model stats opts in
   (m, (layout.xv, layout.yv))
+
+(* C112 over a built model: x, y and u move with their site; maxload and
+   the latency indicators are site-free. *)
+let site_pinning_findings opts model std layout =
+  let ns = opts.num_sites in
+  let u_families =
+    Hashtbl.fold
+      (fun (t, a, s) _ acc ->
+         if s > 0 then acc
+         else Array.init ns (fun s -> Hashtbl.find layout.uv (t, a, s)) :: acc)
+      layout.uv []
+  in
+  Vpart_certify.Certify.certify_site_pinning ~var_name:(Lp.var_name model)
+    ~sites:ns ~assign:layout.xv
+    ~families:(Array.to_list layout.yv @ u_families)
+    std
+
+let certify_site_pinning ?instance stats opts =
+  let model, layout = build_layout_model ?instance stats opts in
+  site_pinning_findings opts model (Lp.standardize model) layout
 
 (* Extract a Partitioning.t (reduced space) from a structural assignment. *)
 let partitioning_of_point (stats : Stats.t) opts layout point =
@@ -406,9 +425,9 @@ let solve ?(options = default_options) (inst : Instance.t) =
   (* Static analysis gate: refuse to hand a model with Error-level findings
      to branch-and-bound (raises Diagnostic.Errors); keep the rest for the
      caller's report. *)
+  let std = Lp.standardize model in
   let diagnostics =
-    Vpart_analysis.Model_lint.assert_clean ~var_name:(Lp.var_name model)
-      (Lp.standardize model)
+    Vpart_analysis.Model_lint.assert_clean ~var_name:(Lp.var_name model) std
   in
   let ncols = Lp.num_vars model in
   let priority v =
@@ -484,7 +503,13 @@ let solve ?(options = default_options) (inst : Instance.t) =
                | None -> [])
             @ Solution_certify.certify_pins ~fixed:options.fixed_txns part
         in
-        Some (Vpart_analysis.Diagnostic.sort (mip_certs @ domain_certs))
+        let pin_certs =
+          if sites_interchangeable options then
+            site_pinning_findings options model std layout
+          else []
+        in
+        Some
+          (Vpart_analysis.Diagnostic.sort (mip_certs @ pin_certs @ domain_certs))
       end
     in
     let exact =

@@ -14,7 +14,14 @@
       no [u] variable is created;
     - remaining [u_{t,a,s}] variables receive only the linearization
       constraints their coefficient signs require ([u ≥ x + y - 1] when the
-      model pushes [u] down, [u ≤ x] and [u ≤ y] when it pushes up). *)
+      model pushes [u] down, [u ≤ x] and [u ≤ y] when it pushes up);
+    - when no transaction is pre-assigned ([fixed_txns = []]) the sites
+      are interchangeable, and the lexicographic pinning [x_{t,s} = 0] for
+      [s > t] removes the relabelled copies of each layout from the
+      search.  Heuristic partitionings are relabelled to canonical site
+      order so they stay feasible, and the certify pass proves the
+      pinning sound on the built model ([C112],
+      {!Vpart_certify.Certify.certify_site_pinning}). *)
 
 type options = {
   num_sites : int;
@@ -34,7 +41,9 @@ type options = {
   fixed_txns : (int * int) list;
       (** Pre-assigned transactions [(t, site)] whose [x] variables are
           pinned — the hook the iterative 20/80 solver
-          ({!Iterative_solver}) uses to grow a solution batch by batch. *)
+          ({!Iterative_solver}) uses to grow a solution batch by batch.
+          A non-empty list names concrete sites, so it turns the
+          site-symmetry pinning off. *)
   certify : bool;
       (** Self-certification: after the solve, re-derive every claim
           (incumbent feasibility, dual bounds, objective-(6)/cost
@@ -66,14 +75,6 @@ type options = {
           ill-scaling diagnostics ([N001]/[N002]/[N007]) the load rows'
           mixed-magnitude coefficients trigger.  Exactly back-mapped, so
           certificates are unaffected. *)
-  break_symmetry : bool;
-      (** Lexicographic site-ordering pinning [x_{t,s} = 0] for [s > t]:
-          remediation for the site-interchangeability symmetry orbits
-          ([S005]).  Sound because sites are fully interchangeable in the
-          layout model; automatically disabled when [fixed_txns] names
-          concrete sites.  Heuristic partitionings are relabeled
-          to canonical site order so they stay feasible under the
-          pinning. *)
   simplex_workspace : Simplex.Workspace.t option;
       (** Float arena pooling the branch-and-bound root simplex storage
           across repeated solves ({!Mip.solve}'s [simplex_workspace]) —
@@ -83,8 +84,9 @@ type options = {
 
 val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, 60 s, 0.1 % gap,
-    32000-row cap, no latency term, one domain,
-    refactorization every 32 pivots, no scaling, no symmetry breaking. *)
+    32000-row cap, no latency term, no pre-assigned transactions (so the
+    site-symmetry pinning is on), one domain, refactorization every 32
+    pivots, no scaling. *)
 
 type outcome =
   | Proved_optimal       (** optimal within the MIP gap *)
@@ -136,3 +138,13 @@ val build_model :
   Stats.t -> options -> Lp.model * (Lp.var array array * Lp.var array array)
 (** Exposed for white-box tests: the MIP plus the (x, y) variable layout
     ([fst] indexed [t].(s), [snd] indexed [a].(s)). *)
+
+val certify_site_pinning :
+  ?instance:Instance.t -> Stats.t -> options -> Vpart_analysis.Diagnostic.t list
+(** Build the layout model for [options] (with the latency indicators when
+    [options.latency] and the [instance] [stats] was computed from are
+    both given) and run the [C112] check on it,
+    as [solve]'s certify pass does whenever the pinning is on: [x], [y]
+    and [u] move with their site, [maxload] and [ψ] are site-free.
+    Empty list = the pinning is sound.  Exposed so tests can hand the
+    check a model whose sites are not interchangeable. *)

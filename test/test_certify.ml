@@ -286,6 +286,37 @@ let test_non_finite_claims_rejected () =
           ~claimed:nan))
 
 (* ------------------------------------------------------------------ *)
+(* Site-symmetry pinning (C112)                                        *)
+(* ------------------------------------------------------------------ *)
+
+let tpcc_reduced () = (Grouping.compute (Lazy.force Tpcc.instance)).Grouping.reduced
+
+let test_site_pinning_certifies () =
+  (* 4 sites: three adjacent transpositions, with the latency indicators
+     as site-free columns. *)
+  let inst = tpcc_reduced () in
+  let options =
+    { Qp_solver.default_options with
+      Qp_solver.num_sites = 4; latency = Some 1. }
+  in
+  check_clean "pinned TPC-C layout model"
+    (Qp_solver.certify_site_pinning ~instance:inst (Stats.compute inst ~p:8.)
+       options)
+
+let test_pinned_txn_breaks_site_pinning () =
+  (* A pre-assigned transaction names a concrete site: the model is built
+     without pins, and its sites are no longer interchangeable. *)
+  let options =
+    { Qp_solver.default_options with
+      Qp_solver.num_sites = 3; fixed_txns = [ (0, 1) ] }
+  in
+  let ds =
+    Qp_solver.certify_site_pinning (Stats.compute (tpcc_reduced ()) ~p:8.) options
+  in
+  Alcotest.(check bool) "C112 error" true
+    (List.exists (fun d -> D.is_error d && d.D.code = "C112") ds)
+
+(* ------------------------------------------------------------------ *)
 (* Regression: numerical prunes void an optimality claim               *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,12 +342,9 @@ let scale_frequencies rng (inst : Instance.t) =
   Instance.make ~name:inst.Instance.name inst.Instance.schema
     (Workload.make ~queries ~transactions)
 
-(* TPC-C with frequencies scaled from this seed, at 3 sites, abandons a
-   branch-and-bound subtree on simplex numerical trouble.  The search
-   then only proves the root bound, which does not close the gap: the
-   claim must degrade to a limit-feasible answer that both certifiers
-   accept, not an optimality claim the exact audit refutes. *)
-let test_numerical_prune_voids_optimality () =
+(* TPC-C with frequencies scaled from this seed, at 3 sites, as the QP
+   solver builds it for the certify pass. *)
+let prune_fixture () =
   let inst =
     scale_frequencies (Rng.create 42449740) (Lazy.force Tpcc.instance)
   in
@@ -331,8 +359,37 @@ let test_numerical_prune_voids_optimality () =
       certify_exact = true;
     }
   in
+  (inst, options)
+
+(* Without the site pinning, this fixture's branch-and-bound abandons a
+   subtree on simplex numerical trouble.  The search then only proves the
+   root bound, which does not close the gap: the claim must degrade to a
+   limit-feasible answer that both certifiers accept, not an optimality
+   claim the exact audit refutes.  No pinned TPC-C solve is known to
+   prune numerically, so the regression runs on the unpinned model. *)
+let test_numerical_prune_voids_optimality () =
+  let inst, options = prune_fixture () in
+  let stats =
+    Stats.compute (Grouping.compute inst).Grouping.reduced ~p:options.Qp_solver.p
+  in
+  let model, outcome, mip_stats = Unpinned.solve stats options in
+  Alcotest.(check bool) "fixture still prunes numerically" true
+    (mip_stats.Mip.audit.Mip.numerical_prunes >= 1);
+  Alcotest.(check bool) "outcome is not an optimality claim" true
+    (match outcome with Mip.Optimal _ -> false | _ -> true);
+  check_clean "float certificate"
+    (C.certify_mip ~gap:1e-3 model outcome mip_stats);
+  let _, _, refuted, _ =
+    C.Exact.counts (C.Exact.audit ~gap:1e-3 model outcome mip_stats)
+  in
+  Alcotest.(check int) "exactly refuted claims" 0 refuted
+
+(* The same instance through the default (pinned) solver proves its
+   optimum, and every certificate agrees. *)
+let test_pinned_prune_fixture_optimal () =
+  let inst, options = prune_fixture () in
   let r = Qp_solver.solve ~options inst in
-  Alcotest.(check string) "outcome" "limit_feasible"
+  Alcotest.(check string) "outcome" "proved_optimal"
     (match r.Qp_solver.outcome with
      | Qp_solver.Proved_optimal -> "proved_optimal"
      | Qp_solver.Limit_feasible -> "limit_feasible"
@@ -354,6 +411,8 @@ let () =
         [ Alcotest.test_case "optimal certifies" `Quick test_optimal_certifies;
           Alcotest.test_case "node-limited solve certifies" `Quick
             test_node_limited_certifies;
+          Alcotest.test_case "site pinning certifies (C112)" `Quick
+            test_site_pinning_certifies;
         ] );
       ( "corrupted",
         [ Alcotest.test_case "flipped binary rejected (C004)" `Quick
@@ -366,6 +425,8 @@ let () =
             test_fractional_rejected;
           Alcotest.test_case "non-finite claims rejected (C202/C201)" `Quick
             test_non_finite_claims_rejected;
+          Alcotest.test_case "pinned txn breaks site pinning (C112)" `Quick
+            test_pinned_txn_breaks_site_pinning;
         ] );
       ( "dual",
         [ Alcotest.test_case "lagrangian bound exact" `Quick
@@ -382,7 +443,10 @@ let () =
             test_qp_agrees_with_cost_model ] );
       ( "regressions",
         [ Alcotest.test_case "numerical prunes void optimality" `Quick
-            test_numerical_prune_voids_optimality ] );
+            test_numerical_prune_voids_optimality;
+          Alcotest.test_case "pinned prune fixture is optimal" `Quick
+            test_pinned_prune_fixture_optimal;
+        ] );
       ( "properties",
         [ q prop_optimal_certifies;
           q prop_weak_duality;

@@ -1,7 +1,7 @@
 (* Tests for the numerical/structural analysis layer and its remediations:
    Vpart_analysis.Numerics_lint (N-codes), Vpart_analysis.Structure
-   (S-codes), Diagnostic.dedup, Scaling and the Qp_solver
-   symmetry-breaking option. *)
+   (S-codes), Diagnostic.dedup, Scaling and the Qp_solver site-symmetry
+   pinning. *)
 
 open Vpart
 module D = Vpart_analysis.Diagnostic
@@ -211,16 +211,32 @@ let test_s005_symmetry_orbits () =
   Alcotest.(check (list int)) "no orbit" []
     (Structure.profile asym).Structure.p_orbits
 
-let test_layout_model_shows_symmetry () =
-  (* the real layout MIP for a 3-site instance exposes site orbits *)
+let smallbank_profile opts =
   let inst = Lazy.force Smallbank.instance in
   let grouping = Grouping.compute inst in
   let stats = Stats.compute grouping.Grouping.reduced ~p:8. in
-  let opts = { Qp_solver.default_options with Qp_solver.num_sites = 3 } in
   let model, _ = Qp_solver.build_model stats opts in
-  let pr = Structure.profile (Lp.standardize model) in
+  Structure.profile (Lp.standardize model)
+
+let test_pinned_layout_model_no_orbits () =
+  (* the default 3-site layout MIP pins site symmetry away *)
+  let pr =
+    smallbank_profile { Qp_solver.default_options with Qp_solver.num_sites = 3 }
+  in
+  Alcotest.(check (list int)) "no orbits" [] pr.Structure.p_orbits
+
+let test_layout_model_shows_symmetry () =
+  (* a pre-assigned transaction turns the pinning off; sites 1 and 2 stay
+     interchangeable, and S005 sees them on the real layout MIP *)
+  let pr =
+    smallbank_profile
+      { Qp_solver.default_options with
+        Qp_solver.num_sites = 3; fixed_txns = [ (0, 0) ] }
+  in
   Alcotest.(check bool) "site orbits detected" true
-    (pr.Structure.p_orbits <> [])
+    (pr.Structure.p_orbits <> []
+     && List.for_all (fun k -> k = 2) pr.Structure.p_orbits);
+  check_has "S005 fires" "S005" (Structure.lint_profile pr)
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostic.dedup                                                    *)
@@ -341,17 +357,6 @@ let test_scaled_solve_same_answer () =
   | Some a, Some b -> Alcotest.(check (float 1e-6)) "same optimal cost" a b
   | _ -> Alcotest.fail "expected both solves to produce a solution"
 
-let test_symmetry_breaking_same_answer () =
-  let inst = Lazy.force Smallbank.instance in
-  let opts = { qp_base with Qp_solver.num_sites = 3 } in
-  let plain = Qp_solver.solve ~options:opts inst in
-  let pinned =
-    Qp_solver.solve ~options:{ opts with Qp_solver.break_symmetry = true } inst
-  in
-  match (plain.Qp_solver.cost, pinned.Qp_solver.cost) with
-  | Some a, Some b -> Alcotest.(check (float 1e-6)) "same optimal cost" a b
-  | _ -> Alcotest.fail "expected both solves to produce a solution"
-
 let test_scaled_solves_certify_on_bundled () =
   let dir = if Sys.file_exists "instances" then "instances" else "../instances" in
   let files =
@@ -368,7 +373,6 @@ let test_scaled_solves_certify_on_bundled () =
            ~options:
              { qp_base with
                Qp_solver.scale = true;
-               break_symmetry = true;
                certify = true;
              }
            inst
@@ -418,6 +422,32 @@ let prop_scaling_preserves_lp_optimum =
       | sa, sb -> sa = sb)
 
 (* ------------------------------------------------------------------ *)
+(* Property: the site pinning keeps the optimum                        *)
+(* ------------------------------------------------------------------ *)
+
+let prop_pinned_optimum_matches_unpinned =
+  QCheck.Test.make ~count:20
+    ~name:"pinned QP optimum = unpinned MIP optimum"
+    QCheck.(triple small_int (int_range 2 3) bool)
+    (fun (seed, sites, allow_replication) ->
+      let inst = Instance_gen.generate ~seed (gen_params seed) in
+      let opts = { qp_base with Qp_solver.num_sites = sites; allow_replication } in
+      let stats =
+        Stats.compute (Grouping.compute inst).Grouping.reduced ~p:opts.Qp_solver.p
+      in
+      let pinned = Qp_solver.solve ~options:opts inst in
+      match
+        (pinned.Qp_solver.outcome, pinned.Qp_solver.objective6,
+         Unpinned.solve stats opts)
+      with
+      | Qp_solver.Proved_optimal, Some a, (_, Mip.Optimal sol, _) ->
+        (* both incumbents lie within the gap above the one optimum *)
+        let b = sol.Mip.obj in
+        let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
+        Float.abs (a -. b) <= opts.Qp_solver.gap *. scale
+      | _ -> QCheck.Test.fail_report "a solve did not prove its optimum")
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -448,6 +478,8 @@ let () =
             test_s005_symmetry_orbits;
           Alcotest.test_case "layout model shows site symmetry" `Quick
             test_layout_model_shows_symmetry;
+          Alcotest.test_case "pinned layout model has no orbits" `Quick
+            test_pinned_layout_model_no_orbits;
         ] );
       ( "dedup",
         [ Alcotest.test_case "ordering and counts" `Quick test_dedup_ordering ] );
@@ -468,10 +500,11 @@ let () =
       ( "remediation",
         [ Alcotest.test_case "scaled QP solve agrees" `Quick
             test_scaled_solve_same_answer;
-          Alcotest.test_case "symmetry-broken QP solve agrees" `Quick
-            test_symmetry_breaking_same_answer;
           Alcotest.test_case "scaled solves certify on bundled instances"
             `Slow test_scaled_solves_certify_on_bundled;
         ] );
-      ( "properties", [ q prop_scaling_preserves_lp_optimum ] );
+      ( "properties",
+        [ q prop_scaling_preserves_lp_optimum;
+          q prop_pinned_optimum_matches_unpinned;
+        ] );
     ]
