@@ -549,84 +549,6 @@ let certify_overhead () =
   hr ()
 
 (* ------------------------------------------------------------------ *)
-(* Exact-audit overhead: float certification vs the exact rational      *)
-(* auditor on the same QP solve                                         *)
-(* ------------------------------------------------------------------ *)
-
-let certify_exact_overhead () =
-  let module E = Vpart_certify.Certify.Exact in
-  let module Q = Vpart_rational.Rational in
-  section "Exact-audit overhead (QP solve: no certify vs float vs float+exact)";
-  Printf.printf
-    "The exact column re-checks every float certificate in arbitrary-\n\
-     precision rational arithmetic with zero tolerance (E-codes).\n";
-  Printf.printf "%-10s | %8s %8s %8s %8s | %6s %6s | %s\n" "instance"
-    "off (s)" "float(s)" "exact(s)" "ex ovh" "checks" "masked" "worst masked residual";
-  hr ();
-  List.iter
-    (fun name ->
-       let inst = get_instance name in
-       let time f =
-         let t0 = Obs.Clock.now () in
-         let r = f () in
-         (r, Obs.Clock.now () -. t0)
-       in
-       let opts certify certify_exact =
-         { (qp_options ~time_limit:30. 2) with
-           Qp_solver.certify; certify_exact; gap = 0.01 }
-       in
-       let _, t_off =
-         time (fun () -> Qp_solver.solve ~options:(opts false false) inst)
-       in
-       let _, t_float =
-         time (fun () -> Qp_solver.solve ~options:(opts true false) inst)
-       in
-       let r, t_exact =
-         time (fun () -> Qp_solver.solve ~options:(opts true true) inst)
-       in
-       let valid, masked, refuted, unchecked, worst =
-         match r.Qp_solver.exact with
-         | None -> (0, 0, 0, 0, "-")
-         | Some ex ->
-           let v, m, rf, u = E.counts ex in
-           let w =
-             match E.worst_masked ex with
-             | None -> "-"
-             | Some c ->
-               Printf.sprintf "%s (%s)" (Q.to_short_string c.E.residual)
-                 c.E.claim
-           in
-           (v, m, rf, u, w)
-       in
-       let checks = valid + masked + refuted + unchecked in
-       let ovh_pct =
-         100. *. (t_exact -. t_float) /. Float.max 1e-9 t_float
-       in
-       Printf.printf "%-10s | %8.3f %8.3f %8.3f %7.1f%% | %6d %6d | %s\n%!"
-         name t_off t_float t_exact ovh_pct checks masked worst;
-       if refuted > 0 then
-         Printf.printf "%-10s   WARNING: %d exactly-refuted claim(s)!\n%!"
-           name refuted;
-       json_results :=
-         ( "certify-exact/" ^ name,
-           Json.Obj
-             [
-               ("no_certify_seconds", Json.Float t_off);
-               ("float_certify_seconds", Json.Float t_float);
-               ("exact_certify_seconds", Json.Float t_exact);
-               ("exact_over_float_overhead_pct", Json.Float ovh_pct);
-               ("exact_checks", Json.Int checks);
-               ("exactly_valid", Json.Int valid);
-               ("tolerance_masked", Json.Int masked);
-               ("exactly_refuted", Json.Int refuted);
-               ("unchecked", Json.Int unchecked);
-               ("worst_masked_residual", Json.String worst);
-             ] )
-         :: !json_results)
-    [ "TPC-C v5"; "TATP"; "SmallBank"; "Voter" ];
-  hr ()
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead: same QP solve with tracing off / no-op sink  *)
 (* / JSONL sink                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1176,7 +1098,7 @@ let usage () =
   print_endline
     "usage: main.exe [--qp-limit SECONDS] [--lambda L] [--max-rows N] [--seed N]\n\
     \                [--json-out FILE]\n\
-    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|certify-exact|obs|par|batch|perf|simplex-sweep|analyze|all]...";
+    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|obs|par|batch|perf|simplex-sweep|analyze|all]...";
   exit 1
 
 let () =
@@ -1204,7 +1126,6 @@ let () =
     | "ablation" -> ablation ()
     | "suite" -> suite ()
     | "certify" -> certify_overhead ()
-    | "certify-exact" -> certify_exact_overhead ()
     | "obs" -> obs_overhead ()
     | "par" -> par_speedup ()
     | "batch" -> batch_throughput ()
@@ -1216,8 +1137,7 @@ let () =
         "vpart experiment harness (p=%.0f, lambda=%.2f, QP limit %.0fs)\n"
         cfg.p cfg.lambda cfg.qp_limit;
       table2 (); table1 (); table3 (); table4 (); table5 (); table6 ();
-      ablation (); suite (); certify_overhead (); certify_exact_overhead ();
-      obs_overhead ();
+      ablation (); suite (); certify_overhead (); obs_overhead ();
       par_speedup (); batch_throughput (); perf (); simplex_sweep ();
       analyze_bench ()
     | j -> Printf.printf "unknown job %S\n" j; usage ()

@@ -750,7 +750,7 @@ let solve_cmd =
       if not exact then None
       else
         Some
-          (Solution_certify.Exact.cost ?tol inst ~p part ~claimed:cost)
+          (Solution_certify.Exact.audit ?tol inst ~p part ~cost)
     in
     (* Observability setup: trace / progress sinks and in-process metrics
        live for the duration of the solve, torn down (and the trace file

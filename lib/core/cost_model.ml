@@ -51,9 +51,6 @@ let site_work (stats : Stats.t) (part : Partitioning.t) =
 let max_site_work stats part =
   Array.fold_left Float.max 0. (site_work stats part)
 
-let objective stats ~lambda part =
-  (lambda *. cost stats part) +. ((1. -. lambda) *. max_site_work stats part)
-
 let breakdown (inst : Instance.t) (part : Partitioning.t) =
   let schema = inst.Instance.schema and wl = inst.Instance.workload in
   let read_local = ref 0. and write_local = ref 0. and transfer = ref 0. in
@@ -141,6 +138,14 @@ let latency (inst : Instance.t) ~pl (part : Partitioning.t) =
       txn.Workload.queries
   done;
   pl *. !total
+
+let objective ?latency:lat stats ~lambda part =
+  (lambda *. cost stats part)
+  +. ((1. -. lambda) *. max_site_work stats part)
+  +.
+  match lat with
+  | None -> 0.
+  | Some (inst, pl) -> lambda *. latency inst ~pl part
 
 let pp_breakdown ppf b =
   Format.fprintf ppf

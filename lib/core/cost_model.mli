@@ -32,9 +32,11 @@ val site_work : Stats.t -> Partitioning.t -> float array
 
 val max_site_work : Stats.t -> Partitioning.t -> float
 
-val objective : Stats.t -> lambda:float -> Partitioning.t -> float
-(** Objective (6): [λ·cost + (1-λ)·max_site_work].  This is what both
-    solvers minimize. *)
+val objective :
+  ?latency:Instance.t * float -> Stats.t -> lambda:float -> Partitioning.t -> float
+(** Objective (6): [λ·cost + (1-λ)·max_site_work], plus the Appendix-A
+    term [λ·latency inst ~pl] when [latency = (inst, pl)].  This is what
+    both solvers minimize. *)
 
 val breakdown : Instance.t -> Partitioning.t -> breakdown
 (** Direct evaluation from the instance (independent of {!Stats}).

@@ -209,21 +209,22 @@ let solve ?(options = default_options) (inst : Instance.t) =
       match polished with
       | None -> (r.Qp_solver.cost, r.Qp_solver.objective6, [], None)
       | Some (stats, dc) ->
+        let { Qp_solver.p; lambda; latency; _ } = options.qp in
         let part = Delta_cost.partitioning dc in
         let cost = Cost_model.cost stats part in
         let obj6 =
-          Cost_model.objective stats ~lambda:options.qp.Qp_solver.lambda part
+          Cost_model.objective
+            ?latency:(Option.map (fun pl -> (inst, pl)) latency)
+            stats ~lambda part
         in
         let certs =
           if not options.qp.Qp_solver.certify then []
           else
             Solution_certify.certify_partitioning stats part
-            @ Solution_certify.certify_cost ~tol:dtol inst
-                ~p:options.qp.Qp_solver.p part ~claimed:cost
-            @ Solution_certify.certify_objective6 ~tol:dtol inst
-                ~p:options.qp.Qp_solver.p ~lambda:options.qp.Qp_solver.lambda
-                ?latency:options.qp.Qp_solver.latency part
-                ~claimed:(Delta_cost.objective dc)
+            @ Solution_certify.certify_cost ~tol:dtol inst ~p part
+                ~claimed:cost
+            @ Solution_certify.certify_objective6 ~tol:dtol inst ~p ~lambda
+                ?latency part ~claimed:obj6
         in
         let exact =
           if not options.qp.Qp_solver.certify_exact then None
@@ -231,14 +232,10 @@ let solve ?(options = default_options) (inst : Instance.t) =
             (* The local-search polish re-claims the cost/objective; audit
                the polished layout, not just the QP round's. *)
             Some
-              (Vpart_certify.Certify.Exact.merge
-                 (Solution_certify.Exact.cost ~tol:dtol inst
-                    ~p:options.qp.Qp_solver.p part ~claimed:cost)
-                 (Solution_certify.Exact.objective6 ~tol:dtol inst
-                    ~p:options.qp.Qp_solver.p
-                    ~lambda:options.qp.Qp_solver.lambda
-                    ?latency:options.qp.Qp_solver.latency part
-                    ~claimed:(Delta_cost.objective dc)))
+              (Solution_certify.Exact.audit ~tol:dtol
+                 ~objective6:
+                   { Solution_certify.Exact.lambda; latency; claimed = obj6 }
+                 inst ~p part ~cost)
         in
         (Some cost, Some obj6, certs, exact)
     in

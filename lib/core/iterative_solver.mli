@@ -54,7 +54,9 @@ type result = {
   outcome : Qp_solver.outcome;          (** of the final (full) round *)
   partitioning : Partitioning.t option; (** original attribute space *)
   cost : float option;                  (** objective (4), after polish *)
-  objective6 : float option;            (** objective (6), after polish *)
+  objective6 : float option;
+      (** objective (6) after polish, latency term included when
+          [qp.latency] is set *)
   elapsed : float;
   rounds : round_info list;             (** in execution order *)
   diagnostics : Vpart_analysis.Diagnostic.t list;

@@ -458,7 +458,10 @@ let solve ?(options = default_options) (inst : Instance.t) =
     let partitioning = Option.map (Grouping.expand grouping) partitioning_reduced in
     let cost = Option.map (Cost_model.cost full_stats) partitioning in
     let objective6 =
-      Option.map (Cost_model.objective full_stats ~lambda:options.lambda) partitioning
+      let latency = Option.map (fun pl -> (inst, pl)) options.latency in
+      Option.map
+        (Cost_model.objective ?latency full_stats ~lambda:options.lambda)
+        partitioning
     in
     let copts =
       let base = Vpart_certify.Certify.default_options in
@@ -524,25 +527,18 @@ let solve ?(options = default_options) (inst : Instance.t) =
             ~var_name:(Lp.var_name model) model mip_outcome mip_stats
         in
         let domain_exact =
-          match partitioning with
-          | None -> Exact.empty
-          | Some part ->
-            let o6 =
-              match claimed_obj6 with
-              | Some obj6 ->
-                Solution_certify.Exact.objective6 ~tol:dtol inst
-                  ~p:options.p ~lambda:options.lambda
-                  ?latency:options.latency part ~claimed:obj6
-              | None -> Exact.empty
+          match (partitioning, cost) with
+          | Some part, Some cost ->
+            let objective6 =
+              Option.map
+                (fun claimed ->
+                   { Solution_certify.Exact.lambda = options.lambda;
+                     latency = options.latency; claimed })
+                claimed_obj6
             in
-            let c4 =
-              match cost with
-              | Some c ->
-                Solution_certify.Exact.cost ~tol:dtol inst ~p:options.p part
-                  ~claimed:c
-              | None -> Exact.empty
-            in
-            Exact.merge o6 c4
+            Solution_certify.Exact.audit ~tol:dtol ?objective6 inst
+              ~p:options.p part ~cost
+          | _ -> Exact.empty
         in
         Some (Exact.merge mip_exact domain_exact)
     in

@@ -99,7 +99,9 @@ type result = {
   outcome : outcome;
   partitioning : Partitioning.t option;  (** in the original attribute space *)
   cost : float option;        (** objective (4) of the returned partitioning *)
-  objective6 : float option;  (** objective (6), what the MIP minimized *)
+  objective6 : float option;
+      (** objective (6), what the MIP minimized: the latency term is
+          included when [latency] is set *)
   bound : float option;       (** best proven lower bound on objective (6) *)
   elapsed : float;
   nodes : int;

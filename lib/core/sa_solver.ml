@@ -992,7 +992,9 @@ let solve ?(options = default_options) (inst : Instance.t) =
   let partitioning = Grouping.expand grouping best in
   let cost = Cost_model.cost full_stats partitioning in
   let objective6 =
-    Cost_model.objective full_stats ~lambda:options.lambda partitioning
+    let latency = Option.map (fun pl -> (inst, pl)) options.latency in
+    Cost_model.objective ?latency full_stats ~lambda:options.lambda
+      partitioning
   in
   let dtol = Option.value options.certify_tol ~default:1e-6 in
   let certificate =
@@ -1020,7 +1022,8 @@ let solve ?(options = default_options) (inst : Instance.t) =
             @ Solution_certify.certify_cost ~tol:dtol ~code:"C203" inst
                 ~p:options.p partitioning ~claimed:cost
             @ Solution_certify.certify_objective6 ~tol:dtol inst ~p:options.p
-                ~lambda:options.lambda partitioning ~claimed:objective6))
+                ~lambda:options.lambda ?latency:options.latency partitioning
+                ~claimed:objective6))
   in
   let exact =
     if not options.certify_exact then None
@@ -1028,13 +1031,12 @@ let solve ?(options = default_options) (inst : Instance.t) =
       (* The annealer emits no MIP-level artifacts; the exact audit covers
          the domain-level claims (cost and objective-(6) agreement) in
          rational arithmetic. *)
-      let module Exact = Vpart_certify.Certify.Exact in
       Some
-        (Exact.merge
-           (Solution_certify.Exact.cost ~tol:dtol inst ~p:options.p
-              partitioning ~claimed:cost)
-           (Solution_certify.Exact.objective6 ~tol:dtol inst ~p:options.p
-              ~lambda:options.lambda partitioning ~claimed:objective6))
+        (Solution_certify.Exact.audit ~tol:dtol
+           ~objective6:
+             { Solution_certify.Exact.lambda = options.lambda;
+               latency = options.latency; claimed = objective6 }
+           inst ~p:options.p partitioning ~cost)
   in
   {
     partitioning;

@@ -103,7 +103,9 @@ type search_stats = {
 type result = {
   partitioning : Partitioning.t;  (** original attribute space; validated *)
   cost : float;                   (** objective (4) *)
-  objective6 : float;             (** objective (6), the annealed quantity *)
+  objective6 : float;
+      (** objective (6), the annealed quantity (latency term included
+          when [latency] is set) *)
   elapsed : float;
   iterations : int;               (** inner iterations executed *)
   accepted : int;                 (** accepted moves *)

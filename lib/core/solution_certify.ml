@@ -204,69 +204,69 @@ module Exact = struct
       findings;
     }
 
-  let cost ?(tol = 1e-6) inst ~p part ~claimed =
-    Obs.timed "certify.exact.cost.seconds" @@ fun () ->
-    let bq = breakdown inst part in
-    let exact =
-      Q.add bq.read_local
-        (Q.add bq.write_local (Q.mul (Q.of_float p) bq.transfer))
-    in
-    let bf = Cost_model.breakdown inst part in
-    let indep = independent_cost bf ~p in
-    let threshold = rel tol indep in
-    let float_ok = Float.abs (indep -. claimed) <= threshold in
-    value_report ~claim:"cost (objective 4)" ~refuted_code:"E103"
-      ~masked_code:"E104" ~masked_sev:Diagnostic.Info ~float_ok ~threshold
-      ~exact ~claimed
-      (Printf.sprintf "exact read %s + write %s + %g x transfer %s"
-         (Q.to_short_string bq.read_local)
-         (Q.to_short_string bq.write_local)
-         p
-         (Q.to_short_string bq.transfer))
+  type objective6 = { lambda : float; latency : float option; claimed : float }
 
-  let objective6 ?(tol = 1e-6) inst ~p ~lambda ?latency:pl part ~claimed =
-    Obs.timed "certify.exact.objective6.seconds" @@ fun () ->
-    let bq = breakdown inst part in
-    let lq = Q.of_float lambda in
+  let audit ?(tol = 1e-6) ?objective6 inst ~p part ~cost:claimed_cost =
+    Obs.with_span "certify.exact" @@ fun () ->
+    Obs.timed "certify.exact.domain.seconds" @@ fun () ->
+    (* One exact and one float breakdown serve both claims; the float side
+       is the view of {!certify_cost}/{!certify_objective6} the exact
+       verdicts are paired with. *)
+    let bq = breakdown inst part and bf = Cost_model.breakdown inst part in
     let cost_q =
       Q.add bq.read_local
         (Q.add bq.write_local (Q.mul (Q.of_float p) bq.transfer))
     in
-    let work_q = Array.fold_left Q.max Q.zero bq.site_work in
-    let lat_q =
-      match pl with
-      | None -> Q.zero
-      | Some pl -> Q.mul lq (latency inst ~pl part)
-    in
-    let exact =
-      Q.add
-        (Q.add (Q.mul lq cost_q)
-           (Q.mul (Q.sub Q.one lq) work_q))
-        lat_q
-    in
-    (* float layer's view, mirroring {!certify_objective6} *)
-    let bf = Cost_model.breakdown inst part in
     let cost_f = independent_cost bf ~p in
-    let work_f = Array.fold_left Float.max 0. bf.Cost_model.site_work in
-    let lat_f =
-      match pl with
-      | None -> 0.
-      | Some pl -> lambda *. Cost_model.latency inst ~pl part
+    let o6 =
+      match objective6 with
+      | None -> E.empty
+      | Some { lambda; latency = pl; claimed } ->
+        let lq = Q.of_float lambda in
+        let work_q = Array.fold_left Q.max Q.zero bq.site_work in
+        let lat_q, lat_f =
+          match pl with
+          | None -> (Q.zero, 0.)
+          | Some pl ->
+            ( Q.mul lq (latency inst ~pl part),
+              lambda *. Cost_model.latency inst ~pl part )
+        in
+        let exact =
+          Q.add
+            (Q.add (Q.mul lq cost_q) (Q.mul (Q.sub Q.one lq) work_q))
+            lat_q
+        in
+        let work_f = Array.fold_left Float.max 0. bf.Cost_model.site_work in
+        let indep =
+          (lambda *. cost_f) +. ((1. -. lambda) *. work_f) +. lat_f
+        in
+        let threshold = rel tol indep in
+        let float_ok = Float.abs (indep -. claimed) <= threshold in
+        value_report ~claim:"objective (6)" ~refuted_code:"E101"
+          ~masked_code:"E102" ~masked_sev:Diagnostic.Info ~float_ok
+          ~threshold ~exact ~claimed
+          (Printf.sprintf
+             "lambda %g, exact cost %s, exact max site work %s%s" lambda
+             (Q.to_short_string cost_q)
+             (Q.to_short_string work_q)
+             (if Q.is_zero lat_q then ""
+              else
+                Printf.sprintf ", exact latency term %s"
+                  (Q.to_short_string lat_q)))
     in
-    let indep = (lambda *. cost_f) +. ((1. -. lambda) *. work_f) +. lat_f in
-    let threshold = rel tol indep in
-    let float_ok = Float.abs (indep -. claimed) <= threshold in
-    value_report ~claim:"objective (6)" ~refuted_code:"E101"
-      ~masked_code:"E102" ~masked_sev:Diagnostic.Info ~float_ok ~threshold
-      ~exact ~claimed
-      (Printf.sprintf
-         "lambda %g, exact cost %s, exact max site work %s%s" lambda
-         (Q.to_short_string cost_q)
-         (Q.to_short_string work_q)
-         (if Q.is_zero lat_q then ""
-          else
-            Printf.sprintf ", exact latency term %s"
-              (Q.to_short_string lat_q)))
+    let threshold = rel tol cost_f in
+    let float_ok = Float.abs (cost_f -. claimed_cost) <= threshold in
+    let c4 =
+      value_report ~claim:"cost (objective 4)" ~refuted_code:"E103"
+        ~masked_code:"E104" ~masked_sev:Diagnostic.Info ~float_ok ~threshold
+        ~exact:cost_q ~claimed:claimed_cost
+        (Printf.sprintf "exact read %s + write %s + %g x transfer %s"
+           (Q.to_short_string bq.read_local)
+           (Q.to_short_string bq.write_local)
+           p
+           (Q.to_short_string bq.transfer))
+    in
+    E.merge o6 c4
 end
 
 let certify_pins ~fixed part =

@@ -59,28 +59,30 @@ val certify_objective6 :
     all.  Codes: [E101] (error) / [E102] (info) for objective (6),
     [E103] (error) / [E104] (info) for the cost claim. *)
 module Exact : sig
-  val cost :
-    ?tol:float ->
-    Instance.t ->
-    p:float ->
-    Partitioning.t ->
-    claimed:float ->
-    Vpart_certify.Certify.Exact.report
-  (** Exact re-derivation of objective (4); [tol] (default [1e-6]) is the
-      {e float} layer's relative tolerance used to classify the exact
-      residual as masked vs refuted. *)
+  type objective6 = {
+    lambda : float;
+    latency : float option;  (** the [pl] penalty, when the claim has one *)
+    claimed : float;
+  }
+  (** An objective-(6) claim and the [λ] and latency penalty it was made
+      with. *)
 
-  val objective6 :
+  val audit :
     ?tol:float ->
+    ?objective6:objective6 ->
     Instance.t ->
     p:float ->
-    lambda:float ->
-    ?latency:float ->
     Partitioning.t ->
-    claimed:float ->
+    cost:float ->
     Vpart_certify.Certify.Exact.report
-  (** Exact re-derivation of objective (6), latency term included when
-      [latency] is set (the [pl] penalty). *)
+  (** Exact re-derivation of the [cost] claim (objective (4)) and, when
+      given, the [objective6] claim (latency term included when set), from
+      one exact breakdown of the layout.  The report lists the
+      objective-(6) check first.  [tol] (default [1e-6]) is the {e float}
+      layer's relative tolerance used to classify each exact residual as
+      masked vs refuted.  Runs inside the [certify.exact] Obs span, a
+      sibling of {!Vpart_certify.Certify.Exact.audit}'s, and records the
+      [certify.exact.domain.seconds] histogram. *)
 end
 
 val certify_pins :

@@ -5,9 +5,12 @@
    schoolbook multiplication needs no splitting.  The numbers flowing
    through the exact auditor are embeddings of IEEE-754 doubles (53-bit
    mantissas, exponents within ±1074) and their sums/products, so limb
-   counts stay small; the shift-and-subtract division and binary gcd are
-   O(bits·limbs) and O(bits²/limb) respectively, which is far below the
-   cost of the solves being audited. *)
+   counts stay small and every denominator is a power of two.
+   [normalize] exploits that: it shifts out the common power of two and
+   stops there when either side is left a power of two, which is coprime
+   with the odd other side.  Only non-dyadic values (quotients from [div])
+   pay for the binary gcd, O(bits²/limb), and the shift-and-subtract
+   division, O(bits·limbs) with fresh arrays per bit. *)
 
 (* ------------------------------------------------------------------ *)
 (* Big naturals                                                        *)
@@ -270,14 +273,24 @@ type t = { neg : bool; num : nat; den : nat }
 
 let zero = { neg = false; num = nat_zero; den = nat_one }
 
+(* [a <> 0] is a power of two: its lowest set bit is its highest. *)
+let nat_is_pow2 (a : nat) = nat_trailing_zeros a = nat_num_bits a - 1
+
+(* After the shift one side is odd, so a power-of-two other side (1
+   included) leaves the pair coprime without a gcd. *)
 let normalize neg num den =
   if nat_is_zero num then zero
   else begin
-    let g = nat_gcd num den in
-    if nat_is_one g then { neg; num; den }
+    let k = Stdlib.min (nat_trailing_zeros num) (nat_trailing_zeros den) in
+    let num = nat_shift_right num k and den = nat_shift_right den k in
+    if nat_is_pow2 den || nat_is_pow2 num then { neg; num; den }
     else begin
-      let num, _ = nat_divmod num g and den, _ = nat_divmod den g in
-      { neg; num; den }
+      let g = nat_gcd num den in
+      if nat_is_one g then { neg; num; den }
+      else begin
+        let num, _ = nat_divmod num g and den, _ = nat_divmod den g in
+        { neg; num; den }
+      end
     end
   end
 

@@ -18,7 +18,10 @@
 
     Values are kept normalized: the denominator is positive and coprime
     with the numerator, so {!equal} and {!compare} are structural truths,
-    not tolerance checks. *)
+    not tolerance checks.  Normalizing a dyadic value (denominator a
+    power of two: every embedded double and every sum or product of them)
+    costs two shifts; only other values pay for a gcd and a long
+    division. *)
 
 type t
 (** A rational number.  Immutable. *)

@@ -206,6 +206,60 @@ let test_exact_accepts_bundled_solves () =
            (D.has_errors ex.E.findings))
     (bundled_instances ())
 
+(* ------------------------------------------------------------------ *)
+(* Domain claims: one exact breakdown, both claims                     *)
+(* ------------------------------------------------------------------ *)
+
+(* On full-mantissa frequencies (tpcc-scaled.json) with the latency term
+   on: the true cost and objective-(6) claims are exactly valid or
+   tolerance-masked, and claims 1 % off are exactly refuted as E101/E103.
+   The objective-(6) check comes first in the report. *)
+let test_domain_audit_refutes_off_claims () =
+  let file =
+    List.find
+      (fun f -> Filename.basename f = "tpcc-scaled.json")
+      (bundled_instances ())
+  in
+  let inst = Codec.load_instance file in
+  let lambda = 0.9 and pl = 50. in
+  let sa =
+    Sa_solver.solve
+      ~options:{ Sa_solver.default_options with
+                 Sa_solver.num_sites = 3; lambda; latency = Some pl }
+      inst
+  in
+  let part = sa.Sa_solver.partitioning in
+  let cost = sa.Sa_solver.cost and obj6 = sa.Sa_solver.objective6 in
+  let audit ~cost ~obj6 =
+    Solution_certify.Exact.audit
+      ~objective6:
+        { Solution_certify.Exact.lambda; latency = Some pl; claimed = obj6 }
+      inst ~p:8. part ~cost
+  in
+  let verdicts r = List.map (fun c -> (c.E.code, c.E.verdict)) r.E.checks in
+  let truth = audit ~cost ~obj6 in
+  List.iter
+    (fun (code, v) ->
+       Alcotest.(check bool)
+         (code ^ ": true claim valid or masked") true
+         (v = E.Exactly_valid || v = E.Masked_violation))
+    (verdicts truth);
+  Alcotest.(check (list string)) "true claims: objective (6), then cost"
+    [ "objective (6)"; "cost (objective 4)" ]
+    (List.map (fun c -> c.E.claim) truth.E.checks);
+  Alcotest.(check bool) "true claims: no error findings" false
+    (D.has_errors truth.E.findings);
+  let off = audit ~cost:(cost *. 1.01) ~obj6:(obj6 *. 1.01) in
+  Alcotest.(check bool) "both off claims exactly refuted" true
+    (verdicts off
+     = [ ("E101", E.Exactly_refuted); ("E103", E.Exactly_refuted) ]);
+  Alcotest.(check bool) "E101 and E103 errors reported" true
+    (has_code "E101" (D.errors off.E.findings)
+     && has_code "E103" (D.errors off.E.findings));
+  let cost_only = Solution_certify.Exact.audit inst ~p:8. part ~cost in
+  Alcotest.(check int) "cost only: one check" 1
+    (List.length cost_only.E.checks)
+
 let () =
   Alcotest.run "exact"
     [
@@ -227,6 +281,9 @@ let () =
           Alcotest.test_case "zero ray refuted (E010)" `Quick
             test_zero_ray_refuted;
         ] );
+      ( "domain",
+        [ Alcotest.test_case "off claims refuted, true claims hold" `Quick
+            test_domain_audit_refutes_off_claims ] );
       ( "bundled-instances",
         [ Alcotest.test_case "exact accepts float-certified solves" `Slow
             test_exact_accepts_bundled_solves ] );

@@ -250,6 +250,74 @@ let test_latency_reduces_remote_writes () =
          Alcotest.failf "seed %d: latency-aware SA has more remote writes" seed)
     [ 1; 2; 3; 4; 5 ]
 
+(* Every solver reports objective (6) with the Appendix-A term when
+   [latency] is set: the QP's value is the MIP optimum (so it meets the
+   proven bound within the gap), and SA's and the iterative solver's are
+   [Cost_model.objective] plus [λ·latency].  All three certify clean,
+   float and exact, against the same latency-aware claim. *)
+let test_objective6_includes_latency () =
+  let inst = Lazy.force Tpcc.instance in
+  let lambda = 0.9 and pl = 50. in
+  let stats = Stats.compute inst ~p:8. in
+  let with_latency name part obj6 =
+    let base = Cost_model.objective stats ~lambda part in
+    let want = base +. (lambda *. Cost_model.latency inst ~pl part) in
+    if Float.abs (obj6 -. want) > 1e-9 *. (1. +. Float.abs want) then
+      Alcotest.failf "%s: objective6 %.9g <> objective %.9g + latency term"
+        name obj6 base;
+    base
+  in
+  let clean name cert exact =
+    (match cert with
+     | Some ds when not (Vpart_analysis.Diagnostic.has_errors ds) -> ()
+     | _ -> Alcotest.failf "%s: float certificate missing or has errors" name);
+    match exact with
+    | Some r ->
+      let _, _, refuted, _ = Vpart_certify.Certify.Exact.counts r in
+      Alcotest.(check int) (name ^ ": 0 exactly refuted") 0 refuted
+    | None -> Alcotest.failf "%s: exact report missing" name
+  in
+  let qp_options =
+    { Qp_solver.default_options with
+      Qp_solver.num_sites = 2; lambda; latency = Some pl; time_limit = 30.;
+      certify = true; certify_exact = true }
+  in
+  let qp = Qp_solver.solve ~options:qp_options inst in
+  (match
+     (qp.Qp_solver.outcome, qp.Qp_solver.partitioning,
+      qp.Qp_solver.objective6, qp.Qp_solver.bound)
+   with
+   | Qp_solver.Proved_optimal, Some part, Some obj6, Some bound ->
+     let base = with_latency "qp" part obj6 in
+     Alcotest.(check bool) "qp: the latency term is non-zero" true
+       (obj6 > base);
+     let gap = qp_options.Qp_solver.gap in
+     if bound > obj6 +. 1e-6 || obj6 -. bound > gap *. Float.abs obj6 +. 1e-6
+     then
+       Alcotest.failf "qp: objective6 %.9g is not the MIP optimum (bound %.9g)"
+         obj6 bound
+   | _ -> Alcotest.fail "qp: expected a proved optimum with a bound");
+  clean "qp" qp.Qp_solver.certificate qp.Qp_solver.exact;
+  let sa =
+    Sa_solver.solve
+      ~options:{ Sa_solver.default_options with
+                 Sa_solver.num_sites = 2; lambda; latency = Some pl;
+                 certify = true; certify_exact = true }
+      inst
+  in
+  ignore (with_latency "sa" sa.Sa_solver.partitioning sa.Sa_solver.objective6);
+  clean "sa" sa.Sa_solver.certificate sa.Sa_solver.exact;
+  let it =
+    Iterative_solver.solve
+      ~options:{ Iterative_solver.default_options with
+                 Iterative_solver.qp = qp_options }
+      inst
+  in
+  (match (it.Iterative_solver.partitioning, it.Iterative_solver.objective6) with
+   | Some part, Some obj6 -> ignore (with_latency "iter" part obj6)
+   | _ -> Alcotest.fail "iter: no solution");
+  clean "iter" it.Iterative_solver.certificate it.Iterative_solver.exact
+
 (* ------------------------------------------------------------------ *)
 (* Advisor                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -405,6 +473,8 @@ let () =
            test_huge_latency_penalty_forces_locality;
          Alcotest.test_case "reduces remote writes" `Quick
            test_latency_reduces_remote_writes;
+         Alcotest.test_case "objective6 includes the latency term" `Quick
+           test_objective6_includes_latency;
        ]);
       ("advisor",
        [ Alcotest.test_case "deltas exact" `Quick test_advisor_deltas_exact;

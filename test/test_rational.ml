@@ -154,6 +154,88 @@ let prop_compare_consistent_with_floats =
           to the same rational, so skip that single pair *)
        || (fa = 0. && fb = 0.))
 
+(* ------------------------------------------------------------------ *)
+(* Normalization                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [equal] is structural, so every result must come back fully reduced.
+   Numerators and denominators are drawn as odd·2^k with the odd part
+   often 1, so the draws cover pure dyadic, mixed and odd denominators;
+   the expected string comes from an independent [int] gcd. *)
+let gen_odd_pow2 =
+  let open QCheck2.Gen in
+  let* odd = oneof [ return 1; map (fun k -> (2 * k) + 1) (int_bound 500_000) ] in
+  let* k = int_bound 20 in
+  return (odd lsl k)
+
+let prop_make_reduces =
+  QCheck2.Test.make ~count:1000
+    ~name:"make n d prints as the int-gcd reduction of n/d"
+    QCheck2.Gen.(quad gen_odd_pow2 gen_odd_pow2 bool bool)
+    (fun (n, d, neg_n, neg_d) ->
+       let n = if neg_n then -n else n and d = if neg_d then -d else d in
+       let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+       let g = gcd (abs n) (abs d) in
+       let sign = if (n < 0) <> (d < 0) then "-" else "" in
+       let rn = abs n / g and rd = abs d / g in
+       let want =
+         if rd = 1 then Printf.sprintf "%s%d" sign rn
+         else Printf.sprintf "%s%d/%d" sign rn rd
+       in
+       Q.to_string (Q.make n d) = want)
+
+(* Decimal-string helpers for checking big numerators and denominators
+   without access to the representation. *)
+let halve digits =
+  let buf = Buffer.create (String.length digits) and rem = ref 0 in
+  String.iter
+    (fun c ->
+       let cur = (!rem * 10) + Char.code c - Char.code '0' in
+       if Buffer.length buf > 0 || cur / 2 > 0 then
+         Buffer.add_char buf (Char.chr (Char.code '0' + (cur / 2)));
+       rem := cur mod 2)
+    digits;
+  if Buffer.length buf = 0 then "0" else Buffer.contents buf
+
+let is_odd digits =
+  (Char.code digits.[String.length digits - 1] - Char.code '0') mod 2 = 1
+
+let rec is_pow2 digits =
+  digits = "1" || ((not (is_odd digits)) && digits <> "0" && is_pow2 (halve digits))
+
+let prop_dyadic_results_reduced =
+  QCheck2.Test.make ~count:300
+    ~name:"sums and products of embedded doubles: 2^k denominator, odd \
+           numerator above 1"
+    QCheck2.Gen.(triple gen_finite_float gen_finite_float gen_finite_float)
+    (fun (fa, fb, fc) ->
+       let a = Q.of_float fa and b = Q.of_float fb and c = Q.of_float fc in
+       List.for_all
+         (fun v ->
+            let s = Q.to_string v in
+            let s =
+              if s.[0] = '-' then String.sub s 1 (String.length s - 1) else s
+            in
+            match String.index_opt s '/' with
+            | None -> true
+            | Some i ->
+              let num = String.sub s 0 i
+              and den = String.sub s (i + 1) (String.length s - i - 1) in
+              is_pow2 den && den <> "1" && is_odd num)
+         [ a; Q.add a b; Q.mul a b; Q.add (Q.mul a b) c; Q.sub (Q.mul a c) b ])
+
+let gen_ratio =
+  let open QCheck2.Gen in
+  let* n = int_range (-1_000_000) 1_000_000 in
+  let* d = int_range 1 1_000_000 in
+  return (Q.make n d)
+
+let prop_div_inverts_mul =
+  QCheck2.Test.make ~count:500
+    ~name:"div (mul a b) b = a on general (non-dyadic) rationals"
+    QCheck2.Gen.(pair gen_ratio gen_ratio)
+    (fun (a, b) -> Q.is_zero b || Q.equal (Q.div (Q.mul a b) b) a)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rational"
@@ -171,5 +253,10 @@ let () =
           q prop_of_float_decomposition;
           q prop_field_laws;
           q prop_compare_consistent_with_floats;
+        ] );
+      ( "normalize",
+        [ q prop_make_reduces;
+          q prop_dyadic_results_reduced;
+          q prop_div_inverts_mul;
         ] );
     ]
