@@ -520,35 +520,6 @@ let suite () =
     [ "TPC-C v5"; "TATP"; "SmallBank"; "Voter"; "rndAt8x15"; "rndBt16x15" ]
 
 (* ------------------------------------------------------------------ *)
-(* Certification overhead: same QP solve with certificates off and on   *)
-(* ------------------------------------------------------------------ *)
-
-let certify_overhead () =
-  section "Certification overhead (QP solve, certify off vs on)";
-  Printf.printf "%-10s | %9s %9s %9s | %s\n" "instance" "off (s)" "on (s)"
-    "overhead" "verdict";
-  hr ();
-  List.iter
-    (fun name ->
-       let inst = get_instance name in
-       let time f =
-         let t0 = Obs.Clock.now () in
-         let r = f () in
-         (r, Obs.Clock.now () -. t0)
-       in
-       let opts certify =
-         { (qp_options ~time_limit:30. 2) with
-           Qp_solver.certify; gap = 0.01 }
-       in
-       let _, t_off = time (fun () -> Qp_solver.solve ~options:(opts false) inst) in
-       let r, t_on = time (fun () -> Qp_solver.solve ~options:(opts true) inst) in
-       Printf.printf "%-10s | %9.3f %9.3f %8.1f%% | %s\n%!" name t_off t_on
-         (100. *. (t_on -. t_off) /. Float.max 1e-9 t_off)
-         (Format.asprintf "%a" Report.pp_certificate r.Qp_solver.certificate))
-    [ "TPC-C v5"; "TATP"; "SmallBank"; "Voter" ];
-  hr ()
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead: same QP solve with tracing off / no-op sink  *)
 (* / JSONL sink                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1011,8 +982,7 @@ let simplex_sweep () =
   hr ()
 
 (* ------------------------------------------------------------------ *)
-(* N/S analysis: overhead of the static passes and the measured payoff  *)
-(* of the --scale remediation                                           *)
+(* N/S analysis: overhead of the static passes over the built model     *)
 (* ------------------------------------------------------------------ *)
 
 let analyze_bench () =
@@ -1057,37 +1027,6 @@ let analyze_bench () =
              ] )
          :: !json_results)
     names;
-  hr ();
-
-  section "Scaling payoff (root LP dual simplex, unscaled vs --scale)";
-  Printf.printf "%-10s | %8s %8s | %8s %8s | %s\n" "instance" "iter" "iter'"
-    "obj" "obj'" "agree";
-  hr ();
-  List.iter
-    (fun name ->
-       let inst = get_instance name in
-       let std = std_for inst 2 in
-       let sstd = Scaling.scale (Scaling.scaling std) std in
-       let a = Simplex.solve std and b = Simplex.solve sstd in
-       let agree =
-         Float.abs (a.Simplex.obj -. b.Simplex.obj)
-         <= 1e-6 *. (1. +. Float.abs a.Simplex.obj)
-       in
-       Printf.printf "%-10s | %8d %8d | %8.1f %8.1f | %s\n%!" name
-         a.Simplex.iterations b.Simplex.iterations a.Simplex.obj b.Simplex.obj
-         (if agree then "yes" else "NO");
-       json_results :=
-         ( "scale-root-lp/" ^ name,
-           Json.Obj
-             [
-               ("unscaled_iterations", Json.Int a.Simplex.iterations);
-               ("scaled_iterations", Json.Int b.Simplex.iterations);
-               ("unscaled_obj", Json.Float a.Simplex.obj);
-               ("scaled_obj", Json.Float b.Simplex.obj);
-               ("objectives_agree", Json.Bool agree);
-             ] )
-         :: !json_results)
-    names;
   hr ()
 
 (* ------------------------------------------------------------------ *)
@@ -1098,7 +1037,7 @@ let usage () =
   print_endline
     "usage: main.exe [--qp-limit SECONDS] [--lambda L] [--max-rows N] [--seed N]\n\
     \                [--json-out FILE]\n\
-    \                [table1|table2|table3|table4|table5|table6|ablation|suite|certify|obs|par|batch|perf|simplex-sweep|analyze|all]...";
+    \                [table1|table2|table3|table4|table5|table6|ablation|suite|obs|par|batch|perf|simplex-sweep|analyze|all]...";
   exit 1
 
 let () =
@@ -1125,7 +1064,6 @@ let () =
     | "table6" -> table6 ()
     | "ablation" -> ablation ()
     | "suite" -> suite ()
-    | "certify" -> certify_overhead ()
     | "obs" -> obs_overhead ()
     | "par" -> par_speedup ()
     | "batch" -> batch_throughput ()
@@ -1137,7 +1075,7 @@ let () =
         "vpart experiment harness (p=%.0f, lambda=%.2f, QP limit %.0fs)\n"
         cfg.p cfg.lambda cfg.qp_limit;
       table2 (); table1 (); table3 (); table4 (); table5 (); table6 ();
-      ablation (); suite (); certify_overhead (); obs_overhead ();
+      ablation (); suite (); obs_overhead ();
       par_speedup (); batch_throughput (); perf (); simplex_sweep ();
       analyze_bench ()
     | j -> Printf.printf "unknown job %S\n" j; usage ()

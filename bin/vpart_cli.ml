@@ -422,18 +422,18 @@ let analyze_cmd =
         ("orbits", Json.List (List.map (fun n -> Json.Int n) pr.Structure.p_orbits));
       ]
   in
-  (* Root-LP cap: the sparse LU kernel sustains paper-scale bases, so cap
-     analysis solves the same way Qp_solver.default_options.max_rows does. *)
-  let root_cap = 32000 in
+  (* The root LP of the model branch-and-bound searches, under the row
+     cap Mip.solve applies by default. *)
   let root_feedback std =
-    if std.Lp.nrows > root_cap then
+    match Mip.default_limits.Mip.max_rows with
+    | Some cap when std.Lp.nrows > cap ->
       [
         Diagnostic.info ~code:"N101"
           "root LP not solved: %d rows exceed the %d-row analysis cap"
-          std.Lp.nrows root_cap;
+          std.Lp.nrows cap;
       ]
-    else begin
-      let sx = Simplex.create std in
+    | _ ->
+      let sx = Simplex.create (snd (Scaling.equilibrate std)) in
       ignore (Simplex.reoptimize sx);
       Numerics_lint.runtime_feedback
         ~iterations:(Simplex.iterations sx)
@@ -441,7 +441,6 @@ let analyze_cmd =
         ~drift_rebuilds:(Simplex.drift_rebuilds sx)
         ~recovery_rebuilds:(Simplex.recovery_rebuilds sx)
         ~max_eta_length:(Simplex.max_eta_length sx)
-    end
   in
   let run files sites p lambda disjoint no_grouping strict format solve_root
       jobs =
@@ -540,8 +539,9 @@ let analyze_cmd =
           numerical/structural static-analysis passes over it: conditioning \
           and scaling ($(b,N001)-$(b,N008)), sparsity, block structure, \
           fill-in and symmetry orbits ($(b,S001)-$(b,S005)); see \
-          docs/ANALYSIS.md.  Ill-scaling findings point at $(b,solve \
-          --scale); the QP solver pins site symmetry itself.  Exits \
+          docs/ANALYSIS.md.  The findings diagnose the model as built: \
+          branch-and-bound equilibrates it and pins site symmetry itself, \
+          and $(b,--solve-root) solves the equilibrated root.  Exits \
           non-zero if any Error-level finding is present.")
     Term.(
       const run $ files_term $ sites_term $ p_term $ lambda_term
@@ -604,16 +604,6 @@ let solve_cmd =
             "Pivots between sparse LU basis refactorizations of the node \
              LPs.")
   in
-  let scale_term =
-    Arg.(
-      value & flag
-      & info [ "scale" ]
-          ~doc:
-            "Geometric-mean scale the layout model inside the QP/iterative \
-             branch-and-bound (power-of-two factors, exactly back-mapped; \
-             certificates unaffected).  Remediation for the \
-             $(b,N001)/$(b,N002)/$(b,N007) findings of $(b,vpart analyze).")
-  in
   let trace_term =
     Arg.(
       value
@@ -661,7 +651,7 @@ let solve_cmd =
              verdict pairs and failing on exactly-refuted claims.")
   in
   let run inst solver sites p lambda disjoint no_grouping jobs time_limit seed
-      refactor_every scale json lint_model certify exact tol
+      refactor_every json lint_model certify exact tol
       trace progress metrics_summary gc_stats output =
     let jobs = max 1 jobs in
     if lint_model then begin
@@ -822,7 +812,6 @@ let solve_cmd =
           certify_tol = tol;
           jobs;
           refactor_every;
-          scale;
         }
       in
       let r = Qp_solver.solve ~options inst in
@@ -862,7 +851,6 @@ let solve_cmd =
               certify_tol = tol;
               jobs;
               refactor_every;
-              scale;
             };
         }
       in
@@ -917,7 +905,7 @@ let solve_cmd =
       term_result
         (const run $ instance_term $ solver_term $ sites_term $ p_term
          $ lambda_term $ disjoint_term $ no_grouping_term $ jobs_term
-         $ time_limit_term $ seed_term $ refactor_every_term $ scale_term $ json_term
+         $ time_limit_term $ seed_term $ refactor_every_term $ json_term
          $ lint_model_term $ certify_term $ exact_term $ tol_term
          $ trace_term $ progress_term $ metrics_term $ gc_stats_term
          $ output_term))

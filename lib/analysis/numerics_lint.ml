@@ -45,7 +45,9 @@ let check_row_scaling (std : Lp.std) push =
     push
       (D.warning ~code:"N001"
          "%d ill-scaled row(s): in-row coefficient magnitude ratio exceeds \
-          %g (worst: row %d, ratio %.3g) — consider --scale"
+          %g (worst: row %d, ratio %.3g) — branch-and-bound searches an \
+          equilibrated copy; a spread on integer columns, which keep \
+          factor 1, needs a reformulation"
          !bad row_ratio_limit !worst !worst_ratio)
 
 (* Column-major view: per column, the list of (row, value) with finite
@@ -87,7 +89,9 @@ let check_col_scaling ~vname cols push =
     push
       (D.warning ~code:"N002"
          "%d ill-scaled column(s): in-column coefficient magnitude ratio \
-          exceeds %g (worst: %s, ratio %.3g) — consider --scale"
+          exceeds %g (worst: %s, ratio %.3g) — branch-and-bound searches \
+          an equilibrated copy; an integer column keeps factor 1 and needs \
+          a reformulation"
          !bad col_ratio_limit (vname !worst) !worst_ratio)
 
 (* N003: big-M constants — huge both absolutely and relative to the
@@ -259,7 +263,8 @@ let check_condition cols push =
       push
         (D.warning ~code:"N007"
            "basis condition estimate %.3g (column 2-norms span %.3g .. %.3g, \
-            limit %g) — refactorization drift likely; consider --scale"
+            limit %g) — refactorization drift likely on this model; \
+            branch-and-bound searches an equilibrated copy"
            est !mn !mx cond_estimate_limit)
     else
       push
@@ -308,6 +313,7 @@ let runtime_feedback ~iterations ~refactorizations ~drift_rebuilds
     @ [ D.warning ~code:"N102"
           "numerical stress observed at runtime: %d drift-triggered and %d \
            recovery refactorization(s) — the static N-code predictions are \
-           confirmed; consider --scale"
+           confirmed; equilibration did not remove them, so reformulate the \
+           model"
           drift_rebuilds recovery_rebuilds ]
   else out

@@ -4,9 +4,12 @@
     empty rows, contradictions), this pass predicts {e numerical} solver
     behaviour from the coefficient data alone: ill-scaled rows and columns,
     big-M constants, near-parallel rows, duplicate columns, root-vertex
-    degeneracy and a cheap basis-condition estimate.  Every finding points
-    at a remediation ([--scale] geometric-mean scaling, model reformulation),
-    so the codes are load-bearing rather than advisory.
+    degeneracy and a cheap basis-condition estimate.  The findings
+    diagnose the model as built.  Branch-and-bound always searches an
+    equilibrated copy ([Vpart_lp.Scaling.equilibrate]), so a scaling
+    finding that matters in the search is one equilibration cannot fix:
+    a spread on integer columns (factor 1) or one that survives into the
+    root solve ([N102]); those call for a reformulation.
 
     Codes are catalogued in [docs/ANALYSIS.md]:
 
@@ -75,4 +78,6 @@ val runtime_feedback :
     the loop between static prediction and runtime behaviour: [N101]
     (info) summarizes the solve effort; [N102] (warning) fires when any
     drift-triggered or numerical-recovery refactorization occurred —
-    direct evidence of the ill-conditioning the N-codes predict. *)
+    direct evidence of the ill-conditioning the N-codes predict.  Pass the
+    counters of the root LP of the equilibrated model, the one
+    branch-and-bound searches ([vpart analyze --solve-root] does). *)

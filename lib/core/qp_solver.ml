@@ -14,7 +14,6 @@ type options = {
   certify_tol : float option;
   jobs : int;
   refactor_every : int;
-  scale : bool;
   simplex_workspace : Simplex.Workspace.t option;
 }
 
@@ -35,7 +34,6 @@ let default_options =
     certify_tol = None;
     jobs = 1;
     refactor_every = 32;
-    scale = false;
     simplex_workspace = None;
   }
 
@@ -445,7 +443,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
       gap = options.gap;
       max_rows = options.max_rows;
       refactor_every = options.refactor_every;
-      scale = options.scale;
     }
   in
   let mip_outcome, mip_stats =

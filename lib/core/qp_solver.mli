@@ -3,7 +3,8 @@
     Builds the mixed-integer program (7) — objective (6) with the
     linearization of §2.3 — and solves it with the in-repo branch-and-bound
     solver ({!Vpart_mip.Mip}), mirroring the paper's GLPK setup (time
-    limit, 0.1 % MIP gap).
+    limit, 0.1 % MIP gap, and the model scaling [glpsol] applies by
+    default).
 
     Model-size reductions applied (documented in DESIGN.md):
 
@@ -69,12 +70,6 @@ type options = {
   refactor_every : int;
       (** Eta-file length at which the node LPs refactorize their basis
           ({!Mip.limits.refactor_every}). *)
-  scale : bool;
-      (** Geometric-mean scaling of the layout model inside
-          branch-and-bound ({!Mip.limits.scale}): remediation for the
-          ill-scaling diagnostics ([N001]/[N002]/[N007]) the load rows'
-          mixed-magnitude coefficients trigger.  Exactly back-mapped, so
-          certificates are unaffected. *)
   simplex_workspace : Simplex.Workspace.t option;
       (** Float arena pooling the branch-and-bound root simplex storage
           across repeated solves ({!Mip.solve}'s [simplex_workspace]) —
@@ -86,7 +81,7 @@ val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, 60 s, 0.1 % gap,
     32000-row cap, no latency term, no pre-assigned transactions (so the
     site-symmetry pinning is on), one domain, refactorization every 32
-    pivots, no scaling. *)
+    pivots. *)
 
 type outcome =
   | Proved_optimal       (** optimal within the MIP gap *)

@@ -5,9 +5,9 @@
    bounds divide by c.  All factors are positive powers of two: multiplying
    a float by a power of two only changes the exponent, so scaling and
    unscaling are exact and certificates computed on back-mapped solutions
-   are as trustworthy as on an unscaled solve.  Column factors of integer
-   variables stay 1 — their bounds, branching and integrality are
-   untouched.  The objective value is invariant: obj'·x' = obj·x. *)
+   hold for the original model.  Column factors of integer variables
+   stay 1 — their bounds, branching and integrality are untouched.  The
+   objective value is invariant: obj'·x' = obj·x. *)
 
 type scaling = { row_scale : float array; col_scale : float array }
 
@@ -19,45 +19,47 @@ let pow2_round v =
     Float.ldexp 1. (int_of_float e)
   end
 
-let finite_nonzero v =
-  (not (Float.is_nan v)) && Float.abs v <> infinity && v <> 0.
+(* Finite and nonzero; false for NaN, whose magnitude compares false. *)
+let[@inline] finite_nonzero v = Float.abs v < infinity && v <> 0.
 
+(* Every solve runs this, so the sweeps are plain loops: a float ref
+   captured by a closure would be boxed on every update. *)
 let scaling (std : Lp.std) =
   let m = std.Lp.nrows and n = std.Lp.ncols in
   let r = Array.make m 1. and c = Array.make n 1. in
+  let cmin = Array.make n infinity and cmax = Array.make n 0. in
   for _pass = 1 to 8 do
     (* rows: divide by the geometric mean of the row's magnitude extremes *)
     for i = 0 to m - 1 do
       let idx = std.Lp.row_idx.(i) and value = std.Lp.row_val.(i) in
       let mn = ref infinity and mx = ref 0. in
-      Array.iteri
-        (fun k j ->
-           let v = value.(k) in
-           if finite_nonzero v then begin
-             let mag = Float.abs v *. r.(i) *. c.(j) in
-             if mag < !mn then mn := mag;
-             if mag > !mx then mx := mag
-           end)
-        idx;
+      for k = 0 to Array.length idx - 1 do
+        let v = value.(k) in
+        if finite_nonzero v then begin
+          let mag = Float.abs v *. r.(i) *. c.(idx.(k)) in
+          if mag < !mn then mn := mag;
+          if mag > !mx then mx := mag
+        end
+      done;
       if !mx > 0. then r.(i) <- r.(i) /. sqrt (!mn *. !mx)
     done;
     (* columns, via one sweep accumulating per-column extremes *)
-    let mn = Array.make n infinity and mx = Array.make n 0. in
+    Array.fill cmin 0 n infinity;
+    Array.fill cmax 0 n 0.;
     for i = 0 to m - 1 do
       let idx = std.Lp.row_idx.(i) and value = std.Lp.row_val.(i) in
-      Array.iteri
-        (fun k j ->
-           let v = value.(k) in
-           if finite_nonzero v then begin
-             let mag = Float.abs v *. r.(i) *. c.(j) in
-             if mag < mn.(j) then mn.(j) <- mag;
-             if mag > mx.(j) then mx.(j) <- mag
-           end)
-        idx
+      for k = 0 to Array.length idx - 1 do
+        let v = value.(k) and j = idx.(k) in
+        if finite_nonzero v then begin
+          let mag = Float.abs v *. r.(i) *. c.(j) in
+          if mag < cmin.(j) then cmin.(j) <- mag;
+          if mag > cmax.(j) then cmax.(j) <- mag
+        end
+      done
     done;
     for j = 0 to n - 1 do
-      if (not std.Lp.integer.(j)) && mx.(j) > 0. then
-        c.(j) <- c.(j) /. sqrt (mn.(j) *. mx.(j))
+      if (not std.Lp.integer.(j)) && cmax.(j) > 0. then
+        c.(j) <- c.(j) /. sqrt (cmin.(j) *. cmax.(j))
     done
   done;
   for i = 0 to m - 1 do
@@ -68,9 +70,21 @@ let scaling (std : Lp.std) =
   done;
   { row_scale = r; col_scale = c }
 
-let is_identity sc =
-  Array.for_all (fun v -> v = 1.) sc.row_scale
-  && Array.for_all (fun v -> v = 1.) sc.col_scale
+(* [a.(j) *. f.(j)] and [a.(j) /. f.(j)] as loops: a closure returning
+   a float would box every element. *)
+let mul a f =
+  let b = Array.copy a in
+  for j = 0 to Array.length b - 1 do
+    b.(j) <- a.(j) *. f.(j)
+  done;
+  b
+
+let div a f =
+  let b = Array.copy a in
+  for j = 0 to Array.length b - 1 do
+    b.(j) <- a.(j) /. f.(j)
+  done;
+  b
 
 let scale sc (std : Lp.std) =
   if Array.length sc.row_scale <> std.Lp.nrows
@@ -80,30 +94,38 @@ let scale sc (std : Lp.std) =
   {
     std with
     Lp.std_name = std.Lp.std_name ^ "/scaled";
-    obj = Array.mapi (fun j o -> o *. c.(j)) std.Lp.obj;
-    lb = Array.mapi (fun j v -> v /. c.(j)) std.Lp.lb;
-    ub = Array.mapi (fun j v -> v /. c.(j)) std.Lp.ub;
+    obj = mul std.Lp.obj c;
+    lb = div std.Lp.lb c;
+    ub = div std.Lp.ub c;
     row_val =
       Array.mapi
         (fun i value ->
-           let idx = std.Lp.row_idx.(i) in
-           Array.mapi (fun k v -> v *. r.(i) *. c.(idx.(k))) value)
+           let idx = std.Lp.row_idx.(i) and ri = r.(i) in
+           let row = Array.copy value in
+           for k = 0 to Array.length row - 1 do
+             row.(k) <- value.(k) *. ri *. c.(idx.(k))
+           done;
+           row)
         std.Lp.row_val;
     row_idx = Array.map Array.copy std.Lp.row_idx;
-    rhs = Array.mapi (fun i b -> b *. r.(i)) std.Lp.rhs;
+    rhs = mul std.Lp.rhs r;
   }
+
+let equilibrate std =
+  let sc = scaling std in
+  (sc, scale sc std)
 
 let scale_point sc x =
   if Array.length x <> Array.length sc.col_scale then
     invalid_arg "Scaling.scale_point: length mismatch";
-  Array.mapi (fun j v -> v /. sc.col_scale.(j)) x
+  div x sc.col_scale
 
 let unscale_point sc x =
   if Array.length x <> Array.length sc.col_scale then
     invalid_arg "Scaling.unscale_point: length mismatch";
-  Array.mapi (fun j v -> v *. sc.col_scale.(j)) x
+  mul x sc.col_scale
 
 let unscale_duals sc y =
   if Array.length y <> Array.length sc.row_scale then
     invalid_arg "Scaling.unscale_duals: length mismatch";
-  Array.mapi (fun i v -> v *. sc.row_scale.(i)) y
+  mul y sc.row_scale

@@ -4,12 +4,11 @@ type limits = {
   gap : float;
   max_rows : int option;
   refactor_every : int;
-  scale : bool;
 }
 
 let default_limits =
   { time_limit = Some 60.; node_limit = None; gap = 1e-3;
-    max_rows = Some 32000; refactor_every = 32; scale = false }
+    max_rows = Some 32000; refactor_every = 32 }
 
 type solution = { x : float array; obj : float }
 
@@ -186,6 +185,18 @@ let most_fractional s x =
     s.int_vars;
   if !best < 0 then None else Some !best
 
+(* A relaxation point that leaves its own variable box by more than the
+   integrality tolerance (seen on badly conditioned models) cannot be
+   branched on: one child box would be empty and the other the parent's.
+   Its subtree is abandoned like one the simplex failed on. *)
+let outside_box s j xj =
+  let lo, hi = Simplex.bounds s.sx j in
+  xj < lo -. int_tol || xj > hi +. int_tol
+
+let numerical_prune s =
+  s.numerical_prunes <- s.numerical_prunes + 1;
+  Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+
 let rec branch s depth =
   if out_of_time s then raise Hit_limit;
   sync_shared s;
@@ -211,8 +222,7 @@ let rec branch s depth =
   | Simplex.Iter_limit | Simplex.Numerical ->
     (* Cannot trust this subtree's relaxation; abandoning it loses the
        optimality proof, which the caller reports via the gap. *)
-    s.numerical_prunes <- s.numerical_prunes + 1;
-    Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+    numerical_prune s
   | Simplex.Unbounded -> ()  (* cannot happen from reoptimize *)
   | Simplex.Optimal ->
     let bound = Simplex.objective s.sx +. s.std.Lp.obj_const in
@@ -238,6 +248,7 @@ let rec branch s depth =
                     ("node", Obs.Int s.nodes);
                   ]
           end
+      | Some j when outside_box s j x.(j) -> numerical_prune s
       | Some j ->
         (match s.heuristic with
          | Some h when s.nodes land 31 = 1 ->
@@ -248,11 +259,14 @@ let rec branch s depth =
         let fl = Float.of_int (int_of_float (Float.floor x.(j)))
         and ce = Float.of_int (int_of_float (Float.ceil x.(j))) in
         let explore side =
-          (match side with
-           | `Down -> Simplex.set_bounds s.sx j ~lb:lo ~ub:fl
-           | `Up -> Simplex.set_bounds s.sx j ~lb:ce ~ub:hi);
-          branch s (depth + 1);
-          Simplex.set_bounds s.sx j ~lb:lo ~ub:hi
+          let lb, ub = match side with `Down -> (lo, fl) | `Up -> (ce, hi) in
+          (* An empty child box (fractional bounds on an integer column)
+             holds no point. *)
+          if lb <= ub then begin
+            Simplex.set_bounds s.sx j ~lb ~ub;
+            branch s (depth + 1);
+            Simplex.set_bounds s.sx j ~lb:lo ~ub:hi
+          end
         in
         let first, second =
           if x.(j) -. fl >= 0.5 then (`Up, `Down) else (`Down, `Up)
@@ -378,8 +392,7 @@ let parallel_search s ~root_bound ~jobs =
            stopped := true;
            contribs := node.sub_bound :: !contribs
          | Simplex.Iter_limit | Simplex.Numerical ->
-           s.numerical_prunes <- s.numerical_prunes + 1;
-           Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
+           numerical_prune s;
            contribs := node.sub_bound :: !contribs
          | Simplex.Unbounded -> ()  (* cannot happen from reoptimize *)
          | Simplex.Optimal ->
@@ -407,6 +420,9 @@ let parallel_search s ~root_bound ~jobs =
                            ("node", Obs.Int s.nodes);
                          ]
                  end
+             | Some j when outside_box s j x.(j) ->
+               numerical_prune s;
+               contribs := node.sub_bound :: !contribs
              | Some j ->
                let lo, hi = Simplex.bounds s.sx j in
                let fl = Float.of_int (int_of_float (Float.floor x.(j)))
@@ -418,11 +434,16 @@ let parallel_search s ~root_bound ~jobs =
                    sub_depth = node.sub_depth + 1;
                  }
                in
-               let down = child (j, lo, fl) and up = child (j, ce, hi) in
+               let down = (j, lo, fl) and up = (j, ce, hi) in
                let first, second =
                  if x.(j) -. fl >= 0.5 then (up, down) else (down, up)
                in
-               queue := insert_by_bound second (insert_by_bound first !queue)
+               (* An empty child box (fractional bounds on an integer
+                  column) holds no point. *)
+               List.iter
+                 (fun ((_, lb, ub) as c) ->
+                    if lb <= ub then queue := insert_by_bound (child c) !queue)
+                 [ first; second ]
            end);
         List.iter
           (fun (j, lo, hi) -> Simplex.set_bounds s.sx j ~lb:lo ~ub:hi)
@@ -527,8 +548,9 @@ let pp_outcome ppf = function
     Format.fprintf ppf "too large (%d rows, limit %d)" rows limit
 
 (* Reduced costs d = c - yᵀA of [std] from a row-dual vector, computed
-   against the original (sparse row) matrix — used to re-derive reduced
-   costs in the original column space after scaling back-mapping. *)
+   against the original (sparse row) matrix: the root certificate's
+   reduced costs, re-derived in the original column space from the
+   back-mapped duals. *)
 let reduced_costs_from (std : Lp.std) y =
   let d = Array.copy std.Lp.obj in
   for r = 0 to std.Lp.nrows - 1 do
@@ -567,48 +589,9 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
         ("cols", Obs.Int original_std.Lp.ncols);
       ]
   @@ fun () ->
-  (* Optional geometric-mean scaling of the search model.  The search
-     runs entirely in the scaled space x' = x / c; every exit point
-     back-maps through [restore]/[restore_y], and the power-of-two factors
-     make the back-mapping exact, so certificates on the returned
-     artifacts hold exactly as for an unscaled solve.  Integer columns
-     keep factor 1: branching and integrality are untouched, and the
-     objective value is invariant. *)
-  let std, restore, restore_y, heuristic, scaled =
-    let unscaled = (original_std, Fun.id, Fun.id, heuristic, false) in
-    if not limits.scale then unscaled
-    else begin
-      let sc = Scaling.scaling original_std in
-      if Scaling.is_identity sc then unscaled
-      else begin
-        let sstd = Scaling.scale sc original_std in
-        (* Heuristic candidates live in the caller's space; translate both
-           ways around the callback. *)
-        let heuristic =
-          Option.map
-            (fun h x ->
-               Option.map (Scaling.scale_point sc)
-                 (h (Scaling.unscale_point sc x)))
-            heuristic
-        in
-        if Obs.enabled () then
-          Obs.point "mip.scaled"
-            ~attrs:
-              [ ("rows", Obs.Int sstd.Lp.nrows); ("cols", Obs.Int sstd.Lp.ncols) ];
-        (sstd, Scaling.unscale_point sc, Scaling.unscale_duals sc, heuristic,
-         true)
-      end
-    end
-  in
   let start = Obs.Clock.now () in
   let finish outcome ~nodes ~iters ~refacs ~etas ~eta_len ~gap_achieved ~audit
     =
-    let outcome =
-      match outcome with
-      | Optimal s -> Optimal { s with x = restore s.x }
-      | Feasible (s, b) -> Feasible ({ s with x = restore s.x }, b)
-      | o -> o
-    in
     (* The counters emitted here carry exactly the values returned in
        [stats], so a trace consumer can cross-check them 1:1. *)
     if Obs.enabled () then begin
@@ -633,16 +616,42 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
        audit })
   in
   match limits.max_rows with
-  | Some r when std.Lp.nrows > r ->
+  | Some r when original_std.Lp.nrows > r ->
     (* Leave a trace of the refusal: a silent Too_large is
        indistinguishable from a solver that never ran (documented next
        to the M/I/P codes in docs/ANALYSIS.md). *)
     if Obs.enabled () then
       Obs.point "mip.too_large"
-        ~attrs:[ ("rows", Obs.Int std.Lp.nrows); ("max_rows", Obs.Int r) ];
-    finish (Too_large { rows = std.Lp.nrows; limit = r }) ~nodes:0 ~iters:0
-      ~refacs:0 ~etas:0 ~eta_len:0 ~gap_achieved:infinity ~audit:no_audit
+        ~attrs:
+          [ ("rows", Obs.Int original_std.Lp.nrows); ("max_rows", Obs.Int r) ];
+    finish (Too_large { rows = original_std.Lp.nrows; limit = r }) ~nodes:0
+      ~iters:0 ~refacs:0 ~etas:0 ~eta_len:0 ~gap_achieved:infinity
+      ~audit:no_audit
   | _ ->
+    (* The search runs on the equilibrated model over x' = x / c
+       ([Scaling.equilibrate]).  Every exit point back-maps through
+       [restore]/[restore_y]; the power-of-two factors make the
+       back-mapping exact, so certificates on the returned artifacts hold
+       in the original spaces.  Integer columns keep factor 1: branching
+       and integrality are untouched, and the objective value is
+       invariant. *)
+    let sc, std = Scaling.equilibrate original_std in
+    let restore = Scaling.unscale_point sc
+    and restore_y = Scaling.unscale_duals sc in
+    (* Heuristic candidates live in the caller's space; translate both
+       ways around the callback. *)
+    let heuristic =
+      Option.map
+        (fun h x -> Option.map (Scaling.scale_point sc) (h (restore x)))
+        heuristic
+    in
+    let finish outcome =
+      finish
+        (match outcome with
+         | Optimal s -> Optimal { s with x = restore s.x }
+         | Feasible (s, b) -> Feasible ({ s with x = restore s.x }, b)
+         | o -> o)
+    in
     let sx =
       Simplex.create ?workspace:simplex_workspace
         ~refactor_every:limits.refactor_every std
@@ -709,16 +718,10 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
             the bound without trusting the solver. *)
          let root_lp =
            let y = restore_y (Simplex.duals sx) in
-           let reduced =
-             (* [y] is back-mapped to the original row space; a scaled
-                search re-derives the reduced costs there too. *)
-             if scaled then reduced_costs_from original_std y
-             else Simplex.reduced_costs sx
-           in
            Some
              { lp_x = restore root_x;
                lp_y = y;
-               lp_reduced = reduced;
+               lp_reduced = reduced_costs_from original_std y;
                lp_obj = root_bound }
          in
          (* Root heuristic. *)

@@ -5,6 +5,12 @@
     to {!solve} with a time limit and a relative MIP gap, mirroring the
     paper's 30-minute / 0.1 %-gap setup.
 
+    The search runs on the equilibrated model ({!Scaling.equilibrate}:
+    power-of-two row and column factors, integer columns keep factor 1),
+    as [glpsol] scales by default.  Solutions, duals and Farkas rays are
+    back-mapped {e exactly}, so outcomes and [audit] artifacts are in the
+    original spaces.
+
     Node LPs run on the sparse LU dual simplex of
     {!Vpart_simplex.Simplex} (devex pricing).  The search is depth-first
     with a single warm-started dual-simplex instance: branching only changes variable bounds, and any basis stays
@@ -27,20 +33,11 @@ type limits = {
   refactor_every : int;
       (** eta-file length at which the node LPs' sparse LU basis is
           refactorized (see {!Vpart_simplex.Simplex.create}) *)
-  scale : bool;
-      (** geometric-mean scaling ({!Scaling.scaling}) of the search
-          model.  The branch-and-bound then
-          runs on [r·A·c] with power-of-two factors; solutions, duals and
-          Farkas rays are back-mapped {e exactly}, integer columns keep
-          factor 1, and the objective value is invariant — so outcomes,
-          [audit] artifacts and certificates keep their unscaled meaning.
-          Remediation for the [N001]/[N002]/[N007] diagnostics of
-          [Vpart_analysis.Numerics_lint]. *)
 }
 
 val default_limits : limits
 (** 60 s, unlimited nodes, gap 0.001, 32000 rows, refactorization every
-    32 pivots, no scaling. *)
+    32 pivots. *)
 
 type solution = {
   x : float array;  (** structural values; integer variables are integral *)
@@ -72,8 +69,8 @@ type lp_certificate = {
       (** row duals, original row space, minimization sense *)
   lp_reduced : float array;
       (** reduced costs [c - yᵀA], original structural space, minimization
-          sense.  Under [limits.scale] these are recomputed against the
-          original matrix from the back-mapped [lp_y]. *)
+          sense, recomputed against the original matrix from the
+          back-mapped [lp_y]. *)
   lp_obj : float;
       (** LP objective including the constant, minimization sense *)
 }
@@ -139,9 +136,8 @@ val solve :
 (** Solve the model.  [priority v] orders branching candidates (higher
     first; default 0).  [heuristic lp_point] may propose a full structural
     assignment built from the current LP relaxation point; proposals are
-    vetted against the model before acceptance.  Under [limits.scale]
-    the [heuristic] callback still sees and returns original-space
-    points.
+    vetted against the model before acceptance.  The [heuristic]
+    callback sees and returns original-space points.
 
     [jobs] (default 1) is the number of domains the branch-and-bound may
     use.  With [jobs = 1] the search is the sequential DFS, bit for bit.

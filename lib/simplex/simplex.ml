@@ -776,8 +776,14 @@ let dual_step t =
          [r]: the row [e_r B^-1] of the basis inverse is a Farkas-style
          infeasibility multiplier over the constraint rows (the certifier
          re-derives the contradiction from it against the true, unpatched
-         variable boxes). *)
-      t.infeas_ray <- Some (Vec.to_array rho);
+         variable boxes).  Entries at roundoff level next to the largest
+         are cancellation noise of the btran; a wrong-signed one would
+         open its row's slack cone and void the certificate, so they are
+         dropped. *)
+      let ray = Vec.to_array rho in
+      let big = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. ray in
+      Array.iteri (fun i v -> if Float.abs v <= 1e-12 *. big then ray.(i) <- 0.) ray;
+      t.infeas_ray <- Some ray;
       clear_alpha t;
       `Infeasible
     end

@@ -180,8 +180,10 @@ val farkas_ray : t -> float array option
     the basis inverse for the unrepairable basic variable — a Farkas-style
     multiplier vector (one entry per constraint row) from which primal
     infeasibility can be re-derived independently (see
-    [Vpart_certify.Certify.farkas_proves_infeasible]).  [None] before the
-    first reoptimize or when the last reoptimize did not prove
+    [Vpart_certify.Certify.farkas_proves_infeasible]).  Entries no larger
+    than 1e-12 times the largest are zeroed: they are btran cancellation
+    noise, and a wrong-signed one would void the certificate.  [None]
+    before the first reoptimize or when the last reoptimize did not prove
     infeasibility.  Cleared at the start of every reoptimize. *)
 
 (** {1 Primal method}

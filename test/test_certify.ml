@@ -343,7 +343,9 @@ let scale_frequencies rng (inst : Instance.t) =
     (Workload.make ~queries ~transactions)
 
 (* TPC-C with frequencies scaled from this seed, at 3 sites, as the QP
-   solver builds it for the certify pass. *)
+   solver builds it for the certify pass.  Before branch-and-bound
+   searched an equilibrated model, this instance's unpinned search
+   abandoned a subtree on simplex numerical trouble. *)
 let prune_fixture () =
   let inst =
     scale_frequencies (Rng.create 42449740) (Lazy.force Tpcc.instance)
@@ -361,31 +363,49 @@ let prune_fixture () =
   in
   (inst, options)
 
-(* Without the site pinning, this fixture's branch-and-bound abandons a
-   subtree on simplex numerical trouble.  The search then only proves the
-   root bound, which does not close the gap: the claim must degrade to a
-   limit-feasible answer that both certifiers accept, not an optimality
-   claim the exact audit refutes.  No pinned TPC-C solve is known to
-   prune numerically, so the regression runs on the unpinned model. *)
+(* Two rows whose binaries carry coefficients from 1e-6 to 6.5e6.  Binary
+   columns keep scaling factor 1, so equilibration cannot even them out,
+   and branch-and-bound abandons a subtree on simplex numerical trouble.
+   The search then only proves the root bound, which does not close the
+   gap: the claim must degrade to a limit-feasible answer that both
+   certifiers accept, not an optimality claim the exact audit refutes.
+   Shrunk from a generated model. *)
+let numerical_prune_model () =
+  let m = Lp.create () in
+  let b = Array.init 8 (fun _ -> Lp.binary m ()) in
+  let z = Lp.add_var m ~ub:0x1.0624dd2f1a9fcp-10 () in
+  Lp.add_constr m
+    [ (0x1.cac083126e979p-8, b.(0)); (0x1.034ef82d1043p+6, b.(1));
+      (0x1.bed1c2c461592p-1, b.(2)); (-0x1.a36e2eb1c432dp-14, b.(4));
+      (0x1.4c72dda966bp-4, b.(5)); (-0x1.0b38b2ae4fd31p-6, b.(7));
+      (0x1.999999999999ap-4, z) ]
+    Lp.Eq 0x1.070ef6143cbf2p+6;
+  Lp.add_constr m
+    [ (-1., b.(0)); (-0x1.47ae147ae147bp-7, b.(1)); (0x1.e848p+19, b.(3));
+      (0x1.0c6f7a0b5ed8dp-20, b.(4)); (0x1.f4p+9, b.(5));
+      (-0x1.8d738b340f18fp+22, b.(6)); (0x1.91b78f9745b31p-11, b.(7));
+      (-0x1.4f8b588e368f1p-17, z) ]
+    Lp.Ge 0x1.5ep+9;
+  Lp.set_objective m Lp.Minimize
+    [ (-1e7, b.(1)); (0.1, b.(4)); (1e8, b.(5)); (-1e5, b.(6)) ];
+  m
+
 let test_numerical_prune_voids_optimality () =
-  let inst, options = prune_fixture () in
-  let stats =
-    Stats.compute (Grouping.compute inst).Grouping.reduced ~p:options.Qp_solver.p
-  in
-  let model, outcome, mip_stats = Unpinned.solve stats options in
+  let model = numerical_prune_model () in
+  let gap = exact_limits.Mip.gap in
+  let outcome, mip_stats = Mip.solve ~limits:exact_limits model in
   Alcotest.(check bool) "fixture still prunes numerically" true
     (mip_stats.Mip.audit.Mip.numerical_prunes >= 1);
   Alcotest.(check bool) "outcome is not an optimality claim" true
     (match outcome with Mip.Optimal _ -> false | _ -> true);
-  check_clean "float certificate"
-    (C.certify_mip ~gap:1e-3 model outcome mip_stats);
+  check_clean "float certificate" (C.certify_mip ~gap model outcome mip_stats);
   let _, _, refuted, _ =
-    C.Exact.counts (C.Exact.audit ~gap:1e-3 model outcome mip_stats)
+    C.Exact.counts (C.Exact.audit ~gap model outcome mip_stats)
   in
   Alcotest.(check int) "exactly refuted claims" 0 refuted
 
-(* The same instance through the default (pinned) solver proves its
-   optimum, and every certificate agrees. *)
+(* Through the default (pinned) solver the instance proves its optimum,
+   and every certificate agrees. *)
 let test_pinned_prune_fixture_optimal () =
   let inst, options = prune_fixture () in
   let r = Qp_solver.solve ~options inst in

@@ -110,6 +110,56 @@ let test_heuristic_hook () =
   Alcotest.(check bool) "heuristic called" true !called;
   Alcotest.(check (float 1e-6)) "objective" 2. sol.Mip.obj
 
+let test_fractional_integer_bounds () =
+  (* x integer in [0.5, 1.5]: the LP optimum x = 0.5, y = 0.2 branches on
+     x, whose down child [0.5, 0] is empty.  Optimum x = 1, y = 0, from
+     the sequential search and from the parallel one's expansion. *)
+  let m = Lp.create () in
+  let x = Lp.add_var m ~lb:0.5 ~ub:1.5 ~integer:true () in
+  let y = Lp.add_var m ~ub:1. () in
+  Lp.add_constr m [ (1., x); (1., y) ] Lp.Ge 0.7;
+  Lp.set_objective m Lp.Minimize [ (1., x); (0.5, y) ];
+  List.iter
+    (fun jobs ->
+       let out, _ = Mip.solve ~limits:exact_limits ~jobs m in
+       let sol = get_optimal "fractional bounds" out in
+       Alcotest.(check (float 1e-6)) "objective" 1. sol.Mip.obj)
+    [ 1; 2 ]
+
+(* Two rows whose binaries carry coefficients from 1e-7 to 1e9, shrunk
+   from a generated model.  A node LP returns a point that leaves its own
+   box, so one child box of the branching variable is empty; that used to
+   raise Invalid_argument from Simplex.set_bounds.  The subtree is now
+   abandoned as a numerical prune.  Only b0 = b3 = 1 is feasible, so the
+   answer must not claim infeasibility, and it must certify. *)
+let test_point_outside_box () =
+  let m = Lp.create () in
+  let b = Array.init 4 (fun _ -> Lp.binary m ()) in
+  Lp.add_constr m
+    [ (0x1.ad7f29abcaf48p-24, b.(1)); (-0x1.e848p+19, b.(2));
+      (0x1.f02dfbec9b437p+27, b.(3)) ]
+    Lp.Le 0x1.f02dfc0c1f623p+27;
+  Lp.add_constr m
+    [ (0x1.64d91ea456954p+22, b.(0)); (-0x1.dcd65p+29, b.(1));
+      (-0x1.86ap+16, b.(2)); (0x1.be1155915ab92p+9, b.(3)) ]
+    Lp.Ge 0x1.64e702f20a1b4p+22;
+  Lp.set_objective m Lp.Minimize [ (-1e8, b.(2)); (1000., b.(3)) ];
+  let out, stats = Mip.solve ~limits:exact_limits m in
+  Alcotest.(check bool) "a subtree is abandoned" true
+    (stats.Mip.audit.Mip.numerical_prunes >= 1);
+  (match out with
+   | Mip.Infeasible -> Alcotest.fail "claims infeasibility of a feasible model"
+   | Mip.Optimal sol -> Alcotest.(check (float 1e-6)) "objective" 1000. sol.Mip.obj
+   | _ -> ());
+  let module D = Vpart_analysis.Diagnostic in
+  let module C = Vpart_certify.Certify in
+  Alcotest.(check int) "float certificate errors" 0
+    (List.length (D.errors (C.certify_mip ~gap:exact_limits.Mip.gap m out stats)));
+  let _, _, refuted, _ =
+    C.Exact.counts (C.Exact.audit ~gap:exact_limits.Mip.gap m out stats)
+  in
+  Alcotest.(check int) "exactly refuted claims" 0 refuted
+
 (* ------------------------------------------------------------------ *)
 (* Property: agree with brute force on random knapsacks                *)
 (* ------------------------------------------------------------------ *)
@@ -208,6 +258,170 @@ let prop_vertex_cover =
          Float.abs (sol.Mip.obj -. float_of_int (brute_force_cover c)) < 1e-6
        | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Property: ill-scaled MIPs, where equilibration moves the model      *)
+(* ------------------------------------------------------------------ *)
+
+(* Binaries b_0..b_{nb-1} and continuous z_j in [0, zub_j].  Row r has
+   magnitude 10^(e_r) and column z_j magnitude 10^(f_j), so coefficients
+   span about 1e-4 .. 1e4 and [Scaling.scaling] moves both row and
+   continuous-column factors off 1 (binaries keep factor 1).  Row 0 has
+   e_0 = ±2 and a binary, z_0 has f_0 = ±2.  Unless [infeasible], every
+   row holds at a random reference point; otherwise row 0 asks for less
+   than its minimum over the box, so the root LP is infeasible. *)
+type ill = {
+  nb : int;
+  zub : float array;
+  rows : (float array * float array * Lp.cmp * float) list;
+      (* binary coefficients, continuous coefficients, sense, rhs *)
+  cost_b : float array;
+  cost_z : float array;
+  infeasible : bool;
+}
+
+let gen_ill =
+  let open QCheck2.Gen in
+  let signed_digit = map2 (fun s d -> if s then d else -.d) bool (float_range 1. 9.) in
+  let* nb = int_range 1 8 in
+  let* nz = int_range 1 3 in
+  let* nrows = int_range 1 4 in
+  let* f0 = oneofl [ -2; 2 ] in
+  let* frest = list_size (return (nz - 1)) (int_range (-2) 2) in
+  let f = Array.of_list (f0 :: frest) in
+  let* zu = array_size (return nz) (float_range 1. 10.) in
+  let zub = Array.mapi (fun j u -> u *. (10. ** float_of_int (-f.(j)))) zu in
+  let* mask0 = int_range 0 ((1 lsl nb) - 1) in
+  let* z0 = array_size (return nz) (float_range 0. 1.) in
+  let z0 = Array.mapi (fun j t -> t *. zub.(j)) z0 in
+  let* infeasible = map (fun k -> k = 0) (int_range 0 4) in
+  let gen_row r =
+    let* e = if r = 0 then oneofl [ -2; 2 ] else int_range (-2) 2 in
+    let mag = 10. ** float_of_int e in
+    let* bin_on = array_size (return nb) bool in
+    let* forced = int_range 0 (nb - 1) in
+    let* a = array_size (return nb) signed_digit in
+    let a =
+      Array.mapi
+        (fun i v -> if bin_on.(i) || (r = 0 && i = forced) then v *. mag else 0.)
+        a
+    in
+    let* cont_on = array_size (return nz) (map (fun k -> k > 0) (int_range 0 2)) in
+    let* kept = int_range 0 (nz - 1) in
+    let* g = array_size (return nz) signed_digit in
+    let g =
+      Array.mapi
+        (fun j v ->
+           if cont_on.(j) || j = kept || (r = 0 && j = 0) then
+             v *. (10. ** float_of_int (e + f.(j)))
+           else 0.)
+        g
+    in
+    let act =
+      Array.fold_left ( +. ) 0.
+        (Array.mapi
+           (fun i v -> if mask0 land (1 lsl i) <> 0 then v else 0.)
+           a)
+      +. Array.fold_left ( +. ) 0. (Array.mapi (fun j v -> v *. z0.(j)) g)
+    in
+    let* slack = map (fun t -> t *. mag) (float_range 0. 3.) in
+    if infeasible && r = 0 then
+      let lowest =
+        Array.fold_left (fun acc v -> acc +. Float.min 0. v) 0. a
+        +. Array.fold_left ( +. ) 0.
+             (Array.mapi (fun j v -> Float.min 0. (v *. zub.(j))) g)
+      in
+      return (a, g, Lp.Le, lowest -. mag)
+    else
+      let* cmp = oneofl [ Lp.Le; Lp.Le; Lp.Ge; Lp.Ge; Lp.Eq ] in
+      let rhs =
+        match cmp with
+        | Lp.Le -> act +. slack
+        | Lp.Ge -> act -. slack
+        | Lp.Eq -> act
+      in
+      return (a, g, cmp, rhs)
+  in
+  let* rows = flatten_l (List.init nrows gen_row) in
+  let* cost_b = array_size (return nb) (float_range (-20.) 20.) in
+  let* cz = array_size (return nz) signed_digit in
+  let cost_z = Array.mapi (fun j v -> v *. (10. ** float_of_int f.(j))) cz in
+  return { nb; zub; rows; cost_b; cost_z; infeasible }
+
+let ill_model k =
+  let m = Lp.create ~name:"ill-scaled" () in
+  let b = Array.init k.nb (fun _ -> Lp.binary m ()) in
+  let z = Array.map (fun ub -> Lp.add_var m ~ub ()) k.zub in
+  let terms a g =
+    Array.to_list (Array.mapi (fun i v -> (v, b.(i))) a)
+    @ Array.to_list (Array.mapi (fun j v -> (v, z.(j))) g)
+  in
+  List.iter (fun (a, g, cmp, rhs) -> Lp.add_constr m (terms a g) cmp rhs) k.rows;
+  Lp.set_objective m Lp.Minimize (terms k.cost_b k.cost_z);
+  m
+
+(* Enumerate the binaries; for each assignment solve the continuous
+   remainder of the unscaled model with the binaries fixed. *)
+let ill_oracle k std =
+  let best = ref None in
+  for mask = 0 to (1 lsl k.nb) - 1 do
+    let fixed = Array.init k.nb (fun i -> if mask land (1 lsl i) <> 0 then 1. else 0.) in
+    let lb = Array.copy std.Lp.lb and ub = Array.copy std.Lp.ub in
+    Array.iteri
+      (fun i v ->
+         lb.(i) <- v;
+         ub.(i) <- v)
+      fixed;
+    let r = Simplex.solve { std with Lp.lb; ub } in
+    match r.Simplex.status with
+    | Simplex.Optimal ->
+      (match !best with
+       | Some o when o <= r.Simplex.obj -> ()
+       | _ -> best := Some r.Simplex.obj)
+    | _ -> ()
+  done;
+  !best
+
+let prop_ill_scaled =
+  QCheck2.Test.make ~count:300
+    ~name:"mip on ill-scaled models: enumeration optimum, clean certificates"
+    ~print:(fun k ->
+        Printf.sprintf "nb=%d nz=%d rows=%d infeasible=%b" k.nb
+          (Array.length k.zub) (List.length k.rows) k.infeasible)
+    gen_ill
+    (fun k ->
+       let m = ill_model k in
+       let std = Lp.standardize m in
+       let sc = Scaling.scaling std in
+       let moved a = Array.exists (fun v -> v <> 1.) a in
+       if not (moved sc.Scaling.row_scale && moved sc.Scaling.col_scale) then
+         QCheck2.Test.fail_report "scaling left every factor at 1";
+       let out, stats = Mip.solve ~limits:exact_limits m in
+       let answer_ok =
+         match (out, ill_oracle k std) with
+         | Mip.Optimal sol, Some best ->
+           stats.Mip.audit.Mip.root_lp <> None
+           && Float.abs (sol.Mip.obj -. best)
+              <= 1e-6 *. Float.max 1. (Float.abs best)
+         | Mip.Infeasible, None ->
+           (not k.infeasible) || stats.Mip.audit.Mip.farkas <> None
+         | _ -> false
+       in
+       if not answer_ok then
+         QCheck2.Test.fail_reportf "outcome %a disagrees with enumeration"
+           Mip.pp_outcome out;
+       let module D = Vpart_analysis.Diagnostic in
+       let module C = Vpart_certify.Certify in
+       (match D.errors (C.certify_mip m out stats) with
+        | [] -> ()
+        | e :: _ -> QCheck2.Test.fail_reportf "float certificate: %s" (D.to_string e));
+       let exact = C.Exact.audit m out stats in
+       let _, _, refuted, _ = C.Exact.counts exact in
+       (match D.errors exact.C.Exact.findings with
+        | [] when refuted = 0 -> ()
+        | [] -> QCheck2.Test.fail_reportf "%d exactly refuted claim(s)" refuted
+        | e :: _ -> QCheck2.Test.fail_reportf "exact audit: %s" (D.to_string e));
+       true)
+
 let () =
   Alcotest.run "mip"
     [ ("exact",
@@ -219,9 +433,13 @@ let () =
          Alcotest.test_case "assignment" `Quick test_equality_assignment;
          Alcotest.test_case "too large" `Quick test_too_large;
          Alcotest.test_case "heuristic hook" `Quick test_heuristic_hook;
+         Alcotest.test_case "point outside its box" `Quick test_point_outside_box;
+         Alcotest.test_case "fractional integer bounds" `Quick
+           test_fractional_integer_bounds;
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_knapsack;
          QCheck_alcotest.to_alcotest prop_vertex_cover;
+         QCheck_alcotest.to_alcotest prop_ill_scaled;
        ]);
     ]
