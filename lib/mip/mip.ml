@@ -459,6 +459,8 @@ let parallel_search s ~root_bound ~jobs =
     let iters0 = Simplex.iterations wsx in
     let refacs0 = Simplex.refactorizations wsx in
     let etas0 = Simplex.eta_applications wsx in
+    let pricing0 = Simplex.pricing_seconds wsx
+    and ftran0 = Simplex.ftran_seconds wsx in
     List.iter (fun (j, lb, ub) -> Simplex.set_bounds wsx j ~lb ~ub) node.changes;
     let iobj, ix = Atomic.get sh.best in
     let ws =
@@ -486,6 +488,8 @@ let parallel_search s ~root_bound ~jobs =
       Simplex.iterations wsx - iters0,
       Simplex.refactorizations wsx - refacs0,
       Simplex.eta_applications wsx - etas0,
+      ( Simplex.pricing_seconds wsx -. pricing0,
+        Simplex.ftran_seconds wsx -. ftran0 ),
       ws.numerical_prunes )
   in
   let results =
@@ -499,12 +503,15 @@ let parallel_search s ~root_bound ~jobs =
   if !stopped then
     List.iter (fun n -> contribs := n.sub_bound :: !contribs) !queue;
   let par_iters = ref 0 and par_refacs = ref 0 and par_etas = ref 0 in
+  let par_pricing = ref 0. and par_ftran = ref 0. in
   Array.iter
-    (fun (verdict, n, it, rf, ea, np) ->
+    (fun (verdict, n, it, rf, ea, (pr, ft), np) ->
        s.nodes <- s.nodes + n;
        par_iters := !par_iters + it;
        par_refacs := !par_refacs + rf;
        par_etas := !par_etas + ea;
+       par_pricing := !par_pricing +. pr;
+       par_ftran := !par_ftran +. ft;
        s.numerical_prunes <- s.numerical_prunes + np;
        match verdict with
        | `Clean -> ()
@@ -530,7 +537,7 @@ let parallel_search s ~root_bound ~jobs =
   in
   let proven = List.fold_left Float.min infinity support in
   (!interrupted, proven, Array.of_list support, !par_iters, !par_refacs,
-   !par_etas)
+   !par_etas, (!par_pricing, !par_ftran))
 
 let pp_outcome ppf = function
   | Optimal { obj; _ } -> Format.fprintf ppf "optimal %g" obj
@@ -645,16 +652,24 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
         (fun h x -> Option.map (Scaling.scale_point sc) (h (restore x)))
         heuristic
     in
-    let finish outcome =
+    let sx =
+      Simplex.create ?workspace:simplex_workspace
+        ~refactor_every:limits.refactor_every std
+    in
+    (* [par_seconds]: the pricing and ftran seconds of the parallel
+       subtree workers, added to the root instance's own *)
+    let finish ?(par_seconds = (0., 0.)) outcome =
+      if Obs.enabled () then begin
+        let pricing, ftran = par_seconds in
+        Obs.count "simplex.pricing_seconds"
+          (Simplex.pricing_seconds sx +. pricing);
+        Obs.count "simplex.ftran_seconds" (Simplex.ftran_seconds sx +. ftran)
+      end;
       finish
         (match outcome with
          | Optimal s -> Optimal { s with x = restore s.x }
          | Feasible (s, b) -> Feasible ({ s with x = restore s.x }, b)
          | o -> o)
-    in
-    let sx =
-      Simplex.create ?workspace:simplex_workspace
-        ~refactor_every:limits.refactor_every std
     in
     let deadline = Option.map (fun tl -> start +. tl) limits.time_limit in
     let int_vars =
@@ -729,15 +744,22 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
           | Some h ->
             (match h root_x with Some cand -> ignore (offer s cand) | None -> ())
           | None -> ());
-         let interrupted, proven_lb, support, par_iters, par_refacs, par_etas =
+         let ( interrupted,
+               proven_lb,
+               support,
+               par_iters,
+               par_refacs,
+               par_etas,
+               par_seconds ) =
            if jobs <= 1 then (
              try
                branch s 0;
                (* Search exhausted: the proof is complete up to numerical
                   prunes. *)
                if s.numerical_prunes = 0 then
-                 (false, s.incumbent_obj, [| s.incumbent_obj |], 0, 0, 0)
-               else (false, root_bound, [| root_bound |], 0, 0, 0)
+                 (false, s.incumbent_obj, [| s.incumbent_obj |], 0, 0, 0,
+                  (0., 0.))
+               else (false, root_bound, [| root_bound |], 0, 0, 0, (0., 0.))
              with
              | Hit_limit ->
                (* The exception handlers along the unwind removed their
@@ -745,8 +767,9 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
                   the interrupt point (usually none): the provable bound
                   degrades towards the root bound. *)
                let glb = global_lower_bound s root_bound in
-               (true, glb, bound_support s root_bound, 0, 0, 0)
-             | Gap_reached (glb, support) -> (true, glb, support, 0, 0, 0))
+               (true, glb, bound_support s root_bound, 0, 0, 0, (0., 0.))
+             | Gap_reached (glb, support) ->
+               (true, glb, support, 0, 0, 0, (0., 0.)))
            else parallel_search s ~root_bound ~jobs
          in
          (* A subtree abandoned on numerical trouble voids the exhaustive
@@ -768,20 +791,23 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
          match s.incumbent with
          | None ->
            if interrupted then
-             finish (No_incumbent (Some (Lp.restore_objective std lb_min)))
+             finish ~par_seconds
+               (No_incumbent (Some (Lp.restore_objective std lb_min)))
                ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
                ~gap_achieved:infinity ~audit:(audit true)
            else
-             finish Infeasible ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
-               ~gap_achieved:infinity ~audit:(audit false)
+             finish ~par_seconds Infeasible ~nodes:s.nodes ~iters ~refacs
+               ~etas ~eta_len ~gap_achieved:infinity ~audit:(audit false)
          | Some x ->
            let sol = { x; obj = Lp.restore_objective std s.incumbent_obj } in
            let g = rel_gap s.incumbent_obj lb_min in
            if (not interrupted) || g <= limits.gap then
-             finish (Optimal sol) ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
-               ~gap_achieved:(Float.max g 0.) ~audit:(audit true)
+             finish ~par_seconds (Optimal sol) ~nodes:s.nodes ~iters ~refacs
+               ~etas ~eta_len ~gap_achieved:(Float.max g 0.)
+               ~audit:(audit true)
            else
-             finish (Feasible (sol, Lp.restore_objective std lb_min))
+             finish ~par_seconds
+               (Feasible (sol, Lp.restore_objective std lb_min))
                ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len ~gap_achieved:g
                ~audit:(audit true)
        end)

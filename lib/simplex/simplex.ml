@@ -71,7 +71,7 @@ type t = {
   ub : Vec.t;
   lb_patched : bool array;
   ub_patched : bool array;
-  col_idx : int array array;      (* structural columns only *)
+  col_idx : int array array;      (* nn: structural, then slack unit columns *)
   col_val : float array array;
   row_idx : int array array;      (* row-major mirror, for scatter pricing *)
   row_val : float array array;
@@ -86,6 +86,8 @@ type t = {
   amark : bool array;             (* nn scratch: alpha scatter membership *)
   atouch : int array;             (* nn scratch: scattered positions *)
   mutable natouch : int;
+  movable : int array;            (* nn scratch: ratio-test candidates *)
+  mutable nmovable : int;
   dw : Vec.t;                     (* m devex reference weights (rows) *)
   wscratch : Vec.t;               (* m scratch: ftran result *)
   zscratch : Vec.t;               (* m scratch: compute_xb right-hand side *)
@@ -105,6 +107,8 @@ type t = {
   mutable drift_rebuilds : int;    (* refactors forced by resync drift *)
   mutable recovery_rebuilds : int; (* refactors forced by rejected pivots *)
   mutable refactor_seconds : float;
+  mutable pricing_seconds : float; (* accumulated only while Obs is on *)
+  mutable ftran_seconds : float;
   mutable bland : bool;
   mutable degen_count : int;
   mutable infeas_ray : float array option;
@@ -129,15 +133,22 @@ type t = {
 let patch_lb v = if v = neg_infinity then -.big else v
 let patch_ub v = if v = infinity then big else v
 
-(* Build column-major copies of the constraint matrix. *)
+(* Column-major copy of the constraint matrix, followed by the unit
+   columns of the m slacks: the column set the basis is factored from. *)
 let col_major (std : Lp.std) =
   let n = std.Lp.ncols and m = std.Lp.nrows in
   let counts = Array.make n 0 in
   for r = 0 to m - 1 do
     Array.iter (fun j -> counts.(j) <- counts.(j) + 1) std.Lp.row_idx.(r)
   done;
-  let idx = Array.init n (fun j -> Array.make counts.(j) 0) in
-  let value = Array.init n (fun j -> Array.make counts.(j) 0.) in
+  let one = [| 1. |] in
+  let idx =
+    Array.init (n + m) (fun j ->
+        if j < n then Array.make counts.(j) 0 else [| j - n |])
+  in
+  let value =
+    Array.init (n + m) (fun j -> if j < n then Array.make counts.(j) 0. else one)
+  in
   let fill = Array.make n 0 in
   for r = 0 to m - 1 do
     let ri = std.Lp.row_idx.(r) and rv = std.Lp.row_val.(r) in
@@ -248,6 +259,8 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     amark = Array.make nn false;
     atouch = Array.make nn 0;
     natouch = 0;
+    movable = Array.make nn 0;
+    nmovable = 0;
     dw;
     wscratch = alloc m;
     zscratch = alloc m;
@@ -267,6 +280,8 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     drift_rebuilds = 0;
     recovery_rebuilds = 0;
     refactor_seconds = 0.;
+    pricing_seconds = 0.;
+    ftran_seconds = 0.;
     bland = false;
     degen_count = 0;
     infeas_ray = None;
@@ -282,7 +297,8 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
    LU factors and eta records are immutable after construction, so they
    are shared too.  Everything the solve mutates -- bounds, basis,
    values, reduced costs, scratch, counters -- is deep-copied so the copy
-   can reoptimize concurrently with (or instead of) the original. *)
+   can reoptimize concurrently with (or instead of) the original.  LU
+   working storage belongs to the factoring domain, not to an instance. *)
 let copy t =
   {
     t with
@@ -298,6 +314,7 @@ let copy t =
     alpha = Vec.copy t.alpha;
     amark = Array.copy t.amark;
     atouch = Array.copy t.atouch;
+    movable = Array.copy t.movable;
     dw = Vec.copy t.dw;
     wscratch = Vec.copy t.wscratch;
     zscratch = Vec.copy t.zscratch;
@@ -319,6 +336,8 @@ let refactorizations t = t.total_refactors
 let drift_rebuilds t = t.drift_rebuilds
 let recovery_rebuilds t = t.recovery_rebuilds
 let refactor_seconds t = t.refactor_seconds
+let pricing_seconds t = t.pricing_seconds
+let ftran_seconds t = t.ftran_seconds
 let eta_applications t = t.eta_apps
 let max_eta_length t = t.eta_len_max
 let lu_nnz t = Sparse_lu.nnz t.lu
@@ -392,21 +411,18 @@ let apply_etas_rev_row t (u : Vec.t) =
   done
 
 (* Push the eta derived from entering column w (= B^-1 A_q) at pivot row
-   r. *)
+   r: one pass collects the nonzero rows in the [utouched] scratch
+   (free outside compute_rho), then the record copies them out. *)
 let push_eta t r (w : Vec.t) =
   let cnt = ref 0 in
   for i = 0 to t.m - 1 do
-    if i <> r && w.{i} <> 0. then incr cnt
-  done;
-  let idx = Array.make !cnt 0 and va = Array.make !cnt 0. in
-  let k = ref 0 in
-  for i = 0 to t.m - 1 do
     if i <> r && w.{i} <> 0. then begin
-      idx.(!k) <- i;
-      va.(!k) <- w.{i};
-      incr k
+      t.utouched.(!cnt) <- i;
+      incr cnt
     end
   done;
+  let idx = Array.sub t.utouched 0 !cnt in
+  let va = Array.init !cnt (fun k -> w.{idx.(k)}) in
   if t.neta >= Array.length t.etas then begin
     let grown = Array.make (max 8 (2 * Array.length t.etas)) dummy_eta in
     Array.blit t.etas 0 grown 0 t.neta;
@@ -473,14 +489,12 @@ let compute_xb t =
   for j = 0 to t.nn - 1 do
     if t.loc.(j) < 0 then begin
       let v = nb_value t j in
-      if v <> 0. then
-        if j < t.n then begin
-          let ci = t.col_idx.(j) and cv = t.col_val.(j) in
-          for k = 0 to Array.length ci - 1 do
-            z.{ci.(k)} <- z.{ci.(k)} -. (cv.(k) *. v)
-          done
-        end
-        else z.{j - t.n} <- z.{j - t.n} -. v
+      if v <> 0. then begin
+        let ci = t.col_idx.(j) and cv = t.col_val.(j) in
+        for k = 0 to Array.length ci - 1 do
+          z.{ci.(k)} <- z.{ci.(k)} -. (cv.(k) *. v)
+        done
+      end
     end
   done;
   Sparse_lu.ftran t.lu ~work:t.lu_work z;
@@ -491,13 +505,10 @@ let compute_xb t =
 let ftran t j =
   let w = t.wscratch in
   Vec.fill w 0.;
-  if j < t.n then begin
-    let ci = t.col_idx.(j) and cv = t.col_val.(j) in
-    for k = 0 to Array.length ci - 1 do
-      w.{ci.(k)} <- w.{ci.(k)} +. cv.(k)
-    done
-  end
-  else w.{j - t.n} <- 1.;
+  let ci = t.col_idx.(j) and cv = t.col_val.(j) in
+  for k = 0 to Array.length ci - 1 do
+    w.{ci.(k)} <- w.{ci.(k)} +. cv.(k)
+  done;
   Sparse_lu.ftran t.lu ~work:t.lu_work w;
   apply_etas_fwd t w;
   w
@@ -519,7 +530,7 @@ let recompute_d t =
   let y = compute_duals t in
   for j = 0 to t.nn - 1 do
     if t.loc.(j) >= 0 then t.d.{j} <- 0.
-    else if j < t.n then begin
+    else begin
       let ci = t.col_idx.(j) and cv = t.col_val.(j) in
       let acc = ref t.cost.{j} in
       for k = 0 to Array.length ci - 1 do
@@ -527,7 +538,6 @@ let recompute_d t =
       done;
       t.d.{j} <- !acc
     end
-    else t.d.{j} <- -.y.{j - t.n}
   done
 
 let duals t = Vec.to_array (compute_duals t)
@@ -553,29 +563,15 @@ let refactor t =
     ~attrs:[ ("m", Obs.Int t.m); ("etas", Obs.Int t.neta) ]
   @@ fun () ->
   let t0 = Obs.Clock.now () in
-  let m = t.m in
-  let idx = Array.make m [||] and va = Array.make m [||] in
-  let bnnz = ref 0 in
-  for k = 0 to m - 1 do
-    let j = t.basis.(k) in
-    if j < t.n then begin
-      idx.(k) <- t.col_idx.(j);
-      va.(k) <- t.col_val.(j);
-      bnnz := !bnnz + Array.length t.col_idx.(j)
-    end
-    else begin
-      idx.(k) <- [| j - t.n |];
-      va.(k) <- [| 1. |];
-      incr bnnz
-    end
-  done;
-  match Sparse_lu.factor idx va with
+  match Sparse_lu.factor t.col_idx t.col_val t.basis with
   | Some lu ->
     t.lu <- lu;
     t.neta <- 0;
     t.total_refactors <- t.total_refactors + 1;
     t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
     if Obs.enabled () then begin
+      let bnnz = ref 0 in
+      Array.iter (fun j -> bnnz := !bnnz + Array.length t.col_idx.(j)) t.basis;
       Obs.gauge "simplex.lu_nnz" (float_of_int (Sparse_lu.nnz lu));
       Obs.gauge "simplex.lu_fill"
         (float_of_int (max 0 (Sparse_lu.nnz lu - !bnnz)))
@@ -680,9 +676,10 @@ let devex_update t r (w : Vec.t) =
 (* Pivot-row pricing: alpha_j = rho . A_j for every column, computed by
    scattering the nonzero entries of rho through the row-major matrix —
    O(nnz of the touched rows) instead of a gather over all nn columns.
-   Scatter order is ascending row index, and the movable list is sorted
-   so the ratio test scans candidates in ascending variable order
-   (determinism).  Touched positions are recorded for [clear_alpha]. *)
+   Scatter order is ascending row index.  Touched positions are recorded
+   for [clear_alpha]; the ratio-test candidates go to [movable] in
+   ascending variable order (determinism) by one pass over the [amark]
+   flags, which costs less than sorting the touched positions. *)
 let scatter_price t (rho : Vec.t) =
   let ntouch = ref 0 in
   for i = 0 to t.m - 1 do
@@ -707,18 +704,19 @@ let scatter_price t (rho : Vec.t) =
     end
   done;
   t.natouch <- !ntouch;
-  let touched = Array.sub t.atouch 0 !ntouch in
-  Array.sort (fun (a : int) b -> compare a b) touched;
-  let movable = ref [] in
-  for k = !ntouch - 1 downto 0 do
-    let j = touched.(k) in
+  let nm = ref 0 in
+  for j = 0 to t.nn - 1 do
     if
-      t.loc.(j) < 0
+      t.amark.(j)
+      && t.loc.(j) < 0
       && t.ub.{j} -. t.lb.{j} > 1e-12
       && Float.abs t.alpha.{j} > pivot_tol
-    then movable := j :: !movable
+    then begin
+      t.movable.(!nm) <- j;
+      incr nm
+    end
   done;
-  !movable
+  t.nmovable <- !nm
 
 let clear_alpha t =
   for k = 0 to t.natouch - 1 do
@@ -729,10 +727,16 @@ let clear_alpha t =
   t.natouch <- 0
 
 (* One dual pivot.  Returns `Progress, `Feasible (primal feasible reached)
-   or `Infeasible. *)
-let dual_step t =
+   or `Infeasible.  With [timed], the pricing phase (leaving row, rho
+   btran, scatter, ratio test) and the entering-column ftran are added to
+   [pricing_seconds] and [ftran_seconds]. *)
+let dual_step t ~timed =
+  let t0 = if timed then Obs.Clock.now () else 0. in
   match select_leaving t with
-  | None -> `Feasible
+  | None ->
+    if timed then
+      t.pricing_seconds <- t.pricing_seconds +. (Obs.Clock.now () -. t0);
+    `Feasible
   | Some r ->
     let p = t.basis.(r) in
     let above = t.xb.{r} > t.ub.{p} in
@@ -741,36 +745,38 @@ let dual_step t =
        row e_r B^-1 from a sparse btran through the eta file. *)
     compute_rho t r;
     let rho = t.rho in
-    let movable = scatter_price t rho in
+    scatter_price t rho;
     (* Dual ratio test: keep reduced costs sign-feasible. *)
     let q = ref (-1) and best_ratio = ref infinity and best_mag = ref 0. in
-    List.iter
-      (fun j ->
-         let a = s *. t.alpha.{j} in
-         let eligible =
-           (t.loc.(j) = -1 && a > pivot_tol) || (t.loc.(j) = -2 && a < -.pivot_tol)
-         in
-         if eligible then begin
-           let dj =
-             if t.loc.(j) = -1 then Float.max t.d.{j} 0. else Float.min t.d.{j} 0.
-           in
-           let ratio = dj /. a in
-           let mag = Float.abs t.alpha.{j} in
-           let better =
-             if t.bland then
-               ratio < !best_ratio -. 1e-9
-               || (ratio < !best_ratio +. 1e-9 && (!q < 0 || j < !q))
-             else
-               ratio < !best_ratio -. 1e-9
-               || (ratio < !best_ratio +. 1e-9 && mag > !best_mag)
-           in
-           if better then begin
-             q := j;
-             best_ratio := ratio;
-             best_mag := mag
-           end
-         end)
-      movable;
+    for k = 0 to t.nmovable - 1 do
+      let j = t.movable.(k) in
+      let a = s *. t.alpha.{j} in
+      let eligible =
+        (t.loc.(j) = -1 && a > pivot_tol) || (t.loc.(j) = -2 && a < -.pivot_tol)
+      in
+      if eligible then begin
+        let dj =
+          if t.loc.(j) = -1 then Float.max t.d.{j} 0. else Float.min t.d.{j} 0.
+        in
+        let ratio = dj /. a in
+        let mag = Float.abs t.alpha.{j} in
+        let better =
+          if t.bland then
+            ratio < !best_ratio -. 1e-9
+            || (ratio < !best_ratio +. 1e-9 && (!q < 0 || j < !q))
+          else
+            ratio < !best_ratio -. 1e-9
+            || (ratio < !best_ratio +. 1e-9 && mag > !best_mag)
+        in
+        if better then begin
+          q := j;
+          best_ratio := ratio;
+          best_mag := mag
+        end
+      end
+    done;
+    let t1 = if timed then Obs.Clock.now () else 0. in
+    if timed then t.pricing_seconds <- t.pricing_seconds +. (t1 -. t0);
     if !q < 0 then begin
       (* No entering column can repair the violated basic variable in row
          [r]: the row [e_r B^-1] of the basis inverse is a Farkas-style
@@ -790,6 +796,8 @@ let dual_step t =
     else begin
       let q = !q in
       let w = ftran t q in
+      if timed then
+        t.ftran_seconds <- t.ftran_seconds +. (Obs.Clock.now () -. t1);
       if Float.abs w.{r} < pivot_tol then begin
         clear_alpha t;
         `Numerical_pivot
@@ -800,9 +808,10 @@ let dual_step t =
         let new_q_value = nb_value t q +. delta in
         (* Reduced-cost update (before the basis mutates). *)
         let theta = t.d.{q} /. w.{r} in
-        List.iter
-          (fun j -> if j <> q then t.d.{j} <- t.d.{j} -. (theta *. t.alpha.{j}))
-          movable;
+        for k = 0 to t.nmovable - 1 do
+          let j = t.movable.(k) in
+          if j <> q then t.d.{j} <- t.d.{j} -. (theta *. t.alpha.{j})
+        done;
         t.d.{p} <- -.theta;
         t.d.{q} <- 0.;
         (* Basic value update. *)
@@ -828,6 +837,7 @@ let dual_step t =
     end
 
 let dual_loop t ~max_iter ~deadline =
+  let timed = Obs.enabled () in
   let numerical_retries = ref 0 in
   let iter = ref 0 in
   let result = ref None in
@@ -859,14 +869,15 @@ let dual_loop t ~max_iter ~deadline =
            recompute_d t
          end
        end;
-       (* Refactorization cadence: re-factor the basis (cheap at O(fill))
-          and resync xb and d in O(nnz) against the fresh factors. *)
+       (* Refactorization cadence: re-factor the basis (one Markowitz
+          elimination in the instance's reused LU storage) and resync xb
+          and d in O(nnz) against the fresh factors. *)
        if t.neta >= t.refactor_every then begin
          if not (refactor t) then raise (Stop Numerical);
          compute_xb t;
          recompute_d t
        end;
-       match dual_step t with
+       match dual_step t ~timed with
        | `Progress -> ()
        | `Feasible -> result := Some Optimal
        | `Infeasible -> result := Some Infeasible
@@ -1080,6 +1091,8 @@ let solve ?(max_iter = 200_000) ?time_limit ?refactor_every (std : Lp.std) =
        if Obs.enabled () then begin
          Obs.count "simplex.iterations" (float_of_int t.total_iters);
          Obs.count "simplex.refactorizations" (float_of_int t.total_refactors);
+         Obs.count "simplex.pricing_seconds" t.pricing_seconds;
+         Obs.count "simplex.ftran_seconds" t.ftran_seconds;
          if t.drift_rebuilds > 0 then
            Obs.count "simplex.drift_rebuilds" (float_of_int t.drift_rebuilds);
          if t.recovery_rebuilds > 0 then

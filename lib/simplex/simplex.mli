@@ -5,11 +5,15 @@
     basis is held as a sparse LU factorization with Markowitz pivoting
     ({!Sparse_lu}), refreshed every [refactor_every] pivots; between
     refactorizations pivots are layered on top as product-form {e eta}
-    updates.  ftran/btran cost O(nnz(L)+nnz(U)) instead of O(rows²), no
-    dense inverse is ever allocated, and pricing scatters the pivot row
-    through the row-major matrix so a pivot costs O(nonzeros touched)
-    rather than O(cols).  The dual method prices the leaving row by devex
-    reference weights.
+    updates.  ftran/btran cost O(rows + nnz(L) + nnz(U)) instead of
+    O(rows²) and no dense inverse is ever allocated.  Pricing scatters
+    the pivot row through the row-major matrix (O(nonzeros of the touched
+    rows)), then collects the ratio-test candidates in ascending variable
+    order with one pass over the cols + rows membership flags, so a pivot
+    costs O(nonzeros touched + cols + rows); its one sizeable allocation
+    is the eta record.  Each factorization runs in the factoring
+    domain's reusable LU working storage ({!Sparse_lu.factor}).  The dual
+    method prices the leaving row by devex reference weights.
 
     The dual method is the workhorse: starting from the all-slack basis, the
     solver first places every nonbasic variable on the bound that makes its
@@ -68,7 +72,8 @@ type t
     per-solve major-heap allocations for the float payload.  Because
     the carved views are zero-filled exactly like fresh allocations,
     a pooled instance is bit-identical to a fresh one (enforced by
-    [test/test_simplex.ml]).
+    [test/test_simplex.ml]).  The sparse LU working storage is not part
+    of it: each domain keeps its own (see {!Sparse_lu.factor}).
 
     A workspace must back at most one live instance at a time: each
     {!create} re-carves the buffer, invalidating the previous instance
@@ -98,7 +103,9 @@ val copy : t -> t
     but no mutable state shared with the original — the copy and the
     original can be reoptimized concurrently (e.g. on different domains).
     Immutable model data (costs, matrix, right-hand side), eta records
-    and LU factors are shared, so a copy is O(rows + cols).  A copy
+    and LU factors are shared, so a copy is O(rows + cols); a
+    refactorization replaces an instance's factors and never writes the
+    shared ones.  A copy
     of a root-optimal instance is a valid warm start for any subtree of a
     branch-and-bound search: the basis stays dual feasible under the
     subtree's bound changes. *)
@@ -147,6 +154,15 @@ val recovery_rebuilds : t -> int
 val refactor_seconds : t -> float
 (** Wall-clock seconds spent inside sparse LU refactorizations — the
     refactorization-time column of the simplex scale-sweep bench job. *)
+
+val pricing_seconds : t -> float
+(** Wall-clock seconds spent pricing dual pivots (leaving-row choice,
+    the btran of the pivot row, the row scatter and the ratio test).
+    Accumulated only while [Obs.enabled ()]; 0 otherwise. *)
+
+val ftran_seconds : t -> float
+(** Wall-clock seconds spent in the entering-column ftran of dual pivots.
+    Accumulated only while [Obs.enabled ()]; 0 otherwise. *)
 
 val eta_applications : t -> int
 (** Total eta-matrix applications (ftran/btran passes through eta-file

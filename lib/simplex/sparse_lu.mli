@@ -6,7 +6,8 @@
     relative threshold test (threshold partial pivoting, τ = 0.1), which
     bounds fill-in while keeping the factors stable.  [L] is unit lower
     triangular stored column-wise, [U] upper triangular stored row-wise,
-    both in pivot-order index space, so the four triangular solves run in
+    both in pivot-order index space and each in one flat index/value
+    array pair, so the four triangular solves run in
     O(nnz(L) + nnz(U) + m):
 
     - {!ftran} solves [B w = b] (forward scatter through L with zero
@@ -15,18 +16,29 @@
     - {!btran} solves [Bᵀ v = u] (forward scatter through Uᵀ with zero
       skipping, then a backward gather through Lᵀ).
 
-    Factors are immutable after construction: {!Simplex.copy} shares them
-    across branch-and-bound worker domains, and pivot updates are layered
-    on top as product-form etas rather than by mutating L/U. *)
+    Storage: the elimination works in storage owned by the calling
+    domain (dynamic columns, row lists, count buckets, scatter arrays;
+    its int and float buffers are bigarrays, outside the OCaml heap),
+    which every factorization that domain runs reuses, so a
+    factorization allocates only the arrays of its result.  That storage
+    keeps no state between calls that affects a result: a factor
+    computed right after a differently shaped basis is bit-identical to
+    one computed on a fresh domain.  It stays allocated, at the size of
+    the largest basis the domain has factored, for the domain's
+    lifetime.  The result never aliases it and is immutable after
+    construction: {!Simplex.copy} shares factors across branch-and-bound
+    worker domains, and pivot updates are layered on top as product-form
+    etas rather than by mutating L/U. *)
 
 type t
 
-val factor : int array array -> float array array -> t option
-(** [factor cols_idx cols_val] factors the square matrix whose [j]-th
-    column has row indices [cols_idx.(j)] and values [cols_val.(j)]
-    (one entry per row, unordered).  Returns [None] when the matrix is
-    structurally or numerically singular (no remaining entry passes the
-    absolute pivot tolerance 1e-12). *)
+val factor : int array array -> float array array -> int array -> t option
+(** [factor cols_idx cols_val basis] factors the square matrix whose
+    [k]-th column is column [basis.(k)] of the sparse column set
+    ([cols_idx.(j)] row indices, [cols_val.(j)] values, one entry per
+    row, unordered).  Returns [None] when the matrix is structurally or
+    numerically singular (no remaining entry passes the absolute pivot
+    tolerance 1e-12). *)
 
 val identity : int -> t
 (** Trivial factors of the m×m identity — the all-slack start basis. *)

@@ -396,36 +396,91 @@ let sparse_cols_of_dense a =
   done;
   (idx, va)
 
-(* Random sparse square matrix: dominant diagonal most of the time, with
-   a sprinkle of off-diagonal entries; occasionally drop the diagonal so
-   singular and near-singular cases are exercised too. *)
+(* Random sparse square matrix shaped like a simplex basis, m <= 60,
+   with its columns shuffled.  Most columns are unit columns (slacks).
+   The others carry a dominant diagonal, a sprinkle of off-diagonal
+   entries, a cyclic subdiagonal and an overlapping dense block over
+   structural rows and columns: no pivot order eliminates a cycle
+   without fill.  Three structural columns are replaced by a 2×2 block
+   plus a column over the same two rows, so a column singleton is
+   pivoted on a row whose other entries an earlier elimination step
+   updated.  One matrix in four drops the diagonal of some structural
+   columns, so off-diagonal entries must serve as pivots, and,
+   independently, one in four repeats a structural column, so singular
+   and near-singular cases are exercised too. *)
 let gen_sparse_matrix =
   let open QCheck2.Gen in
-  let* m = int_range 1 12 in
-  let* diag = list_size (return m) (float_range (-4.) 4.) in
-  let* keep_diag = list_size (return m) (int_range 0 9) in
+  let* m = int_range 1 60 in
+  let* kind = array_size (return m) (int_range 0 9) in
+  let* holes = int_range 0 3 in
+  let* dup = int_range 0 3 in
+  let* diag = array_size (return m) (float_range (-4.) 4.) in
   let* off =
     list_size
-      (int_range 0 (3 * m))
+      (int_range 0 (2 * m))
       (triple (int_range 0 (m - 1)) (int_range 0 (m - 1))
          (float_range (-2.) 2.))
   in
+  let* shift = int_range 1 7 in
+  let* block = array_size (return 64) (float_range (-2.) 2.) in
+  let* cycle = array_size (return m) (float_range (-2.) 2.) in
+  let* order = shuffle_l (List.init m Fun.id) in
+  (* kind < 6: unit column; 9: no diagonal when [holes = 0] *)
+  let structural j = kind.(j) >= 6 in
   let a = Array.make_matrix m m 0. in
-  List.iteri
-    (fun i (d, k) -> if k > 0 then a.(i).(i) <- (if Float.abs d < 0.2 then 1. else d))
-    (List.combine diag keep_diag);
-  List.iter (fun (i, j, v) -> if i <> j then a.(i).(j) <- v) off;
-  return a
+  for j = 0 to m - 1 do
+    if not (structural j) then a.(j).(j) <- 1.
+    else if kind.(j) < 9 || holes > 0 then
+      a.(j).(j) <- (if Float.abs diag.(j) < 0.2 then 1. else diag.(j))
+  done;
+  List.iter (fun (i, j, v) -> if i <> j && structural j then a.(i).(j) <- v) off;
+  let s = Array.of_list (List.filter structural (List.init m Fun.id)) in
+  let ns = Array.length s in
+  for q = 0 to ns - 1 do
+    let i = s.((q + 1) mod ns) and j = s.(q) in
+    if i <> j then a.(i).(j) <- cycle.(q)
+  done;
+  let b = min 8 ns in
+  for p = 0 to b - 1 do
+    for q = 0 to b - 1 do
+      let i = s.(p) and j = s.((q + shift) mod ns) in
+      if i <> j then a.(i).(j) <- block.((8 * p) + q)
+    done
+  done;
+  if ns >= 5 then begin
+    let ca = s.(ns - 1) and cb = s.(ns - 2) and cc = s.(ns - 3) in
+    for i = 0 to m - 1 do
+      a.(i).(ca) <- 0.;
+      a.(i).(cb) <- 0.;
+      a.(i).(cc) <- 0.
+    done;
+    a.(ca).(ca) <- 1.5;
+    a.(cb).(ca) <- block.(0) +. 3.;
+    a.(ca).(cb) <- block.(1) -. 3.;
+    a.(cb).(cb) <- 2.5;
+    a.(ca).(cc) <- block.(2);
+    a.(cb).(cc) <- block.(3);
+    a.(cc).(cc) <- 1.
+  end;
+  if dup = 0 && ns >= 2 then
+    for i = 0 to m - 1 do
+      a.(i).(s.(1)) <- a.(i).(s.(0))
+    done;
+  let order = Array.of_list order in
+  return (Array.map (fun row -> Array.map (fun j -> row.(j)) order) a)
+
+let factor_dense a =
+  let idx, va = sparse_cols_of_dense a in
+  Sparse_lu.factor idx va (Array.init (Array.length a) Fun.id)
 
 let prop_sparse_lu_matches_dense =
-  QCheck2.Test.make ~count:500
+  QCheck2.Test.make ~count:1000
     ~name:"sparse LU: ftran/btran agree with dense elimination to 1e-9"
     gen_sparse_matrix
     (fun a ->
        let m = Array.length a in
-       let idx, va = sparse_cols_of_dense a in
        let b = Array.init m (fun i -> Float.of_int ((i mod 5) - 2) +. 0.25) in
-       match (Sparse_lu.factor idx va, dense_solve a b) with
+       match (factor_dense a, dense_solve a b) with
        | None, None -> true
        | None, Some _ ->
          (* the sparse kernel may reject near-singular bases the dense
@@ -454,17 +509,50 @@ let prop_sparse_lu_matches_dense =
             done);
          Sparse_lu.nnz lu >= m && !ok_f && !ok_b)
 
+(* The LU working storage carries nothing from one factorization to the
+   next: factoring right after a differently shaped basis gives
+   ftran/btran results bit-identical to factoring on a new domain (which
+   starts with fresh storage), and they stay so after more
+   factorizations on the same domain (the factors alias no shared
+   storage). *)
+let prop_sparse_lu_reused_storage =
+  QCheck2.Test.make ~count:300
+    ~name:"sparse LU: reused working storage is bit-identical to fresh"
+    QCheck2.Gen.(pair gen_sparse_matrix gen_sparse_matrix)
+    (fun (dirty, a) ->
+       let m = Array.length a in
+       let solves lu =
+         let work = Vec.create m in
+         let b = Array.init m (fun i -> Float.of_int ((i mod 7) - 3) +. 0.5) in
+         let xf = Vec.of_array b and xb = Vec.of_array b in
+         Sparse_lu.ftran lu ~work xf;
+         Sparse_lu.btran lu ~work xb;
+         ( Sparse_lu.nnz lu,
+           Array.map Int64.bits_of_float (Vec.to_array xf),
+           Array.map Int64.bits_of_float (Vec.to_array xb) )
+       in
+       ignore (factor_dense dirty);
+       let reused = Option.map solves (factor_dense a) in
+       let kept = factor_dense a in
+       ignore (factor_dense dirty);
+       let kept = Option.map solves kept in
+       let fresh =
+         Domain.join
+           (Domain.spawn (fun () -> Option.map solves (factor_dense a)))
+       in
+       reused = fresh && kept = fresh)
+
 let test_sparse_lu_singular () =
   (* structurally singular: a duplicated column *)
   let idx = [| [| 0; 1 |]; [| 0; 1 |]; [| 2 |] |] in
   let va = [| [| 1.; 2. |]; [| 1.; 2. |]; [| 3. |] |] in
-  (match Sparse_lu.factor idx va with
+  (match Sparse_lu.factor idx va [| 0; 1; 2 |] with
    | None -> ()
    | Some _ -> Alcotest.fail "factor accepted a rank-deficient matrix");
   (* numerically singular: entries below the absolute pivot tolerance *)
   let idx = [| [| 0 |]; [| 1 |] |] in
   let va = [| [| 1e-14 |]; [| 1. |] |] in
-  match Sparse_lu.factor idx va with
+  match Sparse_lu.factor idx va [| 0; 1 |] with
   | None -> ()
   | Some _ -> Alcotest.fail "factor accepted a numerically singular matrix"
 
@@ -546,6 +634,60 @@ let prop_pooled_equals_fresh =
        let pooled = run (Some ws) in
        let fresh = run None in
        pooled = fresh)
+
+(* A copy shares the LU factors and eta records of its original, never
+   its working storage.  So the original's bound changes and
+   refactorizations must leave the copy exactly as a copy of an
+   untouched twin: same status, pivot count, objective bits and primal
+   point bits when both copies are reoptimized.  Branch-and-bound worker
+   domains rely on this. *)
+let prop_copy_survives_original =
+  (* A case the bound changes cannot drive through two refactorizations
+     is discarded; more than half discarded fails the test. *)
+  QCheck2.Test.make ~count:150 ~if_assumptions_fail:(`Fatal, 0.5)
+    ~name:"simplex: a copy is unaffected by the original's refactorizations"
+    QCheck2.Gen.(pair gen_rand_lp (int_range 0 1_000_000))
+    (fun (r, seed) ->
+       let solved () =
+         (* every pivot triggers a refactorization at the next iteration *)
+         let t =
+           Simplex.create ~refactor_every:1 (Lp.standardize (build_rand_lp r))
+         in
+         ignore (Simplex.reoptimize t);
+         t
+       in
+       let original = solved () and twin = solved () in
+       let copy = Simplex.copy original and reference = Simplex.copy twin in
+       (* Drive the original with random boxes (fixings at 0 or at a
+          quarter of the box, halvings of the current value,
+          restorations) until it has refactorized twice. *)
+       let st = Random.State.make [| seed |] in
+       let refacs0 = Simplex.refactorizations original in
+       let rounds = ref 0 in
+       while Simplex.refactorizations original < refacs0 + 2 && !rounds < 12 do
+         incr rounds;
+         List.iteri
+           (fun j ub ->
+              let lb, ub =
+                match Random.State.int st 4 with
+                | 0 -> (0., 0.)
+                | 1 -> (0., Float.max 0. (Simplex.primal_value original j /. 2.))
+                | 2 -> (ub /. 4., ub /. 4.)
+                | _ -> (0., ub)
+              in
+              Simplex.set_bounds original j ~lb ~ub)
+           r.ubs;
+         ignore (Simplex.reoptimize original)
+       done;
+       QCheck2.assume (Simplex.refactorizations original >= refacs0 + 2);
+       let run t =
+         let st = Simplex.reoptimize t in
+         ( st,
+           Simplex.iterations t,
+           Int64.bits_of_float (Simplex.objective t),
+           Array.map Int64.bits_of_float (Simplex.primal t) )
+       in
+       run copy = run reference)
 
 (* A deterministic ill-scaled fixture run with the refactorization
    cadence disabled: the only way the solver can hold the basis together
@@ -632,6 +774,7 @@ let () =
          QCheck_alcotest.to_alcotest prop_complementary_slackness;
          QCheck_alcotest.to_alcotest prop_zero_objective;
          QCheck_alcotest.to_alcotest prop_pooled_equals_fresh;
+         QCheck_alcotest.to_alcotest prop_copy_survives_original;
        ]);
       ("kernels",
        [ QCheck_alcotest.to_alcotest prop_random_lp_certifies;
@@ -642,5 +785,6 @@ let () =
        [ Alcotest.test_case "identity factors" `Quick test_sparse_lu_identity;
          Alcotest.test_case "singular rejection" `Quick test_sparse_lu_singular;
          QCheck_alcotest.to_alcotest prop_sparse_lu_matches_dense;
+         QCheck_alcotest.to_alcotest prop_sparse_lu_reused_storage;
        ]);
     ]
