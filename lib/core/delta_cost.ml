@@ -12,13 +12,17 @@
    so that objective (6) = λ·(cost_quad + cost_lin)
                            + (1−λ)·max_s work.(s) [+ λ·pl·lat.total].
 
-   A per-site transaction index (site_txns/site_len/pos, swap-remove)
-   makes a Flip O(transactions homed on the flipped site) instead of
-   O(all transactions). *)
-
-type prim =
-  | PFlip of int * int          (* attr, site: toggle *)
-  | PAssign of int * int        (* txn, site it came from *)
+   Both moves walk compressed lines of c1 and c3 (the entries where
+   either is nonzero): a Flip of [a] the column of [a] (cols), an Assign
+   of [tx] the row of [tx] (rows), so each costs O(nonzeros of the line)
+   rather than O(transactions) or O(attributes).  The terms left out
+   are zeros, and a zero added to a cache entry or running sum changes
+   nothing, because none of them is ever -0: they start at +0, and a
+   round-to-nearest sum of nonzero terms that cancels gives +0.  So
+   every cache value is bit-identical to a dense walk's.  A Flip adds
+   its terms to cost_quad and work.{s} in the order of the site's
+   transaction list (site_txns/site_len/pos, swap-remove), by sorting
+   the column's hits on [pos]. *)
 
 type move =
   | Flip of int * int
@@ -49,8 +53,17 @@ type t = {
   site_txns : int array array;
   site_len : int array;
   pos : int array;
+  rows : Vec.sparse;            (* c1, c3 by transaction *)
+  cols : Vec.sparse;            (* c1, c3 by attribute *)
+  hits : int array;             (* a Flip's column entries homed at s *)
   lat : lat option;
-  mutable journal : prim list list;
+  (* Undo journal: two ints per primitive in [jprims] — [(a, s)] for a
+     flip of attribute [a] on site [s], [(-tx - 1, s_old)] for an assign
+     of transaction [tx] that came from [s_old] — and the [jprims] height
+     at which each of the [jlen] un-committed moves starts. *)
+  mutable jprims : int array;
+  mutable jtop : int;
+  mutable jstarts : int array;
   mutable jlen : int;
   mutable nmoves : int;
 }
@@ -60,7 +73,7 @@ let moves_applied t = t.nmoves
 let replicas t a = t.repl.(a)
 let cost t = t.cost_quad +. t.cost_lin
 
-let max_site_work t =
+let[@inline] max_site_work t =
   (* same fold as Cost_model.max_site_work: max over sites, floor 0 *)
   let m = ref 0. in
   for s = 0 to Vec.length t.work - 1 do
@@ -70,7 +83,7 @@ let max_site_work t =
 
 let site_work t = Vec.to_array t.work
 
-let objective t =
+let[@inline] objective t =
   let base =
     (t.lambda *. cost t) +. ((1. -. t.lambda) *. max_site_work t)
   in
@@ -146,12 +159,11 @@ let rebuild t =
   t.cost_lin <- 0.;
   for tx = 0 to nt - 1 do
     let home = part.Partitioning.txn_site.(tx) in
-    let c1t = Vec.row stats.Stats.c1 tx and c3t = Vec.row stats.Stats.c3 tx in
     let q = ref 0. and w = ref 0. in
     for a = 0 to na - 1 do
       if part.Partitioning.placed.(a).(home) then begin
-        q := !q +. c1t.{a};
-        w := !w +. c3t.{a}
+        q := !q +. stats.Stats.c1.{tx, a};
+        w := !w +. stats.Stats.c3.{tx, a}
       end
     done;
     t.quad.{tx} <- !q;
@@ -203,6 +215,7 @@ module Workspace = struct
     site_txns : int array array;
     site_len : int array;
     pos : int array;
+    hits : int array;
   }
 
   type t = { mutable cached : buffers option }
@@ -225,6 +238,7 @@ module Workspace = struct
           site_txns = Array.init ns (fun _ -> Array.make nt 0);
           site_len = Array.make ns 0;
           pos = Array.make nt 0;
+          hits = Array.make nt 0;
         }
       in
       ws.cached <- Some b;
@@ -242,6 +256,7 @@ let create ?workspace ?latency (stats : Stats.t) ~lambda
     in
     Workspace.buffers ws ~nt ~na ~ns
   in
+  let rows = Vec.compress_rows [| stats.Stats.c1; stats.Stats.c3 |] in
   let t =
     {
       stats;
@@ -256,8 +271,13 @@ let create ?workspace ?latency (stats : Stats.t) ~lambda
       site_txns = b.Workspace.site_txns;
       site_len = b.Workspace.site_len;
       pos = b.Workspace.pos;
+      rows;
+      cols = Vec.transpose rows na;
+      hits = b.Workspace.hits;
       lat = Option.map (fun (inst, pl) -> make_lat inst pl) latency;
-      journal = [];
+      jprims = Array.make 64 0;
+      jtop = 0;
+      jstarts = Array.make 16 0;
       jlen = 0;
       nmoves = 0;
     }
@@ -284,32 +304,53 @@ let prim_flip t a s =
   row.(s) <- adding;
   t.repl.(a) <- t.repl.(a) + (if adding then 1 else -1);
   t.cost_lin <- t.cost_lin +. (sign *. stats.Stats.c2.(a));
-  t.work.{s} <- t.work.{s} +. (sign *. stats.Stats.c4.(a));
-  let lst = t.site_txns.(s) in
-  for i = 0 to t.site_len.(s) - 1 do
-    let tx = lst.(i) in
-    let dq = sign *. stats.Stats.c1.{tx, a} in
-    let dw = sign *. stats.Stats.c3.{tx, a} in
-    t.quad.{tx} <- t.quad.{tx} +. dq;
-    t.cost_quad <- t.cost_quad +. dq;
-    t.workq.{tx} <- t.workq.{tx} +. dw;
-    t.work.{s} <- t.work.{s} +. dw
+  (* the column's transactions homed at [s], by insertion into their
+     order in the site's list *)
+  let cols = t.cols and hits = t.hits and pos = t.pos in
+  let n = ref 0 in
+  for k = cols.Vec.ptr.(a) to cols.Vec.ptr.(a + 1) - 1 do
+    let tx = cols.Vec.idx.(k) in
+    if part.Partitioning.txn_site.(tx) = s then begin
+      let p = pos.(tx) and j = ref !n in
+      while !j > 0 && pos.(cols.Vec.idx.(hits.(!j - 1))) > p do
+        hits.(!j) <- hits.(!j - 1);
+        decr j
+      done;
+      hits.(!j) <- k;
+      incr n
+    end
   done;
+  let c1 = cols.Vec.vals.(0) and c3 = cols.Vec.vals.(1) in
+  let cq = ref t.cost_quad
+  and ws = ref (t.work.{s} +. (sign *. stats.Stats.c4.(a))) in
+  for i = 0 to !n - 1 do
+    let k = hits.(i) in
+    let tx = cols.Vec.idx.(k) in
+    let dq = sign *. c1.{k} in
+    let dw = sign *. c3.{k} in
+    t.quad.{tx} <- t.quad.{tx} +. dq;
+    cq := !cq +. dq;
+    t.workq.{tx} <- t.workq.{tx} +. dw;
+    ws := !ws +. dw
+  done;
+  t.cost_quad <- !cq;
+  t.work.{s} <- !ws;
   match t.lat with
   | None -> ()
   | Some l ->
     (* rc = Σ repl − [placed at home]: both terms move together when the
        flipped site is the query's home, so only off-home flips count. *)
     let d = if adding then 1 else -1 in
-    Array.iter
-      (fun i ->
-         if part.Partitioning.txn_site.(l.wq_txn.(i)) <> s then
-           set_rc l i (l.wq_rc.(i) + d))
-      l.attr_wqs.(a)
+    let wqs = l.attr_wqs.(a) in
+    for k = 0 to Array.length wqs - 1 do
+      let i = wqs.(k) in
+      if part.Partitioning.txn_site.(l.wq_txn.(i)) <> s then
+        set_rc l i (l.wq_rc.(i) + d)
+    done
 
 (* Returns [false] (and does nothing) when [tx] is already on [s]. *)
 let prim_assign t tx s =
-  let stats = t.stats and part = t.part in
+  let part = t.part in
   let s_old = part.Partitioning.txn_site.(tx) in
   if s_old = s then false
   else begin
@@ -330,12 +371,13 @@ let prim_assign t tx s =
     t.cost_quad <- t.cost_quad -. t.quad.{tx};
     t.work.{s_old} <- t.work.{s_old} -. t.workq.{tx};
     (* fresh row widths against the new home (exact, not incremental) *)
-    let c1t = Vec.row stats.Stats.c1 tx and c3t = Vec.row stats.Stats.c3 tx in
+    let placed = part.Partitioning.placed and rows = t.rows in
+    let c1 = rows.Vec.vals.(0) and c3 = rows.Vec.vals.(1) in
     let q = ref 0. and w = ref 0. in
-    for a = 0 to stats.Stats.num_attrs - 1 do
-      if part.Partitioning.placed.(a).(s) then begin
-        q := !q +. c1t.{a};
-        w := !w +. c3t.{a}
+    for k = rows.Vec.ptr.(tx) to rows.Vec.ptr.(tx + 1) - 1 do
+      if placed.(rows.Vec.idx.(k)).(s) then begin
+        q := !q +. c1.{k};
+        w := !w +. c3.{k}
       end
     done;
     t.quad.{tx} <- !q;
@@ -345,9 +387,10 @@ let prim_assign t tx s =
     (match t.lat with
      | None -> ()
      | Some l ->
-       Array.iter
-         (fun i -> set_rc l i (fresh_rc t l i s))
-         l.txn_wqs.(tx));
+       let wqs = l.txn_wqs.(tx) in
+       for k = 0 to Array.length wqs - 1 do
+         set_rc l wqs.(k) (fresh_rc t l wqs.(k) s)
+       done);
     true
   end
 
@@ -355,50 +398,70 @@ let prim_assign t tx s =
 (* Journaled moves                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let grow arr n =
+  if n <= Array.length arr then arr
+  else begin
+    let bigger = Array.make (max n (2 * Array.length arr)) 0 in
+    Array.blit arr 0 bigger 0 (Array.length arr);
+    bigger
+  end
+
+let push_prim t x y =
+  t.jprims <- grow t.jprims (t.jtop + 2);
+  t.jprims.(t.jtop) <- x;
+  t.jprims.(t.jtop + 1) <- y;
+  t.jtop <- t.jtop + 2
+
+let journal_flip t a s =
+  prim_flip t a s;
+  push_prim t a s
+
+let journal_assign t tx s =
+  let s_old = t.part.Partitioning.txn_site.(tx) in
+  if prim_assign t tx s then push_prim t (-tx - 1) s_old
+
 let apply_move t move =
   let before = objective t in
-  let prims = ref [] in
-  let flip a s =
-    prim_flip t a s;
-    prims := PFlip (a, s) :: !prims
-  in
-  let assign tx s =
-    let s_old = t.part.Partitioning.txn_site.(tx) in
-    if prim_assign t tx s then prims := PAssign (tx, s_old) :: !prims
-  in
-  (match move with
-   | Flip (a, s) -> flip a s
-   | Assign (tx, s) -> assign tx s
-   | Move_component (txns, attrs, s) ->
-     (* place on the target first so rows never go empty mid-move *)
-     Array.iter
-       (fun a -> if not (t.part.Partitioning.placed.(a).(s)) then flip a s)
-       attrs;
-     Array.iter (fun tx -> assign tx s) txns;
-     Array.iter
-       (fun a ->
-          let row = t.part.Partitioning.placed.(a) in
-          for s' = 0 to t.part.Partitioning.num_sites - 1 do
-            if s' <> s && row.(s') then flip a s'
-          done)
-       attrs);
-  t.journal <- !prims :: t.journal;
+  t.jstarts <- grow t.jstarts (t.jlen + 1);
+  t.jstarts.(t.jlen) <- t.jtop;
   t.jlen <- t.jlen + 1;
+  (match move with
+   | Flip (a, s) -> journal_flip t a s
+   | Assign (tx, s) -> journal_assign t tx s
+   | Move_component (txns, attrs, s) ->
+     let placed = t.part.Partitioning.placed in
+     (* place on the target first so rows never go empty mid-move *)
+     for i = 0 to Array.length attrs - 1 do
+       let a = attrs.(i) in
+       if not placed.(a).(s) then journal_flip t a s
+     done;
+     for i = 0 to Array.length txns - 1 do
+       journal_assign t txns.(i) s
+     done;
+     for i = 0 to Array.length attrs - 1 do
+       let a = attrs.(i) in
+       for s' = 0 to t.part.Partitioning.num_sites - 1 do
+         if s' <> s && placed.(a).(s') then journal_flip t a s'
+       done
+     done);
   objective t -. before
 
 let undo_move t =
-  match t.journal with
-  | [] -> invalid_arg "Delta_cost.undo_move: empty journal"
-  | prims :: rest ->
-    t.journal <- rest;
-    t.jlen <- t.jlen - 1;
-    (* [prims] holds the primitives most-recent-first: applying inverses
-       in list order unwinds the composite exactly. *)
-    List.iter
-      (function
-        | PFlip (a, s) -> prim_flip t a s
-        | PAssign (tx, s_old) -> ignore (prim_assign t tx s_old))
-      prims
+  if t.jlen = 0 then invalid_arg "Delta_cost.undo_move: empty journal";
+  t.jlen <- t.jlen - 1;
+  let start = t.jstarts.(t.jlen) in
+  (* inverses most-recent-first unwind the composite exactly *)
+  let i = ref (t.jtop - 2) in
+  while !i >= start do
+    let x = t.jprims.(!i) and y = t.jprims.(!i + 1) in
+    if x >= 0 then prim_flip t x y else ignore (prim_assign t (-x - 1) y);
+    i := !i - 2
+  done;
+  t.jtop <- start
+
+let commit t =
+  t.jlen <- 0;
+  t.jtop <- 0
 
 let mark t = t.jlen
 

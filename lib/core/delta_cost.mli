@@ -7,7 +7,7 @@
     (1)/(4)/(6) needs — per-transaction home-site row widths, per-attribute
     replica counts, the per-site work vector of equation (5), and the
     Appendix-A latency indicators — and updates those caches in
-    O(affected transactions) per move, returning the exact objective
+    O(affected coefficients) per move, returning the exact objective
     change.
 
     The evaluator is a {e cache}, not an oracle: the full
@@ -24,11 +24,12 @@ type t
 type move =
   | Flip of int * int
       (** [Flip (a, s)]: toggle [placed.(a).(s)] — add or drop the replica
-          of attribute [a] on site [s].  O(transactions homed at [s]). *)
+          of attribute [a] on site [s].  O(transactions with a nonzero
+          coefficient on [a]). *)
   | Assign of int * int
       (** [Assign (t, s)]: move transaction [t]'s home to site [s].
-          O(attrs + t's write queries).  A no-op when [t] is already
-          on [s]. *)
+          O(attributes with a nonzero coefficient in [t] + t's write
+          queries).  A no-op when [t] is already on [s]. *)
   | Move_component of int array * int array * int
       (** [Move_component (txns, attrs, s)]: re-home every listed
           transaction and re-place every listed attribute onto exactly
@@ -68,11 +69,20 @@ val apply_move : t -> move -> float
     The move is pushed on the undo journal. *)
 
 val undo_move : t -> unit
-(** Revert the most recent un-undone {!apply_move} (composites revert as
-    one unit).  @raise Invalid_argument when the journal is empty. *)
+(** Revert the most recent un-undone, un-committed {!apply_move}
+    (composites revert as one unit).  @raise Invalid_argument when the
+    journal is empty. *)
+
+val commit : t -> unit
+(** Empty the undo journal: every move applied so far becomes permanent
+    and {!mark} reads 0 again.  The journal otherwise lives as long as
+    the evaluator and holds two ints per primitive update of every
+    un-committed move, so a caller that keeps moves (an accepted
+    proposal, an improving polish flip) should commit them.  O(1). *)
 
 val mark : t -> int
-(** Journal position, for {!undo_to}. *)
+(** Journal position (the number of un-committed moves), for
+    {!undo_to}.  A mark taken before a {!commit} is stale. *)
 
 val undo_to : t -> int -> unit
 (** Undo every move applied after the given {!mark}. *)

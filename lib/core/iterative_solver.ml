@@ -189,6 +189,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
                 in
                 let d = Delta_cost.apply_move dc (Delta_cost.Flip (a, s)) in
                 if d < -.tol then begin
+                  Delta_cost.commit dc;
                   improved := true;
                   changed := true
                 end

@@ -1,14 +1,22 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: the bytes primitives read and write it unboxed, so a
+   draw allocates nothing (an [int64] field would box every update). *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -24,7 +32,7 @@ let split t n =
   for i = 0 to n - 1 do
     seeds.(i) <- int64 t
   done;
-  Array.init n (fun i -> { state = seeds.(i) })
+  Array.init n (fun i -> of_state seeds.(i))
 
 let float t =
   (* 53 top bits -> [0,1) *)
@@ -56,22 +64,33 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let sample_distinct t k n =
+let sample_distinct_into t k perm =
+  let n = Array.length perm in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   if k >= n then begin
-    let all = Array.init n (fun i -> i) in
-    shuffle t all;
-    Array.to_list all
+    shuffle t perm;
+    n
   end
   else begin
-    (* partial Fisher-Yates on an index array *)
-    let arr = Array.init n (fun i -> i) in
-    let out = ref [] in
+    (* partial Fisher-Yates, then the picks reversed: the order in which
+       a list consed pick by pick holds them *)
     for i = 0 to k - 1 do
       let j = int_in t i (n - 1) in
-      let tmp = arr.(i) in
-      arr.(i) <- arr.(j);
-      arr.(j) <- tmp;
-      out := arr.(i) :: !out
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- tmp
     done;
-    !out
+    for i = 0 to (k / 2) - 1 do
+      let tmp = perm.(i) in
+      perm.(i) <- perm.(k - 1 - i);
+      perm.(k - 1 - i) <- tmp
+    done;
+    k
   end
+
+let sample_distinct t k n =
+  let perm = Array.make n 0 in
+  let m = sample_distinct_into t k perm in
+  List.init m (fun i -> perm.(i))

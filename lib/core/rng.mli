@@ -48,3 +48,9 @@ val shuffle : t -> 'a array -> unit
 val sample_distinct : t -> int -> int -> int list
 (** [sample_distinct t k n] draws [k] distinct integers from [\[0, n)]
     (all of them if [k >= n]), in random order. *)
+
+val sample_distinct_into : t -> int -> int array -> int
+(** [sample_distinct_into t k perm] is {!sample_distinct}[ t k n] with
+    [n = Array.length perm], without allocating: it overwrites [perm],
+    leaves the same draws in the same order in [perm.(0 .. m-1)] and
+    returns [m = min k n]. *)

@@ -148,51 +148,12 @@ let count_moves frac n = max 1 (int_of_float (Float.round (frac *. float_of_int 
 (* Per-solve context: loop-invariant work hoisted out of the move loop *)
 (* ------------------------------------------------------------------ *)
 
-(* Hoisted Appendix-A latency evaluator.  [Cost_model.latency] re-walks
-   the workload's query lists on every call and the annealer evaluates it
-   once per move; precompute the write queries (home transaction,
-   frequency, accessed attributes as arrays) once per solve instead. *)
-let make_latency_eval (inst : Instance.t) =
-  let wl = inst.Instance.workload in
-  let acc = ref [] in
-  for q = Workload.num_queries wl - 1 downto 0 do
-    let query = Workload.query wl q in
-    if Workload.is_write query then
-      acc :=
-        ( Workload.txn_of_query wl q,
-          query.Workload.freq,
-          Array.of_list query.Workload.attrs )
-        :: !acc
-  done;
-  let wq = Array.of_list !acc in
-  fun (part : Partitioning.t) ->
-    let ns = part.Partitioning.num_sites in
-    let total = ref 0. in
-    Array.iter
-      (fun (tx, freq, attrs) ->
-         let home = part.Partitioning.txn_site.(tx) in
-         let remote = ref false in
-         Array.iter
-           (fun a ->
-              if not !remote then begin
-                let row = part.Partitioning.placed.(a) in
-                for s = 0 to ns - 1 do
-                  if row.(s) && s <> home then remote := true
-                done
-              end)
-           attrs;
-         if !remote then total := !total +. freq)
-      wq;
-    !total
-
 type ctx = {
   stats : Stats.t;
   opts : options;
   phi_attrs : int array array;  (* txn  -> attrs with φ(t,a), ascending *)
   phi_txns : int array array;   (* attr -> txns with φ(t,a), ascending *)
   latency : (Instance.t * float) option;  (* reduced instance, pl *)
-  extra : Partitioning.t -> float;
-      (* λ·pl·latency (Appendix A), hoisted; constant 0 when disabled *)
 }
 
 let make_ctx (reduced : Instance.t) (stats : Stats.t) (opts : options) =
@@ -221,14 +182,7 @@ let make_ctx (reduced : Instance.t) (stats : Stats.t) (opts : options) =
     done
   done;
   let latency = Option.map (fun pl -> (reduced, pl)) opts.latency in
-  let extra =
-    match opts.latency with
-    | None -> fun _ -> 0.
-    | Some pl ->
-      let lat = make_latency_eval reduced in
-      fun part -> opts.lambda *. pl *. lat part
-  in
-  { stats; opts; phi_attrs; phi_txns; latency; extra }
+  { stats; opts; phi_attrs; phi_txns; latency }
 
 (* ------------------------------------------------------------------ *)
 (* Move engines                                                        *)
@@ -264,55 +218,124 @@ let init_replicated (stats : Stats.t) opts rng =
   optimize_y_given_x stats opts part;
   part
 
+(* The engines' undo journals: growable int stacks, emptied on every
+   accept and reject, so a proposal allocates nothing once they have
+   grown to its size. *)
+type journal = { mutable items : int array; mutable top : int }
+
+let empty_journal () = { items = Array.make 64 0; top = 0 }
+
+let push j x =
+  if j.top = Array.length j.items then begin
+    let bigger = Array.make (2 * j.top) 0 in
+    Array.blit j.items 0 bigger 0 j.top;
+    j.items <- bigger
+  end;
+  j.items.(j.top) <- x;
+  j.top <- j.top + 1
+
+(* Epoch-boundary audit of an engine's float aggregates: the
+   incrementally maintained rows must agree with the fresh rebuild up to
+   the rounding of one epoch's updates.  Every partial sum is bounded by
+   [scale] = Σ|c1| + Σ|c2|, so the tolerance cannot trip on rounding; a
+   mismatch means a move was applied or undone without its aggregate
+   update, which would otherwise only steer the search wrong until the
+   rebuild silently repaired it. *)
+let coef_scale (stats : Stats.t) (c1_rows : Vec.sparse) =
+  let s = ref 0. in
+  Array.iter (fun c -> s := !s +. Float.abs c) stats.Stats.c2;
+  let c1 = c1_rows.Vec.vals.(0) in
+  for k = 0 to Vec.length c1 - 1 do
+    s := !s +. Float.abs c1.{k}
+  done;
+  !s
+
+let audit name ~scale (kept : float array array) (fresh : float array array) =
+  Array.iteri
+    (fun i row ->
+       Array.iteri
+         (fun j v ->
+            if Float.abs (v -. fresh.(i).(j)) > 1e-9 *. (1. +. scale) then
+              invalid_arg
+                (Printf.sprintf
+                   "Sa_solver: internal invariant broken: %s.(%d).(%d) is %g \
+                    incrementally, %g rebuilt"
+                   name i j v fresh.(i).(j)))
+         row)
+    kept
+
+let copy_rows src dst =
+  Array.iteri (fun i row -> Array.blit row 0 dst.(i) 0 (Array.length row)) src
+
 (* Replication-mode delta engine.  On top of {!Delta_cost} it maintains
    the two aggregates the exact sub-steps need, so a full y- or x-step
    costs O(attrs × sites) / O(txns × sites) instead of O(txns × attrs):
 
-     coef.(a).(s)   = c2(a) + Σ_{t at s} c1(t,a)   (y-step coefficient)
-     forced.(a).(s) = #{t at s with φ(t,a)}        (single-sitedness)
-     score.(t).(s)  = Σ_{a placed at s} c1(t,a)    (x-step cost)
+     coef.(s).(a)   = c2(a) + Σ_{t at s} c1(t,a)   (y-step coefficient)
+     forced.(s).(a) = #{t at s with φ(t,a)}        (single-sitedness)
+     score.(s).(t)  = Σ_{a placed at s} c1(t,a)    (x-step cost)
      miss.(t).(s)   = #{a : φ(t,a), not placed at s}  (x feasibility)
 
-   Rejected proposals are rolled back through an engine journal that
-   mirrors the {!Delta_cost} one. *)
-type rprim =
-  | EFlip of int * int * bool  (* attr, site, was-added *)
-  | EAssign of int * int * int (* txn, old site, new site *)
-
+   The first three are site-major, so a flip and an assign update one
+   row each.  They read c1 through its compressed columns (a flip of
+   [a] touches only the transactions with c1(t,a) ≠ 0) and rows (an
+   assign of [t] only the attributes with c1(t,a) ≠ 0).  Leaving out
+   the zero terms changes no value but the sign of a zero, which no
+   comparison of the sub-steps can see, so every move is the one the
+   dense loops would make.  Rejected proposals are rolled back through
+   an engine journal that mirrors the {!Delta_cost} one, three ints per
+   primitive: [(a, s, added)] for a flip, [(-t - 1, s_old, s_new)] for
+   an assign. *)
 let delta_replicated_engine ctx rng part =
   let stats = ctx.stats and opts = ctx.opts in
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = opts.num_sites in
-  let dc = Delta_cost.create ?latency:ctx.latency stats ~lambda:opts.lambda part in
-  let coef = Array.make_matrix na ns 0. in
-  let forced = Array.make_matrix na ns 0 in
-  let score = Array.make_matrix nt ns 0. in
+  let rows = Vec.compress_rows [| stats.Stats.c1 |] in
+  let cols = Vec.transpose rows na in
+  let row_c1 = rows.Vec.vals.(0) and col_c1 = cols.Vec.vals.(0) in
+  let dc =
+    Delta_cost.create ?latency:ctx.latency stats ~lambda:opts.lambda part
+  in
+  let coef = Array.make_matrix ns na 0. in
+  let forced = Array.make_matrix ns na 0 in
+  let score = Array.make_matrix ns nt 0. in
   let miss = Array.make_matrix nt ns 0 in
+  (* a replica of [a] arrived on ([on]) or left site [s] *)
+  let shift_score a s on =
+    let sign = if on then 1. else -1. in
+    let sc = score.(s) in
+    for k = cols.Vec.ptr.(a) to cols.Vec.ptr.(a + 1) - 1 do
+      let t = cols.Vec.idx.(k) in
+      sc.(t) <- sc.(t) +. (sign *. col_c1.{k})
+    done
+  in
   let rebuild_aggregates () =
-    for a = 0 to na - 1 do
-      Array.fill coef.(a) 0 ns stats.Stats.c2.(a);
-      Array.fill forced.(a) 0 ns 0
+    for s = 0 to ns - 1 do
+      Array.blit stats.Stats.c2 0 coef.(s) 0 na;
+      Array.fill forced.(s) 0 na 0;
+      Array.fill score.(s) 0 nt 0.
     done;
     for t = 0 to nt - 1 do
       let home = part.Partitioning.txn_site.(t) in
-      let c1t = Vec.row stats.Stats.c1 t in
-      for a = 0 to na - 1 do
-        coef.(a).(home) <- coef.(a).(home) +. c1t.{a}
+      let cf = coef.(home) and fc = forced.(home) in
+      for k = rows.Vec.ptr.(t) to rows.Vec.ptr.(t + 1) - 1 do
+        let a = rows.Vec.idx.(k) in
+        cf.(a) <- cf.(a) +. row_c1.{k}
       done;
-      Array.iter
-        (fun a -> forced.(a).(home) <- forced.(a).(home) + 1)
-        ctx.phi_attrs.(t)
+      Array.iter (fun a -> fc.(a) <- fc.(a) + 1) ctx.phi_attrs.(t)
+    done;
+    (* attribute outer, transaction inner: each score entry still takes
+       its c1 terms in ascending attribute order *)
+    for a = 0 to na - 1 do
+      let row = part.Partitioning.placed.(a) in
+      for s = 0 to ns - 1 do
+        if row.(s) then shift_score a s true
+      done
     done;
     for t = 0 to nt - 1 do
-      let c1t = Vec.row stats.Stats.c1 t in
       let nphi = Array.length ctx.phi_attrs.(t) in
       for s = 0 to ns - 1 do
-        let sc = ref 0. in
-        for a = 0 to na - 1 do
-          if part.Partitioning.placed.(a).(s) then sc := !sc +. c1t.{a}
-        done;
-        score.(t).(s) <- !sc;
         let m = ref nphi in
         Array.iter
           (fun a -> if part.Partitioning.placed.(a).(s) then decr m)
@@ -322,87 +345,94 @@ let delta_replicated_engine ctx rng part =
     done
   in
   rebuild_aggregates ();
-  let journal = ref [] in
+  let scale = coef_scale stats rows in
+  let kept_coef = Array.make_matrix ns na 0. in
+  let kept_score = Array.make_matrix ns nt 0. in
+  let kept_forced = Array.make_matrix ns na 0 in
+  let kept_miss = Array.make_matrix nt ns 0 in
+  let journal = empty_journal () in
+  let txn_draw = Array.make nt 0 and attr_draw = Array.make na 0 in
+  let shift_miss a s on =
+    let d = if on then -1 else 1 in
+    let txns = ctx.phi_txns.(a) in
+    for k = 0 to Array.length txns - 1 do
+      let t = txns.(k) in
+      miss.(t).(s) <- miss.(t).(s) + d
+    done
+  in
+  let move_txn t from_s to_s =
+    let cf_from = coef.(from_s) and cf_to = coef.(to_s) in
+    for k = rows.Vec.ptr.(t) to rows.Vec.ptr.(t + 1) - 1 do
+      let a = rows.Vec.idx.(k) and c = row_c1.{k} in
+      cf_from.(a) <- cf_from.(a) -. c;
+      cf_to.(a) <- cf_to.(a) +. c
+    done;
+    let fc_from = forced.(from_s) and fc_to = forced.(to_s) in
+    let phi = ctx.phi_attrs.(t) in
+    for k = 0 to Array.length phi - 1 do
+      let a = phi.(k) in
+      fc_from.(a) <- fc_from.(a) - 1;
+      fc_to.(a) <- fc_to.(a) + 1
+    done
+  in
   let flip a s =
     let added = not part.Partitioning.placed.(a).(s) in
     ignore (Delta_cost.apply_move dc (Delta_cost.Flip (a, s)));
-    let sign = if added then 1. else -1. in
-    for t = 0 to nt - 1 do
-      score.(t).(s) <- score.(t).(s) +. (sign *. stats.Stats.c1.{t, a})
-    done;
-    let d = if added then -1 else 1 in
-    Array.iter (fun t -> miss.(t).(s) <- miss.(t).(s) + d) ctx.phi_txns.(a);
-    journal := EFlip (a, s, added) :: !journal
+    shift_score a s added;
+    shift_miss a s added;
+    push journal a;
+    push journal s;
+    push journal (if added then 1 else 0)
   in
   let assign t s =
     let s_old = part.Partitioning.txn_site.(t) in
     if s_old <> s then begin
       ignore (Delta_cost.apply_move dc (Delta_cost.Assign (t, s)));
-      let c1t = Vec.row stats.Stats.c1 t in
-      for a = 0 to na - 1 do
-        coef.(a).(s_old) <- coef.(a).(s_old) -. c1t.{a};
-        coef.(a).(s) <- coef.(a).(s) +. c1t.{a}
-      done;
-      Array.iter
-        (fun a ->
-           forced.(a).(s_old) <- forced.(a).(s_old) - 1;
-           forced.(a).(s) <- forced.(a).(s) + 1)
-        ctx.phi_attrs.(t);
-      journal := EAssign (t, s_old, s) :: !journal
+      move_txn t s_old s;
+      push journal (-t - 1);
+      push journal s_old;
+      push journal s
     end
   in
   let reject () =
-    (* head of the journal = last primitive applied: popping in list
-       order keeps the engine aggregates and the Delta_cost journal in
-       lockstep *)
-    List.iter
-      (function
-        | EFlip (a, s, added) ->
-          Delta_cost.undo_move dc;
-          let sign = if added then -1. else 1. in
-          for t = 0 to nt - 1 do
-            score.(t).(s) <- score.(t).(s) +. (sign *. stats.Stats.c1.{t, a})
-          done;
-          let d = if added then 1 else -1 in
-          Array.iter
-            (fun t -> miss.(t).(s) <- miss.(t).(s) + d)
-            ctx.phi_txns.(a)
-        | EAssign (t, s_old, s_new) ->
-          Delta_cost.undo_move dc;
-          let c1t = Vec.row stats.Stats.c1 t in
-          for a = 0 to na - 1 do
-            coef.(a).(s_new) <- coef.(a).(s_new) -. c1t.{a};
-            coef.(a).(s_old) <- coef.(a).(s_old) +. c1t.{a}
-          done;
-          Array.iter
-            (fun a ->
-               forced.(a).(s_new) <- forced.(a).(s_new) - 1;
-               forced.(a).(s_old) <- forced.(a).(s_old) + 1)
-            ctx.phi_attrs.(t))
-      !journal;
-    journal := []
+    (* top of the journal = last primitive applied: popping keeps the
+       engine aggregates and the Delta_cost journal in lockstep *)
+    let j = journal.items in
+    let i = ref (journal.top - 3) in
+    while !i >= 0 do
+      let x = j.(!i) and y = j.(!i + 1) and z = j.(!i + 2) in
+      Delta_cost.undo_move dc;
+      if x >= 0 then begin
+        let added = z = 1 in
+        shift_score x y (not added);
+        shift_miss x y (not added)
+      end
+      else move_txn (-x - 1) z y;
+      i := !i - 3
+    done;
+    journal.top <- 0;
+    Delta_cost.commit dc
   in
   let ystep () =
     (* y optimal given x, from the maintained coefficients: same
        placement rule as [optimize_y_given_x], applied as diffs *)
     for a = 0 to na - 1 do
       let row = part.Partitioning.placed.(a) in
-      let cf = coef.(a) and fc = forced.(a) in
       let any = ref false in
       for s = 0 to ns - 1 do
-        if fc.(s) > 0 || cf.(s) < 0. then any := true
+        if forced.(s).(a) > 0 || coef.(s).(a) < 0. then any := true
       done;
       if !any then
         for s = 0 to ns - 1 do
-          let want = fc.(s) > 0 || cf.(s) < 0. in
+          let want = forced.(s).(a) > 0 || coef.(s).(a) < 0. in
           if want <> row.(s) then flip a s
         done
       else begin
-        let best = ref 0 and best_c = ref cf.(0) in
+        let best = ref 0 and best_c = ref coef.(0).(a) in
         for s = 1 to ns - 1 do
-          if cf.(s) < !best_c then begin
+          if coef.(s).(a) < !best_c then begin
             best := s;
-            best_c := cf.(s)
+            best_c := coef.(s).(a)
           end
         done;
         for s = 0 to ns - 1 do
@@ -418,9 +448,9 @@ let delta_replicated_engine ctx rng part =
     for t = 0 to nt - 1 do
       let best = ref (-1) and best_c = ref infinity in
       for s = 0 to ns - 1 do
-        if miss.(t).(s) = 0 && score.(t).(s) < !best_c then begin
+        if miss.(t).(s) = 0 && score.(s).(t) < !best_c then begin
           best := s;
-          best_c := score.(t).(s)
+          best_c := score.(s).(t)
         end
       done;
       if !best >= 0 then assign t !best
@@ -439,38 +469,57 @@ let delta_replicated_engine ctx rng part =
       (fun fix ->
          if nt > 0 && ns > 1 then begin
            let k = count_moves opts.move_fraction nt in
-           List.iter
-             (fun t ->
-                let cur = part.Partitioning.txn_site.(t) in
-                let s = Rng.int rng (ns - 1) in
-                assign t (if s >= cur then s + 1 else s))
-             (Rng.sample_distinct rng k nt)
+           for i = 0 to Rng.sample_distinct_into rng k txn_draw - 1 do
+             let t = txn_draw.(i) in
+             let cur = part.Partitioning.txn_site.(t) in
+             let s = Rng.int rng (ns - 1) in
+             assign t (if s >= cur then s + 1 else s)
+           done
          end;
          if na > 0 && ns > 1 then begin
            let k = count_moves opts.move_fraction na in
-           List.iter
-             (fun a ->
-                let row = part.Partitioning.placed.(a) in
-                let absent = ref [] in
-                for s = ns - 1 downto 0 do
-                  if not row.(s) then absent := s :: !absent
-                done;
-                match !absent with
-                | [] -> ()
-                | sites ->
-                  flip a (List.nth sites (Rng.int rng (List.length sites))))
-             (Rng.sample_distinct rng k na)
+           for i = 0 to Rng.sample_distinct_into rng k attr_draw - 1 do
+             let a = attr_draw.(i) in
+             (* a uniform draw among the sites not holding [a], in
+                ascending order *)
+             let row = part.Partitioning.placed.(a) in
+             let absent = ref 0 in
+             for s = 0 to ns - 1 do
+               if not row.(s) then incr absent
+             done;
+             if !absent > 0 then begin
+               let r = ref (Rng.int rng !absent) and s = ref 0 in
+               while row.(!s) || !r > 0 do
+                 if not row.(!s) then decr r;
+                 incr s
+               done;
+               flip a !s
+             end
+           done
          end;
          (match fix with
           | `Fix_x -> Obs.timed "sa.ystep.seconds" ystep
           | `Fix_y -> Obs.timed "sa.xstep.seconds" xstep);
          Delta_cost.objective dc);
-    accept = (fun () -> journal := []);
+    accept =
+      (fun () ->
+         journal.top <- 0;
+         Delta_cost.commit dc);
     reject;
     snapshot_best = (fun () -> Partitioning.copy part);
     epoch_refresh =
       (fun _ ->
+         copy_rows coef kept_coef;
+         copy_rows score kept_score;
+         copy_rows forced kept_forced;
+         copy_rows miss kept_miss;
          rebuild_aggregates ();
+         audit "coef" ~scale kept_coef coef;
+         audit "score" ~scale kept_score score;
+         if kept_forced <> forced || kept_miss <> miss then
+           invalid_arg
+             "Sa_solver: internal invariant broken: forced/miss counts \
+              differ from a rebuild";
          Delta_cost.resync dc;
          Delta_cost.objective dc);
     delta_evals = (fun () -> Delta_cost.moves_applied dc);
@@ -607,16 +656,17 @@ let disjoint_apply (stats : Stats.t) opts comp_of comp_site
 
 (* Disjoint-mode delta engine: component moves are {!Delta_cost}
    composites; only the greedy coefficient of the never-read attributes
-   needs maintaining. *)
-type dprim =
-  | DComp of int * int * int  (* component, old site, new site *)
-  | DNr                       (* one never-read re-placement to undo *)
-
+   needs maintaining, site-major ([coef.(s).(a)]) and from c1's
+   compressed rows, as in the replicated engine.  The journal holds two
+   ints per primitive: [(c, s_old)] for a component move, [(-1, 0)] for
+   one never-read re-placement. *)
 let delta_disjoint_engine ctx (dctx : disjoint_ctx) rng =
   let stats = ctx.stats and opts = ctx.opts in
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = opts.num_sites in
+  let rows = Vec.compress_rows [| stats.Stats.c1 |] in
+  let row_c1 = rows.Vec.vals.(0) in
   let comp_site = Array.init dctx.ncomp (fun _ -> Rng.int rng ns) in
   let part =
     Partitioning.create ~num_sites:ns ~num_txns:nt ~num_attrs:na
@@ -625,30 +675,34 @@ let delta_disjoint_engine ctx (dctx : disjoint_ctx) rng =
   let dc =
     Delta_cost.create ?latency:ctx.latency stats ~lambda:opts.lambda part
   in
-  let coef = Array.make_matrix na ns 0. in
+  let coef = Array.make_matrix ns na 0. in
   let rebuild_coef () =
-    for a = 0 to na - 1 do
-      Array.fill coef.(a) 0 ns stats.Stats.c2.(a)
+    for s = 0 to ns - 1 do
+      Array.blit stats.Stats.c2 0 coef.(s) 0 na
     done;
     for t = 0 to nt - 1 do
-      let home = part.Partitioning.txn_site.(t) in
-      let c1t = Vec.row stats.Stats.c1 t in
-      for a = 0 to na - 1 do
-        coef.(a).(home) <- coef.(a).(home) +. c1t.{a}
+      let cf = coef.(part.Partitioning.txn_site.(t)) in
+      for k = rows.Vec.ptr.(t) to rows.Vec.ptr.(t + 1) - 1 do
+        let a = rows.Vec.idx.(k) in
+        cf.(a) <- cf.(a) +. row_c1.{k}
       done
     done
   in
   rebuild_coef ();
-  let journal = ref [] in
+  let scale = coef_scale stats rows in
+  let kept_coef = Array.make_matrix ns na 0. in
+  let journal = empty_journal () in
+  let comp_draw = Array.make dctx.ncomp 0 in
   let shift_coef txns from_s to_s =
-    Array.iter
-      (fun t ->
-         let c1t = Vec.row stats.Stats.c1 t in
-         for a = 0 to na - 1 do
-           coef.(a).(from_s) <- coef.(a).(from_s) -. c1t.{a};
-           coef.(a).(to_s) <- coef.(a).(to_s) +. c1t.{a}
-         done)
-      txns
+    let cf_from = coef.(from_s) and cf_to = coef.(to_s) in
+    for i = 0 to Array.length txns - 1 do
+      let t = txns.(i) in
+      for k = rows.Vec.ptr.(t) to rows.Vec.ptr.(t + 1) - 1 do
+        let a = rows.Vec.idx.(k) and c = row_c1.{k} in
+        cf_from.(a) <- cf_from.(a) -. c;
+        cf_to.(a) <- cf_to.(a) +. c
+      done
+    done
   in
   let move_comp c s =
     let s_old = comp_site.(c) in
@@ -657,7 +711,8 @@ let delta_disjoint_engine ctx (dctx : disjoint_ctx) rng =
       (Delta_cost.apply_move dc
          (Delta_cost.Move_component (dctx.comp_txns.(c), dctx.comp_attrs.(c), s)));
     shift_coef dctx.comp_txns.(c) s_old s;
-    journal := DComp (c, s_old, s) :: !journal
+    push journal c;
+    push journal s_old
   in
   {
     init_obj = Delta_cost.objective dc;
@@ -665,49 +720,59 @@ let delta_disjoint_engine ctx (dctx : disjoint_ctx) rng =
       (fun _fix ->
          if ns > 1 then begin
            let k = count_moves opts.move_fraction dctx.ncomp in
-           List.iter
-             (fun c ->
-                let cur = comp_site.(c) in
-                let s = Rng.int rng (ns - 1) in
-                move_comp c (if s >= cur then s + 1 else s))
-             (Rng.sample_distinct rng k dctx.ncomp)
+           for i = 0 to Rng.sample_distinct_into rng k comp_draw - 1 do
+             let c = comp_draw.(i) in
+             let cur = comp_site.(c) in
+             let s = Rng.int rng (ns - 1) in
+             move_comp c (if s >= cur then s + 1 else s)
+           done
          end;
          (* greedy re-placement of the never-read attributes, as in
             [disjoint_apply] *)
          Array.iter
            (fun a ->
-              let cf = coef.(a) in
-              let best = ref 0 and best_c = ref cf.(0) in
+              let best = ref 0 and best_c = ref coef.(0).(a) in
               for s = 1 to ns - 1 do
-                if cf.(s) < !best_c then begin
+                if coef.(s).(a) < !best_c then begin
                   best := s;
-                  best_c := cf.(s)
+                  best_c := coef.(s).(a)
                 end
               done;
               if not part.Partitioning.placed.(a).(!best) then begin
                 ignore
                   (Delta_cost.apply_move dc
                      (Delta_cost.Move_component ([||], [| a |], !best)));
-                journal := DNr :: !journal
+                push journal (-1);
+                push journal 0
               end)
            dctx.never_read;
          Delta_cost.objective dc);
-    accept = (fun () -> journal := []);
+    accept =
+      (fun () ->
+         journal.top <- 0;
+         Delta_cost.commit dc);
     reject =
       (fun () ->
-         List.iter
-           (function
-             | DNr -> Delta_cost.undo_move dc
-             | DComp (c, s_old, s_new) ->
-               Delta_cost.undo_move dc;
-               comp_site.(c) <- s_old;
-               shift_coef dctx.comp_txns.(c) s_new s_old)
-           !journal;
-         journal := []);
+         let j = journal.items in
+         let i = ref (journal.top - 2) in
+         while !i >= 0 do
+           let c = j.(!i) in
+           Delta_cost.undo_move dc;
+           if c >= 0 then begin
+             let s_new = comp_site.(c) and s_old = j.(!i + 1) in
+             comp_site.(c) <- s_old;
+             shift_coef dctx.comp_txns.(c) s_new s_old
+           end;
+           i := !i - 2
+         done;
+         journal.top <- 0;
+         Delta_cost.commit dc);
     snapshot_best = (fun () -> Partitioning.copy part);
     epoch_refresh =
       (fun _ ->
+         copy_rows coef kept_coef;
          rebuild_coef ();
+         audit "coef" ~scale kept_coef coef;
          Delta_cost.resync dc;
          Delta_cost.objective dc);
     delta_evals = (fun () -> Delta_cost.moves_applied dc);
@@ -860,7 +925,9 @@ let solve ?(options = default_options) (inst : Instance.t) =
      evaluator and the φ adjacency are built once and shared by every
      chain. *)
   let ctx = make_ctx reduced stats options in
-  let extra = ctx.extra in
+  let objective part =
+    Cost_model.objective ?latency:ctx.latency stats ~lambda:options.lambda part
+  in
   let dctx =
     if options.allow_replication then None else Some (make_disjoint_ctx stats)
   in
@@ -912,9 +979,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
           if not (Atomic.compare_and_set cell cur (obj, Some part)) then
             publish obj part
       in
-      let eval part =
-        Cost_model.objective stats ~lambda:options.lambda part +. extra part
-      in
       let epoch_hook best_obj best =
         publish best_obj best;
         match Atomic.get cell with
@@ -924,7 +988,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
             let c = Partitioning.copy gpart in
             optimize_y_given_x stats options c;
             optimize_x_given_y stats options c;
-            let cobj = eval c in
+            let cobj = objective c in
             if cobj < gobj then begin
               publish cobj c;
               Some (cobj, c)
@@ -978,12 +1042,9 @@ let solve ?(options = default_options) (inst : Instance.t) =
       (best, !best_obj, search, chains, Obs.Clock.now () -. t_start)
     end
   in
-  let best, _obj6 =
+  let best, tracked_obj6 =
     let collapsed = collapsed_candidate stats options 0 in
-    let cobj =
-      Cost_model.objective stats ~lambda:options.lambda collapsed
-      +. extra collapsed
-    in
+    let cobj = objective collapsed in
     if cobj < best_obj6 then (collapsed, cobj) else (best, best_obj6)
   in
   (match Partitioning.validate stats best with
@@ -1005,14 +1066,13 @@ let solve ?(options = default_options) (inst : Instance.t) =
          and the reported cost/objective (against the instance-level
          breakdown, which never touches the Stats coefficients). *)
       let internal =
-        let fresh =
-          Cost_model.objective stats ~lambda:options.lambda best +. extra best
-        in
-        if Float.abs (fresh -. _obj6) > 1e-6 *. (1. +. Float.abs fresh) then
+        let fresh = objective best in
+        if Float.abs (fresh -. tracked_obj6) > 1e-6 *. (1. +. Float.abs fresh)
+        then
           [ Vpart_analysis.Diagnostic.error ~code:"C203"
               "annealer's tracked best objective %g differs from a fresh \
                re-evaluation %g of the returned layout"
-              _obj6 fresh ]
+              tracked_obj6 fresh ]
         else []
       in
       Some

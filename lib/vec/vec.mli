@@ -61,3 +61,26 @@ val row : mat -> int -> t
 val mat_sum : mat -> float
 (** Row-major left-to-right sum: same accumulation order as folding
     [(+.)] over rows then elements of a [float array array]. *)
+
+(** {1 Compressed sparse lines} *)
+
+type sparse = {
+  ptr : int array;  (** line [l] holds entries [ptr.(l)] to [ptr.(l+1) - 1] *)
+  idx : int array;  (** index of each entry within its line, ascending *)
+  vals : t array;   (** [vals.(m).{k}]: entry [k]'s value in matrix [m] *)
+}
+(** The entries of one or more same-shaped matrices where at least one
+    of them is nonzero, line by line.  A loop over a line's entries adds
+    the same nonzero terms, in the same order, as a loop over the dense
+    line; only terms that are zero in every matrix are left out. *)
+
+val compress_rows : mat array -> sparse
+(** Line [i] holds row [i]'s entries, by ascending column.  The
+    matrices must be non-empty in number and of one shape. *)
+
+val transpose : sparse -> int -> sparse
+(** [transpose sp width] regroups the entries of [sp], whose indices
+    lie in [\[0, width)], by index: line [j] of the result holds the
+    entries with index [j], by ascending line of [sp].  So
+    [transpose (compress_rows ms) cols] holds the matrices' columns.
+    O(entries + width). *)

@@ -1,8 +1,8 @@
 (* Fast delta-vs-full agreement smoke, run by `dune build @lint`: a
-   fixed-seed move sequence through Delta_cost must track the
-   from-scratch Cost_model objective to float precision on a bundled
-   instance.  Exits non-zero on the first disagreement, so delta-kernel
-   drift fails the lint gate (ISSUE 5 acceptance). *)
+   fixed-seed sequence of moves, undos and commits through Delta_cost
+   must track the from-scratch Cost_model objective to float precision
+   on a bundled instance.  Exits non-zero on the first disagreement, so
+   delta-kernel drift fails the lint gate. *)
 
 open Vpart
 
@@ -39,7 +39,7 @@ let () =
   in
   check 0;
   for step = 1 to 400 do
-    (match Random.State.int st 8 with
+    (match Random.State.int st 9 with
      | 0 | 1 | 2 ->
        ignore
          (Delta_cost.apply_move dc
@@ -51,6 +51,7 @@ let () =
             (Delta_cost.Assign
                (Random.State.int st nt, Random.State.int st num_sites)))
      | 6 -> if Delta_cost.mark dc > 0 then Delta_cost.undo_move dc
+     | 7 -> Delta_cost.commit dc
      | _ ->
        let k = 1 + Random.State.int st (min 3 nt) in
        let t0 = Random.State.int st (nt - k + 1) in

@@ -54,7 +54,19 @@ let test_rng_sample_distinct () =
   done;
   let all = Rng.sample_distinct rng 20 5 in
   Alcotest.(check (list int)) "k >= n returns all" [ 0; 1; 2; 3; 4 ]
-    (List.sort compare all)
+    (List.sort compare all);
+  (* The in-place form draws the same values in the same order and
+     leaves the generator in the same state. *)
+  let perm = Array.make 10 (-1) in
+  List.iter
+    (fun k ->
+       let a = Rng.create (k + 11) and b = Rng.create (k + 11) in
+       let want = Rng.sample_distinct a k 10 in
+       let m = Rng.sample_distinct_into b k perm in
+       Alcotest.(check (list int)) "same draws" want
+         (List.init m (fun i -> perm.(i)));
+       Alcotest.(check int) "same state" (Rng.int a 1000) (Rng.int b 1000))
+    [ 0; 1; 3; 4; 9; 10; 15 ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver option variants                                              *)

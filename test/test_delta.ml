@@ -41,7 +41,7 @@ let random_partitioning st stats ~num_sites =
    is meaningful (and required) on invalid intermediate layouts too. *)
 let random_action st dc stats ~num_sites ~marks =
   let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
-  match Random.State.int st 10 with
+  match Random.State.int st 11 with
   | 0 | 1 | 2 ->
     ignore
       (Delta_cost.apply_move dc
@@ -72,6 +72,10 @@ let random_action st dc stats ~num_sites ~marks =
      | m :: rest ->
        Delta_cost.undo_to dc m;
        marks := rest)
+  | 9 ->
+    (* Keep everything applied so far: the marks taken before are stale. *)
+    Delta_cost.commit dc;
+    marks := []
   | _ -> Delta_cost.resync dc
 
 let prop_delta_agrees =
@@ -140,7 +144,10 @@ let prop_pooled_equals_fresh =
          let stats = Stats.compute inst ~p:8. in
          let st = Random.State.make [| seed; 99 |] in
          let part = random_partitioning st stats ~num_sites in
-         let dc = Delta_cost.create ?workspace stats ~lambda:0.3 part in
+         let latency = if seed mod 2 = 1 then Some (inst, 0.5) else None in
+         let dc =
+           Delta_cost.create ?workspace ?latency stats ~lambda:0.3 part
+         in
          let marks = ref [] in
          let trace = ref [ Int64.bits_of_float (Delta_cost.objective dc) ] in
          for _ = 1 to 40 do
@@ -150,6 +157,50 @@ let prop_pooled_equals_fresh =
          !trace
        in
        run (Some ws) = run None)
+
+(* The compressed lines the evaluator and the annealer walk: every
+   entry where some matrix is nonzero, in ascending order within its
+   line, with each matrix's value; nothing else. *)
+let prop_compress_matches_dense =
+  QCheck2.Test.make ~count:100 ~name:"compressed lines match the dense matrices"
+    QCheck2.Gen.(tup3 (int_range 0 100000) (int_range 0 7) (int_range 0 7))
+    (fun (seed, rows, cols) ->
+       let st = Random.State.make [| seed |] in
+       let sparse_mat () =
+         let m = Vec.mat_create rows cols in
+         for i = 0 to rows - 1 do
+           for j = 0 to cols - 1 do
+             if Random.State.int st 3 = 0 then
+               m.{i, j} <- Random.State.float st 2. -. 1.
+           done
+         done;
+         m
+       in
+       let ms = [| sparse_mat (); sparse_mat () |] in
+       let agrees (sp : Vec.sparse) ~lines ~len ~at =
+         let ok = ref (Array.length sp.Vec.ptr = lines + 1) in
+         for l = 0 to lines - 1 do
+           let k = ref sp.Vec.ptr.(l) in
+           for e = 0 to len - 1 do
+             let i, j = at l e in
+             if ms.(0).{i, j} <> 0. || ms.(1).{i, j} <> 0. then begin
+               if !k >= sp.Vec.ptr.(l + 1) || sp.Vec.idx.(!k) <> e then
+                 ok := false
+               else
+                 Array.iteri
+                   (fun m v -> if v.{!k} <> ms.(m).{i, j} then ok := false)
+                   sp.Vec.vals;
+               incr k
+             end
+           done;
+           if !k <> sp.Vec.ptr.(l + 1) then ok := false
+         done;
+         !ok
+       in
+       agrees (Vec.compress_rows ms) ~lines:rows ~len:cols
+         ~at:(fun l e -> (l, e))
+       && agrees (Vec.transpose (Vec.compress_rows ms) cols) ~lines:cols
+            ~len:rows ~at:(fun l e -> (e, l)))
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures on the hand-computed tiny instance (cf. test_core.ml)      *)
@@ -265,14 +316,52 @@ let test_exchange_resync () =
   Delta_cost.undo_move dc;
   feq "journal valid after resync" before (Delta_cost.objective dc)
 
+(* After [commit] the journal is empty: nothing to undo, marks restart
+   at 0, and a later burst still rewinds exactly to the committed
+   layout. *)
+let test_commit () =
+  let inst = tiny () in
+  let stats = Stats.compute inst ~p:8. in
+  let lambda = 0.3 and latency = (inst, 0.5) in
+  let part = base_part stats in
+  let dc = Delta_cost.create ~latency stats ~lambda part in
+  ignore (Delta_cost.apply_move dc (Delta_cost.Flip (1, 1)));
+  ignore (Delta_cost.apply_move dc (Delta_cost.Assign (0, 1)));
+  Delta_cost.commit dc;
+  Alcotest.(check int) "mark after commit" 0 (Delta_cost.mark dc);
+  Alcotest.check_raises "undo_move on a committed journal"
+    (Invalid_argument "Delta_cost.undo_move: empty journal") (fun () ->
+      Delta_cost.undo_move dc);
+  let committed = Partitioning.copy part in
+  let before = Delta_cost.objective dc in
+  Delta_cost.undo_to dc 0;
+  Alcotest.(check bool) "undo_to 0 keeps the layout" true
+    (Partitioning.equal committed part);
+  feq "undo_to 0 keeps the objective" before (Delta_cost.objective dc);
+  let m = Delta_cost.mark dc in
+  ignore (Delta_cost.apply_move dc (Delta_cost.Flip (0, 1)));
+  ignore (Delta_cost.apply_move dc (Delta_cost.Assign (0, 0)));
+  ignore
+    (Delta_cost.apply_move dc
+       (Delta_cost.Move_component ([| 0 |], [| 0; 2 |], 1)));
+  Delta_cost.undo_to dc m;
+  Alcotest.(check bool) "burst rewound to the committed layout" true
+    (Partitioning.equal committed part);
+  feq "objective agrees with a fresh evaluator"
+    (Delta_cost.objective (Delta_cost.create ~latency stats ~lambda
+                             (Partitioning.copy part)))
+    (Delta_cost.objective dc)
+
 let () =
   Alcotest.run "delta"
     [ ("fixtures",
        [ Alcotest.test_case "lambda term" `Quick test_lambda_term;
          Alcotest.test_case "latency term" `Quick test_latency_term;
          Alcotest.test_case "exchange resync" `Quick test_exchange_resync;
+         Alcotest.test_case "commit" `Quick test_commit;
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_delta_agrees;
-         QCheck_alcotest.to_alcotest prop_pooled_equals_fresh ]);
+         QCheck_alcotest.to_alcotest prop_pooled_equals_fresh;
+         QCheck_alcotest.to_alcotest prop_compress_matches_dense ]);
     ]

@@ -318,6 +318,48 @@ let prop_qp_leq_sa =
          opt <= sa.Sa_solver.objective6 +. 1e-6 *. (1. +. Float.abs opt)
        | _ -> false)
 
+(* Property: over generated instances, sites, layout modes and the
+   Appendix-A latency term, the annealer returns a valid layout with a
+   clean float certificate.  The engines keep aggregates beside the
+   Delta_cost journal and undo both on every rejected proposal; a
+   wrongly undone aggregate either breaks single-sitedness or trips the
+   engine's epoch-boundary audit, and both surface here. *)
+let prop_sa_valid_and_certified =
+  QCheck2.Test.make ~count:30
+    ~name:"SA layout valid and certified (sites, modes, latency)"
+    QCheck2.Gen.(
+      tup4 (int_range 0 100000) (int_range 2 4) bool
+        (tup3 bool (int_range 2 6) (int_range 2 6)))
+    (fun (seed, num_sites, allow_replication, (with_latency, tables, txns)) ->
+       let params =
+         { Instance_gen.default_params with
+           Instance_gen.name = Printf.sprintf "saprop%d" seed;
+           num_tables = tables;
+           num_transactions = txns;
+           update_percent = 30;
+         }
+       in
+       let inst = Instance_gen.generate ~seed params in
+       let options =
+         { (sa_options ~num_sites ~lambda:0.9) with
+           Sa_solver.seed;
+           allow_replication;
+           latency = (if with_latency then Some 1.0 else None);
+           certify = true;
+         }
+       in
+       let r = Sa_solver.solve ~options inst in
+       let stats = Stats.compute inst ~p:8. in
+       (match Partitioning.validate stats r.Sa_solver.partitioning with
+        | Ok () -> ()
+        | Error e -> QCheck2.Test.fail_reportf "invalid layout: %s" e);
+       if not allow_replication
+          && not (Partitioning.is_disjoint r.Sa_solver.partitioning)
+       then QCheck2.Test.fail_report "disjoint mode returned replicas";
+       match r.Sa_solver.certificate with
+       | Some ds when not (Vpart_analysis.Diagnostic.has_errors ds) -> true
+       | _ -> QCheck2.Test.fail_report "certificate has errors")
+
 let () =
   Alcotest.run "solvers"
     [ ("qp",
@@ -340,5 +382,7 @@ let () =
          Alcotest.test_case "disjoint mode" `Quick test_sa_disjoint;
          Alcotest.test_case "tpcc reduces cost" `Quick test_sa_tpcc_reduces_cost;
        ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_qp_leq_sa ]);
+      ("properties",
+       [ QCheck_alcotest.to_alcotest prop_qp_leq_sa;
+         QCheck_alcotest.to_alcotest prop_sa_valid_and_certified ]);
     ]
