@@ -69,6 +69,8 @@ type t = {
 }
 
 let partitioning t = t.part
+let lines t = (t.rows, t.cols)
+
 let moves_applied t = t.nmoves
 let replicas t a = t.repl.(a)
 let cost t = t.cost_quad +. t.cost_lin

@@ -110,6 +110,15 @@ val replicas : t -> int -> int
 val partitioning : t -> Partitioning.t
 (** The wrapped (live, mutated-in-place) partitioning. *)
 
+val lines : t -> Vec.sparse * Vec.sparse
+(** The compressed lines of c1 and c3 the evaluator walks: by
+    transaction (rows) and by attribute (columns), holding the entries
+    where c1 or c3 is nonzero; [vals.(0)] are c1's values, [vals.(1)]
+    c3's.  Built once per {!create} and shared, not copied: callers read
+    them and must not write them.  An entry can have c1 = 0 (when c3 is
+    not), so a sum over [vals.(0)] differs from one over c1's nonzeros
+    at most in the sign of a zero. *)
+
 val moves_applied : t -> int
 (** Total primitive cache updates performed ({!apply_move} and
     {!undo_move} both count their primitives) — the feed for the

@@ -277,26 +277,25 @@ let copy_rows src dst =
      miss.(t).(s)   = #{a : φ(t,a), not placed at s}  (x feasibility)
 
    The first three are site-major, so a flip and an assign update one
-   row each.  They read c1 through its compressed columns (a flip of
-   [a] touches only the transactions with c1(t,a) ≠ 0) and rows (an
-   assign of [t] only the attributes with c1(t,a) ≠ 0).  Leaving out
-   the zero terms changes no value but the sign of a zero, which no
-   comparison of the sub-steps can see, so every move is the one the
-   dense loops would make.  Rejected proposals are rolled back through
-   an engine journal that mirrors the {!Delta_cost} one, three ints per
-   primitive: [(a, s, added)] for a flip, [(-t - 1, s_old, s_new)] for
-   an assign. *)
+   row each.  They read c1 through the evaluator's compressed lines
+   ({!Delta_cost.lines}): a flip of [a] touches only the transactions
+   with c1(t,a) or c3(t,a) ≠ 0, an assign of [t] only those attributes.
+   Leaving out the zero terms changes no value but the sign of a zero,
+   which no comparison of the sub-steps can see, so every move is the
+   one the dense loops would make.  Rejected proposals are rolled back
+   through an engine journal that mirrors the {!Delta_cost} one, three
+   ints per primitive: [(a, s, added)] for a flip, [(-t - 1, s_old,
+   s_new)] for an assign. *)
 let delta_replicated_engine ctx rng part =
   let stats = ctx.stats and opts = ctx.opts in
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = opts.num_sites in
-  let rows = Vec.compress_rows [| stats.Stats.c1 |] in
-  let cols = Vec.transpose rows na in
-  let row_c1 = rows.Vec.vals.(0) and col_c1 = cols.Vec.vals.(0) in
   let dc =
     Delta_cost.create ?latency:ctx.latency stats ~lambda:opts.lambda part
   in
+  let rows, cols = Delta_cost.lines dc in
+  let row_c1 = rows.Vec.vals.(0) and col_c1 = cols.Vec.vals.(0) in
   let coef = Array.make_matrix ns na 0. in
   let forced = Array.make_matrix ns na 0 in
   let score = Array.make_matrix ns nt 0. in
@@ -656,17 +655,15 @@ let disjoint_apply (stats : Stats.t) opts comp_of comp_site
 
 (* Disjoint-mode delta engine: component moves are {!Delta_cost}
    composites; only the greedy coefficient of the never-read attributes
-   needs maintaining, site-major ([coef.(s).(a)]) and from c1's
-   compressed rows, as in the replicated engine.  The journal holds two
-   ints per primitive: [(c, s_old)] for a component move, [(-1, 0)] for
-   one never-read re-placement. *)
+   needs maintaining, site-major ([coef.(s).(a)]) and from the
+   evaluator's compressed rows, as in the replicated engine.  The
+   journal holds two ints per primitive: [(c, s_old)] for a component
+   move, [(-1, 0)] for one never-read re-placement. *)
 let delta_disjoint_engine ctx (dctx : disjoint_ctx) rng =
   let stats = ctx.stats and opts = ctx.opts in
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = opts.num_sites in
-  let rows = Vec.compress_rows [| stats.Stats.c1 |] in
-  let row_c1 = rows.Vec.vals.(0) in
   let comp_site = Array.init dctx.ncomp (fun _ -> Rng.int rng ns) in
   let part =
     Partitioning.create ~num_sites:ns ~num_txns:nt ~num_attrs:na
@@ -675,6 +672,8 @@ let delta_disjoint_engine ctx (dctx : disjoint_ctx) rng =
   let dc =
     Delta_cost.create ?latency:ctx.latency stats ~lambda:opts.lambda part
   in
+  let rows, _ = Delta_cost.lines dc in
+  let row_c1 = rows.Vec.vals.(0) in
   let coef = Array.make_matrix ns na 0. in
   let rebuild_coef () =
     for s = 0 to ns - 1 do

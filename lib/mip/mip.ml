@@ -307,6 +307,13 @@ let insert_by_bound node queue =
   in
   go queue
 
+(* Sum two lists of named counters ([Simplex.pivot_counters] shape);
+   the empty list stands for all zeros. *)
+let add_counters a b =
+  match (a, b) with
+  | [], c | c, [] -> c
+  | a, b -> List.map2 (fun (name, x) (_, y) -> (name, x +. y)) a b
+
 (* Multi-domain search: expand the tree best-bound-first on the caller's
    simplex until at least [4 * jobs] open subtrees exist, then solve
    each subtree on the pool.  Every worker gets an independent
@@ -325,7 +332,8 @@ let insert_by_bound node queue =
    returned as [bound_support] so the certificate layer can re-check
    [proven = min support] (C110).  Returns
    [(interrupted, proven_lb, support, worker_simplex_iters,
-     worker_refactorizations, worker_eta_applications)]. *)
+     worker_refactorizations, worker_eta_applications,
+     worker_pivot_counters)]. *)
 let parallel_search s ~root_bound ~jobs =
   let sh =
     {
@@ -459,8 +467,7 @@ let parallel_search s ~root_bound ~jobs =
     let iters0 = Simplex.iterations wsx in
     let refacs0 = Simplex.refactorizations wsx in
     let etas0 = Simplex.eta_applications wsx in
-    let pricing0 = Simplex.pricing_seconds wsx
-    and ftran0 = Simplex.ftran_seconds wsx in
+    let counters0 = Simplex.pivot_counters wsx in
     List.iter (fun (j, lb, ub) -> Simplex.set_bounds wsx j ~lb ~ub) node.changes;
     let iobj, ix = Atomic.get sh.best in
     let ws =
@@ -488,8 +495,9 @@ let parallel_search s ~root_bound ~jobs =
       Simplex.iterations wsx - iters0,
       Simplex.refactorizations wsx - refacs0,
       Simplex.eta_applications wsx - etas0,
-      ( Simplex.pricing_seconds wsx -. pricing0,
-        Simplex.ftran_seconds wsx -. ftran0 ),
+      List.map2
+        (fun (name, v) (_, v0) -> (name, v -. v0))
+        (Simplex.pivot_counters wsx) counters0,
       ws.numerical_prunes )
   in
   let results =
@@ -503,15 +511,14 @@ let parallel_search s ~root_bound ~jobs =
   if !stopped then
     List.iter (fun n -> contribs := n.sub_bound :: !contribs) !queue;
   let par_iters = ref 0 and par_refacs = ref 0 and par_etas = ref 0 in
-  let par_pricing = ref 0. and par_ftran = ref 0. in
+  let par_counters = ref [] in
   Array.iter
-    (fun (verdict, n, it, rf, ea, (pr, ft), np) ->
+    (fun (verdict, n, it, rf, ea, counters, np) ->
        s.nodes <- s.nodes + n;
        par_iters := !par_iters + it;
        par_refacs := !par_refacs + rf;
        par_etas := !par_etas + ea;
-       par_pricing := !par_pricing +. pr;
-       par_ftran := !par_ftran +. ft;
+       par_counters := add_counters !par_counters counters;
        s.numerical_prunes <- s.numerical_prunes + np;
        match verdict with
        | `Clean -> ()
@@ -537,7 +544,7 @@ let parallel_search s ~root_bound ~jobs =
   in
   let proven = List.fold_left Float.min infinity support in
   (!interrupted, proven, Array.of_list support, !par_iters, !par_refacs,
-   !par_etas, (!par_pricing, !par_ftran))
+   !par_etas, !par_counters)
 
 let pp_outcome ppf = function
   | Optimal { obj; _ } -> Format.fprintf ppf "optimal %g" obj
@@ -656,15 +663,13 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
       Simplex.create ?workspace:simplex_workspace
         ~refactor_every:limits.refactor_every std
     in
-    (* [par_seconds]: the pricing and ftran seconds of the parallel
-       subtree workers, added to the root instance's own *)
-    let finish ?(par_seconds = (0., 0.)) outcome =
-      if Obs.enabled () then begin
-        let pricing, ftran = par_seconds in
-        Obs.count "simplex.pricing_seconds"
-          (Simplex.pricing_seconds sx +. pricing);
-        Obs.count "simplex.ftran_seconds" (Simplex.ftran_seconds sx +. ftran)
-      end;
+    (* [par_counters]: the pivot counters of the parallel subtree
+       workers, added to the root instance's own *)
+    let finish ?(par_counters = []) outcome =
+      if Obs.enabled () then
+        List.iter
+          (fun (name, v) -> Obs.count name v)
+          (add_counters (Simplex.pivot_counters sx) par_counters);
       finish
         (match outcome with
          | Optimal s -> Optimal { s with x = restore s.x }
@@ -750,7 +755,7 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
                par_iters,
                par_refacs,
                par_etas,
-               par_seconds ) =
+               par_counters ) =
            if jobs <= 1 then (
              try
                branch s 0;
@@ -758,8 +763,8 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
                   prunes. *)
                if s.numerical_prunes = 0 then
                  (false, s.incumbent_obj, [| s.incumbent_obj |], 0, 0, 0,
-                  (0., 0.))
-               else (false, root_bound, [| root_bound |], 0, 0, 0, (0., 0.))
+                  [])
+               else (false, root_bound, [| root_bound |], 0, 0, 0, [])
              with
              | Hit_limit ->
                (* The exception handlers along the unwind removed their
@@ -767,9 +772,9 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
                   the interrupt point (usually none): the provable bound
                   degrades towards the root bound. *)
                let glb = global_lower_bound s root_bound in
-               (true, glb, bound_support s root_bound, 0, 0, 0, (0., 0.))
+               (true, glb, bound_support s root_bound, 0, 0, 0, [])
              | Gap_reached (glb, support) ->
-               (true, glb, support, 0, 0, 0, (0., 0.)))
+               (true, glb, support, 0, 0, 0, []))
            else parallel_search s ~root_bound ~jobs
          in
          (* A subtree abandoned on numerical trouble voids the exhaustive
@@ -791,22 +796,22 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
          match s.incumbent with
          | None ->
            if interrupted then
-             finish ~par_seconds
+             finish ~par_counters
                (No_incumbent (Some (Lp.restore_objective std lb_min)))
                ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
                ~gap_achieved:infinity ~audit:(audit true)
            else
-             finish ~par_seconds Infeasible ~nodes:s.nodes ~iters ~refacs
+             finish ~par_counters Infeasible ~nodes:s.nodes ~iters ~refacs
                ~etas ~eta_len ~gap_achieved:infinity ~audit:(audit false)
          | Some x ->
            let sol = { x; obj = Lp.restore_objective std s.incumbent_obj } in
            let g = rel_gap s.incumbent_obj lb_min in
            if (not interrupted) || g <= limits.gap then
-             finish ~par_seconds (Optimal sol) ~nodes:s.nodes ~iters ~refacs
+             finish ~par_counters (Optimal sol) ~nodes:s.nodes ~iters ~refacs
                ~etas ~eta_len ~gap_achieved:(Float.max g 0.)
                ~audit:(audit true)
            else
-             finish ~par_seconds
+             finish ~par_counters
                (Feasible (sol, Lp.restore_objective std lb_min))
                ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len ~gap_achieved:g
                ~audit:(audit true)

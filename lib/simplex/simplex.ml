@@ -47,21 +47,6 @@ let warm_max_pending = 8
 let warm_max_delta = 1e7
 let warm_limit = 64
 
-(* One product-form elementary matrix E = I with column [er] replaced by
-   the eta column derived from the entering column w = B^-1 A_q at pivot
-   row [er]: E_{er,er} = 1/piv, E_{i,er} = -w_i/piv.  B^-1 after k pivots
-   is E_k ... E_1 B0^-1 with B0^-1 the LU factors of the last
-   refactorization.  Records are immutable,
-   so [copy] can share them. *)
-type eta = {
-  er : int;            (* pivot basis position *)
-  idx : int array;     (* rows i <> er with w_i <> 0 *)
-  va : float array;    (* the corresponding w_i *)
-  piv : float;         (* w_er *)
-}
-
-let dummy_eta = { er = 0; idx = [||]; va = [||]; piv = 1. }
-
 type t = {
   n : int;                        (* structural variables *)
   m : int;                        (* rows = basis size *)
@@ -79,8 +64,9 @@ type t = {
   basis : int array;              (* m: variable basic at each position *)
   loc : int array;                (* nn: -1 at lower, -2 at upper, pos >= 0 basic *)
   mutable lu : Sparse_lu.t;       (* B0: the last refactorization *)
-  lu_work : Vec.t;                (* m scratch for Sparse_lu solves *)
+  mutable lu_shared : bool;       (* a copy reads [lu] too: never reuse it *)
   xb : Vec.t;                     (* m basic values *)
+  viol : Vec.t;                   (* m: bound violation of each basic value *)
   d : Vec.t;                      (* nn reduced costs (valid for nonbasic) *)
   alpha : Vec.t;                  (* nn scratch: pivot row in nonbasic space *)
   amark : bool array;             (* nn scratch: alpha scatter membership *)
@@ -89,26 +75,45 @@ type t = {
   movable : int array;            (* nn scratch: ratio-test candidates *)
   mutable nmovable : int;
   dw : Vec.t;                     (* m devex reference weights (rows) *)
-  wscratch : Vec.t;               (* m scratch: ftran result *)
+  wscratch : Vec.t;               (* m: ftran result, zero outside wlist *)
+  wlist : int array;              (* m: its nonzero rows, ascending *)
+  mutable nw : int;
+  rowmark : bool array;           (* m scratch: list membership, all false between uses *)
   zscratch : Vec.t;               (* m scratch: compute_xb right-hand side *)
+  zlist : int array;              (* m scratch: full-pattern solve lists *)
   duscratch : Vec.t;              (* m scratch: compute_duals btran *)
   refactor_every : int;           (* eta-file length triggering refactor *)
-  mutable etas : eta array;       (* stack; first neta entries valid *)
+  (* The eta file: eta k is the product-form elementary matrix E = I
+     with column [eta_er.(k)] replaced by the eta column of the entering
+     column w = B^-1 A_q at that pivot position: E_{er,er} = 1/w_er,
+     E_{i,er} = -w_i/w_er.  B^-1 after k pivots is E_k ... E_1 B0^-1,
+     B0^-1 the LU factors of the last refactorization.  The rows i <> er
+     with w_i <> 0, ascending, and their w_i are entries
+     [eta_start.(k), eta_start.(k+1)) of one flat pool, emptied at
+     every refactorization. *)
   mutable neta : int;
+  mutable eta_er : int array;
+  mutable eta_piv : float array;  (* w_er *)
+  mutable eta_start : int array;  (* length >= neta + 1; eta_start.(0) = 0 *)
+  mutable eta_idx : int array;
+  mutable eta_val : float array;
   mutable eta_apps : int;         (* eta applications performed *)
   mutable eta_len_max : int;      (* high-water eta-file length *)
-  rho : Vec.t;                    (* m scratch: pivot row e_r B^-1 *)
-  uscratch : Vec.t;               (* m scratch: sparse btran (zero outside) *)
-  utouched : int array;           (* m scratch: nonzero rows of uscratch *)
-  umark : bool array;             (* m scratch: membership (false outside) *)
+  rho : Vec.t;                    (* m: pivot row e_r B^-1, zero outside rlist *)
+  rlist : int array;              (* m: its nonzero rows, ascending *)
+  mutable nrho : int;
   xb_save : Vec.t;                (* m scratch: drift detection *)
   mutable total_iters : int;
   mutable total_refactors : int;
   mutable drift_rebuilds : int;    (* refactors forced by resync drift *)
   mutable recovery_rebuilds : int; (* refactors forced by rejected pivots *)
   mutable refactor_seconds : float;
-  mutable pricing_seconds : float; (* accumulated only while Obs is on *)
+  (* pivot counters; the seconds accumulate only while Obs is on *)
+  mutable pricing_seconds : float;
+  mutable btran_seconds : float;
   mutable ftran_seconds : float;
+  mutable ftran_nnz : int;
+  mutable btran_nnz : int;
   mutable bland : bool;
   mutable degen_count : int;
   mutable infeas_ray : float array option;
@@ -163,7 +168,7 @@ let col_major (std : Lp.std) =
 
 (* Domain-local arena for the float payload of a solver instance.  Batch
    solving creates one Simplex.t per request; with a workspace the
-   per-create float vectors (5·nn + 10·m doubles — the dominant
+   per-create float vectors (5·nn + 9·m doubles — the dominant
    allocation) are carved as views out of a single retained buffer that
    is zeroed and re-carved on every [create], so steady-state solving
    allocates O(1) float payload per request.  The buffer only grows (to
@@ -179,7 +184,7 @@ module Workspace = struct
   let create () = { buf = Vec.create 0 }
 
   (* Total float demand of [Simplex.create] for an n×m model. *)
-  let demand ~nn ~m = (5 * nn) + (10 * m)
+  let demand ~nn ~m = (5 * nn) + (9 * m)
 end
 
 let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
@@ -252,8 +257,9 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     basis; loc;
     (* the all-slack start basis is the identity *)
     lu = Sparse_lu.identity m;
-    lu_work = alloc m;
+    lu_shared = false;
     xb = alloc m;
+    viol = alloc m;
     d;
     alpha = alloc nn;
     amark = Array.make nn false;
@@ -263,17 +269,24 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     nmovable = 0;
     dw;
     wscratch = alloc m;
+    wlist = Array.make m 0;
+    nw = 0;
+    rowmark = Array.make m false;
     zscratch = alloc m;
+    zlist = Array.make m 0;
     duscratch = alloc m;
     refactor_every;
-    etas = [||];
     neta = 0;
+    eta_er = [||];
+    eta_piv = [||];
+    eta_start = [| 0 |];
+    eta_idx = [||];
+    eta_val = [||];
     eta_apps = 0;
     eta_len_max = 0;
     rho = alloc m;
-    uscratch = alloc m;
-    utouched = Array.make m 0;
-    umark = Array.make m false;
+    rlist = Array.make m 0;
+    nrho = 0;
     xb_save = alloc m;
     total_iters = 0;
     total_refactors = 0;
@@ -281,7 +294,10 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     recovery_rebuilds = 0;
     refactor_seconds = 0.;
     pricing_seconds = 0.;
+    btran_seconds = 0.;
     ftran_seconds = 0.;
+    ftran_nnz = 0;
+    btran_nnz = 0;
     bland = false;
     degen_count = 0;
     infeas_ray = None;
@@ -293,13 +309,20 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
 
 (* Independent snapshot for a worker domain.  [cost], [b], [col_idx],
    [col_val], [row_idx] and [row_val] are write-once after [create]
-   (verified: no mutation site in this module), so the copy shares them;
-   LU factors and eta records are immutable after construction, so they
-   are shared too.  Everything the solve mutates -- bounds, basis,
-   values, reduced costs, scratch, counters -- is deep-copied so the copy
-   can reoptimize concurrently with (or instead of) the original.  LU
-   working storage belongs to the factoring domain, not to an instance. *)
+   (verified: no mutation site in this module), so the copy shares them.
+   The LU factors are shared too: no solve writes them, and both
+   instances are marked so that neither refactorization writes over
+   them.
+   Everything the solve mutates -- bounds, basis, values, reduced costs,
+   the eta file, scratch, counters -- is deep-copied (the eta pool up to
+   its used length) so the copy can reoptimize concurrently with (or
+   instead of) the original.  LU working storage belongs to the solving
+   domain, not to an instance. *)
 let copy t =
+  let used = t.eta_start.(t.neta) in
+  (* from now on neither instance's next refactorization may write over
+     the factors both read *)
+  t.lu_shared <- true;
   {
     t with
     lb = Vec.copy t.lb;
@@ -308,8 +331,8 @@ let copy t =
     ub_patched = Array.copy t.ub_patched;
     basis = Array.copy t.basis;
     loc = Array.copy t.loc;
-    lu_work = Vec.copy t.lu_work;
     xb = Vec.copy t.xb;
+    viol = Vec.copy t.viol;
     d = Vec.copy t.d;
     alpha = Vec.copy t.alpha;
     amark = Array.copy t.amark;
@@ -317,14 +340,18 @@ let copy t =
     movable = Array.copy t.movable;
     dw = Vec.copy t.dw;
     wscratch = Vec.copy t.wscratch;
+    wlist = Array.copy t.wlist;
+    rowmark = Array.copy t.rowmark;
     zscratch = Vec.copy t.zscratch;
+    zlist = Array.copy t.zlist;
     duscratch = Vec.copy t.duscratch;
-    (* eta records are immutable; sharing them with the copy is safe *)
-    etas = Array.copy t.etas;
+    eta_er = Array.sub t.eta_er 0 t.neta;
+    eta_piv = Array.sub t.eta_piv 0 t.neta;
+    eta_start = Array.sub t.eta_start 0 (t.neta + 1);
+    eta_idx = Array.sub t.eta_idx 0 used;
+    eta_val = Array.sub t.eta_val 0 used;
     rho = Vec.copy t.rho;
-    uscratch = Vec.copy t.uscratch;
-    utouched = Array.copy t.utouched;
-    umark = Array.copy t.umark;
+    rlist = Array.copy t.rlist;
     xb_save = Vec.copy t.xb_save;
     infeas_ray = Option.map Array.copy t.infeas_ray;
   }
@@ -336,8 +363,14 @@ let refactorizations t = t.total_refactors
 let drift_rebuilds t = t.drift_rebuilds
 let recovery_rebuilds t = t.recovery_rebuilds
 let refactor_seconds t = t.refactor_seconds
-let pricing_seconds t = t.pricing_seconds
-let ftran_seconds t = t.ftran_seconds
+let pivot_counters t =
+  [
+    ("simplex.pricing_seconds", t.pricing_seconds);
+    ("simplex.btran_seconds", t.btran_seconds);
+    ("simplex.ftran_seconds", t.ftran_seconds);
+    ("simplex.ftran_nnz", float_of_int t.ftran_nnz);
+    ("simplex.btran_nnz", float_of_int t.btran_nnz);
+  ]
 let eta_applications t = t.eta_apps
 let max_eta_length t = t.eta_len_max
 let lu_nnz t = Sparse_lu.nnz t.lu
@@ -379,64 +412,133 @@ let bounds t j =
 (* Core linear algebra                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Cut [nz.(0 .. n-1)], distinct rows all marked in [rowmark], back to
+   the rows where [v] is nonzero, in ascending order, and clear their
+   marks; returns their count.  A short list (next to m) is filtered and
+   sorted; a long one is replaced by one sweep of the marks, which costs
+   less than sorting more than about m / (4 log2 n) rows.  Either way
+   the result is the same list. *)
+let ascending_nonzeros t (v : Vec.t) nz n =
+  let mark = t.rowmark and c = ref 0 in
+  let rec log2 k acc = if k <= 1 then acc else log2 (k lsr 1) (acc + 1) in
+  if 4 * n * log2 n 1 < t.m then begin
+    for e = 0 to n - 1 do
+      let i = nz.(e) in
+      mark.(i) <- false;
+      if v.{i} <> 0. then begin
+        nz.(!c) <- i;
+        incr c
+      end
+    done;
+    let rows = Array.sub nz 0 !c in
+    Array.sort Int.compare rows;
+    Array.blit rows 0 nz 0 !c
+  end
+  else
+    for i = 0 to t.m - 1 do
+      if mark.(i) then begin
+        mark.(i) <- false;
+        if v.{i} <> 0. then begin
+          nz.(!c) <- i;
+          incr c
+        end
+      end
+    done;
+  !c
+
 (* Forward pass of the eta file (oldest first): v := E_k ... E_1 v,
-   turning a B0^-1-product into a B^-1-product (ftran). *)
-let apply_etas_fwd t (v : Vec.t) =
+   turning a B0^-1-product into a B^-1-product (ftran).  [nz.(0 .. n-1)]
+   lists the rows where [v] may be nonzero; on return [nz] lists the
+   rows where it is nonzero, ascending, and their count is returned. *)
+let apply_etas_fwd t (v : Vec.t) nz n =
+  let mark = t.rowmark in
+  for e = 0 to n - 1 do
+    mark.(nz.(e)) <- true
+  done;
+  let n = ref n in
+  let idx = t.eta_idx and va = t.eta_val in
   for k = 0 to t.neta - 1 do
-    let e = t.etas.(k) in
-    let vr = v.{e.er} /. e.piv in
-    v.{e.er} <- vr;
-    if vr <> 0. then begin
-      let idx = e.idx and va = e.va in
-      for i = 0 to Array.length idx - 1 do
-        v.{idx.(i)} <- v.{idx.(i)} -. (va.(i) *. vr)
-      done
-    end;
+    let er = t.eta_er.(k) in
+    let vr = v.{er} /. t.eta_piv.(k) in
+    v.{er} <- vr;
+    if vr <> 0. then
+      for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
+        let i = idx.(p) in
+        v.{i} <- v.{i} -. (va.(p) *. vr);
+        if not mark.(i) then begin
+          mark.(i) <- true;
+          nz.(!n) <- i;
+          incr n
+        end
+      done;
     t.eta_apps <- t.eta_apps + 1
-  done
+  done;
+  ascending_nonzeros t v nz !n
 
 (* Backward (row) pass, newest first: u := u E_k ... applied right to
    left gives u B^-1 = ((u E_k) ... E_1) B0^-1 (btran).  Each eta only
    changes entry [er]. *)
 let apply_etas_rev_row t (u : Vec.t) =
+  let idx = t.eta_idx and va = t.eta_val in
   for k = t.neta - 1 downto 0 do
-    let e = t.etas.(k) in
-    let acc = ref u.{e.er} in
-    let idx = e.idx and va = e.va in
-    for i = 0 to Array.length idx - 1 do
-      acc := !acc -. (u.{idx.(i)} *. va.(i))
+    let er = t.eta_er.(k) in
+    let acc = ref u.{er} in
+    for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
+      acc := !acc -. (u.{idx.(p)} *. va.(p))
     done;
-    u.{e.er} <- !acc /. e.piv;
+    u.{er} <- !acc /. t.eta_piv.(k);
     t.eta_apps <- t.eta_apps + 1
   done
 
-(* Push the eta derived from entering column w (= B^-1 A_q) at pivot row
-   r: one pass collects the nonzero rows in the [utouched] scratch
-   (free outside compute_rho), then the record copies them out. *)
+(* Push the eta of the entering column w = B^-1 A_q (nonzero rows in
+   [wlist], ascending) at pivot row r onto the pool, growing it when
+   full. *)
 let push_eta t r (w : Vec.t) =
-  let cnt = ref 0 in
-  for i = 0 to t.m - 1 do
-    if i <> r && w.{i} <> 0. then begin
-      t.utouched.(!cnt) <- i;
-      incr cnt
+  let k = t.neta in
+  if k + 1 >= Array.length t.eta_start then begin
+    let cap = max 8 (2 * k) in
+    let grow a fill =
+      let b = Array.make (cap + 1) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.eta_er <- grow t.eta_er 0;
+    t.eta_piv <- grow t.eta_piv 0.;
+    t.eta_start <- grow t.eta_start 0
+  end;
+  let top = t.eta_start.(k) in
+  if top + t.nw > Array.length t.eta_idx then begin
+    let cap = max (top + t.nw) (2 * Array.length t.eta_idx) in
+    let idx = Array.make cap 0 and va = Array.create_float cap in
+    Array.blit t.eta_idx 0 idx 0 top;
+    Array.blit t.eta_val 0 va 0 top;
+    t.eta_idx <- idx;
+    t.eta_val <- va
+  end;
+  let p = ref top in
+  for e = 0 to t.nw - 1 do
+    let i = t.wlist.(e) in
+    if i <> r then begin
+      t.eta_idx.(!p) <- i;
+      t.eta_val.(!p) <- w.{i};
+      incr p
     end
   done;
-  let idx = Array.sub t.utouched 0 !cnt in
-  let va = Array.init !cnt (fun k -> w.{idx.(k)}) in
-  if t.neta >= Array.length t.etas then begin
-    let grown = Array.make (max 8 (2 * Array.length t.etas)) dummy_eta in
-    Array.blit t.etas 0 grown 0 t.neta;
-    t.etas <- grown
-  end;
-  t.etas.(t.neta) <- { er = r; idx; va; piv = w.{r} };
-  t.neta <- t.neta + 1;
+  t.eta_er.(k) <- r;
+  t.eta_piv.(k) <- w.{r};
+  t.eta_start.(k + 1) <- !p;
+  t.neta <- k + 1;
   if t.neta > t.eta_len_max then t.eta_len_max <- t.neta
 
-(* rho := e_r B^-1 into t.rho, by a sparse btran of e_r: the unit vector
-   stays sparse through the eta file (each eta touches only its own [er]
-   entry), so the B0^-1 half is a sparse-RHS LU btran. *)
+(* rho := e_r B^-1, by a sparse btran of e_r: the unit vector stays
+   sparse through the eta file (each eta touches only its own [er]
+   entry), then the LU btran visits only the reach of what is left.
+   The nonzero rows of rho go to [rlist], ascending. *)
 let compute_rho t r =
-  let u = t.uscratch and mark = t.umark and touched = t.utouched in
+  let u = t.rho and mark = t.rowmark and touched = t.rlist in
+  for e = 0 to t.nrho - 1 do
+    u.{touched.(e)} <- 0.
+  done;
   let ntouch = ref 0 in
   let touch i =
     if not mark.(i) then begin
@@ -447,33 +549,31 @@ let compute_rho t r =
   in
   u.{r} <- 1.;
   touch r;
+  let idx = t.eta_idx and va = t.eta_val in
   for k = t.neta - 1 downto 0 do
-    let e = t.etas.(k) in
-    let acc = ref (if mark.(e.er) then u.{e.er} else 0.) in
-    let idx = e.idx and va = e.va in
-    for i = 0 to Array.length idx - 1 do
-      let row = idx.(i) in
-      if mark.(row) then acc := !acc -. (u.{row} *. va.(i))
+    let er = t.eta_er.(k) in
+    let acc = ref (if mark.(er) then u.{er} else 0.) in
+    for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
+      let row = idx.(p) in
+      if mark.(row) then acc := !acc -. (u.{row} *. va.(p))
     done;
-    let v = !acc /. e.piv in
-    if v <> 0. || mark.(e.er) then begin
-      u.{e.er} <- v;
-      touch e.er
+    let v = !acc /. t.eta_piv.(k) in
+    if v <> 0. || mark.(er) then begin
+      u.{er} <- v;
+      touch er
     end;
     t.eta_apps <- t.eta_apps + 1
   done;
-  Vec.fill t.rho 0.;
-  for ti = 0 to !ntouch - 1 do
-    let i = touched.(ti) in
-    t.rho.{i} <- u.{i}
+  for e = 0 to !ntouch - 1 do
+    mark.(touched.(e)) <- false
   done;
-  Sparse_lu.btran t.lu ~work:t.lu_work t.rho;
-  (* restore the all-zero / all-false scratch invariant *)
-  for ti = 0 to !ntouch - 1 do
-    let i = touched.(ti) in
-    u.{i} <- 0.;
-    mark.(i) <- false
-  done
+  let n = Sparse_lu.btran t.lu u touched !ntouch in
+  for e = 0 to n - 1 do
+    mark.(touched.(e)) <- true
+  done;
+  let n = ascending_nonzeros t u touched n in
+  t.nrho <- n;
+  t.btran_nnz <- t.btran_nnz + n
 
 (* Value of a nonbasic variable. *)
 let nb_value t j = if t.loc.(j) = -1 then t.lb.{j} else t.ub.{j}
@@ -481,6 +581,35 @@ let nb_value t j = if t.loc.(j) = -1 then t.lb.{j} else t.ub.{j}
 let var_value t j =
   let k = t.loc.(j) in
   if k >= 0 then t.xb.{k} else nb_value t j
+
+(* The bound violation of the basic value in row i, 0 when within
+   tolerance: what [select_leaving] ranks rows by.  [viol] holds it for
+   every row; whatever changes a row's basic value, basic variable or
+   that variable's bounds refreshes the row (compute_xb and the dual loop
+   entry all of them, a dual pivot the rows it moved). *)
+let refresh_viol t i =
+  let p = t.basis.(i) in
+  let v = t.xb.{i} in
+  let tol_lo = feas_tol *. (1. +. Float.abs t.lb.{p})
+  and tol_hi = feas_tol *. (1. +. Float.abs t.ub.{p}) in
+  t.viol.{i} <-
+    (if v < t.lb.{p} -. tol_lo then t.lb.{p} -. v
+     else if v > t.ub.{p} +. tol_hi then v -. t.ub.{p}
+     else 0.)
+
+let refresh_all_viol t =
+  for i = 0 to t.m - 1 do
+    refresh_viol t i
+  done
+
+(* The list of all m rows, for the solves whose right-hand side is
+   dense. *)
+let full_list t =
+  let nz = t.zlist in
+  for i = 0 to t.m - 1 do
+    nz.(i) <- i
+  done;
+  nz
 
 (* xb := B^-1 (b - N x_N). *)
 let compute_xb t =
@@ -497,20 +626,28 @@ let compute_xb t =
       end
     end
   done;
-  Sparse_lu.ftran t.lu ~work:t.lu_work z;
+  let nz = full_list t in
+  let n = Sparse_lu.ftran t.lu z nz t.m in
   Vec.blit z t.xb;
-  apply_etas_fwd t t.xb
+  ignore (apply_etas_fwd t t.xb nz n);
+  refresh_all_viol t
 
-(* w := B^-1 A_j (ftran of column j) into t.wscratch. *)
+(* w := B^-1 A_j (ftran of column j) into t.wscratch, its nonzero rows
+   into t.wlist, ascending. *)
 let ftran t j =
-  let w = t.wscratch in
-  Vec.fill w 0.;
+  let w = t.wscratch and nz = t.wlist in
+  for e = 0 to t.nw - 1 do
+    w.{nz.(e)} <- 0.
+  done;
   let ci = t.col_idx.(j) and cv = t.col_val.(j) in
   for k = 0 to Array.length ci - 1 do
-    w.{ci.(k)} <- w.{ci.(k)} +. cv.(k)
+    w.{ci.(k)} <- cv.(k);
+    nz.(k) <- ci.(k)
   done;
-  Sparse_lu.ftran t.lu ~work:t.lu_work w;
-  apply_etas_fwd t w;
+  let n = Sparse_lu.ftran t.lu w nz (Array.length ci) in
+  let n = apply_etas_fwd t w nz n in
+  t.nw <- n;
+  t.ftran_nnz <- t.ftran_nnz + n;
   w
 
 (* Fresh duals y = c_B B^-1: btran of c_B through the eta file, then
@@ -522,7 +659,7 @@ let compute_duals t =
     u.{k} <- t.cost.{t.basis.(k)}
   done;
   apply_etas_rev_row t u;
-  Sparse_lu.btran t.lu ~work:t.lu_work u;
+  ignore (Sparse_lu.btran t.lu u (full_list t) t.m);
   u
 
 (* Fresh reduced costs: d_j = c_j - y . A_j with y = c_B B^-1. *)
@@ -555,17 +692,20 @@ let reduced_costs t =
       !acc)
 
 (* Refactorization: factor the current basis columns with
-   {!Sparse_lu.factor}.  On success the LU replaces both the previous
+   {!Sparse_lu.factor}, in the arrays of the previous factors unless a
+   copy shares them.  On success the LU replaces both the previous
    factors and the eta file; a singular basis returns false (the callers
-   report Numerical). *)
+   report Numerical) and leaves both as they were. *)
 let refactor t =
   Obs.with_span "simplex.lu_refactor"
     ~attrs:[ ("m", Obs.Int t.m); ("etas", Obs.Int t.neta) ]
   @@ fun () ->
   let t0 = Obs.Clock.now () in
-  match Sparse_lu.factor t.col_idx t.col_val t.basis with
+  let reuse = if t.lu_shared then None else Some t.lu in
+  match Sparse_lu.factor ?reuse t.col_idx t.col_val t.basis with
   | Some lu ->
     t.lu <- lu;
+    t.lu_shared <- false;
     t.neta <- 0;
     t.total_refactors <- t.total_refactors + 1;
     t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
@@ -611,20 +751,13 @@ let check_deadline deadline iters =
    most per unit violation; under Bland's rule, the violated basic
    variable of smallest index.  Returns None when primal feasible. *)
 let select_leaving t =
+  let viol = t.viol in
   if not t.bland then begin
     let best = ref (-1) and best_score = ref 0. in
     for i = 0 to t.m - 1 do
-      let p = t.basis.(i) in
-      let v = t.xb.{i} in
-      let tol_lo = feas_tol *. (1. +. Float.abs t.lb.{p})
-      and tol_hi = feas_tol *. (1. +. Float.abs t.ub.{p}) in
-      let viol =
-        if v < t.lb.{p} -. tol_lo then t.lb.{p} -. v
-        else if v > t.ub.{p} +. tol_hi then v -. t.ub.{p}
-        else 0.
-      in
-      if viol > 0. then begin
-        let score = viol *. viol /. t.dw.{i} in
+      let v = viol.{i} in
+      if v > 0. then begin
+        let score = v *. v /. t.dw.{i} in
         if score > !best_score then begin
           best := i;
           best_score := score
@@ -636,14 +769,9 @@ let select_leaving t =
   else begin
     let best = ref (-1) and best_var = ref max_int in
     for i = 0 to t.m - 1 do
-      let p = t.basis.(i) in
-      let v = t.xb.{i} in
-      let tol_lo = feas_tol *. (1. +. Float.abs t.lb.{p})
-      and tol_hi = feas_tol *. (1. +. Float.abs t.ub.{p}) in
-      let violated = v < t.lb.{p} -. tol_lo || v > t.ub.{p} +. tol_hi in
-      if violated && p < !best_var then begin
+      if viol.{i} > 0. && t.basis.(i) < !best_var then begin
         best := i;
-        best_var := p
+        best_var := t.basis.(i)
       end
     done;
     if !best < 0 then None else Some !best
@@ -654,19 +782,19 @@ let select_leaving t =
    would get if the entering variable defined the reference framework;
    the pivot row's own weight is rescaled by the pivot element.  When the
    weights blow past 1e12 the reference framework has degraded — restart
-   it flat (the classic devex reset). *)
+   it flat (the classic devex reset).  No weight is above 1e12 outside
+   this function, so only the rows the pivot moved ([wlist]) and r can
+   trigger the reset. *)
 let devex_update t r (w : Vec.t) =
   let wr = w.{r} in
   let gr = t.dw.{r} in
   let mx = ref 1. in
-  for i = 0 to t.m - 1 do
+  for e = 0 to t.nw - 1 do
+    let i = t.wlist.(e) in
     if i <> r then begin
-      let wi = w.{i} in
-      if wi <> 0. then begin
-        let q = wi /. wr in
-        let cand = q *. q *. gr in
-        if cand > t.dw.{i} then t.dw.{i} <- cand
-      end;
+      let q = w.{i} /. wr in
+      let cand = q *. q *. gr in
+      if cand > t.dw.{i} then t.dw.{i} <- cand;
       if t.dw.{i} > !mx then mx := t.dw.{i}
     end
   done;
@@ -674,34 +802,34 @@ let devex_update t r (w : Vec.t) =
   if Float.max !mx t.dw.{r} > 1e12 then Vec.fill t.dw 1.
 
 (* Pivot-row pricing: alpha_j = rho . A_j for every column, computed by
-   scattering the nonzero entries of rho through the row-major matrix —
-   O(nnz of the touched rows) instead of a gather over all nn columns.
-   Scatter order is ascending row index.  Touched positions are recorded
-   for [clear_alpha]; the ratio-test candidates go to [movable] in
-   ascending variable order (determinism) by one pass over the [amark]
-   flags, which costs less than sorting the touched positions. *)
-let scatter_price t (rho : Vec.t) =
+   scattering the nonzero entries of rho ([rlist], ascending) through the
+   row-major matrix — O(nnz of the touched rows) instead of a gather over
+   all nn columns.  Touched positions are recorded for [clear_alpha]; the
+   ratio-test candidates go to [movable] in ascending variable order
+   (determinism) by one pass over the [amark] flags, which costs less
+   than sorting the touched positions. *)
+let scatter_price t =
+  let rho = t.rho in
   let ntouch = ref 0 in
-  for i = 0 to t.m - 1 do
+  for e = 0 to t.nrho - 1 do
+    let i = t.rlist.(e) in
     let ri = rho.{i} in
-    if ri <> 0. then begin
-      let rowi = t.row_idx.(i) and rowv = t.row_val.(i) in
-      for k = 0 to Array.length rowi - 1 do
-        let j = rowi.(k) in
-        if not t.amark.(j) then begin
-          t.amark.(j) <- true;
-          t.alpha.{j} <- 0.;
-          t.atouch.(!ntouch) <- j;
-          incr ntouch
-        end;
-        t.alpha.{j} <- t.alpha.{j} +. (ri *. rowv.(k))
-      done;
-      let sj = t.n + i in
-      t.amark.(sj) <- true;
-      t.alpha.{sj} <- ri;
-      t.atouch.(!ntouch) <- sj;
-      incr ntouch
-    end
+    let rowi = t.row_idx.(i) and rowv = t.row_val.(i) in
+    for k = 0 to Array.length rowi - 1 do
+      let j = rowi.(k) in
+      if not t.amark.(j) then begin
+        t.amark.(j) <- true;
+        t.alpha.{j} <- 0.;
+        t.atouch.(!ntouch) <- j;
+        incr ntouch
+      end;
+      t.alpha.{j} <- t.alpha.{j} +. (ri *. rowv.(k))
+    done;
+    let sj = t.n + i in
+    t.amark.(sj) <- true;
+    t.alpha.{sj} <- ri;
+    t.atouch.(!ntouch) <- sj;
+    incr ntouch
   done;
   t.natouch <- !ntouch;
   let nm = ref 0 in
@@ -727,9 +855,10 @@ let clear_alpha t =
   t.natouch <- 0
 
 (* One dual pivot.  Returns `Progress, `Feasible (primal feasible reached)
-   or `Infeasible.  With [timed], the pricing phase (leaving row, rho
-   btran, scatter, ratio test) and the entering-column ftran are added to
-   [pricing_seconds] and [ftran_seconds]. *)
+   or `Infeasible.  With [timed], the pricing phase (leaving row, row
+   scatter, ratio test), the btran of the pivot row and the
+   entering-column ftran are added to [pricing_seconds], [btran_seconds]
+   and [ftran_seconds]. *)
 let dual_step t ~timed =
   let t0 = if timed then Obs.Clock.now () else 0. in
   match select_leaving t with
@@ -743,9 +872,12 @@ let dual_step t ~timed =
     let s = if above then 1. else -1. in
     (* Pivot row in nonbasic space: alpha_j = (e_r B^-1) A_j, with the
        row e_r B^-1 from a sparse btran through the eta file. *)
+    let tb = if timed then Obs.Clock.now () else 0. in
     compute_rho t r;
+    let tp = if timed then Obs.Clock.now () else 0. in
+    if timed then t.btran_seconds <- t.btran_seconds +. (tp -. tb);
     let rho = t.rho in
-    scatter_price t rho;
+    scatter_price t;
     (* Dual ratio test: keep reduced costs sign-feasible. *)
     let q = ref (-1) and best_ratio = ref infinity and best_mag = ref 0. in
     for k = 0 to t.nmovable - 1 do
@@ -776,7 +908,8 @@ let dual_step t ~timed =
       end
     done;
     let t1 = if timed then Obs.Clock.now () else 0. in
-    if timed then t.pricing_seconds <- t.pricing_seconds +. (t1 -. t0);
+    if timed then
+      t.pricing_seconds <- t.pricing_seconds +. (tb -. t0) +. (t1 -. tp);
     if !q < 0 then begin
       (* No entering column can repair the violated basic variable in row
          [r]: the row [e_r B^-1] of the basis inverse is a Farkas-style
@@ -814,15 +947,20 @@ let dual_step t ~timed =
         done;
         t.d.{p} <- -.theta;
         t.d.{q} <- 0.;
-        (* Basic value update. *)
-        for i = 0 to t.m - 1 do
-          if i <> r then t.xb.{i} <- t.xb.{i} -. (w.{i} *. delta)
+        (* Basic value update, over the rows w moves. *)
+        for e = 0 to t.nw - 1 do
+          let i = t.wlist.(e) in
+          if i <> r then begin
+            t.xb.{i} <- t.xb.{i} -. (w.{i} *. delta);
+            refresh_viol t i
+          end
         done;
         t.xb.{r} <- new_q_value;
         (* Swap. *)
         t.loc.(p) <- (if above then -2 else -1);
         t.loc.(q) <- r;
         t.basis.(r) <- q;
+        refresh_viol t r;
         devex_update t r w;
         push_eta t r w;
         clear_alpha t;
@@ -838,6 +976,8 @@ let dual_step t ~timed =
 
 let dual_loop t ~max_iter ~deadline =
   let timed = Obs.enabled () in
+  (* bounds may have changed since xb was last computed *)
+  refresh_all_viol t;
   let numerical_retries = ref 0 in
   let iter = ref 0 in
   let result = ref None in
@@ -1025,7 +1165,8 @@ let reoptimize ?(max_iter = 200_000) ?deadline t =
     List.iter
       (fun (j, dv) ->
          let w = ftran t j in
-         for i = 0 to t.m - 1 do
+         for e = 0 to t.nw - 1 do
+           let i = t.wlist.(e) in
            t.xb.{i} <- t.xb.{i} -. (w.{i} *. dv)
          done)
       t.pending_bounds
@@ -1091,8 +1232,7 @@ let solve ?(max_iter = 200_000) ?time_limit ?refactor_every (std : Lp.std) =
        if Obs.enabled () then begin
          Obs.count "simplex.iterations" (float_of_int t.total_iters);
          Obs.count "simplex.refactorizations" (float_of_int t.total_refactors);
-         Obs.count "simplex.pricing_seconds" t.pricing_seconds;
-         Obs.count "simplex.ftran_seconds" t.ftran_seconds;
+         List.iter (fun (name, v) -> Obs.count name v) (pivot_counters t);
          if t.drift_rebuilds > 0 then
            Obs.count "simplex.drift_rebuilds" (float_of_int t.drift_rebuilds);
          if t.recovery_rebuilds > 0 then

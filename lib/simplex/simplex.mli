@@ -5,15 +5,21 @@
     basis is held as a sparse LU factorization with Markowitz pivoting
     ({!Sparse_lu}), refreshed every [refactor_every] pivots; between
     refactorizations pivots are layered on top as product-form {e eta}
-    updates.  ftran/btran cost O(rows + nnz(L) + nnz(U)) instead of
-    O(rows²) and no dense inverse is ever allocated.  Pricing scatters
-    the pivot row through the row-major matrix (O(nonzeros of the touched
-    rows)), then collects the ratio-test candidates in ascending variable
-    order with one pass over the cols + rows membership flags, so a pivot
-    costs O(nonzeros touched + cols + rows); its one sizeable allocation
-    is the eta record.  Each factorization runs in the factoring
-    domain's reusable LU working storage ({!Sparse_lu.factor}).  The dual
-    method prices the leaving row by devex reference weights.
+    updates.  The ftran of the entering column and the btran of the
+    pivot row take and return lists of nonzeros, the LU solves visit
+    only the reach of their right-hand side ({!Sparse_lu}), and the
+    basic-value, devex and eta updates walk those lists, so they cost
+    O(nonzeros touched).  Pricing scatters the pivot row through the
+    row-major matrix (O(nonzeros of the touched rows)).  Two passes of a
+    pivot remain dense, both over flat arrays: the leaving row is chosen
+    by one scan of a per-row violation array, kept current as basic
+    values change, and the ratio-test candidates are collected in
+    ascending variable order by one pass over the cols + rows membership
+    flags.  The eta file is one flat pool per instance, emptied at every
+    refactorization, so a pivot allocates nothing.  Factorizations and
+    solves run in the calling domain's reusable working storage
+    ({!Sparse_lu}).  The dual method prices the leaving row by devex
+    reference weights.
 
     The dual method is the workhorse: starting from the all-slack basis, the
     solver first places every nonbasic variable on the bound that makes its
@@ -102,8 +108,8 @@ val copy : t -> t
 (** Independent snapshot: same model, same current basis/bounds/values,
     but no mutable state shared with the original — the copy and the
     original can be reoptimized concurrently (e.g. on different domains).
-    Immutable model data (costs, matrix, right-hand side), eta records
-    and LU factors are shared, so a copy is O(rows + cols); a
+    Immutable model data (costs, matrix, right-hand side) and LU factors
+    are shared, so a copy is O(rows + cols + eta-file nonzeros); a
     refactorization replaces an instance's factors and never writes the
     shared ones.  A copy
     of a root-optimal instance is a valid warm start for any subtree of a
@@ -155,14 +161,17 @@ val refactor_seconds : t -> float
 (** Wall-clock seconds spent inside sparse LU refactorizations — the
     refactorization-time column of the simplex scale-sweep bench job. *)
 
-val pricing_seconds : t -> float
-(** Wall-clock seconds spent pricing dual pivots (leaving-row choice,
-    the btran of the pivot row, the row scatter and the ratio test).
-    Accumulated only while [Obs.enabled ()]; 0 otherwise. *)
-
-val ftran_seconds : t -> float
-(** Wall-clock seconds spent in the entering-column ftran of dual pivots.
-    Accumulated only while [Obs.enabled ()]; 0 otherwise. *)
+val pivot_counters : t -> (string * float) list
+(** The instance's dual-pivot counters, by observability name:
+    - [simplex.pricing_seconds]: choosing the leaving row, scattering the
+      pivot row and the ratio test;
+    - [simplex.btran_seconds]: the btran of the pivot row [e_r B⁻¹];
+    - [simplex.ftran_seconds]: the ftran of the entering column;
+    - [simplex.ftran_nnz]: nonzeros of every entering-column ftran
+      result [B⁻¹ A_q], summed;
+    - [simplex.btran_nnz]: nonzeros of every pivot-row btran result,
+      summed.
+    The seconds accumulate only while [Obs.enabled ()]; 0 otherwise. *)
 
 val eta_applications : t -> int
 (** Total eta-matrix applications (ftran/btran passes through eta-file

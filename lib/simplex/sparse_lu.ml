@@ -27,11 +27,13 @@
    loaded values ([pristine]) reads its U entry from the row list and
    only has its count decremented: the dead entry goes at its next scan.
    After the last step the stored indices are remapped into pivot-order
-   space so the triangular solves need no indirection.
+   space so the triangular solves need no indirection, and L and U are
+   also written transposed (by rows, by columns) for the solves' gathers.
 
    All working storage lives in the calling domain's [workspace], reused
-   across calls; a factorization allocates only its output arrays (and,
-   rarely, a larger pool when fill outgrows the current one). *)
+   across calls; a factorization allocates only its output arrays, none
+   when the arrays of a [reuse]d factorization fit (and, rarely, a
+   larger pool when fill outgrows the current one). *)
 
 type t = {
   m : int;
@@ -41,9 +43,20 @@ type t = {
   ustart : int array;  (* m+1: step k -> U row k, likewise *)
   uidx : int array;    (* right-of-diagonal columns of U, pivot order *)
   uval : float array;
+  (* the transposes: L by rows, U by columns, each line by ascending
+     pivot index (the order in which the column-oriented scatter of the
+     same solve would reach it) *)
+  lrstart : int array; (* m+1: L row i is [lrstart.(i), lrstart.(i+1)) *)
+  lridx : int array;   (* columns k < i of L row i *)
+  lrval : float array;
+  ucstart : int array; (* m+1: U column j *)
+  ucidx : int array;   (* rows k < j of U column j *)
+  ucval : float array;
   upiv : float array;  (* diagonal of U, pivot order *)
   rowperm : int array; (* step -> original constraint row *)
   colperm : int array; (* step -> basis position *)
+  rowinv : int array;  (* original constraint row -> step *)
+  colinv : int array;  (* basis position -> step *)
 }
 
 let abs_tol = 1e-12
@@ -51,17 +64,15 @@ let tau = 0.1
 let search_cols = 8
 
 let identity m =
+  let id () = Array.init m Fun.id in
   {
     m;
-    lstart = Array.make (m + 1) 0;
-    lidx = [||];
-    lval = [||];
-    ustart = Array.make (m + 1) 0;
-    uidx = [||];
-    uval = [||];
+    lstart = Array.make (m + 1) 0; lidx = [||]; lval = [||];
+    ustart = Array.make (m + 1) 0; uidx = [||]; uval = [||];
+    lrstart = Array.make (m + 1) 0; lridx = [||]; lrval = [||];
+    ucstart = Array.make (m + 1) 0; ucidx = [||]; ucval = [||];
     upiv = Array.make m 1.;
-    rowperm = Array.init m Fun.id;
-    colperm = Array.init m Fun.id;
+    rowperm = id (); colperm = id (); rowinv = id (); colinv = id ();
   }
 
 let size t = t.m
@@ -114,12 +125,20 @@ type workspace = {
   mutable wmark : bool array;
   mutable wpat : ints;
   (* L/U staging in original index space *)
+  mutable lst : ints;        (* dim + 1: L column starts *)
+  mutable ust : ints;        (* dim + 1: U row starts *)
+  mutable piv : Vec.t;       (* U diagonal *)
+  mutable rperm : ints;
+  mutable cperm : ints;
   mutable lbi : ints;
   mutable lbv : Vec.t;
   mutable ubi : ints;
   mutable ubv : Vec.t;
-  mutable rowinv : ints;
-  mutable colinv : ints;
+  (* L entries per row, U entries per column (original indices), and
+     the fill positions of the transposes *)
+  mutable lrcnt : ints;
+  mutable uccnt : ints;
+  mutable tpos : ints;
 }
 
 let workspace () =
@@ -133,8 +152,10 @@ let workspace () =
     row_done = [||]; rcol = no_ints; rval = no_floats; rtop = 0;
     head = no_ints; nxt = no_ints; prv = no_ints;
     wval = no_floats; wmark = [||]; wpat = no_ints;
+    lst = no_ints; ust = no_ints; piv = no_floats; rperm = no_ints;
+    cperm = no_ints;
     lbi = no_ints; lbv = no_floats; ubi = no_ints; ubv = no_floats;
-    rowinv = no_ints; colinv = no_ints;
+    lrcnt = no_ints; uccnt = no_ints; tpos = no_ints;
   }
 
 (* The workspace [factor] uses: one per domain, so concurrent
@@ -162,8 +183,14 @@ let ensure_dim w m =
     w.wval <- Vec.create m;
     w.wmark <- Array.make m false;
     w.wpat <- ints m;
-    w.rowinv <- ints m;
-    w.colinv <- ints m
+    w.lst <- ints (m + 1);
+    w.ust <- ints (m + 1);
+    w.piv <- Vec.create m;
+    w.rperm <- ints m;
+    w.cperm <- ints m;
+    w.lrcnt <- ints m;
+    w.uccnt <- ints m;
+    w.tpos <- ints m
   end
 
 (* [a] when it holds [need] entries, else a copy with a quarter more
@@ -288,9 +315,57 @@ let unlink w j =
   w.prv.{j} <- -1;
   w.nxt.{j} <- -1
 
+(* The output arrays of [factor]: those of the factorization it may
+   reuse when they fit, else fresh ones.  Line arrays get a quarter more
+   room, so the next factorization of a similar basis fits. *)
+let no_factor =
+  {
+    m = -1;
+    lstart = [||]; lidx = [||]; lval = [||];
+    ustart = [||]; uidx = [||]; uval = [||];
+    lrstart = [||]; lridx = [||]; lrval = [||];
+    ucstart = [||]; ucidx = [||]; ucval = [||];
+    upiv = [||]; rowperm = [||]; colperm = [||]; rowinv = [||]; colinv = [||];
+  }
+
+let exact_ints a n = if Array.length a = n then a else Array.make n 0
+let exact_floats a n = if Array.length a = n then a else Array.create_float n
+let room_ints a n = if Array.length a >= n then a else Array.make (n + (n / 4)) 0
+
+let room_floats a n =
+  if Array.length a >= n then a else Array.create_float (n + (n / 4))
+
+let copy_ints (src : ints) dst n =
+  for i = 0 to n - 1 do
+    dst.(i) <- src.{i}
+  done;
+  dst
+
+(* Write the m lines [start] of the staged entries [sidx]/[sval], their
+   indices remapped through [inv] into pivot order, into [into], and the
+   transpose of those lines into [tinto]: line [i] of the transpose, at
+   [tstart.(i)], lists the lines holding an entry at [i], in ascending
+   order, with those entries.  [pos] is m ints of scratch. *)
+let remap (pos : ints) m start (sidx : ints) (sval : Vec.t) inv
+    ~into:(idx, value) ~tstart ~tinto:(tidx, tval) =
+  for i = 0 to m - 1 do
+    pos.{i} <- tstart.(i)
+  done;
+  for k = 0 to m - 1 do
+    for e = start.(k) to start.(k + 1) - 1 do
+      let i = inv.(sidx.{e}) and v = sval.{e} in
+      idx.(e) <- i;
+      value.(e) <- v;
+      let p = pos.{i} in
+      tidx.(p) <- k;
+      tval.(p) <- v;
+      pos.{i} <- p + 1
+    done
+  done
+
 exception Singular
 
-let factor (cols_idx : int array array) (cols_val : float array array)
+let factor ?reuse (cols_idx : int array array) (cols_val : float array array)
     (basis : int array) =
   let m = Array.length basis in
   if m = 0 then Some (identity 0)
@@ -308,7 +383,9 @@ let factor (cols_idx : int array array) (cols_val : float array array)
     w.rcol <- grow_int w.rcol total;
     w.rval <- grow_float w.rval total;
     for i = 0 to m - 1 do
-      w.rowcnt.{i} <- 0
+      w.rowcnt.{i} <- 0;
+      w.lrcnt.{i} <- 0;
+      w.uccnt.{i} <- 0
     done;
     let top = ref 0 in
     for k = 0 to m - 1 do
@@ -367,10 +444,10 @@ let factor (cols_idx : int array array) (cols_val : float array array)
     for j = 0 to m - 1 do
       link j
     done;
-    (* Outputs; L/U entries are staged in the workspace. *)
-    let lstart = Array.make (m + 1) 0 and ustart = Array.make (m + 1) 0 in
-    let upiv = Array.make m 0. in
-    let rowperm = Array.make m (-1) and colperm = Array.make m (-1) in
+    (* The factors are staged in the workspace, so [reuse] is untouched
+       when the basis turns out singular. *)
+    let lstart = w.lst and ustart = w.ust and upiv = w.piv in
+    let rowperm = w.rperm and colperm = w.cperm in
     let ltop = ref 0 and utop = ref 0 in
     match
       for k = 0 to m - 1 do
@@ -431,8 +508,8 @@ let factor (cols_idx : int array array) (cols_val : float array array)
          with Exit -> ());
         if !best_col < 0 then raise Singular;
         let pc = !best_col and pr = !best_row in
-        colperm.(k) <- pc;
-        rowperm.(k) <- pr;
+        colperm.{k} <- pc;
+        rowperm.{k} <- pr;
         (* ---- pivot column -> L column k (multipliers) ---- *)
         let s = w.cstart.{pc} and len = w.clen.{pc} in
         let piv = ref 0. in
@@ -440,9 +517,9 @@ let factor (cols_idx : int array array) (cols_val : float array array)
           if w.cidx.{e} = pr then piv := w.cval.{e}
         done;
         let piv = !piv in
-        upiv.(k) <- piv;
+        upiv.{k} <- piv;
         let nl = len - 1 in
-        lstart.(k) <- !ltop;
+        lstart.{k} <- !ltop;
         w.lbi <- grow_int w.lbi (!ltop + len);
         w.lbv <- grow_float w.lbv (!ltop + len);
         for e = s to s + len - 1 do
@@ -450,17 +527,18 @@ let factor (cols_idx : int array array) (cols_val : float array array)
           w.rowcnt.{i} <- w.rowcnt.{i} - 1;
           if i <> pr then begin
             w.lbi.{!ltop} <- i;
+            w.lrcnt.{i} <- w.lrcnt.{i} + 1;
             w.lbv.{!ltop} <- w.cval.{e} /. piv;
             incr ltop
           end
         done;
-        let l0 = lstart.(k) in
+        let l0 = lstart.{k} in
         unlink w pc;
         w.col_active.(pc) <- false;
         w.colcnt.{pc} <- 0;
         w.clen.{pc} <- 0;
         (* ---- pivot row -> U row k; rank-1 update of touched columns ---- *)
-        ustart.(k) <- !utop;
+        ustart.{k} <- !utop;
         (* at most one U entry per row-list entry *)
         w.ubi <- grow_int w.ubi (!utop + w.rlen.{pr});
         w.ubv <- grow_float w.ubv (!utop + w.rlen.{pr});
@@ -473,6 +551,7 @@ let factor (cols_idx : int array array) (cols_val : float array array)
               (* a pristine column appears once in each of its rows' lists,
                  with its loaded value *)
               w.ubi.{!utop} <- jj;
+              w.uccnt.{jj} <- w.uccnt.{jj} + 1;
               w.ubv.{!utop} <- w.rval.{re};
               incr utop;
               unlink w jj;
@@ -495,6 +574,7 @@ let factor (cols_idx : int array array) (cols_val : float array array)
               if !present then begin
                 let u = !uval in
                 w.ubi.{!utop} <- jj;
+                w.uccnt.{jj} <- w.uccnt.{jj} + 1;
                 w.ubv.{!utop} <- u;
                 incr utop;
                 (* column jj := column jj - l * u, dropping row pr *)
@@ -559,92 +639,273 @@ let factor (cols_idx : int array array) (cols_val : float array array)
     with
     | exception Singular -> None
     | () ->
-      lstart.(m) <- !ltop;
-      ustart.(m) <- !utop;
+      lstart.{m} <- !ltop;
+      ustart.{m} <- !utop;
+      let r = match reuse with Some r when r.m = m -> r | _ -> no_factor in
+      let rowperm = copy_ints rowperm (exact_ints r.rowperm m) m
+      and colperm = copy_ints colperm (exact_ints r.colperm m) m in
       (* Remap stored indices into pivot-order space: L rows through the
          row permutation, U columns through the column permutation.  All
          remapped indices are > k (rows/columns still active at step k
-         are eliminated later), which is what the solves rely on. *)
-      let rowinv = w.rowinv and colinv = w.colinv in
+         are eliminated later), which is what the solves rely on.  The
+         transposes' line starts come from the counts kept during the
+         elimination. *)
+      let rowinv = exact_ints r.rowinv m and colinv = exact_ints r.colinv m in
+      let lrstart = exact_ints r.lrstart (m + 1)
+      and ucstart = exact_ints r.ucstart (m + 1) in
       for k = 0 to m - 1 do
-        rowinv.{rowperm.(k)} <- k;
-        colinv.{colperm.(k)} <- k
+        rowinv.(rowperm.(k)) <- k;
+        colinv.(colperm.(k)) <- k;
+        lrstart.(k + 1) <- lrstart.(k) + w.lrcnt.{rowperm.(k)};
+        ucstart.(k + 1) <- ucstart.(k) + w.uccnt.{colperm.(k)}
       done;
-      let lidx = Array.make !ltop 0 and uidx = Array.make !utop 0 in
-      for e = 0 to !ltop - 1 do
-        lidx.(e) <- rowinv.{w.lbi.{e}}
+      let lstart = copy_ints lstart (exact_ints r.lstart (m + 1)) (m + 1)
+      and ustart = copy_ints ustart (exact_ints r.ustart (m + 1)) (m + 1) in
+      let upiv = exact_floats r.upiv m in
+      for k = 0 to m - 1 do
+        upiv.(k) <- w.piv.{k}
       done;
-      for e = 0 to !utop - 1 do
-        uidx.(e) <- colinv.{w.ubi.{e}}
-      done;
+      let lidx = room_ints r.lidx !ltop and lval = room_floats r.lval !ltop
+      and lridx = room_ints r.lridx !ltop
+      and lrval = room_floats r.lrval !ltop in
+      remap w.tpos m lstart w.lbi w.lbv rowinv ~into:(lidx, lval)
+        ~tstart:lrstart ~tinto:(lridx, lrval);
+      let uidx = room_ints r.uidx !utop and uval = room_floats r.uval !utop
+      and ucidx = room_ints r.ucidx !utop
+      and ucval = room_floats r.ucval !utop in
+      remap w.tpos m ustart w.ubi w.ubv colinv ~into:(uidx, uval)
+        ~tstart:ucstart ~tinto:(ucidx, ucval);
       Some
         {
           m;
-          lstart;
-          lidx;
-          lval = Array.init !ltop (fun e -> w.lbv.{e});
-          ustart;
-          uidx;
-          uval = Array.init !utop (fun e -> w.ubv.{e});
+          lstart; lidx; lval;
+          ustart; uidx; uval;
+          lrstart; lridx; lrval;
+          ucstart; ucidx; ucval;
           upiv;
-          rowperm;
-          colperm;
+          rowperm; colperm; rowinv; colinv;
         }
   end
 
-(* Solve B w = b:  P B Q = L U, so L U (Qᵀw) = P b.  Forward scatter
-   through L skips zero positions — a sparse right-hand side touches only
-   its reach, Gilbert–Peierls style — then a backward gather through U. *)
-let ftran t ~work (b : Vec.t) =
+(* ------------------------------------------------------------------ *)
+(* Solves                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Solve scratch, one per domain like the factorization workspace: the
+   dense vector the triangular solves work in (all zero between solves),
+   and the depth-first search's visit stamps, stack and output.  A solve
+   reads nothing it did not write first (a visit stamp from an earlier
+   solve is always older than the current one), so results do not depend
+   on what the domain solved before. *)
+type scratch = {
+  mutable sdim : int;
+  mutable y : Vec.t;
+  mutable visit : ints;   (* node visited in the search stamped [stamp] *)
+  mutable stamp : int;
+  mutable stack : ints;
+  mutable edge : ints;    (* next out-edge to scan, per stack level *)
+  mutable order : ints;   (* the reach, topologically, at [top, m) *)
+}
+
+let domain_scratch =
+  Domain.DLS.new_key (fun () ->
+      { sdim = 0; y = Vec.create 0; visit = no_ints; stamp = 0;
+        stack = no_ints; edge = no_ints; order = no_ints })
+
+let scratch m =
+  let s = Domain.DLS.get domain_scratch in
+  if m > s.sdim then begin
+    s.sdim <- m;
+    s.y <- Vec.create m;
+    s.visit <- ints m;
+    s.stamp <- 0;
+    s.stack <- ints m;
+    s.edge <- ints m;
+    s.order <- ints m
+  end;
+  s
+
+(* The reach of [roots.(0 .. nroots-1)] in the graph whose node [j] has
+   the out-edges [gidx.(gstart.(j) .. gstart.(j+1) - 1)] (Gilbert and
+   Peierls' depth-first search, without recursion).  It is stored in
+   [s.order] at [top, m), in topological order: a node comes before
+   every node it has an edge to.  Returns [top].  When [nroots = m] the
+   reach is every node, and since the edges of a triangular factor all
+   go up in index ([ascending]) or all go down, the nodes in index order
+   are a topological order: no search runs. *)
+let reach s m ~ascending gstart gidx roots nroots =
+  let order = s.order in
+  if nroots = m then begin
+    for p = 0 to m - 1 do
+      order.{p} <- (if ascending then p else m - 1 - p)
+    done;
+    0
+  end
+  else begin
+    s.stamp <- s.stamp + 1;
+    let stamp = s.stamp and visit = s.visit in
+    let stack = s.stack and edge = s.edge in
+    let top = ref m in
+    for r = 0 to nroots - 1 do
+      let root = roots.(r) in
+      if visit.{root} <> stamp then begin
+        visit.{root} <- stamp;
+        stack.{0} <- root;
+        edge.{0} <- gstart.(root);
+        let sp = ref 0 in
+        while !sp >= 0 do
+          let j = stack.{!sp} in
+          let stop = gstart.(j + 1) in
+          let e = ref edge.{!sp} in
+          while !e < stop && visit.{gidx.(!e)} = stamp do
+            incr e
+          done;
+          if !e < stop then begin
+            let i = gidx.(!e) in
+            edge.{!sp} <- !e + 1;
+            visit.{i} <- stamp;
+            incr sp;
+            stack.{!sp} <- i;
+            edge.{!sp} <- gstart.(i)
+          end
+          else begin
+            decr sp;
+            decr top;
+            order.{!top} <- j
+          end
+        done
+      end
+    done;
+    !top
+  end
+
+(* Both solves run in two triangular stages.  Each stage finds the reach
+   of its right-hand side's nonzeros, then computes every entry of the
+   reach as a gather, in topological order.  The first stage's gather
+   runs over a transpose, whose lines are sorted by pivot index: an entry
+   takes its terms in the order the column-oriented forward substitution
+   would scatter them, which skips a term only when it is zero.  So the
+   result does not depend on the order the search found the reach in,
+   and it is the same, but for the sign of a zero, as the dense
+   substitution over all m steps.  The second stage's gather runs over
+   the stored lines, in their stored order, as the dense substitution
+   does. *)
+
+(* Move the n listed entries of [b] into [s.y], through [perm] (original
+   index -> step), zeroing them in [b]; keep in [nz] the steps of the
+   nonzero ones and return their count. *)
+let load s (b : Vec.t) perm nz n =
+  let y = s.y in
+  let c = ref 0 in
+  for e = 0 to n - 1 do
+    let i = nz.(e) in
+    let v = b.{i} in
+    b.{i} <- 0.;
+    if v <> 0. then begin
+      let k = perm.(i) in
+      y.{k} <- v;
+      nz.(!c) <- k;
+      incr c
+    end
+  done;
+  !c
+
+(* Keep in [nz] the steps of the reach at [top, m) whose entries are
+   nonzero, zeroing the others; return their count. *)
+let keep_nonzero s m top nz =
+  let y = s.y and order = s.order in
+  let c = ref 0 in
+  for p = top to m - 1 do
+    let k = order.{p} in
+    if y.{k} <> 0. then begin
+      nz.(!c) <- k;
+      incr c
+    end
+    else y.{k} <- 0.
+  done;
+  !c
+
+(* Move the nonzero entries of the reach at [top, m) from [s.y] into
+   [b], through [perm] (step -> original index), listing them in [nz];
+   [s.y] is left all zero.  Returns their count. *)
+let store s m top (b : Vec.t) perm nz =
+  let y = s.y and order = s.order in
+  let c = ref 0 in
+  for p = top to m - 1 do
+    let k = order.{p} in
+    let v = y.{k} in
+    y.{k} <- 0.;
+    if v <> 0. then begin
+      let i = perm.(k) in
+      b.{i} <- v;
+      nz.(!c) <- i;
+      incr c
+    end
+  done;
+  !c
+
+(* Solve B w = b:  P B Q = L U, so L U (Qᵀw) = P b.  Forward through L
+   (row gathers), then backward through U (row gathers). *)
+let ftran t (b : Vec.t) nz n =
   let m = t.m in
-  let y : Vec.t = work in
-  for k = 0 to m - 1 do
-    y.{k} <- b.{t.rowperm.(k)}
+  let s = scratch m in
+  let y = s.y and order = s.order in
+  let full = n = m in
+  let n = load s b t.rowinv nz n in
+  let roots = if full then m else n in
+  let top = reach s m ~ascending:true t.lstart t.lidx nz roots in
+  let lrstart = t.lrstart and lridx = t.lridx and lrval = t.lrval in
+  for p = top to m - 1 do
+    let i = order.{p} in
+    let acc = ref y.{i} in
+    for e = lrstart.(i) to lrstart.(i + 1) - 1 do
+      acc := !acc -. (lrval.(e) *. y.{lridx.(e)})
+    done;
+    y.{i} <- !acc
   done;
-  let lidx = t.lidx and lval = t.lval and lstart = t.lstart in
-  for k = 0 to m - 1 do
-    let yk = y.{k} in
-    if yk <> 0. then
-      for e = lstart.(k) to lstart.(k + 1) - 1 do
-        y.{lidx.(e)} <- y.{lidx.(e)} -. (lval.(e) *. yk)
-      done
-  done;
-  (* y.{k} is final once computed: later steps only read y.{j}, j > k *)
-  let uidx = t.uidx and uval = t.uval and ustart = t.ustart in
-  for k = m - 1 downto 0 do
+  let n = keep_nonzero s m top nz in
+  let roots = if full then m else n in
+  let top = reach s m ~ascending:false t.ucstart t.ucidx nz roots in
+  let ustart = t.ustart and uidx = t.uidx and uval = t.uval in
+  for p = top to m - 1 do
+    let k = order.{p} in
     let acc = ref y.{k} in
     for e = ustart.(k) to ustart.(k + 1) - 1 do
       acc := !acc -. (uval.(e) *. y.{uidx.(e)})
     done;
-    let yk = !acc /. t.upiv.(k) in
-    y.{k} <- yk;
-    b.{t.colperm.(k)} <- yk
-  done
+    y.{k} <- !acc /. t.upiv.(k)
+  done;
+  store s m top b t.colperm nz
 
-(* Solve Bᵀ v = u:  Uᵀ Lᵀ (P v) = Qᵀ u.  Forward scatter through Uᵀ
-   (zero-skipping, so a near-unit right-hand side stays sparse), backward
-   gather through Lᵀ. *)
-let btran t ~work (u : Vec.t) =
+(* Solve Bᵀ v = u:  Uᵀ Lᵀ (P v) = Qᵀ u.  Forward through Uᵀ (column
+   gathers), then backward through Lᵀ (column gathers). *)
+let btran t (u : Vec.t) nz n =
   let m = t.m in
-  let y : Vec.t = work in
-  for k = 0 to m - 1 do
-    y.{k} <- u.{t.colperm.(k)}
+  let s = scratch m in
+  let y = s.y and order = s.order in
+  let full = n = m in
+  let n = load s u t.colinv nz n in
+  let roots = if full then m else n in
+  let top = reach s m ~ascending:true t.ustart t.uidx nz roots in
+  let ucstart = t.ucstart and ucidx = t.ucidx and ucval = t.ucval in
+  for p = top to m - 1 do
+    let j = order.{p} in
+    let acc = ref y.{j} in
+    for e = ucstart.(j) to ucstart.(j + 1) - 1 do
+      acc := !acc -. (ucval.(e) *. y.{ucidx.(e)})
+    done;
+    y.{j} <- !acc /. t.upiv.(j)
   done;
-  let uidx = t.uidx and uval = t.uval and ustart = t.ustart in
-  for k = 0 to m - 1 do
-    let yk = y.{k} /. t.upiv.(k) in
-    y.{k} <- yk;
-    if yk <> 0. then
-      for e = ustart.(k) to ustart.(k + 1) - 1 do
-        y.{uidx.(e)} <- y.{uidx.(e)} -. (uval.(e) *. yk)
-      done
-  done;
-  let lidx = t.lidx and lval = t.lval and lstart = t.lstart in
-  for k = m - 1 downto 0 do
+  let n = keep_nonzero s m top nz in
+  let roots = if full then m else n in
+  let top = reach s m ~ascending:false t.lrstart t.lridx nz roots in
+  let lstart = t.lstart and lidx = t.lidx and lval = t.lval in
+  for p = top to m - 1 do
+    let k = order.{p} in
     let acc = ref y.{k} in
     for e = lstart.(k) to lstart.(k + 1) - 1 do
       acc := !acc -. (lval.(e) *. y.{lidx.(e)})
     done;
-    y.{k} <- !acc;
-    u.{t.rowperm.(k)} <- !acc
-  done
+    y.{k} <- !acc
+  done;
+  store s m top u t.rowperm nz

@@ -473,9 +473,37 @@ let factor_dense a =
   let idx, va = sparse_cols_of_dense a in
   Sparse_lu.factor idx va (Array.init (Array.length a) Fun.id)
 
+(* Solve in place with the full pattern listed; returns the solution. *)
+let solve_full solve lu b =
+  let m = Array.length b in
+  let x = Vec.of_array b in
+  ignore (solve lu x (Array.init m Fun.id) m);
+  Vec.to_array x
+
+(* ‖a x − b‖∞ <= 1e-9 (‖a‖∞ ‖x‖∞ + ‖b‖∞): [x] solves a x = b as well
+   as its data allow, whatever the conditioning of [a]. *)
+let small_backward_error a x b =
+  let m = Array.length a in
+  let norm v = Array.fold_left (fun acc e -> Float.max acc (Float.abs e)) 0. v in
+  let anorm =
+    norm
+      (Array.map (fun row -> Array.fold_left (fun s e -> s +. Float.abs e) 0. row) a)
+  in
+  let r =
+    Array.init m (fun i ->
+        let acc = ref (-.b.(i)) in
+        for j = 0 to m - 1 do
+          acc := !acc +. (a.(i).(j) *. x.(j))
+        done;
+        !acc)
+  in
+  norm r <= 1e-9 *. ((anorm *. norm x) +. norm b)
+
 let prop_sparse_lu_matches_dense =
   QCheck2.Test.make ~count:1000
-    ~name:"sparse LU: ftran/btran agree with dense elimination to 1e-9"
+    ~name:
+      "sparse LU: ftran/btran agree with dense elimination on solvability, \
+       backward error <= 1e-9"
     gen_sparse_matrix
     (fun a ->
        let m = Array.length a in
@@ -487,60 +515,129 @@ let prop_sparse_lu_matches_dense =
             reference tolerates; never the other way around *)
          true
        | Some _, None -> false
-       | Some lu, Some xd ->
-         let work = Vec.create m in
-         let xf = Vec.of_array b in
-         Sparse_lu.ftran lu ~work xf;
-         let ok_f = ref true in
-         for i = 0 to m - 1 do
-           if Float.abs (xf.{i} -. xd.(i)) > 1e-9 *. (1. +. Float.abs xd.(i))
-           then ok_f := false
-         done;
-         let ok_b = ref true in
-         (match dense_solve (transpose a) b with
-          | None -> ()
-          | Some xt ->
-            let xb = Vec.of_array b in
-            Sparse_lu.btran lu ~work xb;
-            for i = 0 to m - 1 do
-              if
-                Float.abs (xb.{i} -. xt.(i)) > 1e-9 *. (1. +. Float.abs xt.(i))
-              then ok_b := false
-            done);
-         Sparse_lu.nnz lu >= m && !ok_f && !ok_b)
+       | Some lu, Some _ ->
+         Sparse_lu.nnz lu >= m
+         && small_backward_error a (solve_full Sparse_lu.ftran lu b) b
+         && small_backward_error (transpose a)
+              (solve_full Sparse_lu.btran lu b) b)
 
-(* The LU working storage carries nothing from one factorization to the
-   next: factoring right after a differently shaped basis gives
-   ftran/btran results bit-identical to factoring on a new domain (which
-   starts with fresh storage), and they stay so after more
-   factorizations on the same domain (the factors alias no shared
-   storage). *)
+(* A right-hand side with k of its m positions listed, some listed
+   positions holding zeros, the others all zero. *)
+let gen_sparse_rhs m =
+  let open QCheck2.Gen in
+  let* listed = shuffle_l (List.init m Fun.id) in
+  let* k = int_range 1 m in
+  let* values =
+    array_size (return k)
+      (frequency [ (1, return 0.); (4, float_range (-3.) 3.) ])
+  in
+  return (Array.of_list (List.filteri (fun e _ -> e < k) listed), values)
+
+(* Zero-sign-blind bits: a solve may give -0 where another gives +0. *)
+let bits x = if x = 0. then 0L else Int64.bits_of_float x
+
+(* A solve given only the listed positions of its right-hand side gives
+   the bits the same solve gives with every position listed, but for the
+   sign of a zero, and returns exactly the positions of its nonzeros. *)
+let prop_sparse_lu_list_solve =
+  QCheck2.Test.make ~count:500
+    ~name:"sparse LU: a listed right-hand side solves as the full pattern does"
+    QCheck2.Gen.(
+      let* a = gen_sparse_matrix in
+      let* rhs = gen_sparse_rhs (Array.length a) in
+      return (a, rhs))
+    (fun (a, (listed, values)) ->
+       let m = Array.length a in
+       match factor_dense a with
+       | None -> true
+       | Some lu ->
+         let b = Array.make m 0. in
+         Array.iteri (fun e i -> b.(i) <- values.(e)) listed;
+         let agrees solve =
+           let x = Vec.of_array b and nz = Array.make m (-1) in
+           Array.blit listed 0 nz 0 (Array.length listed);
+           let k = solve lu x nz (Array.length listed) in
+           let full = solve_full solve lu b in
+           let returned = List.sort compare (Array.to_list (Array.sub nz 0 k)) in
+           let nonzero =
+             List.filter (fun i -> x.{i} <> 0.) (List.init m Fun.id)
+           in
+           returned = nonzero
+           && Array.for_all2 (fun u v -> bits u = bits v) (Vec.to_array x) full
+         in
+         agrees Sparse_lu.ftran && agrees Sparse_lu.btran)
+
+(* The LU working storage carries nothing from one factorization or
+   solve to the next: factoring and solving right after a differently
+   shaped basis gives ftran/btran results bit-identical to factoring on
+   a new domain (which starts with fresh storage), and they stay so
+   after more factorizations on the same domain (the factors alias no
+   shared storage).  Factoring in the arrays of an earlier
+   factorization ([~reuse]) gives the same bits too. *)
 let prop_sparse_lu_reused_storage =
   QCheck2.Test.make ~count:300
     ~name:"sparse LU: reused working storage is bit-identical to fresh"
     QCheck2.Gen.(pair gen_sparse_matrix gen_sparse_matrix)
     (fun (dirty, a) ->
-       let m = Array.length a in
        let solves lu =
-         let work = Vec.create m in
+         let m = Sparse_lu.size lu in
          let b = Array.init m (fun i -> Float.of_int ((i mod 7) - 3) +. 0.5) in
-         let xf = Vec.of_array b and xb = Vec.of_array b in
-         Sparse_lu.ftran lu ~work xf;
-         Sparse_lu.btran lu ~work xb;
+         let unit = Array.init m (fun i -> if i = m / 2 then 1. else 0.) in
+         let sparse solve =
+           let x = Vec.of_array unit and nz = Array.make m 0 in
+           nz.(0) <- m / 2;
+           let k = solve lu x nz 1 in
+           (Array.sub nz 0 k, Array.map Int64.bits_of_float (Vec.to_array x))
+         in
+         let full solve = Array.map Int64.bits_of_float (solve_full solve lu b) in
          ( Sparse_lu.nnz lu,
-           Array.map Int64.bits_of_float (Vec.to_array xf),
-           Array.map Int64.bits_of_float (Vec.to_array xb) )
+           full Sparse_lu.ftran,
+           full Sparse_lu.btran,
+           sparse Sparse_lu.ftran,
+           sparse Sparse_lu.btran )
        in
-       ignore (factor_dense dirty);
+       let dirty_solves () = ignore (Option.map solves (factor_dense dirty)) in
+       dirty_solves ();
        let reused = Option.map solves (factor_dense a) in
        let kept = factor_dense a in
-       ignore (factor_dense dirty);
+       dirty_solves ();
        let kept = Option.map solves kept in
+       (* factored in the arrays of another factorization of a's size *)
+       let over =
+         let idx, va = sparse_cols_of_dense a in
+         let m = Array.length a in
+         let reuse =
+           match factor_dense (transpose a) with
+           | Some lu -> lu
+           | None -> Sparse_lu.identity m
+         in
+         Option.map solves (Sparse_lu.factor ~reuse idx va (Array.init m Fun.id))
+       in
        let fresh =
          Domain.join
            (Domain.spawn (fun () -> Option.map solves (factor_dense a)))
        in
-       reused = fresh && kept = fresh)
+       reused = fresh && kept = fresh && over = fresh)
+
+(* The same for a whole simplex solve: a model solved on a domain right
+   after a differently sized one pivots exactly as on a new domain. *)
+let prop_solve_after_other_model =
+  QCheck2.Test.make ~count:150
+    ~name:"simplex: a solve after another model's is bit-identical to fresh"
+    QCheck2.Gen.(pair gen_rand_lp gen_rand_lp)
+    (fun (r_dirty, r) ->
+       let run () =
+         let t = Simplex.create (Lp.standardize (build_rand_lp r)) in
+         let st = Simplex.reoptimize t in
+         ( st,
+           Simplex.iterations t,
+           Int64.bits_of_float (Simplex.objective t),
+           Array.map bits (Simplex.primal t) )
+       in
+       ignore (Simplex.solve (Lp.standardize (build_rand_lp r_dirty)));
+       let after = run () in
+       let fresh = Domain.join (Domain.spawn run) in
+       after = fresh)
 
 let test_sparse_lu_singular () =
   (* structurally singular: a duplicated column *)
@@ -558,13 +655,14 @@ let test_sparse_lu_singular () =
 
 let test_sparse_lu_identity () =
   let lu = Sparse_lu.identity 4 in
-  let work = Vec.create 4 in
   let b = [| 1.; -2.; 3.; 0.5 |] in
-  let x = Vec.of_array b in
-  Sparse_lu.ftran lu ~work x;
-  Alcotest.(check (array (float 0.))) "ftran id" b (Vec.to_array x);
-  Sparse_lu.btran lu ~work x;
-  Alcotest.(check (array (float 0.))) "btran id" b (Vec.to_array x);
+  Alcotest.(check (array (float 0.))) "ftran id" b
+    (solve_full Sparse_lu.ftran lu b);
+  Alcotest.(check (array (float 0.))) "btran id" b
+    (solve_full Sparse_lu.btran lu b);
+  let x = Vec.of_array [| 0.; 0.; 7.; 0. |] and nz = [| 2; 0; 0; 0 |] in
+  Alcotest.(check int) "one nonzero" 1 (Sparse_lu.ftran lu x nz 1);
+  Alcotest.(check int) "at 2" 2 nz.(0);
   Alcotest.(check int) "nnz" 4 (Sparse_lu.nnz lu);
   Alcotest.(check int) "size" 4 (Sparse_lu.size lu)
 
@@ -635,7 +733,7 @@ let prop_pooled_equals_fresh =
        let fresh = run None in
        pooled = fresh)
 
-(* A copy shares the LU factors and eta records of its original, never
+(* A copy shares the LU factors of its original, never its eta file or
    its working storage.  So the original's bound changes and
    refactorizations must leave the copy exactly as a copy of an
    untouched twin: same status, pivot count, objective bits and primal
@@ -785,6 +883,8 @@ let () =
        [ Alcotest.test_case "identity factors" `Quick test_sparse_lu_identity;
          Alcotest.test_case "singular rejection" `Quick test_sparse_lu_singular;
          QCheck_alcotest.to_alcotest prop_sparse_lu_matches_dense;
+         QCheck_alcotest.to_alcotest prop_sparse_lu_list_solve;
          QCheck_alcotest.to_alcotest prop_sparse_lu_reused_storage;
+         QCheck_alcotest.to_alcotest prop_solve_after_other_model;
        ]);
     ]
