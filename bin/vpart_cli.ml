@@ -268,10 +268,10 @@ let jobs_term =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Domains to use (default 1 = the sequential solvers, bit for \
-           bit).  For $(b,solve) this parallelizes the solver itself: the \
-           QP branch-and-bound solves open subtrees concurrently and the \
-           SA runs an $(docv)-chain portfolio with best-layout exchange.  \
+          "Domains to use (default 1).  For $(b,solve) this parallelizes \
+           the solver itself: the QP branch-and-bound dives into open \
+           subtrees concurrently and the SA runs an $(docv)-chain \
+           portfolio with best-layout exchange.  \
            For $(b,check) and $(b,certify) it fans the instance files out \
            across domains.  See docs/PARALLELISM.md.")
 

@@ -65,8 +65,8 @@ type options = {
           checks and as the masked-vs-refuted threshold of the exact
           audit. *)
   jobs : int;
-      (** Domains the branch-and-bound may use ({!Mip.solve}'s [jobs]);
-          1 (default) keeps the sequential search bit for bit. *)
+      (** Domains the branch-and-bound may use ({!Mip.solve}'s [jobs],
+          default 1). *)
   refactor_every : int;
       (** Eta-file length at which the node LPs refactorize their basis
           ({!Mip.limits.refactor_every}). *)

@@ -47,96 +47,73 @@ type stats = {
 
 let int_tol = 1e-6
 
-(* State shared between the domains of a parallel search ([solve ~jobs]).
-   [None] in every sequential search: the sequential code path is the
-   pre-parallelism one, bit for bit. *)
-type shared = {
-  best : (float * float array option) Atomic.t;
-      (* global incumbent (objective, point); objective only decreases *)
-  nodes_global : int Atomic.t;
-      (* process-wide node count, so [node_limit] caps the whole search
-         rather than each domain separately *)
-}
+(* One branch-and-bound search for every [jobs]: a best-bound frontier
+   grown on the caller's simplex, then a DFS dive per open subtree on a
+   [jobs]-domain pool ([search_tree]).  Each frontier node and each dive
+   node goes through [visit].
 
+   A [search] is one participant's view: its own simplex instance and
+   the bounds of its open DFS nodes.  The incumbent ([best]) and the node
+   counter ([node_count]) are shared by every participant of the
+   solve. *)
 type search = {
   std : Lp.std;
   sx : Simplex.t;
   limits : limits;
   priority : int -> int;
   heuristic : (float array -> float array option) option;
-  start : float;
   deadline : float option;
   int_vars : int array;
-  mutable incumbent : float array option;   (* minimization-sense best point *)
-  mutable incumbent_obj : float;
-  (* Bounds of nodes pushed on the DFS path but not yet fully explored;
-     the global lower bound is the minimum over this table (plus the node
-     currently being expanded, which always registers before recursing). *)
+  best : (float * float array option) Atomic.t;
+      (* the incumbent (minimization-sense objective, point); the
+         objective only decreases *)
+  node_count : int Atomic.t;
+      (* nodes visited so far by every participant: [node_limit] caps the
+         whole search, and each node takes its id from it *)
+  (* Bounds of DFS nodes whose first child is being explored; the dive's
+     lower bound is the minimum over this table and the current node. *)
   open_bounds : (int, float) Hashtbl.t;
-  mutable next_node_id : int;
-  mutable nodes : int;
   mutable numerical_prunes : int;
-  mutable shared : shared option;
 }
 
-(* Pull a better incumbent published by another domain into this
-   domain's local view, so its prune threshold tightens. *)
-let sync_shared s =
-  match s.shared with
-  | None -> ()
-  | Some sh ->
-    let obj, x = Atomic.get sh.best in
-    if obj < s.incumbent_obj then begin
-      s.incumbent_obj <- obj;
-      s.incumbent <- x
-    end
+let incumbent_obj s = fst (Atomic.get s.best)
 
-(* Publish this domain's incumbent; the CAS loop keeps the shared
-   objective monotonically decreasing under contention. *)
-let rec publish_shared s =
-  match s.shared with
-  | None -> ()
-  | Some sh ->
-    let cur = Atomic.get sh.best in
-    if s.incumbent_obj < fst cur then
-      if not (Atomic.compare_and_set sh.best cur (s.incumbent_obj, s.incumbent))
-      then publish_shared s
+(* Install [x] as the incumbent if [obj] improves on it; the CAS loop
+   keeps the objective monotonically decreasing under contention. *)
+let rec improve s obj x =
+  let cur = Atomic.get s.best in
+  obj < fst cur -. 1e-9
+  && (Atomic.compare_and_set s.best cur (obj, Some x) || improve s obj x)
 
 exception Hit_limit
 
-exception Gap_reached of float * float array
-(* carries the global lower bound proven at the moment the MIP gap
-   criterion was satisfied, together with the open node bounds supporting
-   it (for the audit trail — the Hashtbl is unwound by the handlers) *)
+exception Gap_reached of float
+(* carries the dive's lower bound proven at the moment the MIP gap
+   criterion was satisfied *)
 
 let out_of_time s =
   match s.deadline with None -> false | Some d -> Obs.Clock.now () > d
-
-let global_lower_bound s current =
-  Hashtbl.fold (fun _ b acc -> Float.min b acc) s.open_bounds current
 
 let rel_gap inc lb =
   if inc = infinity then infinity
   else (inc -. lb) /. Float.max 1. (Float.abs inc)
 
-let bound_support s current =
-  let acc = Hashtbl.fold (fun _ b acc -> b :: acc) s.open_bounds [ current ] in
-  Array.of_list acc
+let emit_bound s ~node glb =
+  if Obs.enabled () then
+    Obs.point "mip.bound"
+      ~attrs:
+        [
+          ("bound", Obs.Float (Lp.restore_objective s.std glb));
+          ("node", Obs.Int node);
+        ]
 
-let check_gap s current_lb =
-  match s.incumbent with
-  | None -> ()
-  | Some _ ->
-    let glb = global_lower_bound s current_lb in
-    if Obs.enabled () then
-      Obs.point "mip.bound"
-        ~attrs:
-          [
-            ("bound", Obs.Float (Lp.restore_objective s.std glb));
-            ("node", Obs.Int s.nodes);
-          ];
-    if rel_gap s.incumbent_obj glb <= s.limits.gap then
-      raise (Gap_reached (glb, bound_support s current_lb))
+let check_gap s ~node current_lb =
+  match Atomic.get s.best with
+  | _, None -> ()
+  | inc, Some _ ->
+    let glb = Hashtbl.fold (fun _ b acc -> Float.min b acc) s.open_bounds current_lb in
+    emit_bound s ~node glb;
+    if rel_gap inc glb <= s.limits.gap then raise (Gap_reached glb)
 
 (* Round integer coordinates of [x]; returns a fresh array. *)
 let round_integers std x =
@@ -146,28 +123,22 @@ let round_integers std x =
     std.Lp.integer;
   y
 
-(* Try to install [cand] as the new incumbent.  The candidate is vetted
-   against the original model (bounds, rows, integrality). *)
-let offer s cand =
+(* Vet [cand], rounded, against the searched model (bounds, rows,
+   integrality) and install it if it beats the incumbent.  Returns whether
+   it passed the vet. *)
+let offer s ~node cand =
   let cand = round_integers s.std cand in
-  if Lp.check_feasible ~tol:1e-5 s.std cand then begin
-    let obj = Lp.eval_objective s.std cand in
-    if obj < s.incumbent_obj -. 1e-9 then begin
-      s.incumbent <- Some cand;
-      s.incumbent_obj <- obj;
-      publish_shared s;
-      if Obs.enabled () then
-        Obs.point "mip.incumbent"
-          ~attrs:
-            [
-              ("obj", Obs.Float (Lp.restore_objective s.std obj));
-              ("node", Obs.Int s.nodes);
-            ];
-      true
-    end
-    else false
-  end
-  else false
+  let feasible = Lp.check_feasible ~tol:1e-5 s.std cand in
+  (if feasible then
+     let obj = Lp.eval_objective s.std cand in
+     if improve s obj cand && Obs.enabled () then
+       Obs.point "mip.incumbent"
+         ~attrs:
+           [
+             ("obj", Obs.Float (Lp.restore_objective s.std obj));
+             ("node", Obs.Int node);
+           ]);
+  feasible
 
 let most_fractional s x =
   let best = ref (-1) and best_frac = ref int_tol and best_prio = ref min_int in
@@ -193,110 +164,109 @@ let outside_box s j xj =
   let lo, hi = Simplex.bounds s.sx j in
   xj < lo -. int_tol || xj > hi +. int_tol
 
-let numerical_prune s =
-  s.numerical_prunes <- s.numerical_prunes + 1;
-  Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+type verdict =
+  | Closed  (* infeasible, pruned by bound, or an integral leaf *)
+  | Numerical
+      (* the relaxation cannot be trusted: the subtree is abandoned, and
+         the optimality proof with it *)
+  | Branch of { id : int; bound : float; children : (int * float * float) list }
+      (* the node's LP bound and its nonempty child boxes (variable, lb,
+         ub), in exploration order *)
 
-let rec branch s depth =
+let numerical_prune s ~node =
+  s.numerical_prunes <- s.numerical_prunes + 1;
+  Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int node) ] 1.;
+  Numerical
+
+(* Solve the node whose box is on [s.sx] and decide its fate.  Raises
+   [Hit_limit] on the time or node limit. *)
+let visit s ~parent ~depth =
   if out_of_time s then raise Hit_limit;
-  sync_shared s;
   (match s.limits.node_limit with
-   | Some n ->
-     let counted =
-       match s.shared with
-       | Some sh -> Atomic.get sh.nodes_global
-       | None -> s.nodes
-     in
-     if counted >= n then raise Hit_limit
-   | None -> ());
-  s.nodes <- s.nodes + 1;
-  (match s.shared with
-   | Some sh -> Atomic.incr sh.nodes_global
-   | None -> ());
+   | Some n when Atomic.get s.node_count >= n -> raise Hit_limit
+   | _ -> ());
+  let id = Atomic.fetch_and_add s.node_count 1 + 1 in
   if Obs.enabled () then
     Obs.point "mip.node"
-      ~attrs:[ ("node", Obs.Int s.nodes); ("depth", Obs.Int depth) ];
+      ~attrs:
+        (("node", Obs.Int id) :: ("depth", Obs.Int depth)
+         :: (if parent > 0 then [ ("parent", Obs.Int parent) ] else []));
   match Simplex.reoptimize ?deadline:s.deadline s.sx with
-  | Simplex.Infeasible -> Obs.count "mip.prune.infeasible" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+  | Simplex.Infeasible ->
+    Obs.count "mip.prune.infeasible" ~attrs:[ ("node", Obs.Int id) ] 1.;
+    Closed
   | Simplex.Time_limit -> raise Hit_limit
-  | Simplex.Iter_limit | Simplex.Numerical ->
-    (* Cannot trust this subtree's relaxation; abandoning it loses the
-       optimality proof, which the caller reports via the gap. *)
-    numerical_prune s
-  | Simplex.Unbounded -> ()  (* cannot happen from reoptimize *)
+  | Simplex.Iter_limit | Simplex.Numerical | Simplex.Unbounded ->
+    (* [reoptimize] never reports Unbounded *)
+    numerical_prune s ~node:id
   | Simplex.Optimal ->
     let bound = Simplex.objective s.sx +. s.std.Lp.obj_const in
-    if bound >= s.incumbent_obj -. 1e-9 *. Float.max 1. (Float.abs s.incumbent_obj)
-    then Obs.count "mip.prune.bound" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
+    let inc = incumbent_obj s in
+    if bound >= inc -. 1e-9 *. Float.max 1. (Float.abs inc) then begin
+      Obs.count "mip.prune.bound" ~attrs:[ ("node", Obs.Int id) ] 1.;
+      Closed
+    end
     else begin
       let x = Simplex.primal s.sx in
       match most_fractional s x with
       | None ->
-        Obs.count "mip.integral_leaf" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
-        if not (offer s x) then
-          (* Rounding failed the vet (tolerance artifact): accept the raw
-             relaxation point, which is integral within int_tol. *)
-          if bound < s.incumbent_obj -. 1e-9 then begin
-            s.incumbent <- Some (round_integers s.std x);
-            s.incumbent_obj <- bound;
-            publish_shared s;
-            if Obs.enabled () then
-              Obs.point "mip.incumbent"
-                ~attrs:
-                  [
-                    ("obj", Obs.Float (Lp.restore_objective s.std bound));
-                    ("node", Obs.Int s.nodes);
-                  ]
-          end
-      | Some j when outside_box s j x.(j) -> numerical_prune s
+        (* An integral point whose rounding fails the vet is a tolerance
+           artifact of a badly conditioned model: its subtree is abandoned
+           rather than trusted. *)
+        if offer s ~node:id x then begin
+          Obs.count "mip.integral_leaf" ~attrs:[ ("node", Obs.Int id) ] 1.;
+          Closed
+        end
+        else numerical_prune s ~node:id
+      | Some j when outside_box s j x.(j) -> numerical_prune s ~node:id
       | Some j ->
         (match s.heuristic with
-         | Some h when s.nodes land 31 = 1 ->
-           (match h x with Some cand -> ignore (offer s cand) | None -> ())
+         | Some h when id land 31 = 1 ->
+           (match h x with Some cand -> ignore (offer s ~node:id cand) | None -> ())
          | _ -> ());
-        check_gap s bound;
         let lo, hi = Simplex.bounds s.sx j in
         let fl = Float.of_int (int_of_float (Float.floor x.(j)))
         and ce = Float.of_int (int_of_float (Float.ceil x.(j))) in
-        let explore side =
-          let lb, ub = match side with `Down -> (lo, fl) | `Up -> (ce, hi) in
-          (* An empty child box (fractional bounds on an integer column)
-             holds no point. *)
-          if lb <= ub then begin
-            Simplex.set_bounds s.sx j ~lb ~ub;
-            branch s (depth + 1);
-            Simplex.set_bounds s.sx j ~lb:lo ~ub:hi
-          end
-        in
+        let down = (j, lo, fl) and up = (j, ce, hi) in
         let first, second =
-          if x.(j) -. fl >= 0.5 then (`Up, `Down) else (`Down, `Up)
+          if x.(j) -. fl >= 0.5 then (up, down) else (down, up)
         in
-        (* Register this node's bound for the sibling subtree so the global
-           lower bound stays valid while we are inside the first child. *)
-        let id = s.next_node_id in
-        s.next_node_id <- id + 1;
-        Hashtbl.replace s.open_bounds id bound;
-        (try explore first
-         with e ->
-           Hashtbl.remove s.open_bounds id;
-           raise e);
-        Hashtbl.remove s.open_bounds id;
-        explore second
+        (* An empty child box (fractional bounds on an integer column)
+           holds no point. *)
+        let children = List.filter (fun (_, lb, ub) -> lb <= ub) [ first; second ] in
+        Branch { id; bound; children }
     end
 
-(* ------------------------------------------------------------------ *)
-(* Parallel branch-and-bound (solve ~jobs)                             *)
-(* ------------------------------------------------------------------ *)
+let rec dive s ~parent ~depth =
+  match visit s ~parent ~depth with
+  | Closed | Numerical -> ()
+  | Branch { id; bound; children } ->
+    check_gap s ~node:id bound;
+    let rec explore = function
+      | [] -> ()
+      | (j, lb, ub) :: rest ->
+        (* While a child's subtree is open, this node's bound stands for
+           the siblings still to come. *)
+        if rest <> [] then Hashtbl.replace s.open_bounds id bound
+        else Hashtbl.remove s.open_bounds id;
+        let lo, hi = Simplex.bounds s.sx j in
+        Simplex.set_bounds s.sx j ~lb ~ub;
+        dive s ~parent:id ~depth:(depth + 1);
+        Simplex.set_bounds s.sx j ~lb:lo ~ub:hi;
+        explore rest
+    in
+    explore children
 
-(* An open subtree produced by the breadth-first expansion: the bound
-   changes along the path from the root (root-first, so replaying them
-   in order reproduces the node's variable box on a fresh root copy)
-   and the parent's LP objective, which is a valid lower bound for
-   everything inside the subtree. *)
+(* An open subtree of the frontier: the bound changes along the path from
+   the root (root-first, so replaying them in order over the root box
+   reproduces the node's box), its parent's LP objective, which is a
+   valid lower bound for everything inside the subtree, and the parent's
+   node id (0 for the root). *)
 type subtree = {
   changes : (int * float * float) list;  (* (var, lb, ub) *)
   sub_bound : float;
   sub_depth : int;
+  sub_parent : int;
 }
 
 let insert_by_bound node queue =
@@ -314,237 +284,142 @@ let add_counters a b =
   | [], c | c, [] -> c
   | a, b -> List.map2 (fun (name, x) (_, y) -> (name, x +. y)) a b
 
-(* Multi-domain search: expand the tree best-bound-first on the caller's
-   simplex until at least [4 * jobs] open subtrees exist, then solve
-   each subtree on the pool.  Every worker gets an independent
-   [Simplex.copy] of the root-optimal instance (a dual-feasible warm
-   start for any subtree box) and runs the ordinary [branch] DFS; the
-   incumbent is exchanged through [shared.best] so all domains prune
-   against the global best.
+(* The search, from the root-optimal [s.sx].  Expand the tree
+   best-bound-first on the caller's simplex until at least [4 * jobs]
+   open subtrees exist, then dive into each subtree on a [jobs]-domain
+   pool (at [jobs = 1] the degenerate pool on the caller).  Dives that
+   run at once use independent simplex instances ([Simplex.copy]); the
+   incumbent is exchanged through [s.best] so all dives prune against
+   the global best.
 
    Soundness of the aggregated proof: the global minimum is covered by
    (a) subtrees explored to exhaustion — every leaf pruned against an
    incumbent objective that only ever decreases towards the final one,
-   so they prove [>= incumbent_obj] exactly as the sequential search
-   does; (b) abandoned or unfinished parts, each of which contributes
-   its own subtree/frontier LP bound.  The proven global lower bound is
-   the minimum over those contributions, and the contribution list is
-   returned as [bound_support] so the certificate layer can re-check
-   [proven = min support] (C110).  Returns
-   [(interrupted, proven_lb, support, worker_simplex_iters,
-     worker_refactorizations, worker_eta_applications,
-     worker_pivot_counters)]. *)
-let parallel_search s ~root_bound ~jobs =
-  let sh =
-    {
-      best = Atomic.make (s.incumbent_obj, s.incumbent);
-      nodes_global = Atomic.make s.nodes;
-    }
-  in
-  s.shared <- Some sh;
+   so they prove [>= incumbent_obj]; (b) abandoned or unfinished parts,
+   each of which contributes its own subtree/frontier LP bound.  The
+   proven global lower bound is the minimum over those contributions,
+   and the contribution list is returned as [bound_support] so the
+   certificate layer can re-check [proven = min support] (C110).  Returns
+   [(interrupted, proven_lb, support, dive_simplex_iters,
+     dive_refactorizations, dive_eta_applications, dive_pivot_counters)]. *)
+let search_tree s ~root_bound ~jobs =
   let target = 4 * jobs in
-  let queue = ref [ { changes = []; sub_bound = root_bound; sub_depth = 0 } ] in
+  let queue =
+    ref [ { changes = []; sub_bound = root_bound; sub_depth = 0; sub_parent = 0 } ]
+  in
   let contribs = ref [] in
   let stopped = ref false in
   let gap_stop = ref None in
-  let node_limit_hit () =
-    match s.limits.node_limit with
-    | Some n -> Atomic.get sh.nodes_global >= n
-    | None -> false
+  let root_box = Array.map (fun j -> (j, Simplex.bounds s.sx j)) s.int_vars in
+  (* Put [node]'s box on [sx]: the root's integer boxes, then the node's
+     bound changes.  Whatever basis [sx] holds stays dual feasible under
+     bound changes, so it warm-starts the node. *)
+  let enter sx node =
+    Array.iter (fun (j, (lb, ub)) -> Simplex.set_bounds sx j ~lb ~ub) root_box;
+    List.iter (fun (j, lb, ub) -> Simplex.set_bounds sx j ~lb ~ub) node.changes
   in
-  while
-    (not !stopped) && !gap_stop = None && !queue <> []
-    && List.length !queue < target
-  do
-    (* Frontier-wide gap check (the expansion-phase analogue of
-       [check_gap]): the minimum over open subtree bounds is the global
-       lower bound right now. *)
-    (match s.incumbent with
-     | Some _ ->
-       let glb =
-         List.fold_left (fun acc n -> Float.min acc n.sub_bound) infinity !queue
-       in
-       if Obs.enabled () then
-         Obs.point "mip.bound"
-           ~attrs:
-             [
-               ("bound", Obs.Float (Lp.restore_objective s.std glb));
-               ("node", Obs.Int s.nodes);
-             ];
-       if rel_gap s.incumbent_obj glb <= s.limits.gap then gap_stop := Some glb
-     | None -> ());
-    match !queue with
-    | [] -> ()
-    | node :: rest when !gap_stop = None ->
-      if out_of_time s || node_limit_hit () then stopped := true
-      else begin
-        queue := rest;
-        s.nodes <- s.nodes + 1;
-        Atomic.incr sh.nodes_global;
-        if Obs.enabled () then
-          Obs.point "mip.node"
-            ~attrs:[ ("node", Obs.Int s.nodes); ("depth", Obs.Int node.sub_depth) ];
-        (* Apply the node's box on the caller's simplex, recording the
-           previous bounds so it can be restored to the root box. *)
-        let saved =
-          List.rev_map
-            (fun (j, lb, ub) ->
-               let plo, phi = Simplex.bounds s.sx j in
-               Simplex.set_bounds s.sx j ~lb ~ub;
-               (j, plo, phi))
-            node.changes
-        in
-        (match Simplex.reoptimize ?deadline:s.deadline s.sx with
-         | Simplex.Infeasible -> Obs.count "mip.prune.infeasible" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
-         | Simplex.Time_limit ->
-           stopped := true;
-           contribs := node.sub_bound :: !contribs
-         | Simplex.Iter_limit | Simplex.Numerical ->
-           numerical_prune s;
-           contribs := node.sub_bound :: !contribs
-         | Simplex.Unbounded -> ()  (* cannot happen from reoptimize *)
-         | Simplex.Optimal ->
-           let bound = Simplex.objective s.sx +. s.std.Lp.obj_const in
-           if
-             bound
-             >= s.incumbent_obj
-                -. (1e-9 *. Float.max 1. (Float.abs s.incumbent_obj))
-           then Obs.count "mip.prune.bound" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.
-           else begin
-             let x = Simplex.primal s.sx in
-             match most_fractional s x with
-             | None ->
-               Obs.count "mip.integral_leaf" ~attrs:[ ("node", Obs.Int s.nodes) ] 1.;
-               if not (offer s x) then
-                 if bound < s.incumbent_obj -. 1e-9 then begin
-                   s.incumbent <- Some (round_integers s.std x);
-                   s.incumbent_obj <- bound;
-                   publish_shared s;
-                   if Obs.enabled () then
-                     Obs.point "mip.incumbent"
-                       ~attrs:
-                         [
-                           ("obj", Obs.Float (Lp.restore_objective s.std bound));
-                           ("node", Obs.Int s.nodes);
-                         ]
-                 end
-             | Some j when outside_box s j x.(j) ->
-               numerical_prune s;
-               contribs := node.sub_bound :: !contribs
-             | Some j ->
-               let lo, hi = Simplex.bounds s.sx j in
-               let fl = Float.of_int (int_of_float (Float.floor x.(j)))
-               and ce = Float.of_int (int_of_float (Float.ceil x.(j))) in
-               let child changes =
-                 {
-                   changes = node.changes @ [ changes ];
-                   sub_bound = bound;
-                   sub_depth = node.sub_depth + 1;
-                 }
-               in
-               let down = (j, lo, fl) and up = (j, ce, hi) in
-               let first, second =
-                 if x.(j) -. fl >= 0.5 then (up, down) else (down, up)
-               in
-               (* An empty child box (fractional bounds on an integer
-                  column) holds no point. *)
-               List.iter
-                 (fun ((_, lb, ub) as c) ->
-                    if lb <= ub then queue := insert_by_bound (child c) !queue)
-                 [ first; second ]
-           end);
-        List.iter
-          (fun (j, lo, hi) -> Simplex.set_bounds s.sx j ~lb:lo ~ub:hi)
-          saved
-      end
+  while (not !stopped) && !gap_stop = None && !queue <> [] && List.length !queue < target do
+    let node = List.hd !queue in
+    queue := List.tl !queue;
+    enter s.sx node;
+    (match visit s ~parent:node.sub_parent ~depth:node.sub_depth with
+     | Closed -> ()
+     | Numerical -> contribs := node.sub_bound :: !contribs
+     | Branch { id; bound; children } ->
+       List.iter
+         (fun c ->
+            queue :=
+              insert_by_bound
+                { changes = node.changes @ [ c ]; sub_bound = bound;
+                  sub_depth = node.sub_depth + 1; sub_parent = id }
+                !queue)
+         children
+     | exception Hit_limit ->
+       stopped := true;
+       contribs := node.sub_bound :: !contribs);
+    (* Frontier-wide gap check: the queue is sorted by bound, so its head
+       bounds everything still open. *)
+    match (Atomic.get s.best, !queue) with
+    | (inc, Some _), first :: _ when not !stopped ->
+      emit_bound s ~node:(Atomic.get s.node_count) first.sub_bound;
+      if rel_gap inc first.sub_bound <= s.limits.gap then
+        gap_stop := Some first.sub_bound
     | _ -> ()
   done;
-  (* Solve the open subtrees on the pool.  Each worker copies the
-     root-boxed, root-warm simplex, replays its subtree's bound changes
-     and runs the ordinary DFS. *)
+  (* The dives share [jobs] simplex instances: the caller's and [jobs - 1]
+     copies of it, made before the dives start.  A dive takes a free
+     instance and enters its subtree's box there. *)
+  let dives = (not !stopped) && !gap_stop = None && !queue <> [] in
+  let copies =
+    if dives then Array.init (jobs - 1) (fun _ -> Simplex.copy s.sx) else [||]
+  in
+  let free = ref (s.sx :: Array.to_list copies) and lock = Mutex.create () in
+  (* each copy's counters start from the root instance's at this point *)
+  let base_iters = Simplex.iterations s.sx
+  and base_refacs = Simplex.refactorizations s.sx
+  and base_etas = Simplex.eta_applications s.sx
+  and base_counters = Simplex.pivot_counters s.sx in
   let run_subtree node =
-    let wsx = Simplex.copy s.sx in
-    let iters0 = Simplex.iterations wsx in
-    let refacs0 = Simplex.refactorizations wsx in
-    let etas0 = Simplex.eta_applications wsx in
-    let counters0 = Simplex.pivot_counters wsx in
-    List.iter (fun (j, lb, ub) -> Simplex.set_bounds wsx j ~lb ~ub) node.changes;
-    let iobj, ix = Atomic.get sh.best in
-    let ws =
-      {
-        s with
-        sx = wsx;
-        incumbent = ix;
-        incumbent_obj = iobj;
-        open_bounds = Hashtbl.create 64;
-        next_node_id = 0;
-        nodes = 0;
-        numerical_prunes = 0;
-      }
+    (* at most [jobs] dives run at once, so one instance is always free *)
+    let sx =
+      Mutex.protect lock (fun () ->
+          let sx = List.hd !free in
+          free := List.tl !free;
+          sx)
     in
+    enter sx node;
+    let ws = { s with sx; open_bounds = Hashtbl.create 64; numerical_prunes = 0 } in
     let verdict =
       try
-        branch ws node.sub_depth;
+        dive ws ~parent:node.sub_parent ~depth:node.sub_depth;
         if ws.numerical_prunes = 0 then `Clean else `Abandoned node.sub_bound
       with
-      | Hit_limit -> `Limit (global_lower_bound ws node.sub_bound)
-      | Gap_reached (glb, _) -> `Gap glb
+      | Hit_limit -> `Limit node.sub_bound
+      | Gap_reached glb -> `Gap glb
     in
-    ( verdict,
-      ws.nodes,
-      Simplex.iterations wsx - iters0,
-      Simplex.refactorizations wsx - refacs0,
-      Simplex.eta_applications wsx - etas0,
-      List.map2
-        (fun (name, v) (_, v0) -> (name, v -. v0))
-        (Simplex.pivot_counters wsx) counters0,
-      ws.numerical_prunes )
+    Mutex.protect lock (fun () -> free := sx :: !free);
+    (verdict, ws.numerical_prunes)
   in
   let results =
-    if !stopped || !gap_stop <> None || !queue = [] then [||]
-    else
+    if dives then
       Par.with_pool ~jobs (fun pool ->
           Par.map_array pool run_subtree (Array.of_list !queue))
+    else [||]
   in
   let interrupted = ref (!stopped || !gap_stop <> None) in
   (match !gap_stop with Some glb -> contribs := glb :: !contribs | None -> ());
   if !stopped then
     List.iter (fun n -> contribs := n.sub_bound :: !contribs) !queue;
-  let par_iters = ref 0 and par_refacs = ref 0 and par_etas = ref 0 in
-  let par_counters = ref [] in
   Array.iter
-    (fun (verdict, n, it, rf, ea, counters, np) ->
-       s.nodes <- s.nodes + n;
-       par_iters := !par_iters + it;
-       par_refacs := !par_refacs + rf;
-       par_etas := !par_etas + ea;
-       par_counters := add_counters !par_counters counters;
+    (fun (verdict, np) ->
        s.numerical_prunes <- s.numerical_prunes + np;
        match verdict with
        | `Clean -> ()
        | `Abandoned b -> contribs := b :: !contribs
-       | `Limit b ->
-         interrupted := true;
-         contribs := b :: !contribs
-       | `Gap b ->
+       | `Limit b | `Gap b ->
          interrupted := true;
          contribs := b :: !contribs)
     results;
-  (* Adopt the portfolio-best incumbent, then drop the shared state. *)
-  let iobj, ix = Atomic.get sh.best in
-  if iobj < s.incumbent_obj then begin
-    s.incumbent <- ix;
-    s.incumbent_obj <- iobj
-  end;
-  s.shared <- None;
   let support =
-    match s.incumbent with
-    | Some _ -> s.incumbent_obj :: !contribs
-    | None -> !contribs
+    match Atomic.get s.best with
+    | inc, Some _ -> inc :: !contribs
+    | _, None -> !contribs
   in
   let proven = List.fold_left Float.min infinity support in
-  (!interrupted, proven, Array.of_list support, !par_iters, !par_refacs,
-   !par_etas, !par_counters)
+  let copied f base = Array.fold_left (fun acc c -> acc + f c - base) 0 copies in
+  let copied_counters =
+    Array.fold_left
+      (fun acc c ->
+         add_counters acc
+           (List.map2
+              (fun (name, v) (_, v0) -> (name, v -. v0))
+              (Simplex.pivot_counters c) base_counters))
+      [] copies
+  in
+  (!interrupted, proven, Array.of_list support,
+   copied Simplex.iterations base_iters,
+   copied Simplex.refactorizations base_refacs,
+   copied Simplex.eta_applications base_etas, copied_counters)
 
 let pp_outcome ppf = function
   | Optimal { obj; _ } -> Format.fprintf ppf "optimal %g" obj
@@ -685,14 +560,11 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
     in
     let s =
       {
-        std; sx; limits; priority; heuristic; start; deadline; int_vars;
-        incumbent = None;
-        incumbent_obj = infinity;
+        std; sx; limits; priority; heuristic; deadline; int_vars;
+        best = Atomic.make (infinity, None);
+        node_count = Atomic.make 0;
         open_bounds = Hashtbl.create 64;
-        next_node_id = 0;
-        nodes = 0;
         numerical_prunes = 0;
-        shared = None;
       }
     in
     let root_status = Simplex.reoptimize ?deadline s.sx in
@@ -707,13 +579,8 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
          ~eta_len:(Simplex.max_eta_length sx) ~gap_achieved:infinity
          ~audit:{ no_audit with farkas }
      | Simplex.Time_limit | Simplex.Iter_limit | Simplex.Numerical ->
-       let out =
-         match s.incumbent with
-         | Some x -> Feasible ({ x; obj = Lp.restore_objective std s.incumbent_obj },
-                               Lp.restore_objective std neg_infinity)
-         | None -> No_incumbent None
-       in
-       finish out ~nodes:1 ~iters:(Simplex.iterations sx)
+       (* no incumbent exists before the root relaxation is solved *)
+       finish (No_incumbent None) ~nodes:1 ~iters:(Simplex.iterations sx)
          ~refacs:(Simplex.refactorizations sx)
          ~etas:(Simplex.eta_applications sx)
          ~eta_len:(Simplex.max_eta_length sx) ~gap_achieved:infinity
@@ -744,10 +611,12 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
                lp_reduced = reduced_costs_from original_std y;
                lp_obj = root_bound }
          in
-         (* Root heuristic. *)
+         (* Root heuristic, before the root node is counted. *)
          (match heuristic with
           | Some h ->
-            (match h root_x with Some cand -> ignore (offer s cand) | None -> ())
+            (match h root_x with
+             | Some cand -> ignore (offer s ~node:0 cand)
+             | None -> ())
           | None -> ());
          let ( interrupted,
                proven_lb,
@@ -756,31 +625,13 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
                par_refacs,
                par_etas,
                par_counters ) =
-           if jobs <= 1 then (
-             try
-               branch s 0;
-               (* Search exhausted: the proof is complete up to numerical
-                  prunes. *)
-               if s.numerical_prunes = 0 then
-                 (false, s.incumbent_obj, [| s.incumbent_obj |], 0, 0, 0,
-                  [])
-               else (false, root_bound, [| root_bound |], 0, 0, 0, [])
-             with
-             | Hit_limit ->
-               (* The exception handlers along the unwind removed their
-                  open_bounds entries, so the table only retains nodes above
-                  the interrupt point (usually none): the provable bound
-                  degrades towards the root bound. *)
-               let glb = global_lower_bound s root_bound in
-               (true, glb, bound_support s root_bound, 0, 0, 0, [])
-             | Gap_reached (glb, support) ->
-               (true, glb, support, 0, 0, 0, []))
-           else parallel_search s ~root_bound ~jobs
+           search_tree s ~root_bound ~jobs
          in
          (* A subtree abandoned on numerical trouble voids the exhaustive
-            search: the bound falls back to the root bound and the claim
-            is read exactly as after an interruption. *)
+            search: its bound joins the support and the claim is read
+            exactly as after an interruption. *)
          let interrupted = interrupted || s.numerical_prunes > 0 in
+         let nodes = Atomic.get s.node_count in
          let iters = Simplex.iterations sx + par_iters in
          let refacs = Simplex.refactorizations sx + par_refacs in
          let etas = Simplex.eta_applications sx + par_etas in
@@ -793,26 +644,26 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
              proven_bound = (if glb_known then Some lb_min else None);
              numerical_prunes = s.numerical_prunes }
          in
-         match s.incumbent with
-         | None ->
+         match Atomic.get s.best with
+         | _, None ->
            if interrupted then
              finish ~par_counters
                (No_incumbent (Some (Lp.restore_objective std lb_min)))
-               ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len
+               ~nodes ~iters ~refacs ~etas ~eta_len
                ~gap_achieved:infinity ~audit:(audit true)
            else
-             finish ~par_counters Infeasible ~nodes:s.nodes ~iters ~refacs
+             finish ~par_counters Infeasible ~nodes ~iters ~refacs
                ~etas ~eta_len ~gap_achieved:infinity ~audit:(audit false)
-         | Some x ->
-           let sol = { x; obj = Lp.restore_objective std s.incumbent_obj } in
-           let g = rel_gap s.incumbent_obj lb_min in
+         | inc, Some x ->
+           let sol = { x; obj = Lp.restore_objective std inc } in
+           let g = rel_gap inc lb_min in
            if (not interrupted) || g <= limits.gap then
-             finish ~par_counters (Optimal sol) ~nodes:s.nodes ~iters ~refacs
+             finish ~par_counters (Optimal sol) ~nodes ~iters ~refacs
                ~etas ~eta_len ~gap_achieved:(Float.max g 0.)
                ~audit:(audit true)
            else
              finish ~par_counters
                (Feasible (sol, Lp.restore_objective std lb_min))
-               ~nodes:s.nodes ~iters ~refacs ~etas ~eta_len ~gap_achieved:g
+               ~nodes ~iters ~refacs ~etas ~eta_len ~gap_achieved:g
                ~audit:(audit true)
        end)

@@ -12,15 +12,19 @@
     original spaces.
 
     Node LPs run on the sparse LU dual simplex of
-    {!Vpart_simplex.Simplex} (devex pricing).  The search is depth-first
-    with a single warm-started dual-simplex instance: branching only changes variable bounds, and any basis stays
-    dual feasible under bound changes, so each node costs one warm
-    {!Vpart_simplex.Simplex.reoptimize}.  Branching picks the most
-    fractional integer variable, preferring higher [priority] values;
-    the child closer to the fractional value is explored first.  An
-    optional domain [heuristic] is consulted at the root and periodically
-    to produce early incumbents (the vertical-partitioning solver plugs in
-    a rounding/repair procedure there). *)
+    {!Vpart_simplex.Simplex} (devex pricing).  The search expands a
+    best-bound frontier from the root until it holds [4 * jobs] open
+    subtrees, then dives depth-first into each.  Branching only changes
+    variable bounds, and any basis stays dual feasible under bound
+    changes, so each node costs one warm
+    {!Vpart_simplex.Simplex.reoptimize} on a warm-started instance.
+    Branching picks the most fractional integer variable, preferring
+    higher [priority] values; the child closer to the fractional value
+    is explored first.  An optional domain [heuristic] is consulted at
+    the root and periodically to produce early incumbents (the
+    vertical-partitioning solver plugs in a rounding/repair procedure
+    there).  An integral node point whose rounding fails the feasibility
+    vet is not trusted: its subtree counts as a numerical prune. *)
 
 type limits = {
   time_limit : float option;  (** wall-clock seconds for the whole solve *)
@@ -98,10 +102,11 @@ type audit = {
       (** minimization-sense global lower bound at exit, when the search
           ran far enough to establish one *)
   numerical_prunes : int;
-      (** subtrees abandoned on simplex numerical trouble; nonzero values
-          void the optimality proof down to the root bound, so the outcome
-          is [Optimal] only when the root bound alone closes the gap, and
-          never [Infeasible] *)
+      (** subtrees abandoned on simplex numerical trouble, or at an
+          integral point whose rounding fails the vet; nonzero values void
+          the optimality proof down to the abandoned subtrees' bounds, so
+          the outcome is [Optimal] only when those bounds close the gap,
+          and never [Infeasible] *)
 }
 (** Independently checkable artifacts from the solve, in the {e original}
     (unscaled) spaces.  Consumed by [Vpart_certify.Certify.certify_mip];
@@ -140,17 +145,17 @@ val solve :
     callback sees and returns original-space points.
 
     [jobs] (default 1) is the number of domains the branch-and-bound may
-    use.  With [jobs = 1] the search is the sequential DFS, bit for bit.
-    With [jobs > 1] the tree is first expanded best-bound-first into at
-    least [4 * jobs] open subtrees, which are then solved concurrently on
-    a {!Par} pool: every domain owns a private warm-started
+    use.  The search is the same for every [jobs]: the tree is expanded
+    best-bound-first into at least [4 * jobs] open subtrees, whose dives
+    then run on a [jobs]-domain {!Par} pool (at [jobs = 1], one after the
+    other on the caller).  Every dive owns a private warm-started
     {!Simplex.copy} of the root instance, the incumbent is shared through
-    an [Atomic] so all domains prune against the global best, and the
+    an [Atomic] so all dives prune against the global best, and the
     proven lower bound / [bound_support] aggregate the per-subtree
-    proofs, so [gap_achieved] and the audit keep their sequential
-    meaning (the certificate layer re-checks them unchanged).  The
-    explored tree shape — and therefore [nodes], the incumbent point and
-    exact tie-breaking — may differ from the sequential search, but the
+    proofs (the certificate layer re-checks them).  A solve at
+    [jobs = 1] is deterministic.  At [jobs > 1] the timing of the
+    incumbent exchange may change the explored tree — and therefore
+    [nodes], the incumbent point and exact tie-breaking — but the
     certified objective agrees within [limits.gap].  [priority] and
     [heuristic] callbacks must be thread-safe (pure functions of their
     arguments); the ones built by [Qp_solver] are.

@@ -47,8 +47,6 @@ let prune_reason name =
 let of_events events =
   let byid : (int, bnode) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
-  (* DFS parent inference: the most recent node seen at each depth. *)
-  let last_at_depth : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let current = ref None in
   let node_of attrs =
     (* Events tagged with a node attr bind to that node; untagged ones
@@ -64,15 +62,11 @@ let of_events events =
       | Obs.Point { name = "mip.node"; attrs } -> (
           match (int_attr attrs "node", int_attr attrs "depth") with
           | Some id, Some depth ->
-              let parent =
-                if depth = 0 then None
-                else Hashtbl.find_opt last_at_depth (depth - 1)
-              in
               let b =
                 {
                   b_id = id;
                   b_depth = depth;
-                  b_parent = parent;
+                  b_parent = int_attr attrs "parent";
                   b_ts = ts;
                   b_incumbent = None;
                   b_bound = None;
@@ -80,7 +74,6 @@ let of_events events =
                 }
               in
               Hashtbl.replace byid id b;
-              Hashtbl.replace last_at_depth depth id;
               order := id :: !order;
               current := Some id
           | _ -> ())

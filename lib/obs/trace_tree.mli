@@ -2,15 +2,12 @@
     [vpart_cli trace tree].
 
     The MIP solver emits, per node, a [mip.node] point (attrs [node],
-    [depth]) followed by the node's outcome: a [mip.prune.*] /
-    [mip.integral_leaf] counter (tagged with the same [node] attr), and
-    possibly [mip.incumbent] / [mip.bound] points.  {!of_events} folds
-    those back into the explicit tree.  Parent linkage uses the DFS
-    invariant of the sequential solver (a node's parent is the most
-    recently visited node one level shallower); traces from [--jobs N]
-    runs interleave several subtree walks, so parent edges there are
-    best-effort and the per-node outcome attrs remain the source of
-    truth.
+    [depth], and [parent] below the root) followed by the node's outcome:
+    a [mip.prune.*] / [mip.integral_leaf] counter (tagged with the same
+    [node] attr), and possibly [mip.incumbent] / [mip.bound] points.
+    Node ids are unique across the whole solve, whatever its [--jobs], so
+    {!of_events} folds those back into the explicit tree: each edge comes
+    from the child's [parent] attr.
 
     Exports: Graphviz DOT ({!to_dot}) and a JSON document ({!to_json})
     that {!of_json} reads back — [of_json (to_json t) = Ok t] exactly. *)
@@ -18,7 +15,7 @@
 type node = {
   id : int;            (** the solver's 1-based visit index *)
   depth : int;
-  parent : int option; (** best-effort under [--jobs], exact sequentially *)
+  parent : int option; (** [None] for the root *)
   ts : float;          (** timestamp of the [mip.node] point *)
   incumbent : float option;  (** objective if this node improved it *)
   bound : float option;      (** global bound reported at this node *)

@@ -363,31 +363,24 @@ let prune_fixture () =
   in
   (inst, options)
 
-(* Two rows whose binaries carry coefficients from 1e-6 to 6.5e6.  Binary
-   columns keep scaling factor 1, so equilibration cannot even them out,
-   and branch-and-bound abandons a subtree on simplex numerical trouble.
-   The search then only proves the root bound, which does not close the
-   gap: the claim must degrade to a limit-feasible answer that both
-   certifiers accept, not an optimality claim the exact audit refutes.
-   Shrunk from a generated model. *)
+(* Two rows whose binaries carry coefficients from 6e-6 to 1.4e6.  Binary
+   columns keep scaling factor 1, so equilibration cannot even them out.
+   Branch-and-bound reaches an integral leaf whose rounded point breaks
+   the equality row by more than the vet tolerance, and abandons it as a
+   numerical prune.  The search then proves no incumbent: the claim must
+   degrade to one that both certifiers accept, not an optimality claim
+   the exact audit refutes.  Taken from a generated model. *)
 let numerical_prune_model () =
   let m = Lp.create () in
-  let b = Array.init 8 (fun _ -> Lp.binary m ()) in
-  let z = Lp.add_var m ~ub:0x1.0624dd2f1a9fcp-10 () in
+  let b = Array.init 3 (fun _ -> Lp.binary m ()) in
   Lp.add_constr m
-    [ (0x1.cac083126e979p-8, b.(0)); (0x1.034ef82d1043p+6, b.(1));
-      (0x1.bed1c2c461592p-1, b.(2)); (-0x1.a36e2eb1c432dp-14, b.(4));
-      (0x1.4c72dda966bp-4, b.(5)); (-0x1.0b38b2ae4fd31p-6, b.(7));
-      (0x1.999999999999ap-4, z) ]
-    Lp.Eq 0x1.070ef6143cbf2p+6;
+    [ (-0x1.a89ac1ad6d029p-18, b.(0)); (-0x1.0977b001462eep-11, b.(1));
+      (0x1.564dbd0c21cfap+20, b.(2)) ]
+    Lp.Eq 0x1.564dbd0a083ddp+20;
   Lp.add_constr m
-    [ (-1., b.(0)); (-0x1.47ae147ae147bp-7, b.(1)); (0x1.e848p+19, b.(3));
-      (0x1.0c6f7a0b5ed8dp-20, b.(4)); (0x1.f4p+9, b.(5));
-      (-0x1.8d738b340f18fp+22, b.(6)); (0x1.91b78f9745b31p-11, b.(7));
-      (-0x1.4f8b588e368f1p-17, z) ]
-    Lp.Ge 0x1.5ep+9;
-  Lp.set_objective m Lp.Minimize
-    [ (-1e7, b.(1)); (0.1, b.(4)); (1e8, b.(5)); (-1e5, b.(6)) ];
+    [ (-0x1.7f9e9b2efdcp-14, b.(0)); (0x1.4822cca0fd075p-14, b.(1)) ]
+    Lp.Le (-0x1.711ed88780b3p-18);
+  Lp.set_objective m Lp.Minimize [ (0x1.10444b76bfadep+13, b.(1)) ];
   m
 
 let test_numerical_prune_voids_optimality () =

@@ -438,9 +438,9 @@ let tree_fixture () =
     (0.1, Point { name = "mip.node"; attrs = [ ("node", Int 1); ("depth", Int 0) ] });
     (0.2, Point { name = "mip.incumbent"; attrs = [ ("obj", Float 7.5); ("node", Int 1) ] });
     (0.3, Point { name = "mip.bound"; attrs = [ ("bound", Float 5.0); ("node", Int 1) ] });
-    (0.4, Point { name = "mip.node"; attrs = [ ("node", Int 2); ("depth", Int 1) ] });
+    (0.4, Point { name = "mip.node"; attrs = [ ("node", Int 2); ("depth", Int 1); ("parent", Int 1) ] });
     (0.5, Counter { name = "mip.prune.bound"; add = 1.; attrs = [ ("node", Int 2) ] });
-    (0.6, Point { name = "mip.node"; attrs = [ ("node", Int 3); ("depth", Int 1) ] });
+    (0.6, Point { name = "mip.node"; attrs = [ ("node", Int 3); ("depth", Int 1); ("parent", Int 1) ] });
     (0.7, Counter { name = "mip.integral_leaf"; add = 1.; attrs = [ ("node", Int 3) ] });
   ]
 
@@ -498,6 +498,49 @@ let test_tree_from_real_solve_roundtrip () =
   | Ok t' when t = t' -> ()
   | Ok _ -> Alcotest.fail "real tree JSON round-trip is not the identity"
   | Error e -> Alcotest.failf "real tree round-trip failed: %s" e
+
+(* A two-domain solve that reaches its dives: every node id is unique, and
+   each non-root node's parent is an earlier node one level up. *)
+let test_tree_jobs2_parents () =
+  let buf = Buffer.create 65536 in
+  let sink = Obs.jsonl_sink (Buffer.add_string buf) in
+  let m = Lp.create () in
+  (* a strongly correlated knapsack: value = weight + 10 *)
+  let n = 20 in
+  let v = Array.init n (fun _ -> Lp.binary m ()) in
+  let weight i = float_of_int (20 + ((i * 37) mod 41)) in
+  let value i = weight i +. 10. in
+  Lp.add_constr m (List.init n (fun i -> (weight i, v.(i)))) Lp.Le 401.;
+  Lp.set_objective m Lp.Maximize (List.init n (fun i -> (value i, v.(i))));
+  let limits = { Mip.default_limits with Mip.gap = 1e-9 } in
+  let _, stats = Obs.with_sink sink (fun () -> Mip.solve ~limits ~jobs:2 m) in
+  let t = Trace_tree.of_events (parse "jobs-2 mip trace" (Buffer.contents buf)) in
+  let nodes = t.Trace_tree.nodes in
+  (* more nodes than the 4 * jobs frontier subtrees: the dives ran *)
+  if stats.Mip.nodes <= 16 then
+    Alcotest.failf "expected a search past the frontier, got %d nodes"
+      stats.Mip.nodes;
+  Alcotest.(check int) "one tree node per solver node" stats.Mip.nodes
+    (List.length nodes);
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun nd ->
+      let open Trace_tree in
+      if Hashtbl.mem seen nd.id then Alcotest.failf "node id %d repeats" nd.id;
+      (match nd.parent with
+       | None ->
+         Alcotest.(check int) (Printf.sprintf "root #%d depth" nd.id) 0 nd.depth
+       | Some p -> (
+           match Hashtbl.find_opt seen p with
+           | None -> Alcotest.failf "node #%d: parent #%d not seen before" nd.id p
+           | Some pd ->
+             Alcotest.(check int)
+               (Printf.sprintf "node #%d one level below #%d" nd.id p)
+               (pd + 1) nd.depth));
+      Hashtbl.replace seen nd.id nd.depth)
+    nodes;
+  Alcotest.(check int) "one root" 1
+    (List.length (List.filter (fun nd -> nd.Trace_tree.parent = None) nodes))
 
 (* ------------------------------------------------------------------ *)
 (* Trajectory                                                          *)
@@ -853,6 +896,8 @@ let () =
           Alcotest.test_case "DOT export" `Quick test_tree_dot;
           Alcotest.test_case "real solve round-trip" `Quick
             test_tree_from_real_solve_roundtrip;
+          Alcotest.test_case "unique ids and parents under --jobs 2" `Quick
+            test_tree_jobs2_parents;
         ] );
       ( "trajectory",
         [

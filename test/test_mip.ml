@@ -95,25 +95,32 @@ let test_too_large () =
    | out -> Alcotest.failf "expected too large, got %a" Mip.pp_outcome out)
 
 let test_heuristic_hook () =
-  (* The heuristic's proposal must be vetted and used when it is optimal. *)
+  (* The heuristic's proposal must be vetted and used when it is optimal.
+     The root is integral and the proposal closes the gap there: the root
+     still counts as node 1, whatever [jobs] is. *)
   let m = Lp.create () in
   let x = Lp.binary m () and y = Lp.binary m () in
   Lp.add_constr m [ (1., x); (1., y) ] Lp.Ge 1.;
   Lp.set_objective m Lp.Minimize [ (2., x); (3., y) ];
-  let called = ref false in
-  let heuristic _lp_point =
-    called := true;
-    Some [| 1.; 0. |]
-  in
-  let out, _ = Mip.solve ~limits:exact_limits ~heuristic m in
-  let sol = get_optimal "heuristic" out in
-  Alcotest.(check bool) "heuristic called" true !called;
-  Alcotest.(check (float 1e-6)) "objective" 2. sol.Mip.obj
+  List.iter
+    (fun jobs ->
+       let called = ref false in
+       let heuristic _lp_point =
+         called := true;
+         Some [| 1.; 0. |]
+       in
+       let out, stats = Mip.solve ~limits:exact_limits ~heuristic ~jobs m in
+       let sol = get_optimal "heuristic" out in
+       Alcotest.(check bool) "heuristic called" true !called;
+       Alcotest.(check (float 1e-6)) "objective" 2. sol.Mip.obj;
+       Alcotest.(check int) (Printf.sprintf "nodes (jobs %d)" jobs) 1
+         stats.Mip.nodes)
+    [ 1; 2 ]
 
 let test_fractional_integer_bounds () =
   (* x integer in [0.5, 1.5]: the LP optimum x = 0.5, y = 0.2 branches on
-     x, whose down child [0.5, 0] is empty.  Optimum x = 1, y = 0, from
-     the sequential search and from the parallel one's expansion. *)
+     x, whose down child [0.5, 0] is empty.  Optimum x = 1, y = 0, at
+     jobs 1 and 2. *)
   let m = Lp.create () in
   let x = Lp.add_var m ~lb:0.5 ~ub:1.5 ~integer:true () in
   let y = Lp.add_var m ~ub:1. () in
@@ -155,6 +162,34 @@ let test_point_outside_box () =
   let module C = Vpart_certify.Certify in
   Alcotest.(check int) "float certificate errors" 0
     (List.length (D.errors (C.certify_mip ~gap:exact_limits.Mip.gap m out stats)));
+  let _, _, refuted, _ =
+    C.Exact.counts (C.Exact.audit ~gap:exact_limits.Mip.gap m out stats)
+  in
+  Alcotest.(check int) "exactly refuted claims" 0 refuted
+
+(* Regression, shrunk from a generated badly conditioned model (binaries,
+   coefficients spanning 1e-8 .. 1e8).  The root LP point is integral, but
+   its rounding breaks the equality row by more than the vet tolerance.
+   The search used to install that point anyway, with the LP bound as its
+   objective: an Optimal claim whose incumbent violates a row (C004).  The
+   leaf is now a numerical prune, and the answer certifies. *)
+let test_unvetted_integral_leaf () =
+  let m = Lp.create () in
+  let b = Array.init 2 (fun _ -> Lp.binary m ()) in
+  Lp.add_constr m
+    [ (0x1.24a74dff109f7p+22, b.(0)); (-0x1.8acbf123bef31p-4, b.(1)) ]
+    Lp.Eq 0x1.24a74d9c5da32p+22;
+  let out, stats = Mip.solve ~limits:exact_limits m in
+  Alcotest.(check bool) "the leaf is a numerical prune" true
+    (stats.Mip.audit.Mip.numerical_prunes >= 1);
+  Alcotest.(check bool) "no optimality claim" true
+    (match out with Mip.Optimal _ -> false | _ -> true);
+  let module D = Vpart_analysis.Diagnostic in
+  let module C = Vpart_certify.Certify in
+  Alcotest.(check (list string)) "float certificate errors" []
+    (List.map
+       (fun d -> d.D.code)
+       (D.errors (C.certify_mip ~gap:exact_limits.Mip.gap m out stats)));
   let _, _, refuted, _ =
     C.Exact.counts (C.Exact.audit ~gap:exact_limits.Mip.gap m out stats)
   in
@@ -436,6 +471,8 @@ let () =
          Alcotest.test_case "point outside its box" `Quick test_point_outside_box;
          Alcotest.test_case "fractional integer bounds" `Quick
            test_fractional_integer_bounds;
+         Alcotest.test_case "unvetted integral leaf" `Quick
+           test_unvetted_integral_leaf;
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_knapsack;
