@@ -47,7 +47,9 @@ type result = {
   bound : float option;
   elapsed : float;
   nodes : int;
+  cutoff_prunes : int;
   simplex_iters : int;
+  bound_flips : int;
   refactorizations : int;
   eta_applications : int;
   model_rows : int;
@@ -547,7 +549,9 @@ let solve ?(options = default_options) (inst : Instance.t) =
       bound;
       elapsed;
       nodes = mip_stats.Mip.nodes;
+      cutoff_prunes = mip_stats.Mip.cutoff_prunes;
       simplex_iters = mip_stats.Mip.simplex_iterations;
+      bound_flips = mip_stats.Mip.bound_flips;
       refactorizations = mip_stats.Mip.refactorizations;
       eta_applications = mip_stats.Mip.eta_applications;
       model_rows = Lp.num_constrs model;

@@ -100,7 +100,11 @@ type result = {
   bound : float option;       (** best proven lower bound on objective (6) *)
   elapsed : float;
   nodes : int;
+  cutoff_prunes : int;
+      (** nodes whose LP stopped early at the incumbent, on a verified
+          Lagrangian bound ({!Vpart_mip.Mip.stats}) *)
   simplex_iters : int;
+  bound_flips : int;  (** bound flips of the dual ratio test, all node LPs *)
   refactorizations : int;  (** basis rebuilds across all node LPs *)
   eta_applications : int;  (** eta-file applications across all node LPs *)
   model_rows : int;

@@ -37,7 +37,9 @@ type audit = {
 
 type stats = {
   nodes : int;
+  cutoff_prunes : int;
   simplex_iterations : int;
+  bound_flips : int;
   refactorizations : int;
   eta_applications : int;
   elapsed : float;
@@ -58,6 +60,8 @@ let int_tol = 1e-6
    solve. *)
 type search = {
   std : Lp.std;
+  original : Lp.std;  (* the model [std] equilibrates *)
+  restore : float array -> float array;  (* a point of [std] in [original] *)
   sx : Simplex.t;
   limits : limits;
   priority : int -> int;
@@ -70,6 +74,7 @@ type search = {
   node_count : int Atomic.t;
       (* nodes visited so far by every participant: [node_limit] caps the
          whole search, and each node takes its id from it *)
+  cutoffs : int Atomic.t;  (* nodes closed by a simplex Cutoff *)
   (* Bounds of DFS nodes whose first child is being explored; the dive's
      lower bound is the minimum over this table and the current node. *)
   open_bounds : (int, float) Hashtbl.t;
@@ -123,12 +128,17 @@ let round_integers std x =
     std.Lp.integer;
   y
 
-(* Vet [cand], rounded, against the searched model (bounds, rows,
-   integrality) and install it if it beats the incumbent.  Returns whether
-   it passed the vet. *)
+(* Vet [cand], rounded, against the searched model and, unscaled,
+   against the original model (bounds, rows, integrality), and install it
+   if it beats the incumbent.  The second vet matters on badly
+   conditioned models: a point within tolerance of the equilibrated rows
+   can break an original row by more.  Returns whether it passed. *)
 let offer s ~node cand =
   let cand = round_integers s.std cand in
-  let feasible = Lp.check_feasible ~tol:1e-5 s.std cand in
+  let feasible =
+    Lp.check_feasible ~tol:1e-5 s.std cand
+    && Lp.check_feasible ~tol:1e-5 s.original (s.restore cand)
+  in
   (if feasible then
      let obj = Lp.eval_objective s.std cand in
      if improve s obj cand && Obs.enabled () then
@@ -178,8 +188,19 @@ let numerical_prune s ~node =
   Obs.count "mip.prune.numerical" ~attrs:[ ("node", Obs.Int node) ] 1.;
   Numerical
 
-(* Solve the node whose box is on [s.sx] and decide its fate.  Raises
-   [Hit_limit] on the time or node limit. *)
+(* The prune threshold in the simplex's objective space (no constant):
+   a node whose LP bound reaches it cannot improve on the incumbent. *)
+let cutoff_of s =
+  match Atomic.get s.best with
+  | _, None -> None
+  | inc, Some _ ->
+    Some (inc -. (1e-9 *. Float.max 1. (Float.abs inc)) -. s.std.Lp.obj_const)
+
+(* Solve the node whose box is on [s.sx] and decide its fate.  With an
+   incumbent, the node LP stops as soon as a verified Lagrangian bound
+   reaches the prune threshold (Simplex Cutoff): the bound prune the full
+   solve would make, reached sooner.  Raises [Hit_limit] on the time or
+   node limit. *)
 let visit s ~parent ~depth =
   if out_of_time s then raise Hit_limit;
   (match s.limits.node_limit with
@@ -191,9 +212,21 @@ let visit s ~parent ~depth =
       ~attrs:
         (("node", Obs.Int id) :: ("depth", Obs.Int depth)
          :: (if parent > 0 then [ ("parent", Obs.Int parent) ] else []));
-  match Simplex.reoptimize ?deadline:s.deadline s.sx with
+  match Simplex.reoptimize ?deadline:s.deadline ?cutoff:(cutoff_of s) s.sx with
   | Simplex.Infeasible ->
     Obs.count "mip.prune.infeasible" ~attrs:[ ("node", Obs.Int id) ] 1.;
+    Closed
+  | Simplex.Cutoff ->
+    Atomic.incr s.cutoffs;
+    Obs.count "mip.prune.bound" ~attrs:[ ("node", Obs.Int id) ] 1.;
+    if Obs.enabled () then
+      Option.iter
+        (fun b ->
+           let bound = Lp.restore_objective s.std (b +. s.std.Lp.obj_const) in
+           Obs.count "mip.prune.cutoff"
+             ~attrs:[ ("node", Obs.Int id); ("bound", Obs.Float bound) ]
+             1.)
+        (Simplex.cutoff_bound s.sx);
     Closed
   | Simplex.Time_limit -> raise Hit_limit
   | Simplex.Iter_limit | Simplex.Numerical | Simplex.Unbounded ->
@@ -479,8 +512,8 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
       ]
   @@ fun () ->
   let start = Obs.Clock.now () in
-  let finish outcome ~nodes ~iters ~refacs ~etas ~eta_len ~gap_achieved ~audit
-    =
+  let finish ?(cutoffs = 0) ?(flips = 0) outcome ~nodes ~iters ~refacs ~etas
+      ~eta_len ~gap_achieved ~audit =
     (* The counters emitted here carry exactly the values returned in
        [stats], so a trace consumer can cross-check them 1:1. *)
     if Obs.enabled () then begin
@@ -497,7 +530,9 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
     end;
     (outcome,
      { nodes;
+       cutoff_prunes = cutoffs;
        simplex_iterations = iters;
+       bound_flips = flips;
        refactorizations = refacs;
        eta_applications = etas;
        elapsed = Obs.Clock.now () -. start;
@@ -538,14 +573,14 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
       Simplex.create ?workspace:simplex_workspace
         ~refactor_every:limits.refactor_every std
     in
+    let cutoffs = Atomic.make 0 in
     (* [par_counters]: the pivot counters of the parallel subtree
        workers, added to the root instance's own *)
     let finish ?(par_counters = []) outcome =
-      if Obs.enabled () then
-        List.iter
-          (fun (name, v) -> Obs.count name v)
-          (add_counters (Simplex.pivot_counters sx) par_counters);
-      finish
+      let counters = add_counters (Simplex.pivot_counters sx) par_counters in
+      if Obs.enabled () then List.iter (fun (name, v) -> Obs.count name v) counters;
+      finish ~cutoffs:(Atomic.get cutoffs)
+        ~flips:(int_of_float (List.assoc "simplex.bound_flips" counters))
         (match outcome with
          | Optimal s -> Optimal { s with x = restore s.x }
          | Feasible (s, b) -> Feasible ({ s with x = restore s.x }, b)
@@ -560,9 +595,11 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
     in
     let s =
       {
-        std; sx; limits; priority; heuristic; deadline; int_vars;
+        std; original = original_std; restore; sx; limits; priority;
+        heuristic; deadline; int_vars;
         best = Atomic.make (infinity, None);
         node_count = Atomic.make 0;
+        cutoffs;
         open_bounds = Hashtbl.create 64;
         numerical_prunes = 0;
       }
@@ -578,8 +615,10 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
          ~etas:(Simplex.eta_applications sx)
          ~eta_len:(Simplex.max_eta_length sx) ~gap_achieved:infinity
          ~audit:{ no_audit with farkas }
-     | Simplex.Time_limit | Simplex.Iter_limit | Simplex.Numerical ->
-       (* no incumbent exists before the root relaxation is solved *)
+     | Simplex.Time_limit | Simplex.Iter_limit | Simplex.Numerical
+     | Simplex.Cutoff ->
+       (* no incumbent exists before the root relaxation is solved (nor a
+          cutoff) *)
        finish (No_incumbent None) ~nodes:1 ~iters:(Simplex.iterations sx)
          ~refacs:(Simplex.refactorizations sx)
          ~etas:(Simplex.eta_applications sx)

@@ -23,8 +23,24 @@
     is explored first.  An optional domain [heuristic] is consulted at
     the root and periodically to produce early incumbents (the
     vertical-partitioning solver plugs in a rounding/repair procedure
-    there).  An integral node point whose rounding fails the feasibility
-    vet is not trusted: its subtree counts as a numerical prune. *)
+    there).
+
+    {b Pruning.}  A node is closed when its LP is infeasible, when it is
+    an integral leaf, or by bound: when the node LP's bound reaches the
+    prune threshold [inc − 1e-9·max(1, |inc|)] of the incumbent objective
+    [inc].  Once an incumbent exists, every node LP runs with that
+    threshold as its {!Vpart_simplex.Simplex.reoptimize} [cutoff], so the
+    dual simplex stops as soon as a Lagrangian bound of fresh duals over
+    the node's box reaches it ([Cutoff]).  That is the same verdict the
+    full solve would give, reached in fewer pivots; it is counted as a
+    bound prune ([mip.prune.bound]) and also as [mip.prune.cutoff], which
+    carries the verified bound, and in [stats.cutoff_prunes].
+
+    {b Vetting.}  Every candidate incumbent (integral node points and
+    heuristic proposals), rounded, must satisfy the equilibrated model
+    {e and}, unscaled, the original model, with absolute tolerance 1e-5.
+    An integral node point whose rounding fails the vet is not trusted:
+    its subtree counts as a numerical prune. *)
 
 type limits = {
   time_limit : float option;  (** wall-clock seconds for the whole solve *)
@@ -114,7 +130,14 @@ type audit = {
 
 type stats = {
   nodes : int;
+  cutoff_prunes : int;
+      (** nodes whose LP stopped at the incumbent: closed by a verified
+          Lagrangian bound before reaching its optimum (a subset of the
+          bound prunes, see "Pruning" above) *)
   simplex_iterations : int;
+  bound_flips : int;
+      (** bound flips of the dual ratio test across the root instance and
+          all worker copies (the [simplex.bound_flips] counter) *)
   refactorizations : int;
       (** basis refactorizations across the root instance and all worker
           copies *)

@@ -12,7 +12,10 @@
    [refactor_every] pivots; no dense inverse exists, so memory and
    ftran/btran cost scale with the factor nonzeros instead of m².  A basis
    that defeats the factorization reports Numerical.  Pricing is dual
-   devex, with Bland's rule after a run of degenerate pivots.
+   devex, with Bland's rule after a run of degenerate pivots.  The dual
+   ratio test flips bounds ([ratio_test]), and a reoptimize with a cutoff
+   stops at a verified Lagrangian bound ([lagrangian_bound]); the
+   interface documents both.
 
    Invariant maintained by the dual method: the current basis is dual
    feasible (every nonbasic at lower has reduced cost >= -tol, at upper
@@ -20,7 +23,8 @@
    between reoptimize calls preserve the invariant -- the warm-start
    property branch-and-bound relies on. *)
 
-type status = Optimal | Infeasible | Unbounded | Iter_limit | Time_limit | Numerical
+type status =
+  | Optimal | Infeasible | Unbounded | Iter_limit | Time_limit | Numerical | Cutoff
 
 let string_of_status = function
   | Optimal -> "optimal"
@@ -29,6 +33,7 @@ let string_of_status = function
   | Iter_limit -> "iteration limit"
   | Time_limit -> "time limit"
   | Numerical -> "numerical failure"
+  | Cutoff -> "cutoff"
 
 let big = 1e10
 let unbounded_threshold = 1e9
@@ -74,6 +79,10 @@ type t = {
   mutable natouch : int;
   movable : int array;            (* nn scratch: ratio-test candidates *)
   mutable nmovable : int;
+  bp : int array;                 (* nn scratch: eligible breakpoints *)
+  bp_ratio : Vec.t;               (* nn scratch: their dual ratios *)
+  flips : int array;              (* nn scratch: the pivot's bound flips *)
+  mutable nflips : int;
   dw : Vec.t;                     (* m devex reference weights (rows) *)
   wscratch : Vec.t;               (* m: ftran result, zero outside wlist *)
   wlist : int array;              (* m: its nonzero rows, ascending *)
@@ -114,6 +123,7 @@ type t = {
   mutable ftran_seconds : float;
   mutable ftran_nnz : int;
   mutable btran_nnz : int;
+  mutable bound_flips : int;
   mutable bland : bool;
   mutable degen_count : int;
   mutable infeas_ray : float array option;
@@ -129,6 +139,12 @@ type t = {
          bound changed while [warm]; replayed as ftran updates of xb *)
   mutable npending : int;
   mutable warm_solves : int;      (* consecutive warm starts since full resync *)
+  mutable run_obj : float;
+      (* objective of the current basic point, kept by the dual pivots and
+         recomputed whenever xb is: at a dual-feasible basis it is the
+         dual objective, the value the cutoff test watches *)
+  mutable cutoff_bound : float option;
+      (* the verified Lagrangian bound of the last Cutoff *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -168,7 +184,7 @@ let col_major (std : Lp.std) =
 
 (* Domain-local arena for the float payload of a solver instance.  Batch
    solving creates one Simplex.t per request; with a workspace the
-   per-create float vectors (5·nn + 9·m doubles — the dominant
+   per-create float vectors (6·nn + 9·m doubles — the dominant
    allocation) are carved as views out of a single retained buffer that
    is zeroed and re-carved on every [create], so steady-state solving
    allocates O(1) float payload per request.  The buffer only grows (to
@@ -184,7 +200,7 @@ module Workspace = struct
   let create () = { buf = Vec.create 0 }
 
   (* Total float demand of [Simplex.create] for an n×m model. *)
-  let demand ~nn ~m = (5 * nn) + (9 * m)
+  let demand ~nn ~m = (6 * nn) + (9 * m)
 end
 
 let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
@@ -267,6 +283,10 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     natouch = 0;
     movable = Array.make nn 0;
     nmovable = 0;
+    bp = Array.make nn 0;
+    bp_ratio = alloc nn;
+    flips = Array.make nn 0;
+    nflips = 0;
     dw;
     wscratch = alloc m;
     wlist = Array.make m 0;
@@ -298,6 +318,7 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     ftran_seconds = 0.;
     ftran_nnz = 0;
     btran_nnz = 0;
+    bound_flips = 0;
     bland = false;
     degen_count = 0;
     infeas_ray = None;
@@ -305,6 +326,8 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     pending_bounds = [];
     npending = 0;
     warm_solves = 0;
+    run_obj = 0.;
+    cutoff_bound = None;
   }
 
 (* Independent snapshot for a worker domain.  [cost], [b], [col_idx],
@@ -338,6 +361,9 @@ let copy t =
     amark = Array.copy t.amark;
     atouch = Array.copy t.atouch;
     movable = Array.copy t.movable;
+    bp = Array.copy t.bp;
+    bp_ratio = Vec.copy t.bp_ratio;
+    flips = Array.copy t.flips;
     dw = Vec.copy t.dw;
     wscratch = Vec.copy t.wscratch;
     wlist = Array.copy t.wlist;
@@ -370,6 +396,7 @@ let pivot_counters t =
     ("simplex.ftran_seconds", t.ftran_seconds);
     ("simplex.ftran_nnz", float_of_int t.ftran_nnz);
     ("simplex.btran_nnz", float_of_int t.btran_nnz);
+    ("simplex.bound_flips", float_of_int t.bound_flips);
   ]
 let eta_applications t = t.eta_apps
 let max_eta_length t = t.eta_len_max
@@ -681,6 +708,42 @@ let duals t = Vec.to_array (compute_duals t)
 
 let farkas_ray t = t.infeas_ray
 
+let cutoff_bound t = t.cutoff_bound
+
+(* The Lagrangian bound of fresh duals over the current box.  y = c_B B^-1,
+   with each row dual clamped to the sign its slack's box allows (y_i <= 0
+   on a <= row, >= 0 on a >= row), so the slacks contribute nothing; then
+   L(y) = y.b + sum_j min over [l_j, u_j] of (c_j - y.A_j) x_j.  A patched
+   bound is read as infinite: a reduced cost that would rest on one makes
+   the bound -infinity.  Every y gives a valid lower bound on the LP over
+   the box, so L(y) >= cutoff proves the node's LP cannot go below it. *)
+let lagrangian_bound t =
+  let y = compute_duals t in
+  let acc = ref 0. in
+  for i = 0 to t.m - 1 do
+    let s = t.n + i in
+    let yi =
+      if t.ub_patched.(s) then Float.min y.{i} 0.
+      else if t.lb_patched.(s) then Float.max y.{i} 0.
+      else y.{i}
+    in
+    y.{i} <- yi;
+    acc := !acc +. (yi *. t.b.{i})
+  done;
+  for j = 0 to t.n - 1 do
+    let ci = t.col_idx.(j) and cv = t.col_val.(j) in
+    let dj = ref t.cost.{j} in
+    for k = 0 to Array.length ci - 1 do
+      dj := !dj -. (y.{ci.(k)} *. cv.(k))
+    done;
+    let dj = !dj in
+    if dj > 0. then
+      acc := if t.lb_patched.(j) then neg_infinity else !acc +. (dj *. t.lb.{j})
+    else if dj < 0. then
+      acc := if t.ub_patched.(j) then neg_infinity else !acc +. (dj *. t.ub.{j})
+  done;
+  !acc
+
 let reduced_costs t =
   let y = compute_duals t in
   Array.init t.n (fun j ->
@@ -854,11 +917,121 @@ let clear_alpha t =
   done;
   t.natouch <- 0
 
+(* Bound-flipping (long-step) dual ratio test for leaving row [r], whose
+   basic value is [infeas] outside its box on the side [s] (+1 above, -1
+   below).  The eligible breakpoints -- nonbasic j whose reduced cost
+   d_j moves towards zero as the dual steps, at ratio |d_j| / |alpha_j| --
+   are walked in ratio order, taking the largest |alpha_j| among ties
+   within 1e-9 (under Bland's rule the smallest index).  The dual
+   objective grows along the step with slope [infeas]; passing
+   breakpoint j costs |alpha_j| (u_j - l_j) of it, because j must then
+   move to its other bound to keep its reduced cost sign-feasible.  Every
+   boxed candidate passed while the slope stays positive is recorded in
+   [flips]; the candidate at which it would not, or the last one,
+   enters.  Bland's rule flips nothing.  Returns the entering variable,
+   -1 when no candidate exists. *)
+let ratio_test t ~s ~infeas =
+  let nb = ref 0 in
+  for k = 0 to t.nmovable - 1 do
+    let j = t.movable.(k) in
+    let a = s *. t.alpha.{j} in
+    let ratio =
+      if t.loc.(j) = -1 && a > pivot_tol then Float.max t.d.{j} 0. /. a
+      else if t.loc.(j) = -2 && a < -.pivot_tol then Float.min t.d.{j} 0. /. a
+      else nan
+    in
+    (* skips the ineligible (nan) and a ratio that is no longer finite *)
+    if ratio < infinity then begin
+      t.bp.(!nb) <- j;
+      t.bp_ratio.{!nb} <- ratio;
+      incr nb
+    end
+  done;
+  let nb = !nb in
+  let left = ref nb and slope = ref infeas and q = ref (-1) in
+  t.nflips <- 0;
+  while !q < 0 && !left > 0 do
+    (* the next breakpoint: the smallest ratio, then among the ratios
+       within 1e-9 of it the largest |alpha| (Bland: the smallest index);
+       a passed breakpoint has ratio infinity *)
+    let lo = ref infinity in
+    for k = 0 to nb - 1 do
+      if t.bp_ratio.{k} < !lo then lo := t.bp_ratio.{k}
+    done;
+    let e = ref (-1) and best_mag = ref 0. in
+    for k = 0 to nb - 1 do
+      if t.bp_ratio.{k} <= !lo +. 1e-9 then begin
+        let j = t.bp.(k) in
+        let mag = Float.abs t.alpha.{j} in
+        let better =
+          !e < 0 || if t.bland then j < t.bp.(!e) else mag > !best_mag
+        in
+        if better then begin
+          e := k;
+          best_mag := mag
+        end
+      end
+    done;
+    let j = t.bp.(!e) in
+    let rest = !slope -. (!best_mag *. (t.ub.{j} -. t.lb.{j})) in
+    if
+      (not t.bland) && !left > 1 && rest > 0.
+      && (not t.lb_patched.(j)) && not t.ub_patched.(j)
+    then begin
+      t.flips.(t.nflips) <- j;
+      t.nflips <- t.nflips + 1;
+      slope := rest;
+      t.bp_ratio.{!e} <- infinity;
+      decr left
+    end
+    else q := j
+  done;
+  !q
+
+(* Move every variable in [flips] to its other bound.  The basic values
+   follow by one ftran of sum_j A_j dx_j, in the compute_xb scratch, on
+   whose nonzeros xb and viol are updated; the running objective gains
+   d_j dx_j per flip. *)
+let apply_flips t =
+  let z = t.zscratch and nz = t.zlist and mark = t.rowmark in
+  Vec.fill z 0.;
+  let n = ref 0 in
+  for k = 0 to t.nflips - 1 do
+    let j = t.flips.(k) in
+    let dx =
+      if t.loc.(j) = -1 then t.ub.{j} -. t.lb.{j} else t.lb.{j} -. t.ub.{j}
+    in
+    t.loc.(j) <- (if t.loc.(j) = -1 then -2 else -1);
+    t.run_obj <- t.run_obj +. (t.d.{j} *. dx);
+    let ci = t.col_idx.(j) and cv = t.col_val.(j) in
+    for e = 0 to Array.length ci - 1 do
+      let i = ci.(e) in
+      if not mark.(i) then begin
+        mark.(i) <- true;
+        nz.(!n) <- i;
+        incr n
+      end;
+      z.{i} <- z.{i} +. (cv.(e) *. dx)
+    done
+  done;
+  for e = 0 to !n - 1 do
+    mark.(nz.(e)) <- false
+  done;
+  let n = Sparse_lu.ftran t.lu z nz !n in
+  let n = apply_etas_fwd t z nz n in
+  t.ftran_nnz <- t.ftran_nnz + n;
+  for e = 0 to n - 1 do
+    let i = nz.(e) in
+    t.xb.{i} <- t.xb.{i} -. z.{i};
+    refresh_viol t i
+  done;
+  t.bound_flips <- t.bound_flips + t.nflips
+
 (* One dual pivot.  Returns `Progress, `Feasible (primal feasible reached)
    or `Infeasible.  With [timed], the pricing phase (leaving row, row
-   scatter, ratio test), the btran of the pivot row and the
-   entering-column ftran are added to [pricing_seconds], [btran_seconds]
-   and [ftran_seconds]. *)
+   scatter, ratio test), the btran of the pivot row and the ftrans of the
+   entering column and of the bound flips are added to [pricing_seconds],
+   [btran_seconds] and [ftran_seconds]. *)
 let dual_step t ~timed =
   let t0 = if timed then Obs.Clock.now () else 0. in
   match select_leaving t with
@@ -878,39 +1051,12 @@ let dual_step t ~timed =
     if timed then t.btran_seconds <- t.btran_seconds +. (tp -. tb);
     let rho = t.rho in
     scatter_price t;
-    (* Dual ratio test: keep reduced costs sign-feasible. *)
-    let q = ref (-1) and best_ratio = ref infinity and best_mag = ref 0. in
-    for k = 0 to t.nmovable - 1 do
-      let j = t.movable.(k) in
-      let a = s *. t.alpha.{j} in
-      let eligible =
-        (t.loc.(j) = -1 && a > pivot_tol) || (t.loc.(j) = -2 && a < -.pivot_tol)
-      in
-      if eligible then begin
-        let dj =
-          if t.loc.(j) = -1 then Float.max t.d.{j} 0. else Float.min t.d.{j} 0.
-        in
-        let ratio = dj /. a in
-        let mag = Float.abs t.alpha.{j} in
-        let better =
-          if t.bland then
-            ratio < !best_ratio -. 1e-9
-            || (ratio < !best_ratio +. 1e-9 && (!q < 0 || j < !q))
-          else
-            ratio < !best_ratio -. 1e-9
-            || (ratio < !best_ratio +. 1e-9 && mag > !best_mag)
-        in
-        if better then begin
-          q := j;
-          best_ratio := ratio;
-          best_mag := mag
-        end
-      end
-    done;
+    let infeas = if above then t.xb.{r} -. t.ub.{p} else t.lb.{p} -. t.xb.{r} in
+    let q = ratio_test t ~s ~infeas in
     let t1 = if timed then Obs.Clock.now () else 0. in
     if timed then
       t.pricing_seconds <- t.pricing_seconds +. (tb -. t0) +. (t1 -. tp);
-    if !q < 0 then begin
+    if q < 0 then begin
       (* No entering column can repair the violated basic variable in row
          [r]: the row [e_r B^-1] of the basis inverse is a Farkas-style
          infeasibility multiplier over the constraint rows (the certifier
@@ -927,7 +1073,6 @@ let dual_step t ~timed =
       `Infeasible
     end
     else begin
-      let q = !q in
       let w = ftran t q in
       if timed then
         t.ftran_seconds <- t.ftran_seconds +. (Obs.Clock.now () -. t1);
@@ -936,9 +1081,19 @@ let dual_step t ~timed =
         `Numerical_pivot
       end
       else begin
+        (* The entering column passed: only now do the flips happen, so a
+           rejected pivot leaves every variable where it was. *)
+        let flipped = t.nflips > 0 in
+        if flipped then begin
+          let tf = if timed then Obs.Clock.now () else 0. in
+          apply_flips t;
+          if timed then
+            t.ftran_seconds <- t.ftran_seconds +. (Obs.Clock.now () -. tf)
+        end;
         let target = if above then t.ub.{p} else t.lb.{p} in
         let delta = (t.xb.{r} -. target) /. w.{r} in
         let new_q_value = nb_value t q +. delta in
+        t.run_obj <- t.run_obj +. (t.d.{q} *. delta);
         (* Reduced-cost update (before the basis mutates). *)
         let theta = t.d.{q} /. w.{r} in
         for k = 0 to t.nmovable - 1 do
@@ -964,7 +1119,8 @@ let dual_step t ~timed =
         devex_update t r w;
         push_eta t r w;
         clear_alpha t;
-        if Float.abs delta <= 1e-9 then t.degen_count <- t.degen_count + 1
+        if Float.abs delta <= 1e-9 && not flipped then
+          t.degen_count <- t.degen_count + 1
         else begin
           t.degen_count <- 0;
           t.bland <- false
@@ -974,15 +1130,38 @@ let dual_step t ~timed =
       end
     end
 
-let dual_loop t ~max_iter ~deadline =
+(* The dual loop.  With a [cutoff], the running objective of the
+   dual-feasible basis is watched: once it reaches the cutoff, the
+   Lagrangian bound of fresh duals is computed, and the loop stops with
+   Cutoff only if that verified bound reaches the cutoff too.  A failed
+   check is not repeated before the next refactorization, which resyncs
+   the running objective. *)
+let dual_loop t ~max_iter ~deadline ~cutoff =
   let timed = Obs.enabled () in
   (* bounds may have changed since xb was last computed *)
   refresh_all_viol t;
+  let armed = ref true in
+  let resync () =
+    compute_xb t;
+    recompute_d t;
+    t.run_obj <- objective t;
+    armed := true
+  in
+  t.run_obj <- objective t;
   let numerical_retries = ref 0 in
   let iter = ref 0 in
   let result = ref None in
   (try
      while !result = None do
+       (match cutoff with
+        | Some c when !armed && t.run_obj >= c ->
+          let bound = lagrangian_bound t in
+          if bound >= c then begin
+            t.cutoff_bound <- Some bound;
+            raise (Stop Cutoff)
+          end;
+          armed := false
+        | _ -> ());
        if !iter >= max_iter then raise (Stop Iter_limit);
        check_deadline deadline !iter;
        incr iter;
@@ -994,6 +1173,7 @@ let dual_loop t ~max_iter ~deadline =
        if !iter mod 256 = 0 then begin
          Vec.blit t.xb t.xb_save;
          compute_xb t;
+         t.run_obj <- objective t;
          let drift = ref 0. in
          for i = 0 to t.m - 1 do
            let d =
@@ -1005,8 +1185,7 @@ let dual_loop t ~max_iter ~deadline =
          if !drift > drift_tol then begin
            t.drift_rebuilds <- t.drift_rebuilds + 1;
            if not (refactor t) then raise (Stop Numerical);
-           compute_xb t;
-           recompute_d t
+           resync ()
          end
        end;
        (* Refactorization cadence: re-factor the basis (one Markowitz
@@ -1014,8 +1193,7 @@ let dual_loop t ~max_iter ~deadline =
           and d in O(nnz) against the fresh factors. *)
        if t.neta >= t.refactor_every then begin
          if not (refactor t) then raise (Stop Numerical);
-         compute_xb t;
-         recompute_d t
+         resync ()
        end;
        match dual_step t ~timed with
        | `Progress -> ()
@@ -1026,8 +1204,7 @@ let dual_loop t ~max_iter ~deadline =
          if !numerical_retries > 3 then raise (Stop Numerical);
          t.recovery_rebuilds <- t.recovery_rebuilds + 1;
          if not (refactor t) then raise (Stop Numerical);
-         compute_xb t;
-         recompute_d t
+         resync ()
      done
    with Stop s -> result := Some s);
   match !result with Some s -> s | None -> assert false
@@ -1151,7 +1328,7 @@ let dual_feasible t =
   done;
   !ok
 
-let reoptimize ?(max_iter = 200_000) ?deadline t =
+let reoptimize ?(max_iter = 200_000) ?deadline ?cutoff t =
   (* Warm entry: the previous reoptimize ended
      verified Optimal, so d is fresh for the unchanged basis and bounds
      do not enter reduced costs at all -- only the resting values of
@@ -1183,7 +1360,8 @@ let reoptimize ?(max_iter = 200_000) ?deadline t =
   t.degen_count <- 0;
   Vec.fill t.dw 1.;
   t.infeas_ray <- None;
-  let status = dual_loop t ~max_iter ~deadline in
+  t.cutoff_bound <- None;
+  let status = dual_loop t ~max_iter ~deadline ~cutoff in
   match status with
   | Optimal ->
     (* Guard against reduced-cost drift: verify with fresh values, finish

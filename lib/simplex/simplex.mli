@@ -30,6 +30,36 @@
     under arbitrary bound changes — which is exactly what branch-and-bound
     needs for warm starts ({!Vpart_mip.Mip}).
 
+    Ratio test: bound flipping (the long-step test of Fourer, 1994; see
+    Koberstein, {e The dual simplex method, techniques for a fast and
+    stable implementation}, 2005).  Along the dual step the dual
+    objective grows with slope equal to the leaving row's infeasibility;
+    each eligible breakpoint j passed costs |α_j|·(u_j − l_j) of that
+    slope, since j must move to its other bound to keep its reduced cost
+    sign-feasible.  The breakpoints are walked in ratio order (the
+    largest |α_j| among ties within 1e-9); every boxed candidate — both
+    bounds finite, not patched — passed while the slope stays positive
+    is flipped, and the candidate where it stops, or the last one,
+    enters.  The flips reach the basic values through one extra ftran of
+    [Σ A_j Δx_j], applied only after the entering column has passed the
+    pivot-size check, so a rejected pivot leaves every variable in
+    place.  With one candidate, or no boxed ones, this is the textbook
+    test.  Under Bland's rule the same walk flips nothing and breaks
+    ties by the smallest index.
+
+    Cutoff: {!reoptimize} [~cutoff] stops early once the node cannot
+    beat [cutoff].  The dual loop keeps the objective of the current
+    basic point, which at a dual-feasible basis is the dual objective
+    and only grows.  When it reaches the cutoff, the solver computes
+    fresh duals [y = c_B·B⁻¹], clamps each row dual to the sign its
+    slack allows, and takes the Lagrangian bound
+    [y·b + Σ_j min over [l_j, u_j] of (c_j − y·A_j)·x_j] over the current
+    box, reading patched bounds as infinite.  Only if that verified bound
+    reaches the cutoff does the solve return [Cutoff] ({!cutoff_bound}
+    holds the bound).  Otherwise pivoting goes on, and the check runs
+    again after the next refactorization.  So [Cutoff] is never a
+    verdict the full solve would contradict: it only arrives sooner.
+
     Anti-cycling: Bland's rule is engaged after a run of degenerate pivots.
     Numerical safety: candidate pivots below a pivot tolerance are rejected,
     the basis is refactorized on demand, and basic values / reduced costs
@@ -43,6 +73,10 @@ type status =
   | Iter_limit
   | Time_limit
   | Numerical      (** pivoting stalled; result untrustworthy *)
+  | Cutoff
+      (** only from {!reoptimize} [~cutoff]: a verified Lagrangian bound
+          shows the LP optimum over the current box is at least the
+          cutoff (or the LP is infeasible) *)
 
 val string_of_status : status -> string
 
@@ -126,10 +160,24 @@ val set_bounds : t -> int -> lb:float -> ub:float -> unit
 val bounds : t -> int -> float * float
 (** Current (possibly patched) bounds of structural variable [j]. *)
 
-val reoptimize : ?max_iter:int -> ?deadline:float -> t -> status
+val reoptimize :
+  ?max_iter:int -> ?deadline:float -> ?cutoff:float -> t -> status
 (** Recompute basic values under the current bounds and run the dual
     simplex to optimality.  [deadline] is an absolute timestamp on the
-    [Obs.Clock.now] (monotone wall-clock) scale. *)
+    [Obs.Clock.now] (monotone wall-clock) scale.
+
+    [cutoff] (objective space of the model, without its constant) lets
+    the solve end with [Cutoff] as soon as a Lagrangian bound of fresh
+    duals over the current box reaches it (see the module header).  The
+    instance is then left at a dual-feasible, primal-infeasible basis; a
+    later [reoptimize] starts from it with a full recomputation of the
+    basic values and reduced costs.  Without [cutoff], [Cutoff] is never
+    returned. *)
+
+val cutoff_bound : t -> float option
+(** After a {!reoptimize} that returned [Cutoff]: the verified Lagrangian
+    bound, at least the cutoff.  [None] otherwise; cleared at the start
+    of every reoptimize. *)
 
 val objective : t -> float
 (** Objective value of the current (last reoptimized) point. *)
@@ -166,11 +214,14 @@ val pivot_counters : t -> (string * float) list
     - [simplex.pricing_seconds]: choosing the leaving row, scattering the
       pivot row and the ratio test;
     - [simplex.btran_seconds]: the btran of the pivot row [e_r B⁻¹];
-    - [simplex.ftran_seconds]: the ftran of the entering column;
+    - [simplex.ftran_seconds]: the ftran of the entering column and
+      that of the pivot's bound flips;
     - [simplex.ftran_nnz]: nonzeros of every entering-column ftran
-      result [B⁻¹ A_q], summed;
+      result [B⁻¹ A_q] and bound-flip ftran result, summed;
     - [simplex.btran_nnz]: nonzeros of every pivot-row btran result,
-      summed.
+      summed;
+    - [simplex.bound_flips]: nonbasic variables moved to their other
+      bound by the bound-flipping ratio test.
     The seconds accumulate only while [Obs.enabled ()]; 0 otherwise. *)
 
 val eta_applications : t -> int

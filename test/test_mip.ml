@@ -133,30 +133,34 @@ let test_fractional_integer_bounds () =
        Alcotest.(check (float 1e-6)) "objective" 1. sol.Mip.obj)
     [ 1; 2 ]
 
-(* Two rows whose binaries carry coefficients from 1e-7 to 1e9, shrunk
+(* Three rows whose binaries carry coefficients from 5e-8 to 1e9, shrunk
    from a generated model.  A node LP returns a point that leaves its own
    box, so one child box of the branching variable is empty; that used to
    raise Invalid_argument from Simplex.set_bounds.  The subtree is now
-   abandoned as a numerical prune.  Only b0 = b3 = 1 is feasible, so the
-   answer must not claim infeasibility, and it must certify. *)
+   abandoned as a numerical prune.  Every feasible point has b0 = b3 = 1
+   (the first and third rows need them) and the optimum is 0 (b1 = 0), so
+   the answer must not claim infeasibility, and it must certify. *)
 let test_point_outside_box () =
   let m = Lp.create () in
   let b = Array.init 4 (fun _ -> Lp.binary m ()) in
   Lp.add_constr m
-    [ (0x1.ad7f29abcaf48p-24, b.(1)); (-0x1.e848p+19, b.(2));
-      (0x1.f02dfbec9b437p+27, b.(3)) ]
-    Lp.Le 0x1.f02dfc0c1f623p+27;
+    [ (0x1.dbbe24ef36bcep+28, b.(0)); (0x1.d801922c2890ep-25, b.(2));
+      (0x1.efa66f4d1f5b2p+11, b.(3)) ]
+    Lp.Ge 0x1.78ddb38f1513ep+28;
   Lp.add_constr m
-    [ (0x1.64d91ea456954p+22, b.(0)); (-0x1.dcd65p+29, b.(1));
-      (-0x1.86ap+16, b.(2)); (0x1.be1155915ab92p+9, b.(3)) ]
-    Lp.Ge 0x1.64e702f20a1b4p+22;
-  Lp.set_objective m Lp.Minimize [ (-1e8, b.(2)); (1000., b.(3)) ];
+    [ (0x1.3be06f0763009p+25, b.(1)); (0x1.ce4ce856d35cep+12, b.(3)) ]
+    Lp.Ge 0x1.c59022172209ep+12;
+  Lp.add_constr m
+    [ (0x1.0767e011506d9p-4, b.(1)); (0x1.64fb58b432933p+27, b.(2));
+      (0x1.cd5d23f5c56b8p+29, b.(3)) ]
+    Lp.Ge 0x1.2e49faeefa0dfp+29;
+  Lp.set_objective m Lp.Minimize [ (0x1.b6f7aeb1a3bcap+9, b.(1)) ];
   let out, stats = Mip.solve ~limits:exact_limits m in
   Alcotest.(check bool) "a subtree is abandoned" true
     (stats.Mip.audit.Mip.numerical_prunes >= 1);
   (match out with
    | Mip.Infeasible -> Alcotest.fail "claims infeasibility of a feasible model"
-   | Mip.Optimal sol -> Alcotest.(check (float 1e-6)) "objective" 1000. sol.Mip.obj
+   | Mip.Optimal sol -> Alcotest.(check (float 1e-6)) "objective" 0. sol.Mip.obj
    | _ -> ());
   let module D = Vpart_analysis.Diagnostic in
   let module C = Vpart_certify.Certify in
@@ -184,6 +188,41 @@ let test_unvetted_integral_leaf () =
     (stats.Mip.audit.Mip.numerical_prunes >= 1);
   Alcotest.(check bool) "no optimality claim" true
     (match out with Mip.Optimal _ -> false | _ -> true);
+  let module D = Vpart_analysis.Diagnostic in
+  let module C = Vpart_certify.Certify in
+  Alcotest.(check (list string)) "float certificate errors" []
+    (List.map
+       (fun d -> d.D.code)
+       (D.errors (C.certify_mip ~gap:exact_limits.Mip.gap m out stats)));
+  let _, _, refuted, _ =
+    C.Exact.counts (C.Exact.audit ~gap:exact_limits.Mip.gap m out stats)
+  in
+  Alcotest.(check int) "exactly refuted claims" 0 refuted
+
+(* Regression, shrunk from a generated badly conditioned model (one
+   binary, one continuous column, coefficients 1e-7 .. 1e9).  The search
+   used to vet incumbents against the equilibrated model only: z = 4.27,
+   at its upper bound, passed that vet and breaks the first row of the
+   original model, whose limit is z <= 2.96, so the answer claimed
+   Optimal -2455.26 with an incumbent failing C004 (and an exactly
+   refuted claim).  Every candidate is now vetted unscaled against the
+   original model too, and the answer certifies. *)
+let test_vet_against_original () =
+  let m = Lp.create () in
+  let b = Lp.binary m () in
+  let z = Lp.add_var m ~ub:0x1.1161c9170abe4p+2 () in
+  Lp.add_constr m [ (0x1.d91d398651c87p+29, z) ] Lp.Le 0x1.5de4d8206cd5ep+31;
+  Lp.add_constr m
+    [ (0x1.43c82a9f2f394p+8, b); (0x1.281c7f3407e9cp-24, z) ]
+    Lp.Ge 0x1.7b1785563e7f2p+7;
+  Lp.set_objective m Lp.Minimize [ (-0x1.1f64d4b4802dap+9, z) ];
+  let out, stats = Mip.solve ~limits:exact_limits m in
+  let std = Lp.standardize m in
+  (match out with
+   | Mip.Optimal sol | Mip.Feasible (sol, _) ->
+     Alcotest.(check bool) "the incumbent satisfies the original model" true
+       (Lp.check_feasible ~tol:1e-5 std sol.Mip.x)
+   | _ -> ());
   let module D = Vpart_analysis.Diagnostic in
   let module C = Vpart_certify.Certify in
   Alcotest.(check (list string)) "float certificate errors" []
@@ -473,6 +512,8 @@ let () =
            test_fractional_integer_bounds;
          Alcotest.test_case "unvetted integral leaf" `Quick
            test_unvetted_integral_leaf;
+         Alcotest.test_case "vet against the original model" `Quick
+           test_vet_against_original;
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_knapsack;

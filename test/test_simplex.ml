@@ -787,34 +787,182 @@ let prop_copy_survives_original =
        in
        run copy = run reference)
 
+(* ------------------------------------------------------------------ *)
+(* Bound flipping and the cutoff                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One >= row over four columns with unit coefficients, three of them
+   boxed in [0, 1] with costs 1, 2, 3 and the fourth in [0, 10] with cost
+   10.  The start (every column at its lower bound) leaves the row short
+   by 3.5.  The textbook ratio test would enter x1, whose box cannot
+   absorb the shortfall, and pivot again; the bound-flipping test passes
+   the breakpoints of x1, x2 and x3 (each costs 1 of the 3.5 slope) and
+   enters x4 in one pivot. *)
+let test_bound_flips () =
+  let m = Lp.create () in
+  let x = Array.init 4 (fun k -> Lp.add_var m ~ub:(if k < 3 then 1. else 10.) ()) in
+  Lp.add_constr m (Array.to_list (Array.map (fun v -> (1., v)) x)) Lp.Ge 3.5;
+  Lp.set_objective m Lp.Minimize
+    [ (1., x.(0)); (2., x.(1)); (3., x.(2)); (10., x.(3)) ];
+  let t = Simplex.create (Lp.standardize m) in
+  Alcotest.(check string) "status" "optimal"
+    (Simplex.string_of_status (Simplex.reoptimize t));
+  Alcotest.(check (float 1e-9)) "objective" 11. (Simplex.objective t);
+  Alcotest.(check (float 1e-9)) "x4" 0.5 (Simplex.primal_value t 3);
+  Alcotest.(check (float 0.)) "bound flips" 3.
+    (List.assoc "simplex.bound_flips" (Simplex.pivot_counters t));
+  (* one pivot, then the pass that finds the point primal feasible *)
+  Alcotest.(check int) "iterations" 2 (Simplex.iterations t)
+
+(* Boxed LPs with rows of every sense and coefficients of both signs.
+   One >= row in six asks for more than its maximum over the box, so
+   about a fifth of the LPs are infeasible. *)
+type boxed_lp = {
+  lbs : float list;
+  widths : float list;
+  brows : (float list * Lp.cmp * float) list;
+  bcosts : float list;
+}
+
+let gen_boxed_lp =
+  let open QCheck2.Gen in
+  let* nv = int_range 1 6 in
+  let* nr = int_range 1 6 in
+  let* lbs = list_size (return nv) (oneof [ return 0.; float_range (-3.) 0. ]) in
+  let* widths = list_size (return nv) (float_range 0.5 8.) in
+  let* bcosts = list_size (return nv) (float_range (-10.) 10.) in
+  let* point = list_size (return nv) (float_range 0. 1.) in
+  let box_point =
+    List.map2 (fun (l, w) t -> l +. (w *. t)) (List.combine lbs widths) point
+  in
+  let at_point coefs =
+    List.fold_left2 (fun acc c x -> acc +. (c *. x)) 0. coefs box_point
+  in
+  let gen_row =
+    let* coefs =
+      list_size (return nv) (oneof [ return 0.; float_range (-4.) 4. ])
+    in
+    (* Lp refuses an empty row *)
+    let coefs = if List.for_all (( = ) 0.) coefs then 1. :: List.tl coefs else coefs in
+    let* cmp = oneofl [ Lp.Le; Lp.Le; Lp.Ge; Lp.Ge; Lp.Eq ] in
+    let* slack = float_range 0. 3. in
+    let* infeasible = map (fun k -> k = 0) (int_range 0 5) in
+    let act = at_point coefs in
+    let hi =
+      List.fold_left2
+        (fun acc c (l, w) -> acc +. Float.max (c *. l) (c *. (l +. w)))
+        0. coefs (List.combine lbs widths)
+    in
+    return
+      (match cmp with
+       | Lp.Ge when infeasible -> (coefs, cmp, hi +. 1. +. slack)
+       | Lp.Le -> (coefs, cmp, act +. slack)
+       | Lp.Ge -> (coefs, cmp, act -. slack)
+       | Lp.Eq -> (coefs, cmp, act))
+  in
+  let* brows = list_size (return nr) gen_row in
+  return { lbs; widths; brows; bcosts }
+
+let build_boxed_lp r =
+  let m = Lp.create () in
+  let vars =
+    List.map2 (fun lb w -> Lp.add_var m ~lb ~ub:(lb +. w) ()) r.lbs r.widths
+  in
+  List.iter
+    (fun (coefs, cmp, rhs) ->
+       Lp.add_constr m (List.map2 (fun c v -> (c, v)) coefs vars) cmp rhs)
+    r.brows;
+  Lp.set_objective m Lp.Minimize (List.map2 (fun c v -> (c, v)) r.bcosts vars);
+  m
+
+(* The cutoff only ever gives the full solve's verdict sooner.  For a
+   cutoff drawn around the LP optimum: Cutoff implies the LP is
+   infeasible or its optimum reaches the cutoff (to 1e-7 relative), with
+   a verified bound at least the cutoff, and a plain reoptimize from the
+   cut-off basis reaches the fresh optimum; any other status is the
+   no-cutoff solve's, pivot for pivot. *)
+let prop_cutoff_verdicts =
+  QCheck2.Test.make ~count:500
+    ~name:"simplex: a cutoff verdict agrees with the full solve"
+    QCheck2.Gen.(pair gen_boxed_lp (float_range (-1.5) 1.5))
+    (fun (r, u) ->
+       let std = Lp.standardize (build_boxed_lp r) in
+       let fresh = Simplex.create std in
+       let fresh_st = Simplex.reoptimize fresh in
+       let fresh_obj = Simplex.objective fresh in
+       let cutoff =
+         match fresh_st with
+         | Simplex.Optimal -> fresh_obj +. (u *. (1. +. Float.abs fresh_obj))
+         | _ -> 10. *. u
+       in
+       let t = Simplex.create std in
+       match Simplex.reoptimize ~cutoff t with
+       | Simplex.Cutoff ->
+         let verified =
+           match Simplex.cutoff_bound t with Some b -> b >= cutoff | None -> false
+         in
+         let sound =
+           match fresh_st with
+           | Simplex.Infeasible -> true
+           | Simplex.Optimal ->
+             fresh_obj >= cutoff -. (1e-7 *. (1. +. Float.abs cutoff))
+           | _ -> false
+         in
+         let st = Simplex.reoptimize t in
+         let resumed =
+           st = fresh_st
+           && (st <> Simplex.Optimal
+               || Float.abs (Simplex.objective t -. fresh_obj)
+                  <= 1e-7 *. (1. +. Float.abs fresh_obj))
+         in
+         if not (verified && sound && resumed) then
+           QCheck2.Test.fail_reportf
+             "cutoff %g: verified %b, full solve %s %g, resumed %s %g" cutoff
+             verified
+             (Simplex.string_of_status fresh_st)
+             fresh_obj (Simplex.string_of_status st) (Simplex.objective t);
+         true
+       | st ->
+         st = fresh_st
+         && Simplex.iterations t = Simplex.iterations fresh
+         && Int64.bits_of_float (Simplex.objective t)
+            = Int64.bits_of_float fresh_obj)
+
 (* A deterministic ill-scaled fixture run with the refactorization
    cadence disabled: the only way the solver can hold the basis together
    is the drift resync / rejected-pivot recovery machinery.  The run must
    (a) still reach the cadenced solve's optimum and (b) actually exercise
-   a forced rebuild, so the recovery path stays covered.  The size is
-   chosen so devex needs more pivots than the 256-iteration drift
-   checkpoint interval. *)
+   a forced rebuild, so the recovery path stays covered.
+
+   The rows are D_r (I + E) x <= D_r beta / c: row factors 10^-3..10^3,
+   every column scaled by c = 1e-3, and a coupling E with entries
+   0.003·10^{-1,0,1} on half the positions.  The boxes are twice what a
+   row allows, so the bound-flipping ratio test cannot settle the rows by
+   flips: at the optimum most rows are tight, and the dual method needs a
+   pivot for each, more than the 256-iteration drift checkpoint
+   interval. *)
 let build_drift_lp () =
   let m = Lp.create () in
   let n = 400 in
-  let vars =
-    Array.init n (fun j ->
-        Lp.add_var m ~ub:(10. ** float_of_int ((j mod 9) - 4)) ())
-  in
-  for i = 0 to (3 * n) - 1 do
-    let terms = ref [] in
+  let dr i = 10. ** float_of_int (((i * 5) mod 7) - 3)
+  and c = 1e-3
+  and beta i = 1. +. (float_of_int (i mod 7) /. 7.) in
+  let vars = Array.init n (fun j -> Lp.add_var m ~ub:(2. *. beta j /. c) ()) in
+  for i = 0 to n - 1 do
+    let terms = ref [ (dr i *. c, vars.(i)) ] in
     for j = 0 to n - 1 do
-      if (i + (3 * j)) mod 4 <> 0 then
+      if j <> i && (i + (3 * j)) mod 2 = 0 then
         terms :=
-          (10. ** float_of_int ((((i * 5) + (j * 11)) mod 11) - 5), vars.(j))
+          (0.003 *. dr i *. c *. (10. ** float_of_int (((i + (2 * j)) mod 3) - 1)),
+           vars.(j))
           :: !terms
     done;
-    Lp.add_constr m !terms Lp.Le (1. +. (10. ** float_of_int ((i mod 7) - 3)))
+    Lp.add_constr m !terms Lp.Le (dr i *. beta i)
   done;
   Lp.set_objective m Lp.Minimize
     (Array.to_list
        (Array.mapi
-          (fun j v -> (-.(10. ** float_of_int (((j * 13) mod 9) - 4)), v))
+          (fun j v -> (-.(c *. (1. +. (float_of_int ((j * 13) mod 5) /. 5.))), v))
           vars));
   m
 
@@ -878,6 +1026,8 @@ let () =
        [ QCheck_alcotest.to_alcotest prop_random_lp_certifies;
          Alcotest.test_case "drift recovery (sparse)" `Quick
            test_drift_recovery;
+         Alcotest.test_case "bound flips" `Quick test_bound_flips;
+         QCheck_alcotest.to_alcotest prop_cutoff_verdicts;
        ]);
       ("sparse-lu",
        [ Alcotest.test_case "identity factors" `Quick test_sparse_lu_identity;
