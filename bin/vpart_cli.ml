@@ -389,7 +389,8 @@ let analyze_cmd =
           ~doc:
             "Also solve the root LP relaxation and translate the simplex \
              kernel's counters (iterations, drift/recovery \
-             refactorizations, eta-file high-water) into runtime-feedback \
+             refactorizations, updates per factorization) into \
+             runtime-feedback \
              diagnostics ($(b,N101)/$(b,N102)) — closing the loop between \
              static prediction and observed behaviour.")
   in
@@ -440,7 +441,7 @@ let analyze_cmd =
         ~refactorizations:(Simplex.refactorizations sx)
         ~drift_rebuilds:(Simplex.drift_rebuilds sx)
         ~recovery_rebuilds:(Simplex.recovery_rebuilds sx)
-        ~max_eta_length:(Simplex.max_eta_length sx)
+        ~max_updates:(Simplex.max_updates_per_factor sx)
   in
   let run files sites p lambda disjoint no_grouping strict format solve_root
       jobs =
@@ -595,15 +596,6 @@ let solve_cmd =
              feasibility, dual bounds, cost-model agreement) and print the \
              certificate verdict; exits non-zero if certification fails.")
   in
-  let refactor_every_term =
-    Arg.(
-      value
-      & opt positive_int Qp_solver.default_options.Qp_solver.refactor_every
-      & info [ "refactor-every" ] ~docv:"N"
-          ~doc:
-            "Pivots between sparse LU basis refactorizations of the node \
-             LPs.")
-  in
   let trace_term =
     Arg.(
       value
@@ -651,7 +643,7 @@ let solve_cmd =
              verdict pairs and failing on exactly-refuted claims.")
   in
   let run inst solver sites p lambda disjoint no_grouping jobs time_limit seed
-      refactor_every json lint_model certify exact tol
+      json lint_model certify exact tol
       trace progress metrics_summary gc_stats output =
     let jobs = max 1 jobs in
     if lint_model then begin
@@ -811,7 +803,6 @@ let solve_cmd =
           certify_exact = exact;
           certify_tol = tol;
           jobs;
-          refactor_every;
         }
       in
       let r = Qp_solver.solve ~options inst in
@@ -850,7 +841,6 @@ let solve_cmd =
               certify_exact = exact;
               certify_tol = tol;
               jobs;
-              refactor_every;
             };
         }
       in
@@ -905,7 +895,7 @@ let solve_cmd =
       term_result
         (const run $ instance_term $ solver_term $ sites_term $ p_term
          $ lambda_term $ disjoint_term $ no_grouping_term $ jobs_term
-         $ time_limit_term $ seed_term $ refactor_every_term $ json_term
+         $ time_limit_term $ seed_term $ json_term
          $ lint_model_term $ certify_term $ exact_term $ tol_term
          $ trace_term $ progress_term $ metrics_term $ gc_stats_term
          $ output_term))

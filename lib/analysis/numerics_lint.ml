@@ -301,12 +301,12 @@ let lint ?var_name (std : Lp.std) =
   List.rev !out
 
 let runtime_feedback ~iterations ~refactorizations ~drift_rebuilds
-    ~recovery_rebuilds ~max_eta_length =
+    ~recovery_rebuilds ~max_updates =
   let out =
     [ D.info ~code:"N101"
-        "root LP solved in %d iteration(s), %d refactorization(s), eta \
-         high-water %d"
-        iterations refactorizations max_eta_length ]
+        "root LP solved in %d iteration(s), %d factorization(s), at most %d \
+         basis update(s) on one factorization"
+        iterations refactorizations max_updates ]
   in
   if drift_rebuilds > 0 || recovery_rebuilds > 0 then
     out

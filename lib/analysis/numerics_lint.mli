@@ -72,12 +72,14 @@ val runtime_feedback :
   refactorizations:int ->
   drift_rebuilds:int ->
   recovery_rebuilds:int ->
-  max_eta_length:int ->
+  max_updates:int ->
   Diagnostic.t list
 (** Translate observed simplex kernel counters into diagnostics, closing
     the loop between static prediction and runtime behaviour: [N101]
-    (info) summarizes the solve effort; [N102] (warning) fires when any
-    drift-triggered or numerical-recovery refactorization occurred —
+    (info) summarizes the solve effort (iterations, factorizations, and
+    the most basis updates one factorization served); [N102] (warning)
+    fires when any drift-triggered (an accuracy loss) or
+    numerical-recovery refactorization occurred —
     direct evidence of the ill-conditioning the N-codes predict.  Pass the
     counters of the root LP of the equilibrated model, the one
     branch-and-bound searches ([vpart analyze --solve-root] does). *)

@@ -13,7 +13,6 @@ type options = {
   certify_exact : bool;
   certify_tol : float option;
   jobs : int;
-  refactor_every : int;
   simplex_workspace : Simplex.Workspace.t option;
 }
 
@@ -33,7 +32,6 @@ let default_options =
     certify_exact = false;
     certify_tol = None;
     jobs = 1;
-    refactor_every = 32;
     simplex_workspace = None;
   }
 
@@ -50,6 +48,7 @@ type result = {
   cutoff_prunes : int;
   simplex_iters : int;
   bound_flips : int;
+  lu_updates : int;
   refactorizations : int;
   eta_applications : int;
   model_rows : int;
@@ -444,7 +443,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
       node_limit = None;
       gap = options.gap;
       max_rows = options.max_rows;
-      refactor_every = options.refactor_every;
     }
   in
   let mip_outcome, mip_stats =
@@ -552,6 +550,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
       cutoff_prunes = mip_stats.Mip.cutoff_prunes;
       simplex_iters = mip_stats.Mip.simplex_iterations;
       bound_flips = mip_stats.Mip.bound_flips;
+      lu_updates = mip_stats.Mip.lu_updates;
       refactorizations = mip_stats.Mip.refactorizations;
       eta_applications = mip_stats.Mip.eta_applications;
       model_rows = Lp.num_constrs model;

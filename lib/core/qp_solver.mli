@@ -67,9 +67,6 @@ type options = {
   jobs : int;
       (** Domains the branch-and-bound may use ({!Mip.solve}'s [jobs],
           default 1). *)
-  refactor_every : int;
-      (** Eta-file length at which the node LPs refactorize their basis
-          ({!Mip.limits.refactor_every}). *)
   simplex_workspace : Simplex.Workspace.t option;
       (** Float arena pooling the branch-and-bound root simplex storage
           across repeated solves ({!Mip.solve}'s [simplex_workspace]) —
@@ -80,8 +77,9 @@ type options = {
 val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, 60 s, 0.1 % gap,
     32000-row cap, no latency term, no pre-assigned transactions (so the
-    site-symmetry pinning is on), one domain, refactorization every 32
-    pivots. *)
+    site-symmetry pinning is on), one domain.  No option sets when the
+    node LPs refactorize their basis: the simplex decides that from the
+    growth and accuracy of its updated factors ({!Simplex}). *)
 
 type outcome =
   | Proved_optimal       (** optimal within the MIP gap *)
@@ -105,8 +103,9 @@ type result = {
           Lagrangian bound ({!Vpart_mip.Mip.stats}) *)
   simplex_iters : int;
   bound_flips : int;  (** bound flips of the dual ratio test, all node LPs *)
-  refactorizations : int;  (** basis rebuilds across all node LPs *)
-  eta_applications : int;  (** eta-file applications across all node LPs *)
+  lu_updates : int;  (** basis updates of the factors, all node LPs *)
+  refactorizations : int;  (** basis factorizations across all node LPs *)
+  eta_applications : int;  (** row-eta applications across all node LPs *)
   model_rows : int;
   model_cols : int;
   row_limit : int option;

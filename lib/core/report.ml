@@ -115,11 +115,11 @@ let pp_mip_kernel ppf (r : Qp_solver.result) =
   | _ ->
     Format.fprintf ppf
       "kernel: sparse LU, %d node(s) (%d closed at the cutoff), %d simplex \
-       iteration(s), %d bound flip(s), %d eta application(s), %d \
-       refactorization(s)"
+       iteration(s), %d bound flip(s), %d basis update(s), %d row-eta \
+       application(s), %d refactorization(s)"
       r.Qp_solver.nodes r.Qp_solver.cutoff_prunes r.Qp_solver.simplex_iters
-      r.Qp_solver.bound_flips r.Qp_solver.eta_applications
-      r.Qp_solver.refactorizations
+      r.Qp_solver.bound_flips r.Qp_solver.lu_updates
+      r.Qp_solver.eta_applications r.Qp_solver.refactorizations
 
 let pp_certificate ppf cert =
   let module D = Vpart_analysis.Diagnostic in

@@ -27,9 +27,9 @@ val pp_sa_chains : Format.formatter -> Sa_solver.search_stats array -> unit
 
 val pp_mip_kernel : Format.formatter -> Qp_solver.result -> unit
 (** One-line LP-kernel summary of a QP/MIP solve: node and simplex
-    iteration counts plus the basis-update statistics (eta applications
-    and sparse LU refactorizations), so the update-vs-rebuild tradeoff of
-    the [refactor_every] cadence is visible in run output.  On a
+    iteration counts plus the basis-update statistics (Forrest–Tomlin
+    updates, row-eta applications and sparse LU factorizations), so how
+    many pivots each factorization served is visible in run output.  On a
     {!Qp_solver.Too_large} refusal it prints the row count next to the
     configured [max_rows] cap instead. *)
 

@@ -3,12 +3,11 @@ type limits = {
   node_limit : int option;
   gap : float;
   max_rows : int option;
-  refactor_every : int;
 }
 
 let default_limits =
   { time_limit = Some 60.; node_limit = None; gap = 1e-3;
-    max_rows = Some 32000; refactor_every = 32 }
+    max_rows = Some 32000 }
 
 type solution = { x : float array; obj : float }
 
@@ -40,6 +39,7 @@ type stats = {
   cutoff_prunes : int;
   simplex_iterations : int;
   bound_flips : int;
+  lu_updates : int;
   refactorizations : int;
   eta_applications : int;
   elapsed : float;
@@ -512,7 +512,8 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
       ]
   @@ fun () ->
   let start = Obs.Clock.now () in
-  let finish ?(cutoffs = 0) ?(flips = 0) outcome ~nodes ~iters ~refacs ~etas
+  let finish ?(cutoffs = 0) ?(flips = 0) ?(updates = 0) outcome ~nodes ~iters
+      ~refacs ~etas
       ~eta_len ~gap_achieved ~audit =
     (* The counters emitted here carry exactly the values returned in
        [stats], so a trace consumer can cross-check them 1:1. *)
@@ -533,6 +534,7 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
        cutoff_prunes = cutoffs;
        simplex_iterations = iters;
        bound_flips = flips;
+       lu_updates = updates;
        refactorizations = refacs;
        eta_applications = etas;
        elapsed = Obs.Clock.now () -. start;
@@ -569,18 +571,17 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
         (fun h x -> Option.map (Scaling.scale_point sc) (h (restore x)))
         heuristic
     in
-    let sx =
-      Simplex.create ?workspace:simplex_workspace
-        ~refactor_every:limits.refactor_every std
-    in
+    let sx = Simplex.create ?workspace:simplex_workspace std in
     let cutoffs = Atomic.make 0 in
     (* [par_counters]: the pivot counters of the parallel subtree
        workers, added to the root instance's own *)
     let finish ?(par_counters = []) outcome =
       let counters = add_counters (Simplex.pivot_counters sx) par_counters in
       if Obs.enabled () then List.iter (fun (name, v) -> Obs.count name v) counters;
+      let counter name = int_of_float (List.assoc name counters) in
       finish ~cutoffs:(Atomic.get cutoffs)
-        ~flips:(int_of_float (List.assoc "simplex.bound_flips" counters))
+        ~flips:(counter "simplex.bound_flips")
+        ~updates:(counter "simplex.lu_updates")
         (match outcome with
          | Optimal s -> Optimal { s with x = restore s.x }
          | Feasible (s, b) -> Feasible ({ s with x = restore s.x }, b)
@@ -613,7 +614,7 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
        finish Infeasible ~nodes:1 ~iters:(Simplex.iterations sx)
          ~refacs:(Simplex.refactorizations sx)
          ~etas:(Simplex.eta_applications sx)
-         ~eta_len:(Simplex.max_eta_length sx) ~gap_achieved:infinity
+         ~eta_len:(Simplex.max_updates_per_factor sx) ~gap_achieved:infinity
          ~audit:{ no_audit with farkas }
      | Simplex.Time_limit | Simplex.Iter_limit | Simplex.Numerical
      | Simplex.Cutoff ->
@@ -622,7 +623,7 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
        finish (No_incumbent None) ~nodes:1 ~iters:(Simplex.iterations sx)
          ~refacs:(Simplex.refactorizations sx)
          ~etas:(Simplex.eta_applications sx)
-         ~eta_len:(Simplex.max_eta_length sx) ~gap_achieved:infinity
+         ~eta_len:(Simplex.max_updates_per_factor sx) ~gap_achieved:infinity
          ~audit:no_audit
      | Simplex.Optimal | Simplex.Unbounded ->
        (* The incremental interface cannot return Unbounded; detect patched
@@ -632,7 +633,7 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
          finish Unbounded ~nodes:1 ~iters:(Simplex.iterations sx)
            ~refacs:(Simplex.refactorizations sx)
            ~etas:(Simplex.eta_applications sx)
-           ~eta_len:(Simplex.max_eta_length sx) ~gap_achieved:infinity
+           ~eta_len:(Simplex.max_updates_per_factor sx) ~gap_achieved:infinity
            ~audit:no_audit
        else begin
          let root_bound = Simplex.objective sx +. std.Lp.obj_const in
@@ -674,7 +675,7 @@ let solve ?(limits = default_limits) ?(priority = fun _ -> 0) ?heuristic
          let iters = Simplex.iterations sx + par_iters in
          let refacs = Simplex.refactorizations sx + par_refacs in
          let etas = Simplex.eta_applications sx + par_etas in
-         let eta_len = Simplex.max_eta_length sx in
+         let eta_len = Simplex.max_updates_per_factor sx in
          let lb_min = proven_lb in
          let audit glb_known =
            { no_audit with

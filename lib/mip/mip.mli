@@ -50,14 +50,12 @@ type limits = {
       (** refuse models with more rows — a guard against runaway basis
           work, sized to what the sparse LU simplex of
           {!Vpart_simplex.Simplex} sustains *)
-  refactor_every : int;
-      (** eta-file length at which the node LPs' sparse LU basis is
-          refactorized (see {!Vpart_simplex.Simplex.create}) *)
 }
 
 val default_limits : limits
-(** 60 s, unlimited nodes, gap 0.001, 32000 rows, refactorization every
-    32 pivots. *)
+(** 60 s, unlimited nodes, gap 0.001, 32000 rows.  The node LPs decide
+    themselves when to refactorize their basis (see
+    {!Vpart_simplex.Simplex}): no limit sets it. *)
 
 type solution = {
   x : float array;  (** structural values; integer variables are integral *)
@@ -138,13 +136,17 @@ type stats = {
   bound_flips : int;
       (** bound flips of the dual ratio test across the root instance and
           all worker copies (the [simplex.bound_flips] counter) *)
+  lu_updates : int;
+      (** basis updates of the factors across the root instance and all
+          worker copies (the [simplex.lu_updates] counter) *)
   refactorizations : int;
-      (** basis refactorizations across the root instance and all worker
+      (** basis factorizations across the root instance and all worker
           copies *)
   eta_applications : int;
-      (** eta-matrix applications summed likewise.  Emitted as the [simplex.eta_applications] counter (and
-          the root's high-water eta-file length as the [simplex.eta_len]
-          gauge) next to [mip.nodes]/[mip.simplex_iterations]. *)
+      (** row-eta applications summed likewise.  Emitted as the
+          [simplex.eta_applications] counter (and the root's high-water
+          updates on one factorization as the [simplex.eta_len] gauge)
+          next to [mip.nodes]/[mip.simplex_iterations]. *)
   elapsed : float;          (** seconds *)
   gap_achieved : float;
       (** relative gap at termination.  [infinity] exactly when no finite

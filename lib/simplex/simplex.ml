@@ -8,10 +8,11 @@
    reported as Unbounded.
 
    Basis: a sparse LU factorization (Markowitz pivoting, {!Sparse_lu})
-   with product-form eta updates layered on top and refreshed every
-   [refactor_every] pivots; no dense inverse exists, so memory and
-   ftran/btran cost scale with the factor nonzeros instead of m².  A basis
-   that defeats the factorization reports Numerical.  Pricing is dual
+   kept current by a Forrest-Tomlin update at every pivot, and
+   refactorized when the updates have grown it ([refactor_due]) or have
+   lost accuracy; no dense inverse exists, so memory and ftran/btran cost
+   scale with the factor nonzeros instead of m².  A basis that defeats
+   the factorization reports Numerical.  Pricing is dual
    devex, with Bland's rule after a run of degenerate pivots.  The dual
    ratio test flips bounds ([ratio_test]), and a reoptimize with a cutoff
    stops at a verified Lagrangian bound ([lagrangian_bound]); the
@@ -52,6 +53,23 @@ let warm_max_pending = 8
 let warm_max_delta = 1e7
 let warm_limit = 64
 
+(* Refactorization triggers: the updates since the last factorization
+   reach [max_updates], or the factors (U and the row etas) have grown
+   past [growth_limit] times their nonzeros when fresh.  A failed cutoff
+   check is repeated after [cutoff_recheck] more pivots. *)
+let max_updates = 200
+let growth_limit = 2.
+let cutoff_recheck = 32
+
+type refactor_reason = Start | Growth | Ceiling | Drift | Recovery
+
+let string_of_reason = function
+  | Start -> "start"
+  | Growth -> "growth"
+  | Ceiling -> "ceiling"
+  | Drift -> "drift"
+  | Recovery -> "recovery"
+
 type t = {
   n : int;                        (* structural variables *)
   m : int;                        (* rows = basis size *)
@@ -68,8 +86,8 @@ type t = {
   b : Vec.t;
   basis : int array;              (* m: variable basic at each position *)
   loc : int array;                (* nn: -1 at lower, -2 at upper, pos >= 0 basic *)
-  mutable lu : Sparse_lu.t;       (* B0: the last refactorization *)
-  mutable lu_shared : bool;       (* a copy reads [lu] too: never reuse it *)
+  lu : Sparse_lu.t;               (* the basis factors, updated in place *)
+  mutable lu_inaccurate : bool;   (* an update failed its accuracy check *)
   xb : Vec.t;                     (* m basic values *)
   viol : Vec.t;                   (* m: bound violation of each basic value *)
   d : Vec.t;                      (* nn reduced costs (valid for nonbasic) *)
@@ -85,31 +103,17 @@ type t = {
   mutable nflips : int;
   dw : Vec.t;                     (* m devex reference weights (rows) *)
   wscratch : Vec.t;               (* m: ftran result, zero outside wlist *)
-  wlist : int array;              (* m: its nonzero rows, ascending *)
+  wlist : int array;              (* m: its nonzero rows *)
   mutable nw : int;
   rowmark : bool array;           (* m scratch: list membership, all false between uses *)
   zscratch : Vec.t;               (* m scratch: compute_xb right-hand side *)
   zlist : int array;              (* m scratch: full-pattern solve lists *)
   duscratch : Vec.t;              (* m scratch: compute_duals btran *)
-  refactor_every : int;           (* eta-file length triggering refactor *)
-  (* The eta file: eta k is the product-form elementary matrix E = I
-     with column [eta_er.(k)] replaced by the eta column of the entering
-     column w = B^-1 A_q at that pivot position: E_{er,er} = 1/w_er,
-     E_{i,er} = -w_i/w_er.  B^-1 after k pivots is E_k ... E_1 B0^-1,
-     B0^-1 the LU factors of the last refactorization.  The rows i <> er
-     with w_i <> 0, ascending, and their w_i are entries
-     [eta_start.(k), eta_start.(k+1)) of one flat pool, emptied at
-     every refactorization. *)
-  mutable neta : int;
-  mutable eta_er : int array;
-  mutable eta_piv : float array;  (* w_er *)
-  mutable eta_start : int array;  (* length >= neta + 1; eta_start.(0) = 0 *)
-  mutable eta_idx : int array;
-  mutable eta_val : float array;
-  mutable eta_apps : int;         (* eta applications performed *)
-  mutable eta_len_max : int;      (* high-water eta-file length *)
+  eta_base : int;                 (* [lu]'s row-eta applications at create *)
+  mutable lu_updates : int;       (* basis updates performed *)
+  mutable updates_max : int;      (* high-water updates on one factorization *)
   rho : Vec.t;                    (* m: pivot row e_r B^-1, zero outside rlist *)
-  rlist : int array;              (* m: its nonzero rows, ascending *)
+  rlist : int array;              (* m: its nonzero rows *)
   mutable nrho : int;
   xb_save : Vec.t;                (* m scratch: drift detection *)
   mutable total_iters : int;
@@ -187,25 +191,34 @@ let col_major (std : Lp.std) =
    per-create float vectors (6·nn + 9·m doubles — the dominant
    allocation) are carved as views out of a single retained buffer that
    is zeroed and re-carved on every [create], so steady-state solving
-   allocates O(1) float payload per request.  The buffer only grows (to
-   the largest model seen), and because every carved view starts
-   zero-filled exactly like a fresh [Vec.create], a pooled instance is
+   allocates O(1) float payload per request.  The instance's basis
+   factors are kept in the workspace's factor storage too, whose arrays
+   (and the room U's updates grow into) the next instance inherits.
+   Both only grow (to the largest model seen), and because every carved
+   view starts zero-filled exactly like a fresh [Vec.create], and every
+   factorization overwrites what it reads, a pooled instance is
    bit-identical to a fresh one.  A workspace must back at most one live
    instance: the next [create] from the same workspace re-carves the
-   buffer under the previous instance.  [copy] never draws from a
-   workspace — copies always allocate fresh. *)
+   buffer and the factors under the previous instance.  [copy] never
+   draws from a workspace — copies always allocate fresh. *)
 module Workspace = struct
-  type t = { mutable buf : Vec.t }
+  type t = { mutable buf : Vec.t; lu : Sparse_lu.t }
 
-  let create () = { buf = Vec.create 0 }
+  let create () = { buf = Vec.create 0; lu = Sparse_lu.identity 0 }
 
   (* Total float demand of [Simplex.create] for an n×m model. *)
   let demand ~nn ~m = (6 * nn) + (9 * m)
 end
 
-let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
-  if refactor_every < 1 then
-    invalid_arg "Simplex.create: refactor_every must be >= 1";
+(* The factors of the all-slack start basis, the identity, in [lu]. *)
+let start_factors lu m =
+  Obs.with_span "simplex.lu_refactor"
+    ~attrs:
+      [ ("m", Obs.Int m); ("updates", Obs.Int 0);
+        ("reason", Obs.Str (string_of_reason Start)) ]
+  @@ fun () -> Sparse_lu.set_identity lu m
+
+let create ?workspace (std : Lp.std) =
   let n = std.Lp.ncols and m = std.Lp.nrows in
   let nn = n + m in
   let alloc =
@@ -263,6 +276,14 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
   let dw = alloc m in
   Vec.fill dw 1.;
   let col_idx, col_val = col_major std in
+  let lu =
+    match workspace with
+    | Some ws -> ws.Workspace.lu
+    | None -> Sparse_lu.identity 0
+  in
+  let t0 = Obs.Clock.now () in
+  start_factors lu m;
+  let start_seconds = Obs.Clock.now () -. t0 in
   {
     n; m; nn; cost; lb; ub; lb_patched; ub_patched;
     col_idx;
@@ -271,9 +292,8 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     row_val = std.Lp.row_val;
     b;
     basis; loc;
-    (* the all-slack start basis is the identity *)
-    lu = Sparse_lu.identity m;
-    lu_shared = false;
+    lu;
+    lu_inaccurate = false;
     xb = alloc m;
     viol = alloc m;
     d;
@@ -295,24 +315,18 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
     zscratch = alloc m;
     zlist = Array.make m 0;
     duscratch = alloc m;
-    refactor_every;
-    neta = 0;
-    eta_er = [||];
-    eta_piv = [||];
-    eta_start = [| 0 |];
-    eta_idx = [||];
-    eta_val = [||];
-    eta_apps = 0;
-    eta_len_max = 0;
+    eta_base = Sparse_lu.row_eta_applications lu;
+    lu_updates = 0;
+    updates_max = 0;
     rho = alloc m;
     rlist = Array.make m 0;
     nrho = 0;
     xb_save = alloc m;
     total_iters = 0;
-    total_refactors = 0;
+    total_refactors = 1;
     drift_rebuilds = 0;
     recovery_rebuilds = 0;
-    refactor_seconds = 0.;
+    refactor_seconds = start_seconds;
     pricing_seconds = 0.;
     btran_seconds = 0.;
     ftran_seconds = 0.;
@@ -333,19 +347,12 @@ let create ?workspace ?(refactor_every = 32) (std : Lp.std) =
 (* Independent snapshot for a worker domain.  [cost], [b], [col_idx],
    [col_val], [row_idx] and [row_val] are write-once after [create]
    (verified: no mutation site in this module), so the copy shares them.
-   The LU factors are shared too: no solve writes them, and both
-   instances are marked so that neither refactorization writes over
-   them.
    Everything the solve mutates -- bounds, basis, values, reduced costs,
-   the eta file, scratch, counters -- is deep-copied (the eta pool up to
-   its used length) so the copy can reoptimize concurrently with (or
-   instead of) the original.  LU working storage belongs to the solving
-   domain, not to an instance. *)
+   the factors (which every pivot updates in place), scratch, counters
+   -- is deep-copied (the factors up to their used length) so the copy
+   can reoptimize concurrently with (or instead of) the original.  LU
+   working storage belongs to the solving domain, not to an instance. *)
 let copy t =
-  let used = t.eta_start.(t.neta) in
-  (* from now on neither instance's next refactorization may write over
-     the factors both read *)
-  t.lu_shared <- true;
   {
     t with
     lb = Vec.copy t.lb;
@@ -371,11 +378,7 @@ let copy t =
     zscratch = Vec.copy t.zscratch;
     zlist = Array.copy t.zlist;
     duscratch = Vec.copy t.duscratch;
-    eta_er = Array.sub t.eta_er 0 t.neta;
-    eta_piv = Array.sub t.eta_piv 0 t.neta;
-    eta_start = Array.sub t.eta_start 0 (t.neta + 1);
-    eta_idx = Array.sub t.eta_idx 0 used;
-    eta_val = Array.sub t.eta_val 0 used;
+    lu = Sparse_lu.copy t.lu;
     rho = Vec.copy t.rho;
     rlist = Array.copy t.rlist;
     xb_save = Vec.copy t.xb_save;
@@ -397,9 +400,11 @@ let pivot_counters t =
     ("simplex.ftran_nnz", float_of_int t.ftran_nnz);
     ("simplex.btran_nnz", float_of_int t.btran_nnz);
     ("simplex.bound_flips", float_of_int t.bound_flips);
+    ("simplex.lu_updates", float_of_int t.lu_updates);
   ]
-let eta_applications t = t.eta_apps
-let max_eta_length t = t.eta_len_max
+let lu_updates t = t.lu_updates
+let eta_applications t = Sparse_lu.row_eta_applications t.lu - t.eta_base
+let max_updates_per_factor t = t.updates_max
 let lu_nnz t = Sparse_lu.nnz t.lu
 
 (* Value of a nonbasic variable (forward declaration of the one below;
@@ -439,166 +444,18 @@ let bounds t j =
 (* Core linear algebra                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Cut [nz.(0 .. n-1)], distinct rows all marked in [rowmark], back to
-   the rows where [v] is nonzero, in ascending order, and clear their
-   marks; returns their count.  A short list (next to m) is filtered and
-   sorted; a long one is replaced by one sweep of the marks, which costs
-   less than sorting more than about m / (4 log2 n) rows.  Either way
-   the result is the same list. *)
-let ascending_nonzeros t (v : Vec.t) nz n =
-  let mark = t.rowmark and c = ref 0 in
-  let rec log2 k acc = if k <= 1 then acc else log2 (k lsr 1) (acc + 1) in
-  if 4 * n * log2 n 1 < t.m then begin
-    for e = 0 to n - 1 do
-      let i = nz.(e) in
-      mark.(i) <- false;
-      if v.{i} <> 0. then begin
-        nz.(!c) <- i;
-        incr c
-      end
-    done;
-    let rows = Array.sub nz 0 !c in
-    Array.sort Int.compare rows;
-    Array.blit rows 0 nz 0 !c
-  end
-  else
-    for i = 0 to t.m - 1 do
-      if mark.(i) then begin
-        mark.(i) <- false;
-        if v.{i} <> 0. then begin
-          nz.(!c) <- i;
-          incr c
-        end
-      end
-    done;
-  !c
-
-(* Forward pass of the eta file (oldest first): v := E_k ... E_1 v,
-   turning a B0^-1-product into a B^-1-product (ftran).  [nz.(0 .. n-1)]
-   lists the rows where [v] may be nonzero; on return [nz] lists the
-   rows where it is nonzero, ascending, and their count is returned. *)
-let apply_etas_fwd t (v : Vec.t) nz n =
-  let mark = t.rowmark in
-  for e = 0 to n - 1 do
-    mark.(nz.(e)) <- true
-  done;
-  let n = ref n in
-  let idx = t.eta_idx and va = t.eta_val in
-  for k = 0 to t.neta - 1 do
-    let er = t.eta_er.(k) in
-    let vr = v.{er} /. t.eta_piv.(k) in
-    v.{er} <- vr;
-    if vr <> 0. then
-      for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
-        let i = idx.(p) in
-        v.{i} <- v.{i} -. (va.(p) *. vr);
-        if not mark.(i) then begin
-          mark.(i) <- true;
-          nz.(!n) <- i;
-          incr n
-        end
-      done;
-    t.eta_apps <- t.eta_apps + 1
-  done;
-  ascending_nonzeros t v nz !n
-
-(* Backward (row) pass, newest first: u := u E_k ... applied right to
-   left gives u B^-1 = ((u E_k) ... E_1) B0^-1 (btran).  Each eta only
-   changes entry [er]. *)
-let apply_etas_rev_row t (u : Vec.t) =
-  let idx = t.eta_idx and va = t.eta_val in
-  for k = t.neta - 1 downto 0 do
-    let er = t.eta_er.(k) in
-    let acc = ref u.{er} in
-    for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
-      acc := !acc -. (u.{idx.(p)} *. va.(p))
-    done;
-    u.{er} <- !acc /. t.eta_piv.(k);
-    t.eta_apps <- t.eta_apps + 1
-  done
-
-(* Push the eta of the entering column w = B^-1 A_q (nonzero rows in
-   [wlist], ascending) at pivot row r onto the pool, growing it when
-   full. *)
-let push_eta t r (w : Vec.t) =
-  let k = t.neta in
-  if k + 1 >= Array.length t.eta_start then begin
-    let cap = max 8 (2 * k) in
-    let grow a fill =
-      let b = Array.make (cap + 1) fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    t.eta_er <- grow t.eta_er 0;
-    t.eta_piv <- grow t.eta_piv 0.;
-    t.eta_start <- grow t.eta_start 0
-  end;
-  let top = t.eta_start.(k) in
-  if top + t.nw > Array.length t.eta_idx then begin
-    let cap = max (top + t.nw) (2 * Array.length t.eta_idx) in
-    let idx = Array.make cap 0 and va = Array.create_float cap in
-    Array.blit t.eta_idx 0 idx 0 top;
-    Array.blit t.eta_val 0 va 0 top;
-    t.eta_idx <- idx;
-    t.eta_val <- va
-  end;
-  let p = ref top in
-  for e = 0 to t.nw - 1 do
-    let i = t.wlist.(e) in
-    if i <> r then begin
-      t.eta_idx.(!p) <- i;
-      t.eta_val.(!p) <- w.{i};
-      incr p
-    end
-  done;
-  t.eta_er.(k) <- r;
-  t.eta_piv.(k) <- w.{r};
-  t.eta_start.(k + 1) <- !p;
-  t.neta <- k + 1;
-  if t.neta > t.eta_len_max then t.eta_len_max <- t.neta
-
-(* rho := e_r B^-1, by a sparse btran of e_r: the unit vector stays
-   sparse through the eta file (each eta touches only its own [er]
-   entry), then the LU btran visits only the reach of what is left.
-   The nonzero rows of rho go to [rlist], ascending. *)
+(* rho := e_r B^-1, by a sparse btran of e_r: the LU solves visit only
+   the reach of the unit vector, and the row etas only those whose own
+   entry is reached.  The btran keeps the part of itself the basis
+   update at row [r] needs.  The nonzero rows of rho go to [rlist]. *)
 let compute_rho t r =
-  let u = t.rho and mark = t.rowmark and touched = t.rlist in
+  let u = t.rho and nz = t.rlist in
   for e = 0 to t.nrho - 1 do
-    u.{touched.(e)} <- 0.
+    u.{nz.(e)} <- 0.
   done;
-  let ntouch = ref 0 in
-  let touch i =
-    if not mark.(i) then begin
-      mark.(i) <- true;
-      touched.(!ntouch) <- i;
-      incr ntouch
-    end
-  in
   u.{r} <- 1.;
-  touch r;
-  let idx = t.eta_idx and va = t.eta_val in
-  for k = t.neta - 1 downto 0 do
-    let er = t.eta_er.(k) in
-    let acc = ref (if mark.(er) then u.{er} else 0.) in
-    for p = t.eta_start.(k) to t.eta_start.(k + 1) - 1 do
-      let row = idx.(p) in
-      if mark.(row) then acc := !acc -. (u.{row} *. va.(p))
-    done;
-    let v = !acc /. t.eta_piv.(k) in
-    if v <> 0. || mark.(er) then begin
-      u.{er} <- v;
-      touch er
-    end;
-    t.eta_apps <- t.eta_apps + 1
-  done;
-  for e = 0 to !ntouch - 1 do
-    mark.(touched.(e)) <- false
-  done;
-  let n = Sparse_lu.btran t.lu u touched !ntouch in
-  for e = 0 to n - 1 do
-    mark.(touched.(e)) <- true
-  done;
-  let n = ascending_nonzeros t u touched n in
+  nz.(0) <- r;
+  let n = Sparse_lu.btran ~keep:true t.lu u nz 1 in
   t.nrho <- n;
   t.btran_nnz <- t.btran_nnz + n
 
@@ -653,15 +510,14 @@ let compute_xb t =
       end
     end
   done;
-  let nz = full_list t in
-  let n = Sparse_lu.ftran t.lu z nz t.m in
+  ignore (Sparse_lu.ftran t.lu z (full_list t) t.m);
   Vec.blit z t.xb;
-  ignore (apply_etas_fwd t t.xb nz n);
   refresh_all_viol t
 
 (* w := B^-1 A_j (ftran of column j) into t.wscratch, its nonzero rows
-   into t.wlist, ascending. *)
-let ftran t j =
+   into t.wlist.  With [keep], the column is the entering one of a
+   pivot, whose basis update needs its spike. *)
+let ftran ?keep t j =
   let w = t.wscratch and nz = t.wlist in
   for e = 0 to t.nw - 1 do
     w.{nz.(e)} <- 0.
@@ -671,21 +527,19 @@ let ftran t j =
     w.{ci.(k)} <- cv.(k);
     nz.(k) <- ci.(k)
   done;
-  let n = Sparse_lu.ftran t.lu w nz (Array.length ci) in
-  let n = apply_etas_fwd t w nz n in
+  let n = Sparse_lu.ftran ?keep t.lu w nz (Array.length ci) in
   t.nw <- n;
   t.ftran_nnz <- t.ftran_nnz + n;
   w
 
-(* Fresh duals y = c_B B^-1: btran of c_B through the eta file, then
-   through the LU factors.  The returned vector is scratch owned by [t]
-   (clobbered by the next call) — public accessors copy. *)
+(* Fresh duals y = c_B B^-1, by a btran of c_B.  The returned vector is
+   scratch owned by [t] (clobbered by the next call) — public accessors
+   copy. *)
 let compute_duals t =
   let u = t.duscratch in
   for k = 0 to t.m - 1 do
     u.{k} <- t.cost.{t.basis.(k)}
   done;
-  apply_etas_rev_row t u;
   ignore (Sparse_lu.btran t.lu u (full_list t) t.m);
   u
 
@@ -755,34 +609,56 @@ let reduced_costs t =
       !acc)
 
 (* Refactorization: factor the current basis columns with
-   {!Sparse_lu.factor}, in the arrays of the previous factors unless a
-   copy shares them.  On success the LU replaces both the previous
-   factors and the eta file; a singular basis returns false (the callers
-   report Numerical) and leaves both as they were. *)
-let refactor t =
+   {!Sparse_lu.refactor}, in the instance's factor storage, dropping the
+   updates.  A singular basis returns false (the callers report
+   Numerical) and leaves the updated factors as they were. *)
+let refactor t reason =
   Obs.with_span "simplex.lu_refactor"
-    ~attrs:[ ("m", Obs.Int t.m); ("etas", Obs.Int t.neta) ]
+    ~attrs:
+      [ ("m", Obs.Int t.m); ("updates", Obs.Int (Sparse_lu.updates t.lu));
+        ("reason", Obs.Str (string_of_reason reason)) ]
   @@ fun () ->
   let t0 = Obs.Clock.now () in
-  let reuse = if t.lu_shared then None else Some t.lu in
-  match Sparse_lu.factor ?reuse t.col_idx t.col_val t.basis with
-  | Some lu ->
-    t.lu <- lu;
-    t.lu_shared <- false;
-    t.neta <- 0;
+  let ok = Sparse_lu.refactor t.lu t.col_idx t.col_val t.basis in
+  t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
+  if ok then begin
+    t.lu_inaccurate <- false;
     t.total_refactors <- t.total_refactors + 1;
-    t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
+    (match reason with
+     | Drift -> t.drift_rebuilds <- t.drift_rebuilds + 1
+     | Recovery -> t.recovery_rebuilds <- t.recovery_rebuilds + 1
+     | Start | Growth | Ceiling -> ());
     if Obs.enabled () then begin
       let bnnz = ref 0 in
       Array.iter (fun j -> bnnz := !bnnz + Array.length t.col_idx.(j)) t.basis;
-      Obs.gauge "simplex.lu_nnz" (float_of_int (Sparse_lu.nnz lu));
-      Obs.gauge "simplex.lu_fill"
-        (float_of_int (max 0 (Sparse_lu.nnz lu - !bnnz)))
-    end;
-    true
-  | None ->
-    t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
-    false
+      let nnz = Sparse_lu.nnz t.lu in
+      Obs.gauge "simplex.lu_nnz" (float_of_int nnz);
+      Obs.gauge "simplex.lu_fill" (float_of_int (max 0 (nnz - !bnnz)))
+    end
+  end;
+  ok
+
+(* Update the factors for the pivot that just put the column last
+   solved by [ftran ~keep:true] into basis position [r], [alpha] its
+   entry at [r].  An update that lost accuracy leaves the factors to be
+   rebuilt at the next [refactor_due]. *)
+let update t r alpha =
+  if not (Sparse_lu.replace t.lu r alpha) then t.lu_inaccurate <- true;
+  t.lu_updates <- t.lu_updates + 1;
+  let u = Sparse_lu.updates t.lu in
+  if u > t.updates_max then t.updates_max <- u
+
+(* Why the factors should be rebuilt before the next pivot, if they
+   should: an update that lost accuracy, the update ceiling, or growth
+   over the fresh factors' nonzeros. *)
+let refactor_due t =
+  if t.lu_inaccurate then Some Drift
+  else if Sparse_lu.updates t.lu >= max_updates then Some Ceiling
+  else if
+    float_of_int (Sparse_lu.nnz t.lu)
+    > growth_limit *. float_of_int (Sparse_lu.factor_nnz t.lu)
+  then Some Growth
+  else None
 
 let objective t =
   let acc = ref 0. in
@@ -1018,7 +894,6 @@ let apply_flips t =
     mark.(nz.(e)) <- false
   done;
   let n = Sparse_lu.ftran t.lu z nz !n in
-  let n = apply_etas_fwd t z nz n in
   t.ftran_nnz <- t.ftran_nnz + n;
   for e = 0 to n - 1 do
     let i = nz.(e) in
@@ -1044,7 +919,7 @@ let dual_step t ~timed =
     let above = t.xb.{r} > t.ub.{p} in
     let s = if above then 1. else -1. in
     (* Pivot row in nonbasic space: alpha_j = (e_r B^-1) A_j, with the
-       row e_r B^-1 from a sparse btran through the eta file. *)
+       row e_r B^-1 from a sparse btran. *)
     let tb = if timed then Obs.Clock.now () else 0. in
     compute_rho t r;
     let tp = if timed then Obs.Clock.now () else 0. in
@@ -1073,7 +948,7 @@ let dual_step t ~timed =
       `Infeasible
     end
     else begin
-      let w = ftran t q in
+      let w = ftran ~keep:true t q in
       if timed then
         t.ftran_seconds <- t.ftran_seconds +. (Obs.Clock.now () -. t1);
       if Float.abs w.{r} < pivot_tol then begin
@@ -1117,7 +992,7 @@ let dual_step t ~timed =
         t.basis.(r) <- q;
         refresh_viol t r;
         devex_update t r w;
-        push_eta t r w;
+        update t r w.{r};
         clear_alpha t;
         if Float.abs delta <= 1e-9 && not flipped then
           t.degen_count <- t.degen_count + 1
@@ -1134,33 +1009,34 @@ let dual_step t ~timed =
    dual-feasible basis is watched: once it reaches the cutoff, the
    Lagrangian bound of fresh duals is computed, and the loop stops with
    Cutoff only if that verified bound reaches the cutoff too.  A failed
-   check is not repeated before the next refactorization, which resyncs
-   the running objective. *)
+   check is repeated after [cutoff_recheck] more pivots, or after the
+   next refactorization, which resyncs the running objective. *)
 let dual_loop t ~max_iter ~deadline ~cutoff =
   let timed = Obs.enabled () in
   (* bounds may have changed since xb was last computed *)
   refresh_all_viol t;
-  let armed = ref true in
+  let iter = ref 0 in
+  (* the cutoff is checked from this iteration on *)
+  let armed_at = ref 0 in
   let resync () =
     compute_xb t;
     recompute_d t;
     t.run_obj <- objective t;
-    armed := true
+    armed_at := 0
   in
   t.run_obj <- objective t;
   let numerical_retries = ref 0 in
-  let iter = ref 0 in
   let result = ref None in
   (try
      while !result = None do
        (match cutoff with
-        | Some c when !armed && t.run_obj >= c ->
+        | Some c when !iter >= !armed_at && t.run_obj >= c ->
           let bound = lagrangian_bound t in
           if bound >= c then begin
             t.cutoff_bound <- Some bound;
             raise (Stop Cutoff)
           end;
-          armed := false
+          armed_at := !iter + cutoff_recheck
         | _ -> ());
        if !iter >= max_iter then raise (Stop Iter_limit);
        check_deadline deadline !iter;
@@ -1168,8 +1044,8 @@ let dual_loop t ~max_iter ~deadline ~cutoff =
        t.total_iters <- t.total_iters + 1;
        (* Periodic resync against drift: the fresh basic values double
           as a residual check -- large disagreement with the
-          incrementally updated ones means the eta product has degraded
-          and triggers an early refactorization. *)
+          incrementally updated ones means the updated factors have
+          degraded and triggers an early refactorization. *)
        if !iter mod 256 = 0 then begin
          Vec.blit t.xb t.xb_save;
          compute_xb t;
@@ -1183,18 +1059,18 @@ let dual_loop t ~max_iter ~deadline ~cutoff =
            if d > !drift then drift := d
          done;
          if !drift > drift_tol then begin
-           t.drift_rebuilds <- t.drift_rebuilds + 1;
-           if not (refactor t) then raise (Stop Numerical);
+           if not (refactor t Drift) then raise (Stop Numerical);
            resync ()
          end
        end;
-       (* Refactorization cadence: re-factor the basis (one Markowitz
-          elimination in the instance's reused LU storage) and resync xb
-          and d in O(nnz) against the fresh factors. *)
-       if t.neta >= t.refactor_every then begin
-         if not (refactor t) then raise (Stop Numerical);
-         resync ()
-       end;
+       (* Refactorize when the updates call for it: one Markowitz
+          elimination in the instance's factor storage, then xb and d
+          resynced in O(nnz) against the fresh factors. *)
+       (match refactor_due t with
+        | Some reason ->
+          if not (refactor t reason) then raise (Stop Numerical);
+          resync ()
+        | None -> ());
        match dual_step t ~timed with
        | `Progress -> ()
        | `Feasible -> result := Some Optimal
@@ -1202,8 +1078,7 @@ let dual_loop t ~max_iter ~deadline ~cutoff =
        | `Numerical_pivot ->
          incr numerical_retries;
          if !numerical_retries > 3 then raise (Stop Numerical);
-         t.recovery_rebuilds <- t.recovery_rebuilds + 1;
-         if not (refactor t) then raise (Stop Numerical);
+         if not (refactor t Recovery) then raise (Stop Numerical);
          resync ()
      done
    with Stop s -> result := Some s);
@@ -1237,7 +1112,7 @@ let primal_step t =
   else begin
     let q = !q in
     let dir = if t.loc.(q) = -1 then 1. else -1. in
-    let w = ftran t q in
+    let w = ftran ~keep:true t q in
     let limit = ref (t.ub.{q} -. t.lb.{q}) and leaving = ref (-1) in
     for i = 0 to t.m - 1 do
       let coef = -.dir *. w.{i} in
@@ -1277,7 +1152,7 @@ let primal_step t =
       t.loc.(q) <- r;
       t.basis.(r) <- q;
       devex_update t r w;
-      push_eta t r w;
+      update t r w.{r};
       if delta <= 1e-9 then t.degen_count <- t.degen_count + 1
       else begin
         t.degen_count <- 0;
@@ -1297,10 +1172,11 @@ let primal_simplex ?(max_iter = 200_000) ?deadline t =
        check_deadline deadline !iter;
        incr iter;
        t.total_iters <- t.total_iters + 1;
-       if t.neta >= t.refactor_every then begin
-         if not (refactor t) then raise (Stop Numerical);
-         compute_xb t
-       end;
+       (match refactor_due t with
+        | Some reason ->
+          if not (refactor t reason) then raise (Stop Numerical);
+          compute_xb t
+        | None -> ());
        if !iter mod 256 = 0 then compute_xb t;
        match primal_step t with
        | `Progress -> ()
@@ -1392,11 +1268,11 @@ type result = {
   iterations : int;
 }
 
-let solve ?(max_iter = 200_000) ?time_limit ?refactor_every (std : Lp.std) =
+let solve ?(max_iter = 200_000) ?time_limit (std : Lp.std) =
   Obs.with_span "simplex.solve"
     ~attrs:[ ("rows", Obs.Int std.Lp.nrows); ("cols", Obs.Int std.Lp.ncols) ]
     (fun () ->
-       let t = create ?refactor_every std in
+       let t = create std in
        let deadline =
          match time_limit with
          | Some s -> Some (Obs.Clock.now () +. s)
@@ -1416,9 +1292,10 @@ let solve ?(max_iter = 200_000) ?time_limit ?refactor_every (std : Lp.std) =
          if t.recovery_rebuilds > 0 then
            Obs.count "simplex.recovery_rebuilds"
              (float_of_int t.recovery_rebuilds);
-         if t.eta_apps > 0 then
-           Obs.count "simplex.eta_applications" (float_of_int t.eta_apps);
-         Obs.gauge "simplex.eta_len" (float_of_int t.eta_len_max);
+         if eta_applications t > 0 then
+           Obs.count "simplex.eta_applications"
+             (float_of_int (eta_applications t));
+         Obs.gauge "simplex.eta_len" (float_of_int t.updates_max);
          Obs.gauge "simplex.lu_nnz" (float_of_int (Sparse_lu.nnz t.lu));
          Obs.point "simplex.done"
            ~attrs:

@@ -3,20 +3,28 @@
     The implementation is a revised simplex supporting both the {e dual}
     and {e primal} methods on variables with general (boxed) bounds.  The
     basis is held as a sparse LU factorization with Markowitz pivoting
-    ({!Sparse_lu}), refreshed every [refactor_every] pivots; between
-    refactorizations pivots are layered on top as product-form {e eta}
-    updates.  The ftran of the entering column and the btran of the
-    pivot row take and return lists of nonzeros, the LU solves visit
-    only the reach of their right-hand side ({!Sparse_lu}), and the
-    basic-value, devex and eta updates walk those lists, so they cost
-    O(nonzeros touched).  Pricing scatters the pivot row through the
-    row-major matrix (O(nonzeros of the touched rows)).  Two passes of a
-    pivot remain dense, both over flat arrays: the leaving row is chosen
-    by one scan of a per-row violation array, kept current as basic
-    values change, and the ratio-test candidates are collected in
-    ascending variable order by one pass over the cols + rows membership
-    flags.  The eta file is one flat pool per instance, emptied at every
-    refactorization, so a pivot allocates nothing.  Factorizations and
+    ({!Sparse_lu}), which every pivot updates in place by a
+    Forrest–Tomlin update of U: the entering column's spike replaces a
+    column of U and one short row eta records the elimination of its old
+    row.  The pivot row's btran and the entering column's ftran supply
+    what the update needs.  The factors are rebuilt only when the
+    updates call for it: when U and the row etas have grown to twice the
+    nonzeros of the fresh factors, after 200 updates, or when accuracy
+    is lost (an update's pivot check, the periodic basic-value resync,
+    a rejected pivot).  These triggers are internal constants and
+    counts, never clock time, so a solve is deterministic.  The ftran of
+    the entering column and the btran of the pivot row take and return
+    lists of nonzeros, the LU solves visit only the reach of their
+    right-hand side ({!Sparse_lu}), and the basic-value and devex
+    updates walk those lists, so they cost O(nonzeros touched).  Pricing
+    scatters the pivot row through the row-major matrix (O(nonzeros of
+    the touched rows)).  Two passes of a pivot remain dense, both over
+    flat arrays: the leaving row is chosen by one scan of a per-row
+    violation array, kept current as basic values change, and the
+    ratio-test candidates are collected in ascending variable order by
+    one pass over the cols + rows membership flags.  The factors live in
+    storage the instance reuses (and a {!Workspace} hands on), so a
+    pivot allocates nothing in the steady state.  Factorizations and
     solves run in the calling domain's reusable working storage
     ({!Sparse_lu}).  The dual method prices the leaving row by devex
     reference weights.
@@ -57,7 +65,8 @@
     box, reading patched bounds as infinite.  Only if that verified bound
     reaches the cutoff does the solve return [Cutoff] ({!cutoff_bound}
     holds the bound).  Otherwise pivoting goes on, and the check runs
-    again after the next refactorization.  So [Cutoff] is never a
+    again 32 pivots later, or after the next refactorization if that
+    comes first.  So [Cutoff] is never a
     verdict the full solve would contradict: it only arrives sooner.
 
     Anti-cycling: Bland's rule is engaged after a run of degenerate pivots.
@@ -87,15 +96,9 @@ type result = {
   iterations : int;
 }
 
-val solve :
-  ?max_iter:int ->
-  ?time_limit:float ->
-  ?refactor_every:int ->
-  Lp.std ->
-  result
+val solve : ?max_iter:int -> ?time_limit:float -> Lp.std -> result
 (** Solve the continuous relaxation of [std] (integrality is ignored).
-    [time_limit] is wall-clock seconds.  [refactor_every] as in
-    {!create}. *)
+    [time_limit] is wall-clock seconds. *)
 
 (** {1 Incremental interface (for branch-and-bound)} *)
 
@@ -112,13 +115,16 @@ type t
     per-solve major-heap allocations for the float payload.  Because
     the carved views are zero-filled exactly like fresh allocations,
     a pooled instance is bit-identical to a fresh one (enforced by
-    [test/test_simplex.ml]).  The sparse LU working storage is not part
-    of it: each domain keeps its own (see {!Sparse_lu.factor}).
+    [test/test_simplex.ml]).  The workspace also keeps the instance's
+    basis factors, whose arrays, and the room the updates of U grow
+    into, the next instance inherits.  The sparse LU working storage is
+    not part of it: each domain keeps its own (see {!Sparse_lu}).
 
     A workspace must back at most one live instance at a time: each
-    {!create} re-carves the buffer, invalidating the previous instance
-    drawn from the same workspace {e and any} {!copy} made of it (a
-    copy shares the original's immutable cost/rhs views).  {!copy}
+    {!create} re-carves the buffer and the factors, invalidating the
+    previous instance drawn from the same workspace {e and any} {!copy}
+    made of it (a copy shares the original's immutable cost/rhs
+    views).  {!copy}
     itself always allocates fresh storage and never draws from a
     workspace. *)
 module Workspace : sig
@@ -127,25 +133,21 @@ module Workspace : sig
   val create : unit -> t
 end
 
-val create : ?workspace:Workspace.t -> ?refactor_every:int -> Lp.std -> t
-(** Build an instance positioned at the dual-feasible all-slack basis.
-    Integrality markers in [std] are ignored here.
+val create : ?workspace:Workspace.t -> Lp.std -> t
+(** Build an instance positioned at the dual-feasible all-slack basis,
+    whose factors (the identity) are its first factorization, the one
+    with reason [start].  Integrality markers in [std] are ignored here.
 
-    [workspace] pools the instance's dense float storage across calls;
-    see {!Workspace}.  [refactor_every] (default 32, must be ≥ 1) bounds
-    the eta-file length before the basis is refactorized; an
-    out-of-tolerance basic-value residual at the periodic resync
-    triggers an earlier rebuild regardless.
-    @raise Invalid_argument when [refactor_every < 1]. *)
+    [workspace] pools the instance's dense float storage and its factor
+    storage across calls; see {!Workspace}. *)
 
 val copy : t -> t
 (** Independent snapshot: same model, same current basis/bounds/values,
     but no mutable state shared with the original — the copy and the
     original can be reoptimized concurrently (e.g. on different domains).
-    Immutable model data (costs, matrix, right-hand side) and LU factors
-    are shared, so a copy is O(rows + cols + eta-file nonzeros); a
-    refactorization replaces an instance's factors and never writes the
-    shared ones.  A copy
+    Immutable model data (costs, matrix, right-hand side) is shared; the
+    factors, which every pivot updates in place, are copied, so a copy
+    is O(rows + cols + factor nonzeros).  A copy
     of a root-optimal instance is a valid warm start for any subtree of a
     branch-and-bound search: the basis stays dual feasible under the
     subtree's bound changes. *)
@@ -192,14 +194,18 @@ val iterations : t -> int
 (** Total simplex iterations performed by this instance so far. *)
 
 val refactorizations : t -> int
-(** Total basis refactorizations (cadence, drift-triggered and
-    numerical-recovery rebuilds) performed by this instance so far. *)
+(** Total basis factorizations performed by this instance so far: the
+    start basis's, and the rebuilds for growth, the update ceiling,
+    drift and numerical recovery.  Each is a [simplex.lu_refactor] span
+    whose [reason] attribute says which ([start], [growth], [ceiling],
+    [drift], [recovery]). *)
 
 val drift_rebuilds : t -> int
-(** Refactorizations forced by the periodic basic-value resync detecting
-    drift beyond tolerance — runtime evidence of ill-conditioning (the
-    [N102] diagnostic of [Vpart_analysis.Numerics_lint]).  Subset of
-    {!refactorizations}. *)
+(** Refactorizations forced by a loss of accuracy: the periodic
+    basic-value resync detecting drift beyond tolerance, or a basis
+    update whose pivot check failed — runtime evidence of
+    ill-conditioning (the [N102] diagnostic of
+    [Vpart_analysis.Numerics_lint]).  Subset of {!refactorizations}. *)
 
 val recovery_rebuilds : t -> int
 (** Refactorizations forced by a rejected (below-tolerance) pivot —
@@ -221,19 +227,27 @@ val pivot_counters : t -> (string * float) list
     - [simplex.btran_nnz]: nonzeros of every pivot-row btran result,
       summed;
     - [simplex.bound_flips]: nonbasic variables moved to their other
-      bound by the bound-flipping ratio test.
+      bound by the bound-flipping ratio test;
+    - [simplex.lu_updates]: basis updates of the factors, one per
+      basis-changing pivot ({!lu_updates}).
     The seconds accumulate only while [Obs.enabled ()]; 0 otherwise. *)
 
-val eta_applications : t -> int
-(** Total eta-matrix applications (ftran/btran passes through eta-file
-    entries) performed by this instance so far.  Mirrored in the [simplex.eta_applications] observability counter. *)
+val lu_updates : t -> int
+(** Forrest–Tomlin updates of the factors performed by this instance so
+    far. *)
 
-val max_eta_length : t -> int
-(** High-water eta-file length over the instance's lifetime — the
-    [simplex.eta_len] observability gauge. *)
+val eta_applications : t -> int
+(** Row etas applied by this instance's solves so far: every row eta of
+    every ftran, and each row eta of a btran whose own entry was
+    nonzero.  Mirrored in the [simplex.eta_applications] observability
+    counter. *)
+
+val max_updates_per_factor : t -> int
+(** High-water number of updates one factorization served, over the
+    instance's lifetime — the [simplex.eta_len] observability gauge. *)
 
 val lu_nnz : t -> int
-(** Stored nonzeros of the current sparse LU factors (the
+(** Stored nonzeros of the current factors: L, U and the row etas (the
     [simplex.lu_nnz] observability gauge). *)
 
 (** {1 Dual information}

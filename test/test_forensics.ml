@@ -162,8 +162,6 @@ let test_cli_rejects_bad_parameters () =
         "certify --time-limit nan " ^ inst;
         "certify --time-limit=-1 " ^ inst;
         "batch --tables 2 --txns 2 --count 1 --time-limit nan";
-        "solve -i " ^ inst ^ " --solver qp --refactor-every 0";
-        "solve -i " ^ inst ^ " --solver qp --refactor-every=-5";
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -382,15 +380,15 @@ let test_diff_one_sided_rows () =
   | Trace_diff.Improvement -> ()
   | _ -> Alcotest.fail "disappeared span not an improvement"
 
-(* Acceptance demo: the same model solved at a long and a short
-   refactorization cadence — the diff must attribute the movement to the
-   simplex.lu_refactor span path. *)
+(* Acceptance demo: two assignment models of one family, the larger one
+   needing more pivots, so its updated basis factors grow past their
+   refactorization limit more often — the diff must attribute the
+   movement to the simplex.lu_refactor span path. *)
 let test_diff_refactor_cadence_attributes_lu_refactor () =
-  let solve_traced refactor_every =
+  let solve_traced n =
     let buf = Buffer.create 4096 in
     let sink = Obs.jsonl_sink (Buffer.add_string buf) in
     let m = Lp.create () in
-    let n = 6 in
     let v = Array.init (n * n) (fun _ -> Lp.binary m ()) in
     for i = 0 to n - 1 do
       Lp.add_constr m (List.init n (fun j -> (1., v.((i * n) + j)))) Lp.Eq 1.;
@@ -401,14 +399,11 @@ let test_diff_refactor_cadence_attributes_lu_refactor () =
          (Array.mapi
             (fun k vk -> (float_of_int ((k * 7919 mod 23) + 1), vk))
             v));
-    (* A short cadence guarantees the second run opens instrumented
-       simplex.lu_refactor spans even on this small model. *)
-    let limits = { Mip.default_limits with Mip.refactor_every } in
-    let _ = Obs.with_sink sink (fun () -> Mip.solve ~limits m) in
+    let _ = Obs.with_sink sink (fun () -> Mip.solve m) in
     parse "simplex trace" (Buffer.contents buf)
   in
-  let long = solve_traced 32 and short = solve_traced 4 in
-  let report = Trace_diff.diff long short in
+  let small = solve_traced 6 and large = solve_traced 40 in
+  let report = Trace_diff.diff small large in
   let refactor_rows =
     List.filter
       (fun r ->
@@ -417,15 +412,15 @@ let test_diff_refactor_cadence_attributes_lu_refactor () =
              r.Trace_diff.key)
       report.Trace_diff.rows
   in
-  (* The short-cadence run refactorizes inside instrumented
-     simplex.lu_refactor spans far more often.  The diff must surface
-     that span path so the delta is attributable. *)
+  (* The larger model refactorizes inside instrumented
+     simplex.lu_refactor spans more often.  The diff must surface that
+     span path so the delta is attributable. *)
   if refactor_rows = [] then
-    Alcotest.fail "cadence diff carries no simplex.lu_refactor row";
+    Alcotest.fail "refactorization diff carries no simplex.lu_refactor row";
   List.iter
     (fun r ->
       if r.Trace_diff.cur_calls <= r.Trace_diff.base_calls then
-        Alcotest.fail "short cadence should add refactor span calls")
+        Alcotest.fail "the larger model should add refactor span calls")
     refactor_rows
 
 (* ------------------------------------------------------------------ *)

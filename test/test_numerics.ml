@@ -142,13 +142,13 @@ let test_n008_objective_range () =
 let test_runtime_feedback () =
   let quiet =
     Numerics_lint.runtime_feedback ~iterations:10 ~refactorizations:2
-      ~drift_rebuilds:0 ~recovery_rebuilds:0 ~max_eta_length:5
+      ~drift_rebuilds:0 ~recovery_rebuilds:0 ~max_updates:5
   in
   check_has "solve summary" "N101" quiet;
   check_not "no trouble, no N102" "N102" quiet;
   let troubled =
     Numerics_lint.runtime_feedback ~iterations:10 ~refactorizations:3
-      ~drift_rebuilds:1 ~recovery_rebuilds:2 ~max_eta_length:5
+      ~drift_rebuilds:1 ~recovery_rebuilds:2 ~max_updates:5
   in
   check_has "drift/recovery rebuilds" "N102" troubled
 

@@ -469,9 +469,14 @@ let gen_sparse_matrix =
   let order = Array.of_list order in
   return (Array.map (fun row -> Array.map (fun j -> row.(j)) order) a)
 
+(* The factors of columns [basis] of [idx]/[va], written into [into]
+   (fresh storage by default); [None] when singular. *)
+let factor ?(into = Sparse_lu.identity 0) idx va basis =
+  if Sparse_lu.refactor into idx va basis then Some into else None
+
 let factor_dense a =
   let idx, va = sparse_cols_of_dense a in
-  Sparse_lu.factor idx va (Array.init (Array.length a) Fun.id)
+  factor idx va (Array.init (Array.length a) Fun.id)
 
 (* Solve in place with the full pattern listed; returns the solution. *)
 let solve_full solve lu b =
@@ -611,7 +616,7 @@ let prop_sparse_lu_reused_storage =
            | Some lu -> lu
            | None -> Sparse_lu.identity m
          in
-         Option.map solves (Sparse_lu.factor ~reuse idx va (Array.init m Fun.id))
+         Option.map solves (factor ~into:reuse idx va (Array.init m Fun.id))
        in
        let fresh =
          Domain.join
@@ -639,19 +644,190 @@ let prop_solve_after_other_model =
        let fresh = Domain.join (Domain.spawn run) in
        after = fresh)
 
+(* ------------------------------------------------------------------ *)
+(* Forrest-Tomlin updates                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A basis from [gen_sparse_matrix], then entering columns: slack (unit)
+   columns, sparse structural ones, and half-dense ones that fill in U;
+   each with a flag saying whether the btran of the leaving row runs
+   first, as in the dual simplex, so that the update uses its kept part
+   rather than recomputing it. *)
+let gen_update_case =
+  let open QCheck2.Gen in
+  let* a = gen_sparse_matrix in
+  let m = Array.length a in
+  let col =
+    let* kind = int_range 0 5 in
+    if kind = 0 then map (fun i -> [ (i, 1.) ]) (int_range 0 (m - 1))
+    else
+      let* len =
+        if kind = 5 then int_range ((m + 1) / 2) m else int_range 1 (min m 4)
+      in
+      list_size (return len)
+        (pair (int_range 0 (m - 1)) (float_range (-2.) 2.))
+  in
+  let* cols = list_size (int_range 1 (min 40 (2 * m))) (pair col bool) in
+  return (a, cols)
+
+(* Replace columns of [lu], the factors of the dense [b], which follows
+   along: each entering column goes to the basis position of the largest
+   entry of its ftran, and is skipped when that entry is below 1e-3.
+   Returns the number of updates. *)
+let run_updates lu b cols =
+  let m = Array.length b in
+  List.fold_left
+    (fun count (col, keep_row) ->
+       let dense = Array.make m 0. in
+       List.iter (fun (i, v) -> dense.(i) <- dense.(i) +. v) col;
+       let w = Vec.of_array dense in
+       let rows = List.sort_uniq compare (List.map fst col) in
+       let nz = Array.make m 0 in
+       List.iteri (fun e i -> nz.(e) <- i) rows;
+       let k = Sparse_lu.ftran ~keep:true lu w nz (List.length rows) in
+       let p = ref (-1) in
+       for e = 0 to k - 1 do
+         if !p < 0 || Float.abs w.{nz.(e)} > Float.abs w.{!p} then p := nz.(e)
+       done;
+       if !p < 0 || Float.abs w.{!p} < 1e-3 then count
+       else begin
+         let p = !p in
+         if keep_row then begin
+           let u = Vec.create m and unz = Array.make m 0 in
+           u.{p} <- 1.;
+           unz.(0) <- p;
+           ignore (Sparse_lu.btran ~keep:true lu u unz 1)
+         end;
+         ignore (Sparse_lu.replace lu p w.{p});
+         Array.iteri (fun i v -> b.(i).(p) <- v) dense;
+         count + 1
+       end)
+    0 cols
+
+(* After the updates, ftran and btran solve the explicitly assembled
+   basis with backward error <= 1e-9, and a unit right-hand side listed
+   alone solves as with every position listed. *)
+let prop_sparse_lu_updates =
+  QCheck2.Test.make ~count:500
+    ~name:
+      "sparse LU: ftran/btran after column replacements, backward error \
+       <= 1e-9"
+    gen_update_case
+    (fun (a, cols) ->
+       match factor_dense a with
+       | None -> true
+       | Some lu ->
+         let m = Array.length a in
+         let b = Array.map Array.copy a in
+         let count = run_updates lu b cols in
+         let rhs = Array.init m (fun i -> Float.of_int ((i mod 5) - 2) +. 0.25) in
+         let unit_agrees solve =
+           let x = Vec.create m and nz = Array.make m 0 in
+           x.{m / 2} <- 1.;
+           nz.(0) <- m / 2;
+           ignore (solve lu x nz 1);
+           let full =
+             solve_full solve lu (Array.init m (fun i -> if i = m / 2 then 1. else 0.))
+           in
+           Array.for_all2 (fun u v -> bits u = bits v) (Vec.to_array x) full
+         in
+         Sparse_lu.updates lu = count
+         && small_backward_error b (solve_full Sparse_lu.ftran lu rhs) rhs
+         && small_backward_error (transpose b)
+              (solve_full Sparse_lu.btran lu rhs) rhs
+         && unit_agrees Sparse_lu.ftran && unit_agrees Sparse_lu.btran)
+
+(* The bits of a full ftran and btran, and of a unit one of each. *)
+let solve_bits lu =
+  let m = Sparse_lu.size lu in
+  let b = Array.init m (fun i -> Float.of_int ((i mod 7) - 3) +. 0.5) in
+  let unit solve =
+    let x = Vec.create m and nz = Array.make m 0 in
+    x.{0} <- 1.;
+    let k = solve lu x nz 1 in
+    (List.sort compare (Array.to_list (Array.sub nz 0 k)),
+     Array.map bits (Vec.to_array x))
+  in
+  ( Array.map bits (solve_full Sparse_lu.ftran lu b),
+    Array.map bits (solve_full Sparse_lu.btran lu b),
+    unit Sparse_lu.ftran,
+    unit Sparse_lu.btran )
+
+(* A copy taken while the factors carry updates shares nothing with the
+   original: the original's later updates and its refactorization leave
+   the copy solving exactly as a twin driven through the same updates,
+   and the copy then takes the same later updates as the twin does. *)
+let prop_sparse_lu_copy_mid_update =
+  QCheck2.Test.make ~count:300
+    ~name:
+      "sparse LU: a copy taken mid-update is unchanged by the original's \
+       later updates and refactorizations"
+    gen_update_case
+    (fun (a, cols) ->
+       let half = List.length cols / 2 in
+       let before = List.filteri (fun e _ -> e < half) cols
+       and after = List.filteri (fun e _ -> e >= half) cols in
+       match (factor_dense a, factor_dense a) with
+       | Some original, Some twin ->
+         let b = Array.map Array.copy a and b_twin = Array.map Array.copy a in
+         ignore (run_updates original b before);
+         ignore (run_updates twin b_twin before);
+         let copy = Sparse_lu.copy original in
+         let b_copy = Array.map Array.copy b in
+         ignore (run_updates original b after);
+         let idx, va = sparse_cols_of_dense (transpose a) in
+         ignore
+           (Sparse_lu.refactor original idx va (Array.init (Array.length a) Fun.id));
+         let unchanged = solve_bits copy = solve_bits twin in
+         ignore (run_updates copy b_copy after);
+         ignore (run_updates twin b_twin after);
+         unchanged && solve_bits copy = solve_bits twin
+       | _ -> true)
+
 let test_sparse_lu_singular () =
   (* structurally singular: a duplicated column *)
   let idx = [| [| 0; 1 |]; [| 0; 1 |]; [| 2 |] |] in
   let va = [| [| 1.; 2. |]; [| 1.; 2. |]; [| 3. |] |] in
-  (match Sparse_lu.factor idx va [| 0; 1; 2 |] with
+  (match factor idx va [| 0; 1; 2 |] with
    | None -> ()
    | Some _ -> Alcotest.fail "factor accepted a rank-deficient matrix");
   (* numerically singular: entries below the absolute pivot tolerance *)
   let idx = [| [| 0 |]; [| 1 |] |] in
   let va = [| [| 1e-14 |]; [| 1. |] |] in
-  match Sparse_lu.factor idx va [| 0; 1 |] with
+  match factor idx va [| 0; 1 |] with
   | None -> ()
   | Some _ -> Alcotest.fail "factor accepted a numerically singular matrix"
+
+(* An update at a column whose pivot is huge: z = U^-T e_k is all below
+   the solves' drop tolerance (z_k = 1/u_kk), yet the row eta holds the
+   ratios -z_j / z_k, of order 1, on a row as large as the pivot.
+   B = [[1e15, 1e15], [0, 1e15]], column 0 replaced by (2e15, 1e15): the
+   pivot element is 1, and without the row eta both the pivot recomputed
+   along the row (2) and the solves are off.  (The solves' own results
+   are of order 1: entries of at most 1e-14 in a result are dropped.) *)
+let test_sparse_lu_update_huge_pivot () =
+  let idx = [| [| 0 |]; [| 0; 1 |] |]
+  and va = [| [| 1e15 |]; [| 1e15; 1e15 |] |] in
+  match factor idx va [| 0; 1 |] with
+  | None -> Alcotest.fail "factor rejected a nonsingular basis"
+  | Some lu ->
+    let w = Vec.of_array [| 2e15; 1e15 |] in
+    ignore (Sparse_lu.ftran ~keep:true lu w [| 0; 1 |] 2);
+    let u = Vec.of_array [| 1.; 0. |] in
+    ignore (Sparse_lu.btran ~keep:true lu u [| 0; 0 |] 1);
+    if not (Sparse_lu.replace lu 0 w.{0}) then
+      Alcotest.fail "the update reported a loss of accuracy";
+    (* right-hand sides whose solution is (1, 2) *)
+    let b = [| [| 2e15; 1e15 |]; [| 1e15; 1e15 |] |] in
+    if
+      not
+        (small_backward_error b
+           (solve_full Sparse_lu.ftran lu [| 4e15; 3e15 |])
+           [| 4e15; 3e15 |]
+        && small_backward_error (transpose b)
+             (solve_full Sparse_lu.btran lu [| 3e15; 3e15 |])
+             [| 3e15; 3e15 |])
+    then Alcotest.fail "the solves after the update miss the updated basis"
 
 let test_sparse_lu_identity () =
   let lu = Sparse_lu.identity 4 in
@@ -703,12 +879,13 @@ let prop_random_lp_certifies =
        (match outcome with Mip.Optimal _ -> true | _ -> false)
        && float_errors = 0 && refuted = 0)
 
-(* Pooled-vs-fresh bit-identity: a solve whose float storage is carved
-   from a reused {!Simplex.Workspace} must reproduce the fresh-allocation
-   solve exactly — same status, pivot count, objective bits and primal
-   point bits — even when the arena is dirty from a previous, differently
-   shaped solve.  This is the guard that lets the batch service pool
-   solver state without changing any result. *)
+(* Pooled-vs-fresh bit-identity: a solve whose float storage and factor
+   storage come from a reused {!Simplex.Workspace} must reproduce the
+   fresh-allocation solve exactly — same status, pivot and update
+   counts, objective bits and primal point bits — even when the arena is
+   dirty from a previous, differently shaped solve whose pivots left the
+   factors updated and grown.  This is the guard that lets the batch
+   service pool solver state without changing any result. *)
 let prop_pooled_equals_fresh =
   QCheck2.Test.make ~count:150
     ~name:"simplex: workspace-pooled solve is bit-identical to fresh"
@@ -721,11 +898,17 @@ let prop_pooled_equals_fresh =
          Simplex.create ~workspace:ws (Lp.standardize (build_rand_lp r_dirty))
        in
        ignore (Simplex.reoptimize t0);
+       (* halve every box and pivot on: more updates of the factors *)
+       List.iteri
+         (fun j ub -> Simplex.set_bounds t0 j ~lb:0. ~ub:(ub /. 2.))
+         r_dirty.ubs;
+       ignore (Simplex.reoptimize t0);
        let run workspace =
          let t = Simplex.create ?workspace (Lp.standardize (build_rand_lp r)) in
          let st = Simplex.reoptimize t in
          ( st,
            Simplex.iterations t,
+           Simplex.lu_updates t,
            Int64.bits_of_float (Simplex.objective t),
            Array.map Int64.bits_of_float (Simplex.primal t) )
        in
@@ -733,12 +916,12 @@ let prop_pooled_equals_fresh =
        let fresh = run None in
        pooled = fresh)
 
-(* A copy shares the LU factors of its original, never its eta file or
-   its working storage.  So the original's bound changes and
-   refactorizations must leave the copy exactly as a copy of an
-   untouched twin: same status, pivot count, objective bits and primal
-   point bits when both copies are reoptimized.  Branch-and-bound worker
-   domains rely on this. *)
+(* A copy shares no mutable state with its original: not the factors,
+   which every pivot updates in place, nor the working storage.  So the
+   original's bound changes, basis updates and refactorizations must
+   leave the copy exactly as a copy of an untouched twin: same status,
+   pivot count, objective bits and primal point bits when both copies
+   are reoptimized.  Branch-and-bound worker domains rely on this. *)
 let prop_copy_survives_original =
   (* A case the bound changes cannot drive through two refactorizations
      is discarded; more than half discarded fails the test. *)
@@ -747,10 +930,7 @@ let prop_copy_survives_original =
     QCheck2.Gen.(pair gen_rand_lp (int_range 0 1_000_000))
     (fun (r, seed) ->
        let solved () =
-         (* every pivot triggers a refactorization at the next iteration *)
-         let t =
-           Simplex.create ~refactor_every:1 (Lp.standardize (build_rand_lp r))
-         in
+         let t = Simplex.create (Lp.standardize (build_rand_lp r)) in
          ignore (Simplex.reoptimize t);
          t
        in
@@ -758,11 +938,12 @@ let prop_copy_survives_original =
        let copy = Simplex.copy original and reference = Simplex.copy twin in
        (* Drive the original with random boxes (fixings at 0 or at a
           quarter of the box, halvings of the current value,
-          restorations) until it has refactorized twice. *)
+          restorations): its pivots update the factors until they have
+          grown into a refactorization, twice. *)
        let st = Random.State.make [| seed |] in
        let refacs0 = Simplex.refactorizations original in
        let rounds = ref 0 in
-       while Simplex.refactorizations original < refacs0 + 2 && !rounds < 12 do
+       while Simplex.refactorizations original < refacs0 + 2 && !rounds < 400 do
          incr rounds;
          List.iteri
            (fun j ub ->
@@ -928,24 +1109,26 @@ let prop_cutoff_verdicts =
          && Int64.bits_of_float (Simplex.objective t)
             = Int64.bits_of_float fresh_obj)
 
-(* A deterministic ill-scaled fixture run with the refactorization
-   cadence disabled: the only way the solver can hold the basis together
-   is the drift resync / rejected-pivot recovery machinery.  The run must
-   (a) still reach the cadenced solve's optimum and (b) actually exercise
-   a forced rebuild, so the recovery path stays covered.
+(* A deterministic ill-scaled fixture on which the updated factors lose
+   accuracy: the only way the solver can hold the basis together is the
+   drift rebuild (an update's pivot check, the periodic basic-value
+   resync) or the rejected-pivot recovery.  The run must (a) still reach
+   the optimum of the same LP without its row factors, which the solver
+   handles without trouble, and (b) actually exercise a forced rebuild,
+   so the recovery path stays covered.
 
-   The rows are D_r (I + E) x <= D_r beta / c: row factors 10^-3..10^3,
-   every column scaled by c = 1e-3, and a coupling E with entries
-   0.003·10^{-1,0,1} on half the positions.  The boxes are twice what a
+   The rows are D_r (I + E) x <= D_r beta / c: row factors 10^-5..10^5,
+   every column scaled by c = 1e-2, and a coupling E with entries
+   0.005·10^{-1,0,1} on half the positions.  The boxes are twice what a
    row allows, so the bound-flipping ratio test cannot settle the rows by
    flips: at the optimum most rows are tight, and the dual method needs a
-   pivot for each, more than the 256-iteration drift checkpoint
-   interval. *)
-let build_drift_lp () =
+   pivot for each.  [row_factors = false] drops D_r. *)
+let build_drift_lp ~row_factors =
   let m = Lp.create () in
-  let n = 400 in
-  let dr i = 10. ** float_of_int (((i * 5) mod 7) - 3)
-  and c = 1e-3
+  let n = 300 in
+  let dr i =
+    if row_factors then 10. ** float_of_int (((i * 5) mod 11) - 5) else 1.
+  and c = 1e-2
   and beta i = 1. +. (float_of_int (i mod 7) /. 7.) in
   let vars = Array.init n (fun j -> Lp.add_var m ~ub:(2. *. beta j /. c) ()) in
   for i = 0 to n - 1 do
@@ -953,7 +1136,7 @@ let build_drift_lp () =
     for j = 0 to n - 1 do
       if j <> i && (i + (3 * j)) mod 2 = 0 then
         terms :=
-          (0.003 *. dr i *. c *. (10. ** float_of_int (((i + (2 * j)) mod 3) - 1)),
+          (0.005 *. dr i *. c *. (10. ** float_of_int (((i + (2 * j)) mod 3) - 1)),
            vars.(j))
           :: !terms
     done;
@@ -967,12 +1150,15 @@ let build_drift_lp () =
   m
 
 let test_drift_recovery () =
-  let reference = Simplex.solve (Lp.standardize (build_drift_lp ())) in
+  let reference =
+    Simplex.solve (Lp.standardize (build_drift_lp ~row_factors:false))
+  in
   check_status "reference" Simplex.Optimal reference;
-  let std = Lp.standardize (build_drift_lp ()) in
-  (* max_int cadence: no scheduled refactorization ever fires, so every
-     rebuild the run records was forced by drift or a rejected pivot. *)
-  let t = Simplex.create ~refactor_every:max_int std in
+  let std = Lp.standardize (build_drift_lp ~row_factors:true) in
+  (* Drift and recovery rebuilds are counted apart from the ones growth
+     and the update ceiling schedule: each was forced by a loss of
+     accuracy or a rejected pivot. *)
+  let t = Simplex.create std in
   let st = Simplex.reoptimize t in
   Alcotest.(check string) "status" "optimal" (Simplex.string_of_status st);
   let rel =
@@ -985,7 +1171,7 @@ let test_drift_recovery () =
   let forced = Simplex.drift_rebuilds t + Simplex.recovery_rebuilds t in
   if forced = 0 then
     Alcotest.failf
-      "fixture no longer forces a recovery rebuild (%d iterations)"
+      "fixture no longer forces a drift or recovery rebuild (%d iterations)"
       (Simplex.iterations t)
 
 let () =
@@ -1032,9 +1218,13 @@ let () =
       ("sparse-lu",
        [ Alcotest.test_case "identity factors" `Quick test_sparse_lu_identity;
          Alcotest.test_case "singular rejection" `Quick test_sparse_lu_singular;
+         Alcotest.test_case "update at a huge pivot" `Quick
+           test_sparse_lu_update_huge_pivot;
          QCheck_alcotest.to_alcotest prop_sparse_lu_matches_dense;
          QCheck_alcotest.to_alcotest prop_sparse_lu_list_solve;
          QCheck_alcotest.to_alcotest prop_sparse_lu_reused_storage;
          QCheck_alcotest.to_alcotest prop_solve_after_other_model;
+         QCheck_alcotest.to_alcotest prop_sparse_lu_updates;
+         QCheck_alcotest.to_alcotest prop_sparse_lu_copy_mid_update;
        ]);
     ]
