@@ -724,7 +724,7 @@ let perf () =
       (Printf.sprintf "rnd-%dattrs" (Instance.num_attrs rnd19), rnd19) ]
   in
   (* SA kernel: evaluated moves per second -- the same random single-move
-     sequence priced by Delta_cost.apply_move (O(affected txns)) and by a
+     sequence priced by Delta_cost.flip/assign (O(affected txns)) and by a
      from-scratch Cost_model.objective per move, the pre-PR baseline.
      Checksums of the evaluated objectives agree exactly. *)
   Printf.printf "%-14s %-6s | %8s %9s %10s  single-move evaluation\n"
@@ -779,11 +779,11 @@ let perf () =
          for _ = 1 to moves do
            (if Random.State.bool st then begin
               let a = Random.State.int st na and s = Random.State.int st ns in
-              ignore (Delta_cost.apply_move dc (Delta_cost.Flip (a, s)))
+              Delta_cost.flip dc a s
             end
             else begin
               let t = Random.State.int st nt and s = Random.State.int st ns in
-              ignore (Delta_cost.apply_move dc (Delta_cost.Assign (t, s)))
+              Delta_cost.assign dc t s
             end);
            acc := !acc +. Delta_cost.objective dc;
            Delta_cost.undo_move dc

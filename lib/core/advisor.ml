@@ -26,41 +26,29 @@ let analyze (inst : Instance.t) ~p (part : Partitioning.t) =
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = part.Partitioning.num_sites in
-  (* colsum.(a).(s) = sum of c1(t,a) over transactions homed at s;
-     forced.(a).(s) = #transactions homed at s reading a. *)
-  let colsum = Array.init na (fun _ -> Array.make ns 0.) in
-  let forced = Array.init na (fun _ -> Array.make ns 0) in
-  for t = 0 to nt - 1 do
-    let home = part.Partitioning.txn_site.(t) in
-    for a = 0 to na - 1 do
-      colsum.(a).(home) <- colsum.(a).(home) +. stats.Stats.c1.{t, a};
-      if stats.Stats.phi.(t).(a) then forced.(a).(home) <- forced.(a).(home) + 1
-    done
-  done;
-  let replica_cost a s = stats.Stats.c2.(a) +. colsum.(a).(s) in
-  (* transaction moves *)
+  (* the evaluator's coef.(s).(a) is the cost of a replica of [a] on [s],
+     and forced.(s).(a) counts its φ-readers homed at [s] *)
+  let dc = Delta_cost.create stats ~lambda:1. (Partitioning.copy part) in
+  let base = Delta_cost.cost dc in
+  let coef = Delta_cost.coef dc
+  and forced = Delta_cost.forced dc
+  and reads = Delta_cost.reads dc in
+  let placed = (Delta_cost.partitioning dc).Partitioning.placed in
+  (* transaction moves: apply the move and the replicas it forces, read
+     the cost, undo *)
   let txn_moves = ref [] in
   for t = 0 to nt - 1 do
-    let s = part.Partitioning.txn_site.(t) in
     for s' = 0 to ns - 1 do
-      if s' <> s then begin
-        let delta = ref 0. and new_replicas = ref [] in
-        for a = 0 to na - 1 do
-          let c1 = stats.Stats.c1.{t, a} in
-          let newly_forced =
-            stats.Stats.phi.(t).(a) && not part.Partitioning.placed.(a).(s')
-          in
-          if newly_forced then begin
-            delta := !delta +. replica_cost a s';
-            new_replicas := a :: !new_replicas
-          end;
-          if part.Partitioning.placed.(a).(s') || newly_forced then
-            delta := !delta +. c1;
-          if part.Partitioning.placed.(a).(s) then delta := !delta -. c1
-        done;
+      if s' <> part.Partitioning.txn_site.(t) then begin
+        let new_replicas =
+          List.filter (fun a -> not placed.(a).(s')) (Array.to_list reads.(t))
+        in
+        Delta_cost.assign dc t s';
+        List.iter (fun a -> Delta_cost.flip dc a s') new_replicas;
+        let delta = Delta_cost.cost dc -. base in
+        Delta_cost.undo_to dc 0;
         txn_moves :=
-          { txn = t; to_site = s'; delta = !delta;
-            forced_replicas = List.rev !new_replicas }
+          { txn = t; to_site = s'; delta; forced_replicas = new_replicas }
           :: !txn_moves
       end
     done
@@ -69,15 +57,15 @@ let analyze (inst : Instance.t) ~p (part : Partitioning.t) =
   let replica_changes = ref [] in
   for a = 0 to na - 1 do
     for s = 0 to ns - 1 do
-      if part.Partitioning.placed.(a).(s) then begin
-        if forced.(a).(s) = 0 && Partitioning.replicas part a > 1 then
+      if placed.(a).(s) then begin
+        if forced.(s).(a) = 0 && Delta_cost.replicas dc a > 1 then
           replica_changes :=
-            { attr = a; site = s; action = `Drop; delta = -.(replica_cost a s) }
+            { attr = a; site = s; action = `Drop; delta = -.coef.(s).(a) }
             :: !replica_changes
       end
       else
         replica_changes :=
-          { attr = a; site = s; action = `Add; delta = replica_cost a s }
+          { attr = a; site = s; action = `Add; delta = coef.(s).(a) }
           :: !replica_changes
     done
   done;

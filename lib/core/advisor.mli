@@ -3,10 +3,11 @@
     Given a partitioning, a DBA (or an external tool) often wants to know
     what each small deviation would cost {e before} re-running a solver:
     move one transaction, add one replica, drop one.  This module computes
-    the exact objective-(4) delta of every such single change, using the
-    same algebra as the solvers (the cost of attribute [a] on site [s] is
-    [c2(a) + Σ_{t homed at s} c1(t,a)], and moving transaction [t] also
-    pays for the replicas single-sitedness forces).
+    the exact objective-(4) delta of every such single change through the
+    annealer's incremental evaluator {!Delta_cost}: a replica change costs
+    its site aggregate [coef.(s).(a) = c2(a) + Σ_{t homed at s} c1(t,a)],
+    and a transaction move, which also pays for the replicas
+    single-sitedness forces, is applied, priced and undone.
 
     A partitioning is {e locally optimal} when no delta is negative; the
     QP's optimum satisfies this up to the MIP gap (tested). *)

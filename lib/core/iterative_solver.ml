@@ -148,7 +148,8 @@ let solve ?(options = default_options) (inst : Instance.t) =
        when configured) clean those up.  Pure y-moves keep the pins and
        the transaction mapping intact; dropping a replica is only legal
        when the attribute keeps coverage and no φ-reader is homed on the
-       dropped site.  Bounded to two sweeps over (attribute, site). *)
+       dropped site, which the evaluator's replica and [forced] counts
+       tell.  Bounded to two sweeps over (attribute, site). *)
     let polished =
       match mapped with
       | Some part
@@ -161,34 +162,22 @@ let solve ?(options = default_options) (inst : Instance.t) =
           Option.map (fun pl -> (inst, pl)) options.qp.Qp_solver.latency
         in
         let dc = Delta_cost.create ?latency stats ~lambda part in
-        let na = stats.Stats.num_attrs in
-        let phi_txns =
-          Array.init na (fun a ->
-              List.filter
-                (fun t -> stats.Stats.phi.(t).(a))
-                (List.init (Array.length part.Partitioning.txn_site) Fun.id))
-        in
+        let forced = Delta_cost.forced dc in
         let changed = ref false and improved = ref true and pass = ref 0 in
         while !improved && !pass < 2 do
           improved := false;
           incr pass;
-          for a = 0 to na - 1 do
+          for a = 0 to stats.Stats.num_attrs - 1 do
             for s = 0 to part.Partitioning.num_sites - 1 do
               let legal =
-                if part.Partitioning.placed.(a).(s) then
-                  Delta_cost.replicas dc a > 1
-                  && not
-                       (List.exists
-                          (fun t -> part.Partitioning.txn_site.(t) = s)
-                          phi_txns.(a))
-                else true
+                (not part.Partitioning.placed.(a).(s))
+                || (Delta_cost.replicas dc a > 1 && forced.(s).(a) = 0)
               in
               if legal then begin
-                let tol =
-                  1e-9 *. (1. +. Float.abs (Delta_cost.objective dc))
-                in
-                let d = Delta_cost.apply_move dc (Delta_cost.Flip (a, s)) in
-                if d < -.tol then begin
+                let before = Delta_cost.objective dc in
+                let tol = 1e-9 *. (1. +. Float.abs before) in
+                Delta_cost.flip dc a s;
+                if Delta_cost.objective dc -. before < -.tol then begin
                   Delta_cost.commit dc;
                   improved := true;
                   changed := true

@@ -25,9 +25,12 @@
     never-read attributes.
 
     Moves are priced through the {!Delta_cost} incremental evaluator —
-    O(affected transactions) per move, with an undo journal instead of
-    per-move snapshots — resynced against float drift at every epoch
-    boundary; the final claims are re-derived from {!Cost_model}. *)
+    O(affected transactions) per move, undone in place instead of
+    restored from snapshots — whose site aggregates the exact sub-steps
+    read, and which is resynced against float drift at every epoch
+    boundary.  The start layouts, the collapsed candidate and the
+    portfolio's side polish run the same sub-steps on a fresh
+    evaluator.  The final claims are re-derived from {!Cost_model}. *)
 
 type options = {
   num_sites : int;

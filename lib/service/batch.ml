@@ -121,11 +121,10 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
     ~emit seq =
   let jobs = max 1 jobs in
   let window = max jobs (Option.value window ~default:(8 * jobs)) in
-  (* One workspace pair per pool participant ({!Par.worker_index}):
+  (* One simplex workspace per pool participant ({!Par.worker_index}):
      domain-local, so pooled solver state is never shared across
      concurrently running requests. *)
   let sx_ws = Array.init jobs (fun _ -> Simplex.Workspace.create ()) in
-  let dc_ws = Array.init jobs (fun _ -> Delta_cost.Workspace.create ()) in
   let g0 = Gc.quick_stat () in
   let handle (index, name, inst) =
     let t0 = Obs.Clock.now () in
@@ -137,18 +136,17 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
           let diags = Instance_lint.lint inst in
           let stats = Stats.compute inst ~p:options.Qp_solver.p in
           let part = Partitioning.single_site inst in
-          let dc =
-            Delta_cost.create ~workspace:dc_ws.(wi) stats
-              ~lambda:options.Qp_solver.lambda part
-          in
           let clean = not (Vpart_analysis.Diagnostic.has_errors diags) in
           {
             index;
             name;
             ok = clean;
             outcome = (if clean then "clean" else "findings");
-            cost = Some (Delta_cost.cost dc);
-            objective6 = Some (Delta_cost.objective dc);
+            cost = Some (Cost_model.cost stats part);
+            objective6 =
+              Some
+                (Cost_model.objective stats ~lambda:options.Qp_solver.lambda
+                   part);
             seconds = 0.;
             error = None;
           }

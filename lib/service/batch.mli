@@ -13,11 +13,10 @@
       how long the sweep is (a 10k-instance run holds tens, not
       thousands);
     - every pool participant owns a {!Vpart_simplex.Simplex.Workspace}
-      and a {!Delta_cost.Workspace} (indexed by {!Par.worker_index}), so
-      steady-state solving reuses the simplex float arena and the
-      delta-evaluator cache buffers instead of reallocating them per
-      request.  Pooled state never changes results: pooled and fresh
-      solver instances are bit-identical by construction (enforced by
+      (indexed by {!Par.worker_index}), so steady-state solving reuses
+      the simplex float arena instead of reallocating it per request.
+      Pooled state never changes results: pooled and fresh solver
+      instances are bit-identical by construction (enforced by
       [test/test_simplex.ml] and [test/test_batch.ml]).
 
     Observability: the sweep runs inside a [batch.run] span, counts
@@ -29,10 +28,10 @@ open Vpart
 
 type action =
   | Check
-      (** Lint the instance ({!Instance_lint.lint}) and evaluate the
-          single-site baseline objective through a pooled
-          {!Delta_cost} evaluator — the cheap, allocation-dominated
-          action for memory-behaviour sweeps. *)
+      (** Lint the instance ({!Instance_lint.lint}) and price the
+          single-site baseline with {!Cost_model.cost} and
+          {!Cost_model.objective} — the cheap action for
+          memory-behaviour sweeps. *)
   | Solve  (** {!Qp_solver.solve} with the pooled simplex workspace. *)
   | Certify
       (** [Solve] with self-certification on: every claim of every

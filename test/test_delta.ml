@@ -22,6 +22,43 @@ let check_agreement ~what dc stats ~lambda ?latency () =
     Alcotest.failf "%s: delta %.17g vs fresh %.17g (diff %g > tol %g)" what
       got want (Float.abs (got -. want)) tol
 
+(* The site aggregates against a fresh evaluator's rebuild: the counts
+   [forced] and [miss] exactly, the sums [coef] and [score] within
+   1e-9·(1 + Σ|c1| + Σ|c2|), a bound on every partial sum's rounding
+   that a missed or doubled update exceeds. *)
+let check_aggregates ~what dc stats =
+  let fresh =
+    Delta_cost.create stats ~lambda:0.
+      (Partitioning.copy (Delta_cost.partitioning dc))
+  in
+  let scale = ref 0. in
+  Array.iter (fun c -> scale := !scale +. Float.abs c) stats.Stats.c2;
+  for t = 0 to stats.Stats.num_txns - 1 do
+    for a = 0 to stats.Stats.num_attrs - 1 do
+      scale := !scale +. Float.abs stats.Stats.c1.{t, a}
+    done
+  done;
+  let tol = 1e-9 *. (1. +. !scale) in
+  let close name kept rebuilt =
+    Array.iteri
+      (fun i row ->
+         Array.iteri
+           (fun j v ->
+              if Float.abs (v -. rebuilt.(i).(j)) > tol then
+                Alcotest.failf "%s: %s.(%d).(%d) is %.17g, rebuilt %.17g" what
+                  name i j v rebuilt.(i).(j))
+           row)
+      kept
+  in
+  let same name kept rebuilt =
+    if kept <> rebuilt then
+      Alcotest.failf "%s: %s differs from a rebuild" what name
+  in
+  close "coef" (Delta_cost.coef dc) (Delta_cost.coef fresh);
+  close "score" (Delta_cost.score dc) (Delta_cost.score fresh);
+  same "forced" (Delta_cost.forced dc) (Delta_cost.forced fresh);
+  same "miss" (Delta_cost.miss dc) (Delta_cost.miss fresh)
+
 let random_partitioning st stats ~num_sites =
   let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
   let part = Partitioning.create ~num_sites ~num_txns:nt ~num_attrs:na in
@@ -43,25 +80,19 @@ let random_action st dc stats ~num_sites ~marks =
   let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
   match Random.State.int st 11 with
   | 0 | 1 | 2 ->
-    ignore
-      (Delta_cost.apply_move dc
-         (Delta_cost.Flip (Random.State.int st na, Random.State.int st num_sites)))
+    Delta_cost.flip dc (Random.State.int st na) (Random.State.int st num_sites)
   | 3 | 4 | 5 ->
-    ignore
-      (Delta_cost.apply_move dc
-         (Delta_cost.Assign (Random.State.int st nt, Random.State.int st num_sites)))
+    Delta_cost.assign dc (Random.State.int st nt) (Random.State.int st num_sites)
   | 6 ->
     (* Component move: a contiguous slice keeps txns/attrs distinct. *)
     let k = 1 + Random.State.int st (min 3 nt) in
     let t0 = Random.State.int st (nt - k + 1) in
     let j = 1 + Random.State.int st (min 3 na) in
     let a0 = Random.State.int st (na - j + 1) in
-    ignore
-      (Delta_cost.apply_move dc
-         (Delta_cost.Move_component
-            (Array.init k (fun i -> t0 + i),
-             Array.init j (fun i -> a0 + i),
-             Random.State.int st num_sites)))
+    Delta_cost.move_component dc
+      (Array.init k (fun i -> t0 + i))
+      (Array.init j (fun i -> a0 + i))
+      (Random.State.int st num_sites)
   | 7 ->
     if Delta_cost.moves_applied dc > 0 && Delta_cost.mark dc > 0 then
       Delta_cost.undo_move dc
@@ -103,60 +134,11 @@ let prop_delta_agrees =
        check_agreement ~what:"initial" dc stats ~lambda ?latency ();
        for step = 1 to 80 do
          random_action st dc stats ~num_sites ~marks;
-         check_agreement
-           ~what:(Printf.sprintf "step %d (seed %d)" step seed)
-           dc stats ~lambda ?latency ()
+         let what = Printf.sprintf "step %d (seed %d)" step seed in
+         check_agreement ~what dc stats ~lambda ?latency ();
+         check_aggregates ~what dc stats
        done;
        true)
-
-(* Pooled-vs-fresh bit-identity: an evaluator whose cache buffers come
-   from a reused {!Delta_cost.Workspace} must track a fresh evaluator
-   bit-for-bit over an arbitrary move/undo/resync sequence, even when the
-   workspace is dirty from a previous, differently sized instance.  This
-   is the guard that lets the batch service pool journals across
-   requests. *)
-let prop_pooled_equals_fresh =
-  QCheck2.Test.make ~count:40
-    ~name:"pooled delta evaluator is bit-identical to fresh"
-    QCheck2.Gen.(tup3 (int_range 0 100000) (int_range 2 4) (int_range 2 6))
-    (fun (seed, num_sites, tables) ->
-       let params =
-         { Instance_gen.default_params with
-           Instance_gen.name = Printf.sprintf "pool%d" seed;
-           num_tables = tables;
-           num_transactions = 3;
-           update_percent = 40;
-         }
-       in
-       let ws = Delta_cost.Workspace.create () in
-       (* Dirty the cached buffers with a differently shaped instance so
-          the pooled run below starts from stale contents. *)
-       let d_inst =
-         Instance_gen.generate ~seed:(seed + 1)
-           { params with Instance_gen.num_tables = tables + 1 }
-       in
-       let d_stats = Stats.compute d_inst ~p:8. in
-       ignore
-         (Delta_cost.create ~workspace:ws d_stats ~lambda:0.5
-            (Partitioning.single_site d_inst));
-       let run workspace =
-         let inst = Instance_gen.generate ~seed params in
-         let stats = Stats.compute inst ~p:8. in
-         let st = Random.State.make [| seed; 99 |] in
-         let part = random_partitioning st stats ~num_sites in
-         let latency = if seed mod 2 = 1 then Some (inst, 0.5) else None in
-         let dc =
-           Delta_cost.create ?workspace ?latency stats ~lambda:0.3 part
-         in
-         let marks = ref [] in
-         let trace = ref [ Int64.bits_of_float (Delta_cost.objective dc) ] in
-         for _ = 1 to 40 do
-           random_action st dc stats ~num_sites ~marks;
-           trace := Int64.bits_of_float (Delta_cost.objective dc) :: !trace
-         done;
-         !trace
-       in
-       run (Some ws) = run None)
 
 (* The compressed lines the evaluator and the annealer walk: every
    entry where some matrix is nonzero, in ascending order within its
@@ -253,10 +235,10 @@ let test_lambda_term () =
          (Delta_cost.max_site_work dc);
        (* Replicate a1 on site 1: cost and work both change. *)
        let before = Delta_cost.objective dc in
-       let d = Delta_cost.apply_move dc (Delta_cost.Flip (1, 1)) in
+       Delta_cost.flip dc 1 1;
        feq "delta is the exact change"
          (Cost_model.objective stats ~lambda part -. before)
-         d;
+         (Delta_cost.objective dc -. before);
        feq "objective after flip"
          (Cost_model.objective stats ~lambda part)
          (Delta_cost.objective dc);
@@ -277,14 +259,14 @@ let test_latency_term () =
     (Cost_model.objective stats ~lambda part)
     (Delta_cost.objective dc);
   let plain = Delta_cost.objective dc in
-  let d = Delta_cost.apply_move dc (Delta_cost.Flip (1, 1)) in
+  Delta_cost.flip dc 1 1;
   feq "flip charges the psi term"
     (Cost_model.objective stats ~lambda part +. (lambda *. pl *. 1.) -. plain)
-    d;
+    (Delta_cost.objective dc -. plain);
   feq "latency now positive" (pl *. 1.) (Cost_model.latency inst ~pl part);
   (* A second off-home replica of the same write set must not double
      charge: psi_q is an indicator, not a count. *)
-  ignore (Delta_cost.apply_move dc (Delta_cost.Assign (0, 1)));
+  Delta_cost.assign dc 0 1;
   feq "psi is an indicator"
     (Cost_model.objective stats ~lambda part
      +. (lambda *. Cost_model.latency inst ~pl part))
@@ -312,7 +294,7 @@ let test_exchange_resync () =
     (Delta_cost.objective dc);
   (* And the journal keeps working after the exchange. *)
   let before = Delta_cost.objective dc in
-  ignore (Delta_cost.apply_move dc (Delta_cost.Flip (1, 0)));
+  Delta_cost.flip dc 1 0;
   Delta_cost.undo_move dc;
   feq "journal valid after resync" before (Delta_cost.objective dc)
 
@@ -325,8 +307,8 @@ let test_commit () =
   let lambda = 0.3 and latency = (inst, 0.5) in
   let part = base_part stats in
   let dc = Delta_cost.create ~latency stats ~lambda part in
-  ignore (Delta_cost.apply_move dc (Delta_cost.Flip (1, 1)));
-  ignore (Delta_cost.apply_move dc (Delta_cost.Assign (0, 1)));
+  Delta_cost.flip dc 1 1;
+  Delta_cost.assign dc 0 1;
   Delta_cost.commit dc;
   Alcotest.(check int) "mark after commit" 0 (Delta_cost.mark dc);
   Alcotest.check_raises "undo_move on a committed journal"
@@ -339,11 +321,9 @@ let test_commit () =
     (Partitioning.equal committed part);
   feq "undo_to 0 keeps the objective" before (Delta_cost.objective dc);
   let m = Delta_cost.mark dc in
-  ignore (Delta_cost.apply_move dc (Delta_cost.Flip (0, 1)));
-  ignore (Delta_cost.apply_move dc (Delta_cost.Assign (0, 0)));
-  ignore
-    (Delta_cost.apply_move dc
-       (Delta_cost.Move_component ([| 0 |], [| 0; 2 |], 1)));
+  Delta_cost.flip dc 0 1;
+  Delta_cost.assign dc 0 0;
+  Delta_cost.move_component dc [| 0 |] [| 0; 2 |] 1;
   Delta_cost.undo_to dc m;
   Alcotest.(check bool) "burst rewound to the committed layout" true
     (Partitioning.equal committed part);
@@ -362,6 +342,5 @@ let () =
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_delta_agrees;
-         QCheck_alcotest.to_alcotest prop_pooled_equals_fresh;
          QCheck_alcotest.to_alcotest prop_compress_matches_dense ]);
     ]

@@ -320,10 +320,10 @@ let prop_qp_leq_sa =
 
 (* Property: over generated instances, sites, layout modes and the
    Appendix-A latency term, the annealer returns a valid layout with a
-   clean float certificate.  The engines keep aggregates beside the
-   Delta_cost journal and undo both on every rejected proposal; a
-   wrongly undone aggregate either breaks single-sitedness or trips the
-   engine's epoch-boundary audit, and both surface here. *)
+   clean float certificate.  The exact sub-steps read Delta_cost's site
+   aggregates, which every rejected proposal undoes; a wrongly undone
+   count breaks single-sitedness and surfaces here (the aggregates
+   themselves are checked against a rebuild in test_delta). *)
 let prop_sa_valid_and_certified =
   QCheck2.Test.make ~count:30
     ~name:"SA layout valid and certified (sites, modes, latency)"
