@@ -166,11 +166,12 @@ let make_lat (inst : Instance.t) pl =
 
 (* rc of one write query, from scratch, for an (assumed) home site. *)
 let fresh_rc t (l : lat) i home =
+  let attrs = l.wq_attrs.(i) and placed = t.part.Partitioning.placed in
   let rc = ref 0 in
-  Array.iter
-    (fun a ->
-       rc := !rc + t.repl.(a) - (if t.part.Partitioning.placed.(a).(home) then 1 else 0))
-    l.wq_attrs.(i);
+  for k = 0 to Array.length attrs - 1 do
+    let a = attrs.(k) in
+    rc := !rc + t.repl.(a) - (if placed.(a).(home) then 1 else 0)
+  done;
   !rc
 
 let rebuild t =

@@ -332,6 +332,48 @@ let test_commit () =
                              (Partitioning.copy part)))
     (Delta_cost.objective dc)
 
+(* The moves and their undo allocate nothing once the journal has grown
+   to the burst: the annealer runs thousands of them per request. *)
+let test_moves_allocate_nothing () =
+  let inst =
+    Instance_gen.generate ~seed:3
+      { Instance_gen.default_params with
+        Instance_gen.name = "alloc";
+        num_tables = 4;
+        num_transactions = 6;
+        update_percent = 40;
+      }
+  in
+  let stats = Stats.compute inst ~p:8. in
+  let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
+  let st = Random.State.make [| 5 |] in
+  let part = random_partitioning st stats ~num_sites:3 in
+  let dc = Delta_cost.create ~latency:(inst, 0.5) stats ~lambda:0.3 part in
+  let moves =
+    Array.init 300 (fun _ ->
+        ( Random.State.int st 3,
+          Random.State.int st nt,
+          Random.State.int st na,
+          Random.State.int st 3 ))
+  in
+  let txns = [| 0 |] and attrs = [| 0 |] in
+  let burst () =
+    Array.iter
+      (fun (kind, tx, a, s) ->
+         match kind with
+         | 0 -> Delta_cost.flip dc a s
+         | 1 -> Delta_cost.assign dc tx s
+         | _ -> Delta_cost.move_component dc txns attrs s)
+      moves;
+    Delta_cost.undo_to dc 0
+  in
+  burst ();
+  let before = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. before in
+  if words > 32. then
+    Alcotest.failf "300 moves and their undo allocated %.0f minor words" words
+
 let () =
   Alcotest.run "delta"
     [ ("fixtures",
@@ -339,6 +381,8 @@ let () =
          Alcotest.test_case "latency term" `Quick test_latency_term;
          Alcotest.test_case "exchange resync" `Quick test_exchange_resync;
          Alcotest.test_case "commit" `Quick test_commit;
+         Alcotest.test_case "moves allocate nothing" `Quick
+           test_moves_allocate_nothing;
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_delta_agrees;
