@@ -648,340 +648,6 @@ let par_speedup () =
   hr ()
 
 (* ------------------------------------------------------------------ *)
-(* Sustained-throughput batch service                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* 10k+ generated instances streamed through the batch service: the
-   instances are produced lazily (Instance_gen.stream) and consumed in
-   bounded windows, and every pool domain reuses its simplex/delta
-   workspaces, so steady-state memory must stay flat — top_heap_words
-   and max_rss are recorded as the evidence, solves/s and p50/p99
-   latency as the throughput numbers. *)
-let batch_throughput () =
-  section "Batch service throughput (streamed instances, pooled workspaces)";
-  let sweep name ~action ~count ~jobs params =
-    let options =
-      { (qp_options ~time_limit:10. 2) with Qp_solver.gap = 0.01 }
-    in
-    let summary =
-      Batch.run ~jobs ~options ~action
-        ~emit:(fun r ->
-            if r.Batch.outcome = "error" then
-              Printf.printf "  %s: ERROR %s\n%!" r.Batch.name
-                (Option.value r.Batch.error ~default:"?"))
-        (Instance_gen.stream ~seed:cfg.sa_seed ~count params)
-    in
-    Printf.printf
-      "%-14s %6d reqs %2d jobs | %8.1f req/s  p50 %6.2f ms  p99 %6.2f ms | \
-       heap %5.1f MW  rss %s  failures %d\n%!"
-      name summary.Batch.requests jobs summary.Batch.throughput
-      (summary.Batch.p50_seconds *. 1e3) (summary.Batch.p99_seconds *. 1e3)
-      (float_of_int summary.Batch.top_heap_words /. 1e6)
-      (match summary.Batch.max_rss_kb with
-       | Some kb -> Printf.sprintf "%d kB" kb
-       | None -> "n/a")
-      summary.Batch.failures;
-    json_results :=
-      (Printf.sprintf "batch/%s" name, Batch.summary_to_json summary)
-      :: !json_results
-  in
-  let tiny =
-    { Instance_gen.default_params with
-      Instance_gen.name = "batch-tiny";
-      num_tables = 3;
-      num_transactions = 4;
-    }
-  in
-  (* The headline: >= 10k full QP solves, streamed. *)
-  sweep "solve-10k" ~action:Batch.Solve ~count:10_000 ~jobs:4 tiny;
-  (* Check sweep: allocation-dominated, exercises the delta workspaces. *)
-  sweep "check-10k" ~action:Batch.Check ~count:10_000 ~jobs:4
-    { Instance_gen.default_params with Instance_gen.name = "batch-check" };
-  hr ()
-
-(* ------------------------------------------------------------------ *)
-(* Hot-path kernel throughput: delta SA evaluation + sparse LU simplex  *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  section "Kernel throughput (delta SA evaluation, sparse LU simplex)";
-  print_endline
-    "single host, one timed run per cell after a warm-up; the SA move\n\
-     kernel is priced against a from-scratch Cost_model.objective per move;\n\
-     docs/PERFORMANCE.md discusses caveats.\n";
-  let rnd19 =
-    Instance_gen.generate
-      { Instance_gen.default_params with
-        Instance_gen.name = "perf19";
-        num_tables = 6;
-        max_attrs_per_table = 6;
-        num_transactions = 15;
-        max_attrs_per_query = 6;
-      }
-  in
-  let insts =
-    [ ("TPC-C v5", get_instance "TPC-C v5");
-      (Printf.sprintf "rnd-%dattrs" (Instance.num_attrs rnd19), rnd19) ]
-  in
-  (* SA kernel: evaluated moves per second -- the same random single-move
-     sequence priced by Delta_cost.flip/assign (O(affected txns)) and by a
-     from-scratch Cost_model.objective per move, the pre-PR baseline.
-     Checksums of the evaluated objectives agree exactly. *)
-  Printf.printf "%-14s %-6s | %8s %9s %10s  single-move evaluation\n"
-    "instance" "eval" "seconds" "moves" "moves/s";
-  hr ();
-  List.iter
-    (fun (name, inst) ->
-       let stats = Stats.compute inst ~p:cfg.p in
-       let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
-       let ns = 2 in
-       let init () =
-         let st = Random.State.make [| 11 |] in
-         let part =
-           Partitioning.create ~num_sites:ns ~num_txns:nt ~num_attrs:na
-         in
-         for t = 0 to nt - 1 do
-           part.Partitioning.txn_site.(t) <- Random.State.int st ns
-         done;
-         Partitioning.repair_single_sitedness stats part;
-         part
-       in
-       let moves = 200_000 in
-       let run_full () =
-         let part = init () in
-         let st = Random.State.make [| cfg.sa_seed |] in
-         let acc = ref 0. in
-         let t0 = Obs.Clock.now () in
-         for _ = 1 to moves do
-           if Random.State.bool st then begin
-             let a = Random.State.int st na and s = Random.State.int st ns in
-             let row = part.Partitioning.placed.(a) in
-             row.(s) <- not row.(s);
-             acc := !acc +. Cost_model.objective stats ~lambda:cfg.lambda part;
-             row.(s) <- not row.(s)
-           end
-           else begin
-             let t = Random.State.int st nt and s = Random.State.int st ns in
-             let old = part.Partitioning.txn_site.(t) in
-             part.Partitioning.txn_site.(t) <- s;
-             acc := !acc +. Cost_model.objective stats ~lambda:cfg.lambda part;
-             part.Partitioning.txn_site.(t) <- old
-           end
-         done;
-         (Obs.Clock.now () -. t0, !acc)
-       in
-       let run_delta () =
-         let part = init () in
-         let dc = Delta_cost.create stats ~lambda:cfg.lambda part in
-         let st = Random.State.make [| cfg.sa_seed |] in
-         let acc = ref 0. in
-         let t0 = Obs.Clock.now () in
-         for _ = 1 to moves do
-           (if Random.State.bool st then begin
-              let a = Random.State.int st na and s = Random.State.int st ns in
-              Delta_cost.flip dc a s
-            end
-            else begin
-              let t = Random.State.int st nt and s = Random.State.int st ns in
-              Delta_cost.assign dc t s
-            end);
-           acc := !acc +. Delta_cost.objective dc;
-           Delta_cost.undo_move dc
-         done;
-         (Obs.Clock.now () -. t0, !acc)
-       in
-       ignore (run_delta ());
-       (* warm-up *)
-       let full_s, full_acc = run_full () in
-       let delta_s, delta_acc = run_delta () in
-       if Float.abs (full_acc -. delta_acc) > 1e-6 *. (1. +. Float.abs full_acc)
-       then
-         Printf.printf
-           "%-14s WARNING: kernel checksums disagree (%.17g vs %.17g)\n%!" name
-           full_acc delta_acc;
-       List.iter
-         (fun (tag, seconds) ->
-            let rate = float_of_int moves /. Float.max 1e-9 seconds in
-            Printf.printf "%-14s %-6s | %8.3f %9d %10.0f\n%!" name tag seconds
-              moves rate;
-            json_results :=
-              ( Printf.sprintf "perf/sa/%s/kernel/%s" name tag,
-                Json.Obj
-                  [
-                    ("seconds", Json.Float seconds);
-                    ("moves", Json.Int moves);
-                    ("moves_per_second", Json.Float rate);
-                  ] )
-              :: !json_results)
-         [ ("full", full_s); ("delta", delta_s) ];
-       let speedup = full_s /. Float.max 1e-9 delta_s in
-       Printf.printf "%-14s kernel speedup %.1fx (delta vs full moves/s)\n%!"
-         name speedup;
-       json_results :=
-         (Printf.sprintf "perf/sa/%s/kernel/speedup" name, Json.Float speedup)
-         :: !json_results)
-    insts;
-  (* Whole-annealer throughput: moves per second of a full annealing run,
-     proposal machinery (perturbation + exact y-/x-steps) included. *)
-  Printf.printf "\n%-14s %-6s | %8s %9s %10s %10s  whole annealer\n"
-    "instance" "eval" "seconds" "moves" "moves/s" "cost";
-  hr ();
-  List.iter
-    (fun (name, inst) ->
-       let run () =
-         let options =
-           { Sa_solver.default_options with
-             Sa_solver.num_sites = 2;
-             p = cfg.p;
-             lambda = cfg.lambda;
-             seed = cfg.sa_seed;
-             (* Grouping shrinks TPC-C to a handful of attribute groups,
-                which hides the evaluator contrast behind annealing-
-                schedule overhead; the throughput cell runs on the raw
-                attribute space. *)
-             use_grouping = false;
-           }
-         in
-         let r = Sa_solver.solve ~options inst in
-         (r.Sa_solver.elapsed, r.Sa_solver.iterations, r.Sa_solver.cost)
-       in
-       ignore (run ());
-       (* warm-up *)
-       let seconds, moves, cost = run () in
-       let rate = float_of_int moves /. Float.max 1e-9 seconds in
-       Printf.printf "%-14s %-6s | %8.3f %9d %10.0f %10s\n%!" name "delta"
-         seconds moves rate (fmt_cost cost);
-       json_results :=
-         ( Printf.sprintf "perf/sa/%s/anneal/delta" name,
-           Json.Obj
-             [
-               ("seconds", Json.Float seconds);
-               ("moves", Json.Int moves);
-               ("moves_per_second", Json.Float rate);
-               ("cost", Json.Float cost);
-             ] )
-         :: !json_results)
-    insts;
-  (* Simplex: warm-started node LPs of a branch-and-bound on the sparse
-     LU kernel. *)
-  Printf.printf "\n%-14s %-6s | %8s %6s %9s %10s %8s %7s %9s\n" "instance"
-    "basis" "seconds" "nodes" "iters" "iters/s" "ms/node" "refacs" "eta_apps";
-  hr ();
-  List.iter
-    (fun (name, inst) ->
-       let run () =
-         let options =
-           { (qp_options ~time_limit:30. 2) with Qp_solver.gap = 0.01 }
-         in
-         let t0 = Obs.Clock.now () in
-         let r = Qp_solver.solve ~options inst in
-         (Obs.Clock.now () -. t0, r)
-       in
-       ignore (run ());
-       (* warm-up *)
-       let seconds, r = run () in
-       let nodes = r.Qp_solver.nodes and iters = r.Qp_solver.simplex_iters in
-       let iters_s = float_of_int iters /. Float.max 1e-9 seconds in
-       let ms_node = 1000. *. seconds /. Float.max 1. (float_of_int nodes) in
-       Printf.printf "%-14s %-6s | %8.3f %6d %9d %10.0f %8.3f %7d %9d\n%!" name
-         "sparse" seconds nodes iters iters_s ms_node
-         r.Qp_solver.refactorizations r.Qp_solver.eta_applications;
-       json_results :=
-         ( Printf.sprintf "perf/simplex/%s/sparse" name,
-           Json.Obj
-             [
-               ("seconds", Json.Float seconds);
-               ("nodes", Json.Int nodes);
-               ("simplex_iterations", Json.Int iters);
-               ("iterations_per_second", Json.Float iters_s);
-               ("ms_per_node", Json.Float ms_node);
-               ("refactorizations", Json.Int r.Qp_solver.refactorizations);
-               ("eta_applications", Json.Int r.Qp_solver.eta_applications);
-             ] )
-         :: !json_results)
-    insts;
-  (* Large node LP: the root LP of TPC-C at 4 sites, cold-solved; the
-     sparse kernel refactorizes a Markowitz LU in O(nnz) fill work. *)
-  Printf.printf "\n%-14s %-6s | %8s %9s %7s  root node LP, 4 sites\n"
-    "instance" "basis" "seconds" "iters" "refacs";
-  hr ();
-  let inst = get_instance "TPC-C v5" in
-  let options = qp_options 4 in
-  let stats = Stats.compute inst ~p:options.Qp_solver.p in
-  let model, _ = Qp_solver.build_model stats options in
-  let std = Lp.standardize model in
-  let t0 = Obs.Clock.now () in
-  let sx = Simplex.create std in
-  let status = Simplex.reoptimize sx in
-  let seconds = Obs.Clock.now () -. t0 in
-  Printf.printf "%-14s %-6s | %8.3f %9d %7d  (%s, %d rows)\n%!" "TPC-C v5"
-    "sparse" seconds (Simplex.iterations sx) (Simplex.refactorizations sx)
-    (Simplex.string_of_status status) (Simplex.nrows sx);
-  json_results :=
-    ( "perf/simplex/root4/sparse",
-      Json.Obj
-        [
-          ("seconds", Json.Float seconds);
-          ("simplex_iterations", Json.Int (Simplex.iterations sx));
-          ("refactorizations", Json.Int (Simplex.refactorizations sx));
-          ("rows", Json.Int (Simplex.nrows sx));
-        ] )
-    :: !json_results;
-  hr ()
-
-(* ------------------------------------------------------------------ *)
-(* Root-LP sweep over growing basis sizes                               *)
-(* ------------------------------------------------------------------ *)
-
-(* How the sparse LU simplex scales with m: the root LP of the layout
-   model for random instances of doubling table count, cold-solved.
-   Refactorization seconds stay near zero because fill-in is bounded by
-   Markowitz pivoting. *)
-let simplex_sweep () =
-  Printf.printf "\n%-14s %-6s | %6s %8s %8s %10s %9s %7s %9s\n" "instance"
-    "basis" "rows" "seconds" "iters" "iters/s" "refac_s" "refacs" "lu_nnz";
-  hr ();
-  List.iter
-    (fun (name, sites) ->
-       let inst = Instance_gen.generate ~seed:42 (Instance_gen.find name) in
-       let options = qp_options sites in
-       let stats = Stats.compute inst ~p:options.Qp_solver.p in
-       let model, _ = Qp_solver.build_model stats options in
-       let std = Lp.standardize model in
-       let t0 = Obs.Clock.now () in
-       let sx = Simplex.create std in
-       let status = Simplex.reoptimize sx in
-       let seconds = Obs.Clock.now () -. t0 in
-       let iters = Simplex.iterations sx in
-       let iters_s = float_of_int iters /. Float.max 1e-9 seconds in
-       Printf.printf "%-14s %-6s | %6d %8.3f %8d %10.0f %9.3f %7d %9d  (%s)\n%!"
-         name "sparse" std.Lp.nrows seconds iters iters_s
-         (Simplex.refactor_seconds sx)
-         (Simplex.refactorizations sx)
-         (Simplex.lu_nnz sx)
-         (Simplex.string_of_status status);
-       json_results :=
-         ( Printf.sprintf "perf/simplex/sweep/%s/sparse" name,
-           Json.Obj
-             [
-               ("rows", Json.Int std.Lp.nrows);
-               ("seconds", Json.Float seconds);
-               ("simplex_iterations", Json.Int iters);
-               ("iterations_per_second", Json.Float iters_s);
-               ("refactor_seconds", Json.Float (Simplex.refactor_seconds sx));
-               ("refactorizations", Json.Int (Simplex.refactorizations sx));
-               ("lu_nnz", Json.Int (Simplex.lu_nnz sx));
-             ] )
-         :: !json_results)
-    [
-      ("rndBt8x100", 2);
-      ("rndBt16x100", 2);
-      ("rndBt32x100", 2);
-      ("rndBt64x100", 2);
-    ];
-  hr ()
-
-(* ------------------------------------------------------------------ *)
 (* N/S analysis: overhead of the static passes over the built model     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1037,7 +703,7 @@ let usage () =
   print_endline
     "usage: main.exe [--qp-limit SECONDS] [--lambda L] [--max-rows N] [--seed N]\n\
     \                [--json-out FILE]\n\
-    \                [table1|table2|table3|table4|table5|table6|ablation|suite|obs|par|batch|perf|simplex-sweep|analyze|all]...";
+    \                [table1|table2|table3|table4|table5|table6|ablation|suite|obs|par|analyze|all]...";
   exit 1
 
 let () =
@@ -1066,9 +732,6 @@ let () =
     | "suite" -> suite ()
     | "obs" -> obs_overhead ()
     | "par" -> par_speedup ()
-    | "batch" -> batch_throughput ()
-    | "perf" -> perf ()
-    | "simplex-sweep" -> simplex_sweep ()
     | "analyze" -> analyze_bench ()
     | "all" ->
       Printf.printf
@@ -1076,8 +739,7 @@ let () =
         cfg.p cfg.lambda cfg.qp_limit;
       table2 (); table1 (); table3 (); table4 (); table5 (); table6 ();
       ablation (); suite (); obs_overhead ();
-      par_speedup (); batch_throughput (); perf (); simplex_sweep ();
-      analyze_bench ()
+      par_speedup (); analyze_bench ()
     | j -> Printf.printf "unknown job %S\n" j; usage ()
   in
   (* With --json-out, collect in-process solver metrics across all jobs

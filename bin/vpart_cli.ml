@@ -999,11 +999,11 @@ let trace_cmd =
     let threshold_term =
       Arg.(
         value
-        & opt float Trace_diff.default_options.Trace_diff.threshold_pct
+        & opt float Bench_compare.trace_options.Bench_compare.tolerance_pct
         & info [ "threshold" ] ~docv:"PCT"
             ~doc:
               "Relative noise band: rows moving less than $(docv) percent \
-               (or less than the absolute floors) are neutral.")
+               (or less than the absolute floor) are unchanged.")
     in
     let gate_term =
       Arg.(
@@ -1016,11 +1016,12 @@ let trace_cmd =
     let min_span_term =
       Arg.(
         value
-        & opt float Trace_diff.default_options.Trace_diff.min_span_seconds
+        & opt float Bench_compare.trace_options.Bench_compare.abs_floor
         & info [ "min-span" ] ~docv:"SECONDS"
             ~doc:
-              "Absolute span floor: span rows whose time delta is below \
-               $(docv) are neutral regardless of the relative threshold.  \
+              "Absolute floor: span-time and counter-total rows whose delta \
+               is below $(docv) are unchanged regardless of the relative \
+               threshold.  \
                Raise it when diffing runs with disjoint instrumentation \
                (e.g. runs of different builds that open different span \
                names, which would otherwise always read as \
@@ -1030,29 +1031,31 @@ let trace_cmd =
       let* base = read_trace baseline in
       let* cur = read_trace current in
       let options =
-        { Trace_diff.default_options with
-          Trace_diff.threshold_pct = threshold;
-          min_span_seconds = min_span;
-        }
+        { Bench_compare.tolerance_pct = threshold; abs_floor = min_span }
       in
-      let report = Trace_diff.diff ~options base cur in
+      let report =
+        Bench_compare.compare_traces ~options ~baseline:base ~current:cur ()
+      in
       (match fmt with
-       | `Text -> Format.printf "%a" Trace_diff.pp report
-       | `Json -> print_endline (Json.to_string (Trace_diff.to_json report)));
-      if gate && report.Trace_diff.regressions > 0 then
+       | `Text -> Format.printf "%a" Bench_compare.pp report
+       | `Json ->
+         print_endline (Json.to_string (Bench_compare.to_json report)));
+      if gate && not (Bench_compare.passed report) then
         Error
           (`Msg
              (Printf.sprintf "%d regressed row(s) beyond the noise threshold"
-                report.Trace_diff.regressions))
+                report.Bench_compare.regressions))
       else Ok ()
     in
     Cmd.v
       (Cmd.info "diff"
          ~doc:
            "Align two traces by span path and counter name and report \
-            per-phase time/count deltas with a \
-            regression/improvement/neutral verdict per row (relative noise \
-            threshold plus absolute floors).")
+            per-phase time/count deltas with a verdict per row, under the \
+            same policy as $(b,bench-check): span time and counter totals \
+            gate lower-is-better beyond the relative threshold and the \
+            absolute floor; span calls and counter event counts are \
+            informational.")
       Term.(
         term_result
           (const run $ format_term $ threshold_term $ min_span_term $ gate_term

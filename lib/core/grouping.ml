@@ -25,32 +25,38 @@ let compute (inst : Instance.t) =
   let na = Schema.num_attrs schema in
   let sig_ = access_signature inst in
   let group_of_attr = Array.make na (-1) in
-  let members_rev = ref [] in
+  let size = Array.make na 0 (* at most one group per attribute *) in
   let next_group = ref 0 in
   (* Group within each table by signature, preserving attribute order. *)
   for tid = 0 to Schema.num_tables schema - 1 do
     let tbl = Hashtbl.create 8 in
     List.iter
       (fun a ->
-         match Hashtbl.find_opt tbl sig_.(a) with
-         | Some g ->
-           group_of_attr.(a) <- g;
-           members_rev :=
-             List.map
-               (fun (g', ms) -> if g' = g then (g', a :: ms) else (g', ms))
-               !members_rev
-         | None ->
-           let g = !next_group in
-           incr next_group;
-           Hashtbl.add tbl sig_.(a) g;
-           group_of_attr.(a) <- g;
-           members_rev := (g, [ a ]) :: !members_rev)
+         let g =
+           match Hashtbl.find_opt tbl sig_.(a) with
+           | Some g -> g
+           | None ->
+             let g = !next_group in
+             incr next_group;
+             Hashtbl.add tbl sig_.(a) g;
+             g
+         in
+         group_of_attr.(a) <- g;
+         size.(g) <- size.(g) + 1)
       (Schema.attrs_of_table schema tid)
   done;
-  let members = Array.make !next_group [||] in
-  List.iter
-    (fun (g, ms) -> members.(g) <- Array.of_list (List.rev ms))
-    !members_rev;
+  (* Members from [group_of_attr] in one pass over the tables'
+     attributes, so each group lists them in table order. *)
+  let members = Array.init !next_group (fun g -> Array.make size.(g) 0) in
+  let filled = Array.make !next_group 0 in
+  for tid = 0 to Schema.num_tables schema - 1 do
+    List.iter
+      (fun a ->
+         let g = group_of_attr.(a) in
+         members.(g).(filled.(g)) <- a;
+         filled.(g) <- filled.(g) + 1)
+      (Schema.attrs_of_table schema tid)
+  done;
   (* Reduced schema: one pseudo-attribute per group, width = sum. *)
   let spec =
     List.init (Schema.num_tables schema) (fun tid ->

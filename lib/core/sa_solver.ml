@@ -7,8 +7,6 @@ type options = {
   seed : int;
   move_fraction : float;
   inner_loops : int;
-  cooling : float;
-  accept_gap : float;
   freeze_ratio : float;
   max_outer : int;
   time_limit : float option;
@@ -30,8 +28,6 @@ let default_options =
     seed = 1;
     move_fraction = 0.10;
     inner_loops = 40;
-    cooling = 0.85;
-    accept_gap = 0.05;
     freeze_ratio = 1e-3;
     max_outer = 400;
     time_limit = None;
@@ -42,6 +38,11 @@ let default_options =
     restarts = 1;
     jobs = 1;
   }
+
+(* ρ of Algorithm 1, and §5.1's initial-temperature gap: the first
+   epochs accept a [accept_gap]-worse solution with probability 1/2. *)
+let cooling = 0.85
+let accept_gap = 0.05
 
 type search_stats = {
   moves : int;
@@ -384,11 +385,9 @@ let anneal ?epoch_hook (stats : Stats.t) opts rng { dc; propose } =
   let current_obj = ref (Delta_cost.objective dc) in
   let best = ref (Partitioning.copy part) in
   let best_obj = ref !current_obj in
-  (* §5.1: accept a accept_gap-worse solution with probability 1/2 in the
-     first iterations. *)
   let tau0 =
     let c = Float.max !best_obj 1e-9 in
-    -.(opts.accept_gap *. c) /. Float.log 0.5
+    -.(accept_gap *. c) /. Float.log 0.5
   in
   let tau = ref tau0 in
   let iterations = ref 0 and accepted = ref 0 and outer = ref 0 in
@@ -428,7 +427,7 @@ let anneal ?epoch_hook (stats : Stats.t) opts rng { dc; propose } =
            Delta_cost.undo_to dc 0;
          fix := (match !fix with `Fix_x -> `Fix_y | `Fix_y -> `Fix_x)
        done;
-       tau := opts.cooling *. !tau;
+       tau := cooling *. !tau;
        (* drop the float drift of the epoch's updates *)
        Delta_cost.resync dc;
        current_obj := Delta_cost.objective dc;

@@ -41,8 +41,6 @@ type options = {
   seed : int;               (** PRNG seed; results are deterministic per seed *)
   move_fraction : float;    (** §3: fraction of txns/attrs perturbed (0.10) *)
   inner_loops : int;        (** L in Algorithm 1 *)
-  cooling : float;          (** ρ in Algorithm 1 *)
-  accept_gap : float;       (** §5.1 initial-temperature gap (0.05) *)
   freeze_ratio : float;     (** frozen when τ < freeze_ratio·τ₀ *)
   max_outer : int;
   time_limit : float option;
@@ -82,9 +80,14 @@ type options = {
 
 val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, seed 1,
-    10 % moves, L = 40, ρ = 0.85, 5 % gap, freeze at τ₀/1000,
-    at most 400 outer rounds, no time limit, no latency term,
-    one chain ([restarts = 1]) on one domain ([jobs = 1]).
+    10 % moves, L = 40, freeze at τ₀/1000, at most 400 outer rounds,
+    no time limit, no latency term, one chain ([restarts = 1]) on one
+    domain ([jobs = 1]).
+
+    Two schedule constants are not options: the cooling factor
+    ρ = 0.85 of Algorithm 1, and §5.1's initial-temperature gap of 5 %
+    (τ₀ is set so that a solution 5 % worse than the start is accepted
+    with probability 1/2).
 
     The returned solution is additionally never worse (in objective (6))
     than the best {e collapsed} layout — all transactions on one site with

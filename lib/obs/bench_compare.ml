@@ -1,5 +1,5 @@
-(* Bench JSON provenance + tolerance-band comparison; policy in the
-   interface. *)
+(* Bench JSON provenance and the one tolerance-band comparator; policy
+   in the interface. *)
 
 let schema_version = 1
 
@@ -86,6 +86,7 @@ type row = {
 type options = { tolerance_pct : float; abs_floor : float }
 
 let default_options = { tolerance_pct = 50.; abs_floor = 5e-3 }
+let trace_options = { tolerance_pct = 10.; abs_floor = 1e-3 }
 
 type report = {
   rows : row list;
@@ -101,41 +102,67 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn > 0 && go 0
 
-(* "per_second" contains "seconds": check higher-is-better names first. *)
-let higher_better_names = [ "per_second"; "per_sec"; "speedup"; "throughput" ]
+type pattern = Prefix of string | Leaf of string | Infix of string
 
-let lower_better_names =
-  [ "seconds"; "_time"; "time_"; "duration"; "overhead"; "latency"; "span." ]
+(* The one direction table: the first entry whose pattern matches the
+   lower-cased key decides, and a key no entry matches is
+   informational.  Trace keys start with [span/] or [counter/], bench
+   keys with [results/] or [metrics/]. *)
+let direction_table =
+  [
+    (Prefix "span/seconds/", Lower_better);
+    (Prefix "counter/total/", Lower_better);
+    (Prefix "span/calls/", Informational);
+    (Prefix "counter/events/", Informational);
+    (Leaf "count", Informational);
+    (Leaf "domains", Informational);
+    (Leaf "schema_version", Informational);
+    (* "per_second" contains "seconds": higher-is-better names first. *)
+    (Infix "per_second", Higher_better);
+    (Infix "per_sec", Higher_better);
+    (Infix "speedup", Higher_better);
+    (Infix "throughput", Higher_better);
+    (Infix "seconds", Lower_better);
+    (Infix "_time", Lower_better);
+    (Infix "time_", Lower_better);
+    (Infix "duration", Lower_better);
+    (Infix "overhead", Lower_better);
+    (Infix "latency", Lower_better);
+    (Infix "span.", Lower_better);
+  ]
 
-let informational_leaves = [ "count"; "domains"; "schema_version" ]
-
-let direction_of path value =
+let direction_of key value =
   match value with
   | Some (Flag _) -> Boolean
-  | _ ->
-      let lower = String.lowercase_ascii path in
+  | _ -> (
+      let lower = String.lowercase_ascii key in
       let leaf =
         match String.rindex_opt lower '/' with
         | Some i -> String.sub lower (i + 1) (String.length lower - i - 1)
         | None -> lower
       in
-      if List.mem leaf informational_leaves then Informational
-      else if List.exists (contains lower) higher_better_names then
-        Higher_better
-      else if List.exists (contains lower) lower_better_names then Lower_better
-      else Informational
+      let matches = function
+        | Prefix p -> String.starts_with ~prefix:p lower
+        | Leaf l -> leaf = l
+        | Infix s -> contains lower s
+      in
+      match List.find_opt (fun (p, _) -> matches p) direction_table with
+      | Some (_, d) -> d
+      | None -> Informational)
 
-(* Flatten numeric/boolean leaves of the results + metrics members to
-   path -> value; strings, nulls and arrays are not comparable metrics. *)
+(* Bench reader: numeric/boolean leaves of the results + metrics
+   members; strings, nulls and arrays are not comparable metrics.  A
+   repeated path keeps its first value. *)
 let flatten doc =
-  let acc = ref [] in
+  let tbl : (string, value) Hashtbl.t = Hashtbl.create 64 in
+  let leaf path v = if not (Hashtbl.mem tbl path) then Hashtbl.add tbl path v in
   let rec walk prefix json =
     match json with
     | Json.Obj fields ->
         List.iter (fun (k, v) -> walk (prefix ^ "/" ^ k) v) fields
-    | Json.Int i -> acc := (prefix, Num (float_of_int i)) :: !acc
-    | Json.Float f -> acc := (prefix, Num f) :: !acc
-    | Json.Bool b -> acc := (prefix, Flag b) :: !acc
+    | Json.Int i -> leaf prefix (Num (float_of_int i))
+    | Json.Float f -> leaf prefix (Num f)
+    | Json.Bool b -> leaf prefix (Flag b)
     | Json.String _ | Json.Null | Json.List _ -> ()
   in
   List.iter
@@ -144,7 +171,7 @@ let flatten doc =
       | Some sub -> walk key sub
       | None -> ())
     [ "results"; "metrics" ];
-  !acc
+  tbl
 
 let verdict_of ~opts direction base cur =
   match (base, cur) with
@@ -210,12 +237,8 @@ let schema_warnings baseline current =
   | _ -> ());
   List.rev !warnings
 
-let compare ?(options = default_options) ~baseline ~current () =
-  let opts = options in
-  let base_tbl : (string, value) Hashtbl.t = Hashtbl.create 64 in
-  let cur_tbl : (string, value) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace base_tbl k v) (flatten baseline);
-  List.iter (fun (k, v) -> Hashtbl.replace cur_tbl k v) (flatten current);
+(* The comparison both readers run, over key -> value tables. *)
+let compare_tables ~opts ~warnings base_tbl cur_tbl =
   let keys : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) base_tbl;
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) cur_tbl;
@@ -256,8 +279,50 @@ let compare ?(options = default_options) ~baseline ~current () =
     improvements = tally Improvement;
     missing = tally Missing;
     fresh = tally New;
-    warnings = schema_warnings baseline current;
+    warnings;
   }
+
+let compare ?(options = default_options) ~baseline ~current () =
+  compare_tables ~opts:options
+    ~warnings:(schema_warnings baseline current)
+    (flatten baseline) (flatten current)
+
+(* Trace reader: span seconds and calls per span path, counter totals
+   and event counts per name, with a key absent from one trace read as
+   zero there. *)
+let trace_table events =
+  let tbl : (string, value) Hashtbl.t = Hashtbl.create 64 in
+  let add key x =
+    let prev =
+      match Hashtbl.find_opt tbl key with Some (Num v) -> v | _ -> 0.
+    in
+    Hashtbl.replace tbl key (Num (prev +. x))
+  in
+  List.iter
+    (fun (path, (n : Profile.node)) ->
+      add ("span/seconds/" ^ path) n.total;
+      add ("span/calls/" ^ path) (float_of_int n.calls))
+    (Profile.flatten (Profile.of_events events));
+  List.iter
+    (fun (_, ev) ->
+      match ev with
+      | Obs.Counter { name; add = x; _ } ->
+          add ("counter/total/" ^ name) x;
+          add ("counter/events/" ^ name) 1.
+      | _ -> ())
+    events;
+  tbl
+
+let compare_traces ?(options = trace_options) ~baseline ~current () =
+  let base = trace_table baseline and cur = trace_table current in
+  let zero_fill tbl other =
+    Hashtbl.iter
+      (fun k _ -> if not (Hashtbl.mem tbl k) then Hashtbl.replace tbl k (Num 0.))
+      other
+  in
+  zero_fill base cur;
+  zero_fill cur base;
+  compare_tables ~opts:options ~warnings:[] base cur
 
 let passed r = r.regressions = 0 && r.missing = 0
 
@@ -283,19 +348,22 @@ let value_str = function
 let pp ppf r =
   List.iter (fun w -> Format.fprintf ppf "warning: %s@." w) r.warnings;
   Format.fprintf ppf
-    "bench-check: %d metric(s) — %d regression(s), %d missing, %d \
-     improvement(s), %d new@."
+    "%d metric(s) — %d regression(s), %d missing, %d improvement(s), %d \
+     new@."
     (List.length r.rows) r.regressions r.missing r.improvements r.fresh;
   List.iter
     (fun row ->
-      if row.verdict <> Unchanged then begin
+      let moved = match row.delta with Some d -> d <> 0. | None -> false in
+      if row.verdict <> Unchanged || moved then begin
         Format.fprintf ppf "  [%-11s] %s (%s): %s -> %s"
           (verdict_str row.verdict) row.metric
           (direction_str row.direction)
           (value_str row.base) (value_str row.cur);
-        (match row.delta with
-        | Some d -> Format.fprintf ppf " (%+g)" d
-        | None -> ());
+        (match (row.delta, row.base) with
+        | Some d, Some (Num a) when a <> 0. ->
+            Format.fprintf ppf " (%+g, %+.1f%%)" d (100. *. d /. Float.abs a)
+        | Some d, _ -> Format.fprintf ppf " (%+g)" d
+        | None, _ -> ());
         Format.fprintf ppf "@."
       end)
     r.rows;

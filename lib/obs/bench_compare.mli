@@ -1,5 +1,5 @@
-(** Bench-result provenance and the regression gate behind
-    [vpart_cli bench-check].
+(** The one comparator behind [vpart_cli bench-check] and
+    [vpart_cli trace diff], and the provenance stamp of bench results.
 
     {2 Schema}
 
@@ -13,30 +13,41 @@
 
     {2 Comparison policy}
 
-    Both documents are flattened to ["results/…/leaf"] /
-    ["metrics/…/leaf"] paths over their numeric and boolean leaves and
-    aligned by path.  Each metric is classified by name:
+    Each reader flattens its two inputs to key → value maps, and one
+    function compares them key by key.  The readers:
 
-    - {e lower-is-better} (wall-clock language: [seconds], [time],
-      [duration], [overhead], [latency], [span.] histograms) and
-      {e higher-is-better} ([per_second], [speedup], [throughput])
-      metrics gate: a move beyond {e both} the relative tolerance band
-      and the absolute floor in the bad direction is a [Regression], in
-      the good direction an [Improvement];
+    - {!compare} (bench documents) flattens the numeric and boolean
+      leaves of [results] and [metrics] to ["results/…/leaf"] /
+      ["metrics/…/leaf"] paths;
+    - {!compare_traces} folds each trace through {!Profile.flatten} and
+      keys its rows ["span/seconds/PATH"], ["span/calls/PATH"] (PATH the
+      ";"-joined span path), ["counter/total/NAME"] and
+      ["counter/events/NAME"] (summed over the whole trace).
+
+    One direction table classifies every key:
+
+    - {e lower-is-better}: span seconds, trace counter totals, and bench
+      metrics named in wall-clock language ([seconds], [time],
+      [duration], [overhead], [latency], [span.] histograms);
+    - {e higher-is-better}: bench metrics named [per_second], [speedup]
+      or [throughput];
     - booleans gate with zero tolerance ([true -> false] is a
       [Regression]);
-    - everything else (node counts, iteration totals, configuration
-      echoes) is informational: reported as [Changed]/[Unchanged], never
-      a regression — counts legitimately move across commits and are
-      judged by the trace-diff / test layers, not by this gate.
+    - everything else (span calls, counter event counts, bench node
+      counts, iteration totals, configuration echoes) is informational:
+      reported as [Changed]/[Unchanged], never a regression.
 
-    A metric present in the baseline but absent from the current run is
-    [Missing] and fails the gate (silently dropping a metric is how
-    regressions hide); a metric only in the current run is [New] and
-    informational.  The default band (50% relative, 0.005 absolute
-    floor for timings) is deliberately wide: this gate exists to catch
-    order-of-magnitude cliffs on shared CI hosts, not 5% noise —
-    tighten with [--tolerance] on quiet hardware. *)
+    A directed metric that moves beyond {e both} the relative band and
+    the absolute floor (in the metric's own unit) in the bad direction
+    is a [Regression], in the good direction an [Improvement].
+
+    Keys present on one side only follow the reader's rule.  A span or
+    counter absent from a trace means zero, so the trace reader fills in
+    0 before comparing: a new span that costs time is a regression, a
+    vanished one an improvement.  A metric present in the baseline bench
+    document but absent from the current one is [Missing] and fails the
+    gate (silently dropping a metric is how regressions hide); one only
+    in the current document is [New] and informational. *)
 
 val schema_version : int
 
@@ -58,7 +69,9 @@ type value = Num of float | Flag of bool
 type verdict = Regression | Improvement | Unchanged | Changed | Missing | New
 
 type row = {
-  metric : string;  (** flattened path, e.g. [results/perf/sa_speedup] *)
+  metric : string;
+      (** flattened key, e.g. [results/table3/qp_seconds] or
+          [span/seconds/mip.solve;simplex.solve] *)
   direction : direction;
   base : value option;
   cur : value option;
@@ -67,14 +80,20 @@ type row = {
 }
 
 type options = {
-  tolerance_pct : float;  (** relative band for timings, default 50. *)
-  abs_floor : float;      (** absolute floor (seconds), default 5e-3 *)
+  tolerance_pct : float;  (** relative band, percent *)
+  abs_floor : float;      (** absolute floor, in the metric's unit *)
 }
 
 val default_options : options
+(** [bench-check]'s band: 50 % and 5 ms.  Deliberately wide: the gate
+    catches order-of-magnitude cliffs on shared CI hosts, not 5 % noise
+    — tighten it with [--tolerance] on quiet hardware. *)
+
+val trace_options : options
+(** [trace diff]'s band: 10 % and 1 ms ([--threshold], [--min-span]). *)
 
 type report = {
-  rows : row list;  (** gating verdicts first, then by path *)
+  rows : row list;  (** gating verdicts first, then by key *)
   regressions : int;
   improvements : int;
   missing : int;
@@ -86,9 +105,23 @@ type report = {
 
 val compare :
   ?options:options -> baseline:Json.t -> current:Json.t -> unit -> report
+(** Bench documents; {!default_options} unless given. *)
+
+val compare_traces :
+  ?options:options ->
+  baseline:(float * Obs.event) list ->
+  current:(float * Obs.event) list ->
+  unit ->
+  report
+(** Traces as read by {!Obs.Reader}; {!trace_options} unless given.
+    Never reports [Missing] or [New], and carries no warnings. *)
 
 val passed : report -> bool
-(** [regressions = 0 && missing = 0] — the gate's exit criterion. *)
+(** [regressions = 0 && missing = 0] — the gates' exit criterion. *)
 
 val pp : Format.formatter -> report -> unit
+(** The tallies, each row that moved or has a non-[Unchanged] verdict
+    (with its relative change when the baseline is non-zero), and the
+    PASS/FAIL verdict. *)
+
 val to_json : report -> Json.t

@@ -120,7 +120,6 @@ type t = {
   mutable total_refactors : int;
   mutable drift_rebuilds : int;    (* refactors forced by resync drift *)
   mutable recovery_rebuilds : int; (* refactors forced by rejected pivots *)
-  mutable refactor_seconds : float;
   (* pivot counters; the seconds accumulate only while Obs is on *)
   mutable pricing_seconds : float;
   mutable btran_seconds : float;
@@ -281,9 +280,7 @@ let create ?workspace (std : Lp.std) =
     | Some ws -> ws.Workspace.lu
     | None -> Sparse_lu.identity 0
   in
-  let t0 = Obs.Clock.now () in
   start_factors lu m;
-  let start_seconds = Obs.Clock.now () -. t0 in
   {
     n; m; nn; cost; lb; ub; lb_patched; ub_patched;
     col_idx;
@@ -326,7 +323,6 @@ let create ?workspace (std : Lp.std) =
     total_refactors = 1;
     drift_rebuilds = 0;
     recovery_rebuilds = 0;
-    refactor_seconds = start_seconds;
     pricing_seconds = 0.;
     btran_seconds = 0.;
     ftran_seconds = 0.;
@@ -385,13 +381,10 @@ let copy t =
     infeas_ray = Option.map Array.copy t.infeas_ray;
   }
 
-let nrows t = t.m
-let ncols t = t.n
 let iterations t = t.total_iters
 let refactorizations t = t.total_refactors
 let drift_rebuilds t = t.drift_rebuilds
 let recovery_rebuilds t = t.recovery_rebuilds
-let refactor_seconds t = t.refactor_seconds
 let pivot_counters t =
   [
     ("simplex.pricing_seconds", t.pricing_seconds);
@@ -618,9 +611,7 @@ let refactor t reason =
       [ ("m", Obs.Int t.m); ("updates", Obs.Int (Sparse_lu.updates t.lu));
         ("reason", Obs.Str (string_of_reason reason)) ]
   @@ fun () ->
-  let t0 = Obs.Clock.now () in
   let ok = Sparse_lu.refactor t.lu t.col_idx t.col_val t.basis in
-  t.refactor_seconds <- t.refactor_seconds +. (Obs.Clock.now () -. t0);
   if ok then begin
     t.lu_inaccurate <- false;
     t.total_refactors <- t.total_refactors + 1;

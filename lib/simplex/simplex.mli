@@ -152,9 +152,6 @@ val copy : t -> t
     branch-and-bound search: the basis stays dual feasible under the
     subtree's bound changes. *)
 
-val nrows : t -> int
-val ncols : t -> int
-
 val set_bounds : t -> int -> lb:float -> ub:float -> unit
 (** Change the bounds of structural variable [j].  Infinite values are
     patched as in {!create}.  Takes effect at the next {!reoptimize}. *)
@@ -210,10 +207,6 @@ val drift_rebuilds : t -> int
 val recovery_rebuilds : t -> int
 (** Refactorizations forced by a rejected (below-tolerance) pivot —
     numerical-recovery rebuilds, the other [N102] evidence source. *)
-
-val refactor_seconds : t -> float
-(** Wall-clock seconds spent inside sparse LU refactorizations — the
-    refactorization-time column of the simplex scale-sweep bench job. *)
 
 val pivot_counters : t -> (string * float) list
 (** The instance's dual-pivot counters, by observability name:

@@ -315,6 +315,41 @@ let test_grouping_roundtrip () =
   Alcotest.(check bool) "restrict (expand p) = p" true
     (Partitioning.equal part restricted)
 
+(* The paper-class rndAt64x100 shape (64 tables, 1000+ attributes,
+   hundreds of groups): [members] and [group_of_attr] are inverses, each
+   group lists its members in ascending order within one table, and
+   group ids follow table order (a group's first member rises with its
+   id). *)
+let test_grouping_members_generated () =
+  let inst = Instance_gen.generate ~seed:1 (Instance_gen.find "rndAt64x100") in
+  let schema = inst.Instance.schema in
+  let g = Grouping.compute inst in
+  let members = g.Grouping.members and group_of_attr = g.Grouping.group_of_attr in
+  let seen = Array.make (Array.length group_of_attr) 0 in
+  Array.iteri
+    (fun gid ms ->
+       if Array.length ms = 0 then Alcotest.failf "group %d is empty" gid;
+       Array.iteri
+         (fun i a ->
+            seen.(a) <- seen.(a) + 1;
+            if group_of_attr.(a) <> gid then
+              Alcotest.failf "attribute %d in group %d maps to %d" a gid
+                group_of_attr.(a);
+            if i > 0 && ms.(i - 1) >= a then
+              Alcotest.failf "group %d members not ascending" gid;
+            if Schema.table_of_attr schema a <> Schema.table_of_attr schema ms.(0)
+            then Alcotest.failf "group %d spans two tables" gid)
+         ms;
+       if gid > 0 && members.(gid - 1).(0) >= ms.(0) then
+         Alcotest.failf "group %d does not follow table order" gid)
+    members;
+  Array.iteri
+    (fun a n ->
+       if n <> 1 then Alcotest.failf "attribute %d is a member %d times" a n)
+    seen;
+  if Grouping.num_groups g >= Array.length group_of_attr then
+    Alcotest.fail "rndAt64x100 should fuse some attributes"
+
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -522,6 +557,8 @@ let () =
       ("grouping",
        [ Alcotest.test_case "tiny" `Quick test_grouping_tiny;
          Alcotest.test_case "roundtrip" `Quick test_grouping_roundtrip;
+         Alcotest.test_case "members of a generated rndAt64x100" `Quick
+           test_grouping_members_generated;
        ]);
       ("codec",
        [ Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;

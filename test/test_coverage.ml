@@ -76,17 +76,17 @@ let test_sa_option_variants () =
   let inst = small_instance 2 in
   let stats = Stats.compute inst ~p:8. in
   List.iter
-    (fun (cooling, inner, freeze) ->
+    (fun (inner, freeze) ->
        let options =
          { Sa_solver.default_options with
-           Sa_solver.num_sites = 3; lambda = 0.9; cooling;
+           Sa_solver.num_sites = 3; lambda = 0.9;
            inner_loops = inner; freeze_ratio = freeze }
        in
        let r = Sa_solver.solve ~options inst in
        match Partitioning.validate stats r.Sa_solver.partitioning with
        | Ok () -> ()
-       | Error e -> Alcotest.failf "cooling %.2f: %s" cooling e)
-    [ (0.5, 5, 0.1); (0.95, 80, 1e-4); (0.85, 1, 1e-3) ]
+       | Error e -> Alcotest.failf "L = %d, freeze %g: %s" inner freeze e)
+    [ (5, 0.1); (80, 1e-4); (1, 1e-3) ]
 
 let test_sa_time_limit () =
   let inst = small_instance 3 in

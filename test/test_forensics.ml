@@ -1,5 +1,5 @@
 (* Tests for the performance-forensics layer (PR 8): Profile span-path
-   folding + flamegraph/speedscope exports, Trace_diff verdicts,
+   folding + flamegraph/speedscope exports, trace-diff verdicts,
    Trace_tree reconstruction and JSON round-trip, Trajectory CSV curves,
    Bench_compare regression gating, Obs.Metrics percentiles,
    Summary.to_json, and Obs.Reader behaviour on adversarial traces
@@ -302,7 +302,7 @@ let test_speedscope_schema_real_trace () =
   validate_speedscope (Profile.speedscope events)
 
 (* ------------------------------------------------------------------ *)
-(* Trace_diff                                                          *)
+(* Trace diff: Bench_compare.compare_traces                            *)
 (* ------------------------------------------------------------------ *)
 
 let span_pair ?(counter = None) name dur =
@@ -319,47 +319,51 @@ let span_pair ?(counter = None) name dur =
     [ List.hd evs; (dur /. 2., Counter { name = cname; add; attrs = [] }) ]
     @ [ List.nth evs 1 ]
 
+let trace_diff base cur =
+  Bench_compare.compare_traces ~baseline:base ~current:cur ()
+
 let find_row report key =
   match
-    List.find_opt (fun r -> r.Trace_diff.key = key) report.Trace_diff.rows
+    List.find_opt
+      (fun r -> r.Bench_compare.metric = key)
+      report.Bench_compare.rows
   with
   | Some r -> r
   | None -> Alcotest.failf "diff report has no row for %S" key
 
+let num_of = function
+  | Some (Bench_compare.Num v) -> v
+  | _ -> Alcotest.fail "expected a numeric value"
+
 let test_diff_self_neutral () =
   let t = span_pair "phase" 1.0 ~counter:(Some ("c", 10.)) in
-  let report = Trace_diff.diff t t in
-  Alcotest.(check int) "regressions" 0 report.Trace_diff.regressions;
-  Alcotest.(check int) "improvements" 0 report.Trace_diff.improvements
+  let report = trace_diff t t in
+  Alcotest.(check int) "regressions" 0 report.Bench_compare.regressions;
+  Alcotest.(check int) "improvements" 0 report.Bench_compare.improvements
 
 let test_diff_injected_slowdown () =
   (* 1.0s -> 2.0s on the same span path: +100% >> the 10% noise band. *)
-  let report =
-    Trace_diff.diff (span_pair "phase" 1.0) (span_pair "phase" 2.0)
-  in
-  let row = find_row report "phase" in
-  (match row.Trace_diff.verdict with
-   | Trace_diff.Regression -> ()
+  let report = trace_diff (span_pair "phase" 1.0) (span_pair "phase" 2.0) in
+  let row = find_row report "span/seconds/phase" in
+  (match row.Bench_compare.verdict with
+   | Bench_compare.Regression -> ()
    | _ -> Alcotest.fail "injected slowdown not flagged as regression");
-  close_to "delta" 1.0 row.Trace_diff.delta;
-  Alcotest.(check int) "regressions" 1 report.Trace_diff.regressions;
+  (match row.Bench_compare.delta with
+   | Some d -> close_to "delta" 1.0 d
+   | None -> Alcotest.fail "span row has no delta");
+  Alcotest.(check int) "regressions" 1 report.Bench_compare.regressions;
   (* And the mirror image is an improvement. *)
-  let report' =
-    Trace_diff.diff (span_pair "phase" 2.0) (span_pair "phase" 1.0)
-  in
-  Alcotest.(check int) "improvements" 1 report'.Trace_diff.improvements
+  let report' = trace_diff (span_pair "phase" 2.0) (span_pair "phase" 1.0) in
+  Alcotest.(check int) "improvements" 1 report'.Bench_compare.improvements
 
 let test_diff_noise_band () =
-  (* +5% is inside the default 10% band: neutral. *)
-  let report =
-    Trace_diff.diff (span_pair "phase" 1.0) (span_pair "phase" 1.05)
-  in
-  Alcotest.(check int) "regressions" 0 report.Trace_diff.regressions;
-  (* +100% but only 0.1ms absolute: below the 1ms span floor, neutral. *)
-  let report' =
-    Trace_diff.diff (span_pair "phase" 1e-4) (span_pair "phase" 2e-4)
-  in
-  Alcotest.(check int) "tiny span regressions" 0 report'.Trace_diff.regressions
+  (* +5% is inside the default 10% band: unchanged. *)
+  let report = trace_diff (span_pair "phase" 1.0) (span_pair "phase" 1.05) in
+  Alcotest.(check int) "regressions" 0 report.Bench_compare.regressions;
+  (* +100% but only 0.1ms absolute: below the 1ms floor, unchanged. *)
+  let report' = trace_diff (span_pair "phase" 1e-4) (span_pair "phase" 2e-4) in
+  Alcotest.(check int) "tiny span regressions" 0
+    report'.Bench_compare.regressions
 
 let test_diff_one_sided_rows () =
   (* A span only in the current trace scores against an implicit zero. *)
@@ -371,14 +375,44 @@ let test_diff_one_sided_rows () =
         (3.0, Obs.Span_close { id = 9; name = "extra"; dur = 1.0 });
       ]
   in
-  let report = Trace_diff.diff base cur in
-  (match (find_row report "extra").Trace_diff.verdict with
-   | Trace_diff.Regression -> ()
+  let report = trace_diff base cur in
+  (match (find_row report "span/seconds/extra").Bench_compare.verdict with
+   | Bench_compare.Regression -> ()
    | _ -> Alcotest.fail "new expensive span not flagged");
-  let report' = Trace_diff.diff cur base in
-  match (find_row report' "extra").Trace_diff.verdict with
-  | Trace_diff.Improvement -> ()
-  | _ -> Alcotest.fail "disappeared span not an improvement"
+  let report' = trace_diff cur base in
+  (match (find_row report' "span/seconds/extra").Bench_compare.verdict with
+   | Bench_compare.Improvement -> ()
+   | _ -> Alcotest.fail "disappeared span not an improvement");
+  (* Zero-filled, never Missing: a trace diff can only fail on time. *)
+  Alcotest.(check int) "missing" 0 report'.Bench_compare.missing
+
+(* Counter totals gate lower-is-better; their event counts, like span
+   calls, are informational. *)
+let test_diff_counter_totals_gate () =
+  let with_counter total = span_pair "phase" 1.0 ~counter:(Some ("c", total)) in
+  let report = trace_diff (with_counter 10.) (with_counter 20.) in
+  (match (find_row report "counter/total/c").Bench_compare.verdict with
+   | Bench_compare.Regression -> ()
+   | _ -> Alcotest.fail "counter total rising beyond the band not a regression");
+  Alcotest.(check bool) "gate fails" false (Bench_compare.passed report);
+  let report' = trace_diff (with_counter 20.) (with_counter 10.) in
+  (match (find_row report' "counter/total/c").Bench_compare.verdict with
+   | Bench_compare.Improvement -> ()
+   | _ -> Alcotest.fail "counter total falling not an improvement");
+  Alcotest.(check bool) "gate passes" true (Bench_compare.passed report');
+  (* Inside the band: +5% is unchanged. *)
+  let report'' = trace_diff (with_counter 20.) (with_counter 21.) in
+  Alcotest.(check int) "inside band" 0 report''.Bench_compare.regressions;
+  (* Twice the events at the same total: informational. *)
+  let twice =
+    span_pair "phase" 1.0 ~counter:(Some ("c", 5.))
+    @ [ (1.5, Obs.Counter { name = "c"; add = 5.; attrs = [] }) ]
+  in
+  let report = trace_diff (with_counter 10.) twice in
+  (match (find_row report "counter/events/c").Bench_compare.verdict with
+   | Bench_compare.Changed -> ()
+   | _ -> Alcotest.fail "counter event count should be informational");
+  Alcotest.(check bool) "event count passes" true (Bench_compare.passed report)
 
 (* Acceptance demo: two assignment models of one family, the larger one
    needing more pivots, so its updated basis factors grow past their
@@ -403,14 +437,14 @@ let test_diff_refactor_cadence_attributes_lu_refactor () =
     parse "simplex trace" (Buffer.contents buf)
   in
   let small = solve_traced 6 and large = solve_traced 40 in
-  let report = Trace_diff.diff small large in
+  let report = trace_diff small large in
   let refactor_rows =
     List.filter
       (fun r ->
-        r.Trace_diff.kind = `Span
-        && Astring.String.is_infix ~affix:"simplex.lu_refactor"
-             r.Trace_diff.key)
-      report.Trace_diff.rows
+        let key = r.Bench_compare.metric in
+        String.starts_with ~prefix:"span/calls/" key
+        && Astring.String.is_infix ~affix:"simplex.lu_refactor" key)
+      report.Bench_compare.rows
   in
   (* The larger model refactorizes inside instrumented
      simplex.lu_refactor spans more often.  The diff must surface that
@@ -419,7 +453,7 @@ let test_diff_refactor_cadence_attributes_lu_refactor () =
     Alcotest.fail "refactorization diff carries no simplex.lu_refactor row";
   List.iter
     (fun r ->
-      if r.Trace_diff.cur_calls <= r.Trace_diff.base_calls then
+      if num_of r.Bench_compare.cur <= num_of r.Bench_compare.base then
         Alcotest.fail "the larger model should add refactor span calls")
     refactor_rows
 
@@ -881,6 +915,8 @@ let () =
             test_diff_injected_slowdown;
           Alcotest.test_case "noise band and floors" `Quick test_diff_noise_band;
           Alcotest.test_case "one-sided rows" `Quick test_diff_one_sided_rows;
+          Alcotest.test_case "counter totals gate" `Quick
+            test_diff_counter_totals_gate;
           Alcotest.test_case "refactor cadence attributes lu_refactor"
             `Quick test_diff_refactor_cadence_attributes_lu_refactor;
         ] );
