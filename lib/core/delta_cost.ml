@@ -20,7 +20,9 @@
      miss.(s).(t)   = #{a : φ(t,a), a not placed at s}
 
    A flip of [a] on [s] changes score.(s) and miss.(s); an assign of [t]
-   changes coef and forced on the old and the new home.
+   changes coef and forced on the old and the new home.  A [Disjoint]
+   evaluator keeps coef only: the disjoint proposal reads nothing else,
+   so its flips and assigns skip the other three walks.
 
    Both moves walk compressed lines of c1 and c3 (the entries where
    either is nonzero): a flip of [a] the column of [a] (cols), an assign
@@ -55,8 +57,11 @@ type sums = {
   mutable lat_total : float;
 }
 
+type mode = Replicated | Disjoint
+
 type t = {
   stats : Stats.t;
+  full : bool;                  (* score, miss and forced kept *)
   lambda : float;
   part : Partitioning.t;
   quad : Vec.t;
@@ -71,9 +76,10 @@ type t = {
   cols : Vec.sparse;            (* c1, c3 by attribute *)
   hits : int array;             (* a flip's column entries homed at s *)
   reads : int array array;      (* txn -> attrs with φ(t,a), ascending *)
-  readers : int array array;    (* attr -> txns with φ(t,a), ascending *)
+  readers : int array array;    (* attr -> txns with φ(t,a), ascending;
+                                   [||] unless [full] *)
   coef : float array array;
-  forced : int array array;
+  forced : int array array;     (* these three are [||] unless [full] *)
   score : float array array;
   miss : int array array;
   lat : lat option;
@@ -91,9 +97,14 @@ type t = {
 let partitioning t = t.part
 let reads t = t.reads
 let coef t = t.coef
-let forced t = t.forced
-let score t = t.score
-let miss t = t.miss
+
+let kept name t agg =
+  if t.full then agg
+  else invalid_arg ("Delta_cost." ^ name ^ ": not kept by a Disjoint evaluator")
+
+let forced t = kept "forced" t t.forced
+let score t = kept "score" t t.score
+let miss t = kept "miss" t t.miss
 
 let moves_applied t = t.nmoves
 let replicas t a = t.repl.(a)
@@ -188,15 +199,17 @@ let rebuild t =
   t.sums.cost_lin <- 0.;
   for s = 0 to ns - 1 do
     Array.blit stats.Stats.c2 0 t.coef.(s) 0 na;
-    Array.fill t.forced.(s) 0 na 0;
-    Array.fill t.score.(s) 0 nt 0.;
-    for tx = 0 to nt - 1 do
-      t.miss.(s).(tx) <- Array.length t.reads.(tx)
-    done
+    if t.full then begin
+      Array.fill t.forced.(s) 0 na 0;
+      Array.fill t.score.(s) 0 nt 0.;
+      for tx = 0 to nt - 1 do
+        t.miss.(s).(tx) <- Array.length t.reads.(tx)
+      done
+    end
   done;
   for tx = 0 to nt - 1 do
     let home = part.Partitioning.txn_site.(tx) in
-    let cf = t.coef.(home) and fc = t.forced.(home) in
+    let cf = t.coef.(home) in
     let q = ref 0. and w = ref 0. in
     for k = rows.Vec.ptr.(tx) to rows.Vec.ptr.(tx + 1) - 1 do
       let a = rows.Vec.idx.(k) in
@@ -206,7 +219,10 @@ let rebuild t =
         w := !w +. row_c3.{k}
       end
     done;
-    Array.iter (fun a -> fc.(a) <- fc.(a) + 1) t.reads.(tx);
+    if t.full then begin
+      let fc = t.forced.(home) in
+      Array.iter (fun a -> fc.(a) <- fc.(a) + 1) t.reads.(tx)
+    end;
     t.quad.{tx} <- !q;
     t.workq.{tx} <- !w;
     t.sums.cost_quad <- t.sums.cost_quad +. !q;
@@ -224,13 +240,15 @@ let rebuild t =
       if row.(s) then begin
         incr r;
         t.work.{s} <- t.work.{s} +. stats.Stats.c4.(a);
-        let sc = t.score.(s) in
-        for k = cols.Vec.ptr.(a) to cols.Vec.ptr.(a + 1) - 1 do
-          let tx = cols.Vec.idx.(k) in
-          sc.(tx) <- sc.(tx) +. col_c1.{k}
-        done;
-        let m = t.miss.(s) in
-        Array.iter (fun tx -> m.(tx) <- m.(tx) - 1) t.readers.(a)
+        if t.full then begin
+          let sc = t.score.(s) in
+          for k = cols.Vec.ptr.(a) to cols.Vec.ptr.(a + 1) - 1 do
+            let tx = cols.Vec.idx.(k) in
+            sc.(tx) <- sc.(tx) +. col_c1.{k}
+          done;
+          let m = t.miss.(s) in
+          Array.iter (fun tx -> m.(tx) <- m.(tx) - 1) t.readers.(a)
+        end
       end
     done;
     t.repl.(a) <- !r;
@@ -248,7 +266,9 @@ let rebuild t =
 
 let resync t = rebuild t
 
-let create ?latency (stats : Stats.t) ~lambda (part : Partitioning.t) =
+let create ?latency ?(mode = Replicated) (stats : Stats.t) ~lambda
+    (part : Partitioning.t) =
+  let full = mode = Replicated in
   let nt = stats.Stats.num_txns
   and na = stats.Stats.num_attrs
   and ns = part.Partitioning.num_sites in
@@ -266,6 +286,7 @@ let create ?latency (stats : Stats.t) ~lambda (part : Partitioning.t) =
   let t =
     {
       stats;
+      full;
       lambda;
       part;
       quad = Vec.create nt;
@@ -280,11 +301,13 @@ let create ?latency (stats : Stats.t) ~lambda (part : Partitioning.t) =
       cols = Vec.transpose rows na;
       hits = Array.make nt 0;
       reads;
-      readers = bucket na (fun tx -> Array.to_list reads.(tx)) nt;
+      readers =
+        (if full then bucket na (fun tx -> Array.to_list reads.(tx)) nt
+         else [||]);
       coef = Array.make_matrix ns na 0.;
-      forced = Array.make_matrix ns na 0;
-      score = Array.make_matrix ns nt 0.;
-      miss = Array.make_matrix ns nt 0;
+      forced = (if full then Array.make_matrix ns na 0 else [||]);
+      score = (if full then Array.make_matrix ns nt 0. else [||]);
+      miss = (if full then Array.make_matrix ns nt 0 else [||]);
       lat = Option.map (fun (inst, pl) -> make_lat inst pl) latency;
       jprims = Array.make 64 0;
       jtop = 0;
@@ -321,11 +344,12 @@ let prim_flip t a s =
      site's list *)
   let cols = t.cols and hits = t.hits and pos = t.pos in
   let c1 = cols.Vec.vals.(0) and c3 = cols.Vec.vals.(1) in
-  let sc = t.score.(s) in
+  let full = t.full in
+  let sc = if full then t.score.(s) else [||] in
   let n = ref 0 in
   for k = cols.Vec.ptr.(a) to cols.Vec.ptr.(a + 1) - 1 do
     let tx = cols.Vec.idx.(k) in
-    sc.(tx) <- sc.(tx) +. (sign *. c1.{k});
+    if full then sc.(tx) <- sc.(tx) +. (sign *. c1.{k});
     if part.Partitioning.txn_site.(tx) = s then begin
       let p = pos.(tx) and j = ref !n in
       while !j > 0 && pos.(cols.Vec.idx.(hits.(!j - 1))) > p do
@@ -351,11 +375,13 @@ let prim_flip t a s =
   t.sums.cost_quad <- !cq;
   t.work.{s} <- !ws;
   let d = if adding then -1 else 1 in
-  let readers = t.readers.(a) and m = t.miss.(s) in
-  for k = 0 to Array.length readers - 1 do
-    let tx = readers.(k) in
-    m.(tx) <- m.(tx) + d
-  done;
+  if full then begin
+    let readers = t.readers.(a) and m = t.miss.(s) in
+    for k = 0 to Array.length readers - 1 do
+      let tx = readers.(k) in
+      m.(tx) <- m.(tx) + d
+    done
+  end;
   match t.lat with
   | None -> ()
   | Some l ->
@@ -410,13 +436,15 @@ let prim_assign t tx s =
     t.workq.{tx} <- !w;
     t.sums.cost_quad <- t.sums.cost_quad +. !q;
     t.work.{s} <- t.work.{s} +. !w;
-    let fc_from = t.forced.(s_old) and fc_to = t.forced.(s) in
-    let reads = t.reads.(tx) in
-    for k = 0 to Array.length reads - 1 do
-      let a = reads.(k) in
-      fc_from.(a) <- fc_from.(a) - 1;
-      fc_to.(a) <- fc_to.(a) + 1
-    done;
+    if t.full then begin
+      let fc_from = t.forced.(s_old) and fc_to = t.forced.(s) in
+      let reads = t.reads.(tx) in
+      for k = 0 to Array.length reads - 1 do
+        let a = reads.(k) in
+        fc_from.(a) <- fc_from.(a) - 1;
+        fc_to.(a) <- fc_to.(a) + 1
+      done
+    end;
     (match t.lat with
      | None -> ()
      | Some l ->

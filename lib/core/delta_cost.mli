@@ -10,8 +10,8 @@
     Appendix-A latency indicators — and updates those caches in
     O(affected coefficients) per move.
 
-    It also keeps the four site aggregates the exact sub-steps of the
-    annealer (§3) read, so a y- or x-step costs O(attrs × sites) or
+    It also keeps (in [Replicated] mode, see {!mode}) the four site
+    aggregates the exact sub-steps of the annealer (§3) read, so a y- or x-step costs O(attrs × sites) or
     O(txns × sites) rather than O(txns × attrs):
 
     - [coef.(s).(a) = c2(a) + Σ_{t at s} c1(t,a)], the cost of a replica
@@ -42,16 +42,28 @@
 type t
 (** Evaluator state, wrapping (and mutating) a {!Partitioning.t}. *)
 
+(** The layout mode of the caller, which decides the site aggregates
+    kept.  [Replicated] keeps all four.  [Disjoint] keeps {!coef} only,
+    the one aggregate the disjoint-mode annealer reads, so its moves
+    skip the walks that keep {!forced}, {!score} and {!miss}; the
+    objective and every other cache are the same in both modes. *)
+type mode = Replicated | Disjoint
+
 val create :
-  ?latency:Instance.t * float -> Stats.t -> lambda:float -> Partitioning.t -> t
-(** [create ?latency stats ~lambda part] builds the caches for [part] in
-    one full O(txns × attrs) pass.  [part] is owned by the evaluator from
-    here on: the moves mutate it in place ({!partitioning} returns it).
-    [latency = (inst, pl)] additionally folds the Appendix-A term
-    [lambda·pl·Σ_q f_q·ψ_q] into {!objective}, matching the annealed
-    objective of {!Sa_solver} ([inst] must be the instance [stats] was
-    computed from).  [part] need not be valid: every cache is a pure sum
-    over the layout. *)
+  ?latency:Instance.t * float ->
+  ?mode:mode ->
+  Stats.t ->
+  lambda:float ->
+  Partitioning.t ->
+  t
+(** [create ?latency ?mode stats ~lambda part] builds the caches for
+    [part] in one full O(txns × attrs) pass.  [part] is owned by the
+    evaluator from here on: the moves mutate it in place ({!partitioning}
+    returns it).  [latency = (inst, pl)] additionally folds the
+    Appendix-A term [lambda·pl·Σ_q f_q·ψ_q] into {!objective}, matching
+    the annealed objective of {!Sa_solver} ([inst] must be the instance
+    [stats] was computed from).  [mode] defaults to [Replicated].  [part]
+    need not be valid: every cache is a pure sum over the layout. *)
 
 val flip : t -> int -> int -> unit
 (** [flip t a s] toggles [placed.(a).(s)]: adds or drops the replica of
@@ -114,19 +126,27 @@ val partitioning : t -> Partitioning.t
     The arrays the evaluator keeps current, shared and not copied:
     callers read them and must not write them.  Values after a move are
     those of a rebuild up to the rounding of the updates since the last
-    {!create} or {!resync}; [forced] and [miss] are exact counts. *)
+    {!create} or {!resync}; [forced] and [miss] are exact counts.
+
+    [coef] and [forced] depend on the transactions' homes only, so a
+    {!flip} leaves them bit for bit as they were; [score] and [miss]
+    depend on the attribute placement only, so an {!assign} leaves them
+    bit for bit.  The annealer's replicated proposal relies on both. *)
 
 val coef : t -> float array array
 (** [coef.(s).(a) = c2(a) + Σ_{t at s} c1(t,a)]. *)
 
 val forced : t -> int array array
-(** [forced.(s).(a) = #{t at s : φ(t,a)}]. *)
+(** [forced.(s).(a) = #{t at s : φ(t,a)}].
+    @raise Invalid_argument on a [Disjoint] evaluator. *)
 
 val score : t -> float array array
-(** [score.(s).(t) = Σ_{a placed at s} c1(t,a)]. *)
+(** [score.(s).(t) = Σ_{a placed at s} c1(t,a)].
+    @raise Invalid_argument on a [Disjoint] evaluator. *)
 
 val miss : t -> int array array
-(** [miss.(s).(t) = #{a : φ(t,a), a not placed at s}]. *)
+(** [miss.(s).(t) = #{a : φ(t,a), a not placed at s}].
+    @raise Invalid_argument on a [Disjoint] evaluator. *)
 
 val reads : t -> int array array
 (** [reads.(t)]: the attributes [t] reads (φ), ascending. *)

@@ -331,7 +331,9 @@ let disjoint_engine (stats : Stats.t) opts latency (dctx : disjoint_ctx) rng =
        Array.iter (fun a -> part.Partitioning.placed.(a).(comp_site.(c)) <- true)
          attrs)
     dctx.comp_attrs;
-  let dc = Delta_cost.create ?latency stats ~lambda:opts.lambda part in
+  let dc =
+    Delta_cost.create ?latency ~mode:Disjoint stats ~lambda:opts.lambda part
+  in
   place_never_read dc dctx.never_read;
   Delta_cost.resync dc;
   Delta_cost.commit dc;

@@ -25,10 +25,11 @@ let check_agreement ~what dc stats ~lambda ?latency () =
 (* The site aggregates against a fresh evaluator's rebuild: the counts
    [forced] and [miss] exactly, the sums [coef] and [score] within
    1e-9·(1 + Σ|c1| + Σ|c2|), a bound on every partial sum's rounding
-   that a missed or doubled update exceeds. *)
-let check_aggregates ~what dc stats =
+   that a missed or doubled update exceeds.  A [Disjoint] evaluator
+   keeps [coef] only, and refuses the other three. *)
+let check_aggregates ~what ?(mode = Delta_cost.Replicated) dc stats =
   let fresh =
-    Delta_cost.create stats ~lambda:0.
+    Delta_cost.create ~mode stats ~lambda:0.
       (Partitioning.copy (Delta_cost.partitioning dc))
   in
   let scale = ref 0. in
@@ -55,9 +56,21 @@ let check_aggregates ~what dc stats =
       Alcotest.failf "%s: %s differs from a rebuild" what name
   in
   close "coef" (Delta_cost.coef dc) (Delta_cost.coef fresh);
-  close "score" (Delta_cost.score dc) (Delta_cost.score fresh);
-  same "forced" (Delta_cost.forced dc) (Delta_cost.forced fresh);
-  same "miss" (Delta_cost.miss dc) (Delta_cost.miss fresh)
+  match mode with
+  | Delta_cost.Replicated ->
+    close "score" (Delta_cost.score dc) (Delta_cost.score fresh);
+    same "forced" (Delta_cost.forced dc) (Delta_cost.forced fresh);
+    same "miss" (Delta_cost.miss dc) (Delta_cost.miss fresh)
+  | Delta_cost.Disjoint ->
+    let refused name get =
+      match get dc with
+      | (_ : _ array array) ->
+        Alcotest.failf "%s: a Disjoint evaluator returned %s" what name
+      | exception Invalid_argument _ -> ()
+    in
+    refused "forced" Delta_cost.forced;
+    refused "score" Delta_cost.score;
+    refused "miss" Delta_cost.miss
 
 let random_partitioning st stats ~num_sites =
   let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
@@ -109,34 +122,84 @@ let random_action st dc stats ~num_sites ~marks =
     marks := []
   | _ -> Delta_cost.resync dc
 
+let generated ~seed ~tables ~txns =
+  Instance_gen.generate ~seed
+    { Instance_gen.default_params with
+      Instance_gen.name = Printf.sprintf "delta%d" seed;
+      num_tables = tables;
+      num_transactions = txns;
+      update_percent = 40;
+    }
+
 let prop_delta_agrees =
   QCheck2.Test.make ~count:60 ~name:"delta evaluator agrees with Cost_model"
     QCheck2.Gen.(
       tup4 (int_range 0 100000) (int_range 2 4) (int_range 2 8)
-        (tup2 bool (int_range 1 4)))
-    (fun (seed, num_sites, tables, (with_latency, txns)) ->
-       let params =
-         { Instance_gen.default_params with
-           Instance_gen.name = Printf.sprintf "delta%d" seed;
-           num_tables = tables;
-           num_transactions = txns;
-           update_percent = 40;
-         }
-       in
-       let inst = Instance_gen.generate ~seed params in
+        (tup3 bool bool (int_range 1 4)))
+    (fun (seed, num_sites, tables, (with_latency, disjoint, txns)) ->
+       let inst = generated ~seed ~tables ~txns in
        let stats = Stats.compute inst ~p:8. in
        let st = Random.State.make [| seed; 77 |] in
        let lambda = Random.State.float st 1. in
        let latency = if with_latency then Some (inst, 0.5) else None in
+       let mode = if disjoint then Delta_cost.Disjoint else Replicated in
        let part = random_partitioning st stats ~num_sites in
-       let dc = Delta_cost.create ?latency stats ~lambda part in
+       let dc = Delta_cost.create ?latency ~mode stats ~lambda part in
        let marks = ref [] in
        check_agreement ~what:"initial" dc stats ~lambda ?latency ();
        for step = 1 to 80 do
          random_action st dc stats ~num_sites ~marks;
          let what = Printf.sprintf "step %d (seed %d)" step seed in
          check_agreement ~what dc stats ~lambda ?latency ();
-         check_aggregates ~what dc stats
+         check_aggregates ~what ~mode dc stats
+       done;
+       true)
+
+(* What the annealer's replicated proposal skips rests on this: [coef]
+   and [forced] are functions of the homes alone, and [score] and [miss]
+   of the placement alone, so a flip leaves the first two and an assign
+   the last two bit for bit as they were. *)
+let prop_moves_leave_other_side =
+  QCheck2.Test.make ~count:60
+    ~name:"flip keeps coef/forced, assign keeps score/miss bit for bit"
+    QCheck2.Gen.(
+      tup4 (int_range 0 100000) (int_range 2 4) (int_range 2 8)
+        (int_range 1 4))
+    (fun (seed, num_sites, tables, txns) ->
+       let inst = generated ~seed ~tables ~txns in
+       let stats = Stats.compute inst ~p:8. in
+       let st = Random.State.make [| seed; 91 |] in
+       let part = random_partitioning st stats ~num_sites in
+       let dc =
+         Delta_cost.create ~latency:(inst, 0.5) stats
+           ~lambda:(Random.State.float st 1.) part
+       in
+       let snap m = Array.map Array.copy m in
+       let bits = Array.map (Array.map Int64.bits_of_float) in
+       let unchanged what name before after =
+         if before <> after then
+           Alcotest.failf "%s changed %s (seed %d)" what name seed
+       in
+       for _ = 1 to 60 do
+         if Random.State.bool st then begin
+           let coef = bits (Delta_cost.coef dc)
+           and forced = snap (Delta_cost.forced dc) in
+           Delta_cost.flip dc
+             (Random.State.int st stats.Stats.num_attrs)
+             (Random.State.int st num_sites);
+           unchanged "flip" "coef" coef (bits (Delta_cost.coef dc));
+           unchanged "flip" "forced" forced (Delta_cost.forced dc)
+         end
+         else begin
+           let score = bits (Delta_cost.score dc)
+           and miss = snap (Delta_cost.miss dc) in
+           Delta_cost.assign dc
+             (Random.State.int st stats.Stats.num_txns)
+             (Random.State.int st num_sites);
+           unchanged "assign" "score" score (bits (Delta_cost.score dc));
+           unchanged "assign" "miss" miss (Delta_cost.miss dc)
+         end;
+         if Random.State.int st 4 = 0 then Delta_cost.undo_move dc
        done;
        true)
 
@@ -333,8 +396,9 @@ let test_commit () =
     (Delta_cost.objective dc)
 
 (* The moves and their undo allocate nothing once the journal has grown
-   to the burst: the annealer runs thousands of them per request. *)
-let test_moves_allocate_nothing () =
+   to the burst, in either mode: the annealer runs thousands of them per
+   request. *)
+let test_moves_allocate_nothing mode () =
   let inst =
     Instance_gen.generate ~seed:3
       { Instance_gen.default_params with
@@ -348,7 +412,9 @@ let test_moves_allocate_nothing () =
   let nt = stats.Stats.num_txns and na = stats.Stats.num_attrs in
   let st = Random.State.make [| 5 |] in
   let part = random_partitioning st stats ~num_sites:3 in
-  let dc = Delta_cost.create ~latency:(inst, 0.5) stats ~lambda:0.3 part in
+  let dc =
+    Delta_cost.create ~latency:(inst, 0.5) ~mode stats ~lambda:0.3 part
+  in
   let moves =
     Array.init 300 (fun _ ->
         ( Random.State.int st 3,
@@ -382,9 +448,12 @@ let () =
          Alcotest.test_case "exchange resync" `Quick test_exchange_resync;
          Alcotest.test_case "commit" `Quick test_commit;
          Alcotest.test_case "moves allocate nothing" `Quick
-           test_moves_allocate_nothing;
+           (test_moves_allocate_nothing Delta_cost.Replicated);
+         Alcotest.test_case "disjoint moves allocate nothing" `Quick
+           (test_moves_allocate_nothing Delta_cost.Disjoint);
        ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_delta_agrees;
+         QCheck_alcotest.to_alcotest prop_moves_leave_other_side;
          QCheck_alcotest.to_alcotest prop_compress_matches_dense ]);
     ]
