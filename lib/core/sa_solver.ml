@@ -166,14 +166,29 @@ let replicated_engine (stats : Stats.t) opts latency rng =
   Delta_cost.commit dc;
   let txn_draw = Array.make nt 0 and attr_draw = Array.make na 0 in
   let ystep () = ystep dc and xstep () = xstep dc in
+  (* A proposal draws §3's random neighbour (some transactions sent to
+     other sites, some attributes put on a site not holding them) and
+     re-optimizes one side exactly, but applies only the moves whose
+     effect survives that sub-step; the draws are made all the same, so
+     the random stream and the layout reached are those of applying
+     them all.  The y-step sets every attribute from [coef] and [forced],
+     which only assigns change, whatever y it starts from: under [`Fix_x]
+     the flips are dead.  The x-step homes each transaction on the best
+     site that hosts its whole read set, from [score] and [miss], which
+     only flips change: under [`Fix_y] the assigns are dead, because a
+     proposal starts single-sited (the start and both sub-steps leave it
+     so) and the flips only add replicas, so every transaction is still
+     hosted by its home and none keeps a drawn site for want of one. *)
   let propose fix =
+    let fix_x = match fix with `Fix_x -> true | `Fix_y -> false in
     if nt > 0 && ns > 1 then begin
       let k = count_moves opts.move_fraction nt in
       for i = 0 to Rng.sample_distinct_into rng k txn_draw - 1 do
         let t = txn_draw.(i) in
         let cur = part.Partitioning.txn_site.(t) in
         let s = Rng.int rng (ns - 1) in
-        Delta_cost.assign dc t (if s >= cur then s + 1 else s)
+        if fix_x then
+          Delta_cost.assign dc t (if s >= cur then s + 1 else s)
       done
     end;
     if na > 0 && ns > 1 then begin
@@ -193,7 +208,7 @@ let replicated_engine (stats : Stats.t) opts latency rng =
             if not row.(!s) then decr r;
             incr s
           done;
-          Delta_cost.flip dc a !s
+          if not fix_x then Delta_cost.flip dc a !s
         end
       done
     end;
