@@ -10,9 +10,10 @@
     Appendix-A latency indicators — and updates those caches in
     O(affected coefficients) per move.
 
-    It also keeps (in [Replicated] mode, see {!mode}) the four site
-    aggregates the exact sub-steps of the annealer (§3) read, so a y- or x-step costs O(attrs × sites) or
-    O(txns × sites) rather than O(txns × attrs):
+    In [Replicated] mode (see {!mode}) it also keeps the four site
+    aggregates the exact sub-steps of the annealer (§3) read, so a y- or
+    x-step costs O(attrs × sites) or O(txns × sites) rather than
+    O(txns × attrs):
 
     - [coef.(s).(a) = c2(a) + Σ_{t at s} c1(t,a)], the cost of a replica
       of [a] on [s] (the y-step coefficient);
@@ -28,8 +29,9 @@
     walk over the line it touches, pushes one move on the undo journal,
     and allocates nothing once the journal has grown to the caller's
     largest burst; callers read {!objective} or {!cost} afterwards.
-    {!undo_move} and {!undo_to} restore every cache and aggregate
-    exactly, so a rejected proposal is [undo_to] a {!mark}.
+    {!undo_move} and {!undo_to} replay the inverse primitives, so a
+    rejected proposal is [undo_to] a {!mark}: the layout and the counts
+    come back exactly, the float sums up to the rounding of the replay.
 
     The evaluator is a {e cache}, not an oracle: the full
     {!Cost_model.objective} remains the ground truth that final claims and
