@@ -13,6 +13,9 @@ let row_interval cmp rhs =
 
 let flip = function Lp.Le -> Lp.Ge | Lp.Ge -> Lp.Le | Lp.Eq -> Lp.Eq
 
+let fractional b =
+  Float.abs b <> infinity && Float.abs (b -. Float.round b) > 1e-9
+
 let check_vars ~vname (std : Lp.std) push =
   for j = 0 to std.Lp.ncols - 1 do
     let lb = std.Lp.lb.(j) and ub = std.Lp.ub.(j) in
@@ -29,16 +32,18 @@ let check_vars ~vname (std : Lp.std) push =
     else begin
       if lb = ub then
         push (D.info ~code:"M011" "variable %s: fixed at %g by its bounds" (vname j) lb);
-      if std.Lp.integer.(j) then
-        List.iter
-          (fun (what, b) ->
-             if Float.abs b <> infinity
-                && Float.abs (b -. Float.round b) > 1e-9 then
-               push
-                 (D.warning ~code:"M009"
-                    "integer variable %s: fractional %s bound %g" (vname j)
-                    what b))
-          [ ("lower", lb); ("upper", ub) ]
+      if std.Lp.integer.(j) then begin
+        if fractional lb then
+          push
+            (D.warning ~code:"M009"
+               "integer variable %s: fractional %s bound %g" (vname j) "lower"
+               lb);
+        if fractional ub then
+          push
+            (D.warning ~code:"M009"
+               "integer variable %s: fractional %s bound %g" (vname j) "upper"
+               ub)
+      end
     end;
     if is_bad std.Lp.obj.(j) then
       push
@@ -58,21 +63,21 @@ let check_rows ~vname (std : Lp.std) push =
     let bad_data = ref (Float.is_nan rhs || Float.abs rhs = infinity) in
     if !bad_data then
       push (D.error ~code:"M012" "row %d: non-finite right-hand side %g" r rhs);
-    Array.iteri
-      (fun k v ->
-         used.(idx.(k)) <- true;
-         if is_bad v then begin
-           bad_data := true;
-           push
-             (D.error ~code:"M012" "row %d: non-finite coefficient %g on %s" r v
-                (vname idx.(k)))
-         end
-         else if v <> 0. then begin
-           let m = Float.abs v in
-           if m < !min_mag then min_mag := m;
-           if m > !max_mag then max_mag := m
-         end)
-      value;
+    for k = 0 to Array.length value - 1 do
+      let v = value.(k) in
+      used.(idx.(k)) <- true;
+      if is_bad v then begin
+        bad_data := true;
+        push
+          (D.error ~code:"M012" "row %d: non-finite coefficient %g on %s" r v
+             (vname idx.(k)))
+      end
+      else if v <> 0. then begin
+        let m = Float.abs v in
+        if m < !min_mag then min_mag := m;
+        if m > !max_mag then max_mag := m
+      end
+    done;
     if Array.length idx = 0 && not !bad_data then begin
       let ok =
         match cmp with
@@ -118,21 +123,20 @@ let check_activity (std : Lp.std) push =
     then begin
       let skip = ref false in
       let minact = ref 0. and maxact = ref 0. in
-      Array.iteri
-        (fun k v ->
-           let j = idx.(k) in
-           let lo = std.Lp.lb.(j) and hi = std.Lp.ub.(j) in
-           if is_bad v || Float.is_nan lo || Float.is_nan hi || lo > hi then
-             skip := true
-           else if v > 0. then begin
-             minact := !minact +. (v *. lo);
-             maxact := !maxact +. (v *. hi)
-           end
-           else if v < 0. then begin
-             minact := !minact +. (v *. hi);
-             maxact := !maxact +. (v *. lo)
-           end)
-        value;
+      for k = 0 to Array.length value - 1 do
+        let v = value.(k) and j = idx.(k) in
+        let lo = std.Lp.lb.(j) and hi = std.Lp.ub.(j) in
+        if is_bad v || Float.is_nan lo || Float.is_nan hi || lo > hi then
+          skip := true
+        else if v > 0. then begin
+          minact := !minact +. (v *. lo);
+          maxact := !maxact +. (v *. hi)
+        end
+        else if v < 0. then begin
+          minact := !minact +. (v *. hi);
+          maxact := !maxact +. (v *. lo)
+        end
+      done;
       if not !skip then begin
         let ftol = 1e-7 *. (1. +. Float.abs rhs) in
         match std.Lp.row_cmp.(r) with
@@ -170,52 +174,101 @@ let check_activity (std : Lp.std) push =
     end
   done
 
+(* Rows that can take part in the parallel-row check: a nonempty support
+   with finite coefficients, a leading coefficient to normalize by and a
+   right-hand side that is a number. *)
+let parallel_candidate (std : Lp.std) r =
+  let value = std.Lp.row_val.(r) in
+  let finite = ref true in
+  for k = 0 to Array.length value - 1 do
+    if is_bad value.(k) then finite := false
+  done;
+  Array.length std.Lp.row_idx.(r) > 0
+  && !finite
+  && (not (Float.is_nan std.Lp.rhs.(r)))
+  && value.(0) <> 0.
+
+(* Byte [r] of the result is set when another candidate row has exactly
+   row [r]'s support.  Rows are chained by a hash of their support, newest
+   first, so the first equal support on a chain is the latest row with it,
+   which was itself matched against the rows before it: stopping there
+   marks every repeat. *)
+let shared_supports (std : Lp.std) =
+  let m = std.Lp.nrows in
+  let mask =
+    let rec pow2 k = if k >= m then k else pow2 (2 * k) in
+    pow2 1 - 1
+  in
+  let head = Array.make (mask + 1) (-1) and next = Array.make m (-1) in
+  let shared = Bytes.make m '\000' in
+  for r = 0 to m - 1 do
+    if parallel_candidate std r then begin
+      let idx = std.Lp.row_idx.(r) in
+      let h = ref (Array.length idx) in
+      for k = 0 to Array.length idx - 1 do
+        h := (!h * 0x9E3779B1) + idx.(k)
+      done;
+      let b = (!h lxor (!h lsr 29)) land mask in
+      let r' = ref head.(b) in
+      while !r' >= 0 do
+        if std.Lp.row_idx.(!r') = idx then begin
+          Bytes.set shared r '\001';
+          Bytes.set shared !r' '\001';
+          r' := -1
+        end
+        else r' := next.(!r')
+      done;
+      next.(r) <- head.(b);
+      head.(b) <- r
+    end
+  done;
+  shared
+
 (* Duplicate/parallel rows: bucket rows by their support and
-   leading-coefficient-normalized coefficient vector; rows landing in the
-   same bucket are proportional.  Each bucket tracks the running
-   intersection of the intervals its rows impose on the common linear form:
-   an empty intersection is a contradiction (M005); a row whose interval
-   contains the running intersection adds nothing (M004). *)
+   leading-coefficient-normalized coefficient vector (to 12 significant
+   digits); rows landing in the same bucket are proportional.  The bucket
+   key spells out the support, so only rows whose support repeats can
+   share one: the keys are built for those rows alone.  Each bucket tracks
+   the running intersection of the intervals its rows impose on the common
+   linear form: an empty intersection is a contradiction (M005); a row
+   whose interval contains the running intersection adds nothing (M004). *)
 let check_parallel (std : Lp.std) push =
+  let shared = shared_supports std in
   let buckets : (string, int ref * float ref * float ref) Hashtbl.t =
     Hashtbl.create 64
   in
   for r = 0 to std.Lp.nrows - 1 do
-    let idx = std.Lp.row_idx.(r) and value = std.Lp.row_val.(r) in
-    if Array.length idx > 0 && not (Array.exists is_bad value)
-       && not (Float.is_nan std.Lp.rhs.(r))
-    then begin
+    if Bytes.get shared r = '\001' then begin
+      let idx = std.Lp.row_idx.(r) and value = std.Lp.row_val.(r) in
       let lead = value.(0) in
-      if lead <> 0. then begin
-        let buf = Buffer.create 64 in
-        Array.iteri
-          (fun k v ->
-             Buffer.add_string buf
-               (Printf.sprintf "%d:%.12g;" idx.(k) (v /. lead)))
-          value;
-        let key = Buffer.contents buf in
-        let cmp =
-          if lead > 0. then std.Lp.row_cmp.(r) else flip std.Lp.row_cmp.(r)
-        in
-        let lo, hi = row_interval cmp (std.Lp.rhs.(r) /. lead) in
-        match Hashtbl.find_opt buckets key with
-        | None -> Hashtbl.add buckets key (ref r, ref lo, ref hi)
-        | Some (first, cur_lo, cur_hi) ->
-          let tol = 1e-9 *. (1. +. Float.abs std.Lp.rhs.(r)) in
-          if lo > !cur_hi +. tol || hi < !cur_lo -. tol then
-            push
-              (D.error ~code:"M005"
-                 "row %d: parallel to row %d but mutually exclusive with it" r
-                 !first)
-          else if lo <= !cur_lo +. tol && hi >= !cur_hi -. tol then
-            push
-              (D.warning ~code:"M004"
-                 "row %d: duplicate/parallel of row %d (redundant)" r !first)
-          else begin
-            cur_lo := Float.max !cur_lo lo;
-            cur_hi := Float.min !cur_hi hi
-          end
-      end
+      let buf = Buffer.create 64 in
+      Array.iteri
+        (fun k v ->
+           Buffer.add_string buf
+             (Printf.sprintf "%d:%.12g;" idx.(k) (v /. lead)))
+        value;
+      let key = Buffer.contents buf in
+      let cmp =
+        if lead > 0. then std.Lp.row_cmp.(r) else flip std.Lp.row_cmp.(r)
+      in
+      let lo, hi = row_interval cmp (std.Lp.rhs.(r) /. lead) in
+      match Hashtbl.find_opt buckets key with
+      | None -> Hashtbl.add buckets key (ref r, ref lo, ref hi)
+      | Some (first, cur_lo, cur_hi) ->
+        let tol = 1e-9 *. (1. +. Float.abs std.Lp.rhs.(r)) in
+        if lo > !cur_hi +. tol || hi < !cur_lo -. tol then
+          push
+            (D.error ~code:"M005"
+               "row %d: parallel to row %d but mutually exclusive with it" r
+               !first)
+        else if lo <= !cur_lo +. tol && hi >= !cur_hi -. tol then
+          push
+            (D.warning ~code:"M004"
+               "row %d: duplicate/parallel of row %d (redundant)" r !first)
+        else begin
+          cur_lo := Float.max !cur_lo lo;
+          cur_hi := Float.min !cur_hi hi
+        end
     end
   done
 

@@ -442,10 +442,19 @@ let certify_mip ?(options = default_options) ?(gap = Mip.default_limits.Mip.gap)
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* Order-independent hash of row [r] with every column [j] renamed to
-   [perm.(j)]: it only narrows the candidates, {!row_maps_to} decides. *)
+   [perm.(j)]: it only narrows the candidates, {!row_maps_to} decides.
+   Each entry is finalized (xor-shift-multiply) before the sum: summed raw,
+   entries with equal coefficients would hash to the sum of their column
+   ids.  The float's high word is folded in, so its sign counts. *)
 let row_hash (std : Lp.std) perm r =
   let mix a v =
-    ((a * 0x9E3779B1) lxor Int64.to_int (Int64.bits_of_float v)) * 0x85EBCA6B
+    let b = Int64.bits_of_float v in
+    let x =
+      (a * 0x9E3779B1) lxor Int64.to_int b
+      lxor Int64.to_int (Int64.shift_right_logical b 32)
+    in
+    let x = (x lxor (x lsr 31)) * 0x2545F4914F6CDD1D in
+    x lxor (x lsr 29)
   in
   let cmp = match std.Lp.row_cmp.(r) with Lp.Le -> 1 | Lp.Ge -> 2 | Lp.Eq -> 3 in
   let idx = std.Lp.row_idx.(r) and v = std.Lp.row_val.(r) in
@@ -767,49 +776,57 @@ module Exact = struct
   (* Primal feasibility (E001/E002)                                   *)
   (* ---------------------------------------------------------------- *)
 
+  (* Every positive residual of the finite point [x] against the bounds,
+     integrality and rows, labelled.  A bound or integrality residual of
+     finite doubles is positive exactly when the float comparison says so,
+     so it is only formed then; a row's is formed exactly, and only a
+     positive one gets a label. *)
   let point_residuals ?var_name (std : Lp.std) x =
     let name j =
       match var_name with Some f -> f j | None -> Printf.sprintf "x%d" j
     in
     let items = ref [] in
-    let push label residual =
-      if Q.sign residual > 0 then items := (label, residual) :: !items
-    in
+    let push label residual = items := (label, residual) :: !items in
     let xq = Array.map Q.of_float x in
     for j = 0 to std.Lp.ncols - 1 do
-      if Float.is_finite std.Lp.lb.(j) then
+      let lb = std.Lp.lb.(j) and ub = std.Lp.ub.(j) and v = x.(j) in
+      if Float.is_finite lb && lb > v then
         push
-          (Printf.sprintf "%s below lower bound %g" (name j) std.Lp.lb.(j))
-          (Q.sub (Q.of_float std.Lp.lb.(j)) xq.(j));
-      if Float.is_finite std.Lp.ub.(j) then
+          (Printf.sprintf "%s below lower bound %g" (name j) lb)
+          (Q.sub (Q.of_float lb) xq.(j));
+      if Float.is_finite ub && v > ub then
         push
-          (Printf.sprintf "%s above upper bound %g" (name j) std.Lp.ub.(j))
-          (Q.sub xq.(j) (Q.of_float std.Lp.ub.(j)));
-      if std.Lp.integer.(j) then
+          (Printf.sprintf "%s above upper bound %g" (name j) ub)
+          (Q.sub xq.(j) (Q.of_float ub));
+      if std.Lp.integer.(j) && v <> Float.round v then
         push
           (Printf.sprintf "%s non-integral" (name j))
-          (Q.abs (Q.sub xq.(j) (Q.of_float (Float.round x.(j)))))
+          (Q.abs (Q.sub xq.(j) (Q.of_float (Float.round v))))
     done;
     for r = 0 to std.Lp.nrows - 1 do
+      let idx = std.Lp.row_idx.(r) and value = std.Lp.row_val.(r) in
       let act = ref Q.zero in
-      Array.iteri
-        (fun k j ->
-           act :=
-             Q.add !act (Q.mul (Q.of_float std.Lp.row_val.(r).(k)) xq.(j)))
-        std.Lp.row_idx.(r);
+      for k = 0 to Array.length idx - 1 do
+        act := Q.add !act (Q.mul (Q.of_float value.(k)) xq.(idx.(k)))
+      done;
       let rhs = Q.of_float std.Lp.rhs.(r) in
-      match std.Lp.row_cmp.(r) with
-      | Lp.Le ->
-        push (Printf.sprintf "row %d activity above rhs %g" r std.Lp.rhs.(r))
-          (Q.sub !act rhs)
-      | Lp.Ge ->
-        push (Printf.sprintf "row %d activity below rhs %g" r std.Lp.rhs.(r))
-          (Q.sub rhs !act)
-      | Lp.Eq ->
-        push (Printf.sprintf "row %d activity off rhs %g" r std.Lp.rhs.(r))
-          (Q.abs (Q.sub !act rhs))
+      let residual =
+        match std.Lp.row_cmp.(r) with
+        | Lp.Le -> Q.sub !act rhs
+        | Lp.Ge -> Q.sub rhs !act
+        | Lp.Eq -> Q.abs (Q.sub !act rhs)
+      in
+      if Q.sign residual > 0 then
+        push
+          (Printf.sprintf "row %d activity %s rhs %g" r
+             (match std.Lp.row_cmp.(r) with
+              | Lp.Le -> "above"
+              | Lp.Ge -> "below"
+              | Lp.Eq -> "off")
+             std.Lp.rhs.(r))
+          residual
     done;
-    (xq, List.rev !items)
+    List.rev !items
 
   let certify_point ?(options = default_options) ?var_name (std : Lp.std) x =
     let tol = options.tol in
@@ -829,7 +846,7 @@ module Exact = struct
               (Array.length x) std.Lp.ncols ];
       }
     else begin
-      let _, items = point_residuals ?var_name std x in
+      let items = point_residuals ?var_name std x in
       let tq = Q.of_float tol in
       let refuted = List.filter (fun (_, r) -> Q.compare r tq > 0) items in
       let masked = List.filter (fun (_, r) -> Q.compare r tq <= 0) items in
@@ -895,7 +912,8 @@ module Exact = struct
       List.iter addf r.findings
     in
     (* Emit a value-comparison check: classify the exact residual against
-       the float threshold and attach the matching finding. *)
+       the float threshold and attach the matching finding.  [detail] is
+       only rendered into a finding. *)
     let value_check ~claim ~refuted_code ~masked_code ~refuted_sev ~masked_sev
         ~float_ok ~threshold residual detail =
       let verdict = classify ~threshold residual in
@@ -913,7 +931,7 @@ module Exact = struct
               Printf.sprintf
                 "exactly refuted %s: %s (exact residual %s exceeds the \
                  float tolerance %g%s)"
-                claim detail
+                claim (detail ())
                 (Q.to_short_string residual)
                 threshold
                 (if float_ok then
@@ -930,7 +948,7 @@ module Exact = struct
               Printf.sprintf
                 "tolerance-masked %s drift: %s (exact residual %s within \
                  the float tolerance %g)"
-                claim detail
+                claim (detail ())
                 (Q.to_short_string residual)
                 threshold;
           }
@@ -965,8 +983,9 @@ module Exact = struct
           ~masked_code:"E004" ~refuted_sev:Diagnostic.Error
           ~masked_sev:Diagnostic.Info ~float_ok ~threshold
           (Q.abs (Q.sub exact (Q.of_float claimed_min)))
-          (Printf.sprintf "claimed %g vs exact re-evaluation %s" sol.Mip.obj
-             (Q.to_short_string exact));
+          (fun () ->
+             Printf.sprintf "claimed %g vs exact re-evaluation %s" sol.Mip.obj
+                (Q.to_short_string exact));
         (Some exact, Some claimed_min)
       end
       else (None, Some claimed_min)
@@ -1077,8 +1096,9 @@ module Exact = struct
                ~masked_code:"E006" ~refuted_sev:Diagnostic.Error
                ~masked_sev:Diagnostic.Warning ~float_ok ~threshold
                (Q.sub l o)
-               (Printf.sprintf "exact dual bound %s vs exact incumbent %s"
-                  (Q.to_short_string l) (Q.to_short_string o))
+               (fun () ->
+                  Printf.sprintf "exact dual bound %s vs exact incumbent %s"
+                     (Q.to_short_string l) (Q.to_short_string o))
            | None, Some _ ->
              (* L = -inf: weak duality holds trivially and exactly. *)
              addc
@@ -1095,8 +1115,9 @@ module Exact = struct
                value_check ~claim:"root LP objective" ~refuted_code:"E007"
                  ~masked_code:"E008" ~refuted_sev:Diagnostic.Error
                  ~masked_sev:Diagnostic.Info ~float_ok ~threshold (Q.abs diff)
-                 (Printf.sprintf "exact Lagrangian bound %s vs claimed %g"
-                    (Q.to_short_string l) cert.Mip.lp_obj)
+                 (fun () ->
+                    Printf.sprintf "exact Lagrangian bound %s vs claimed %g"
+                       (Q.to_short_string l) cert.Mip.lp_obj)
              | None ->
                addc
                  (unchecked ~claim:"root LP objective" ~code:"E007"
@@ -1211,9 +1232,10 @@ module Exact = struct
                 ~float_ok:(Float.abs (pb -. m) <= threshold)
                 ~threshold
                 (Q.abs (Q.sub (Q.of_float pb) (Q.of_float m)))
-                (Printf.sprintf
-                   "claimed bound %g vs minimum %g of %d node bounds" pb m
-                   (Array.length adt.Mip.bound_support))
+                (fun () ->
+                   Printf.sprintf
+                      "claimed bound %g vs minimum %g of %d node bounds" pb m
+                      (Array.length adt.Mip.bound_support))
             end
           end);
          (match outcome_bound_min with
@@ -1225,7 +1247,8 @@ module Exact = struct
               ~float_ok:(Float.abs (cb -. pb) <= threshold)
               ~threshold
               (Q.abs (Q.sub (Q.of_float cb) (Q.of_float pb)))
-              (Printf.sprintf "outcome bound %g vs audited bound %g" cb pb)
+              (fun () ->
+                 Printf.sprintf "outcome bound %g vs audited bound %g" cb pb)
           | _ -> ())
        | _ -> ());
       match (exact_obj, adt.Mip.proven_bound) with
@@ -1245,8 +1268,9 @@ module Exact = struct
             ~float_ok:(Float.abs (stats.Mip.gap_achieved -. g_f) <= tol)
             ~threshold:tol
             (Q.abs (Q.sub (Q.of_float stats.Mip.gap_achieved) g))
-            (Printf.sprintf "reported gap %g vs exact recomputation"
-               stats.Mip.gap_achieved)
+            (fun () ->
+               Printf.sprintf "reported gap %g vs exact recomputation"
+                  stats.Mip.gap_achieved)
         end;
         Some g
       | _ -> None

@@ -62,9 +62,10 @@ let instance_to_json (inst : Instance.t) =
     ]
 
 (* Prefix decode failures with the offending element's position so a bad
-   field in a long instance file is locatable ("Codec: queries[17]: ..."). *)
+   field in a long instance file is locatable ("Codec: queries[17]: ...").
+   The prefix is only written when the decode fails. *)
 let in_ctx ctx f =
-  try f () with Invalid_argument msg -> invalid_arg (ctx ^ ": " ^ msg)
+  try f () with Invalid_argument msg -> invalid_arg (ctx () ^ ": " ^ msg)
 
 let instance_of_json json =
   let name =
@@ -76,12 +77,13 @@ let instance_of_json json =
   let schema_spec =
     List.mapi
       (fun i tbl ->
-         in_ctx (Printf.sprintf "Codec: schema[%d]" i) @@ fun () ->
+         in_ctx (fun () -> Printf.sprintf "Codec: schema[%d]" i) @@ fun () ->
          let tname = Json.(to_str (member "table" tbl)) in
          let attrs =
            List.mapi
              (fun j a ->
-                in_ctx (Printf.sprintf "table %S: attrs[%d]" tname j) @@ fun () ->
+                in_ctx (fun () -> Printf.sprintf "table %S: attrs[%d]" tname j)
+                @@ fun () ->
                 (Json.(to_str (member "name" a)), Json.(to_int (member "width" a))))
              Json.(to_list (member "attrs" tbl))
          in
@@ -102,7 +104,7 @@ let instance_of_json json =
   let queries =
     List.mapi
       (fun i qj ->
-         in_ctx (Printf.sprintf "Codec: queries[%d]" i) @@ fun () ->
+         in_ctx (fun () -> Printf.sprintf "Codec: queries[%d]" i) @@ fun () ->
          let qname = Json.(to_str (member "name" qj)) in
          Hashtbl.replace query_index qname i;
          let kind =
@@ -114,7 +116,8 @@ let instance_of_json json =
          let tables =
            List.mapi
              (fun j tj ->
-                in_ctx (Printf.sprintf "query %S: tables[%d]" qname j) @@ fun () ->
+                in_ctx (fun () -> Printf.sprintf "query %S: tables[%d]" qname j)
+                @@ fun () ->
                 let tname = Json.(to_str (member "table" tj)) in
                 let tid =
                   try Schema.find_table schema tname
@@ -127,7 +130,8 @@ let instance_of_json json =
          let attrs =
            List.mapi
              (fun j aj ->
-                in_ctx (Printf.sprintf "query %S: attrs[%d]" qname j) @@ fun () ->
+                in_ctx (fun () -> Printf.sprintf "query %S: attrs[%d]" qname j)
+                @@ fun () ->
                 let full = Json.to_str aj in
                 let t, a = split_qualified full in
                 try Schema.find_attr schema t a
@@ -147,12 +151,14 @@ let instance_of_json json =
   let transactions =
     List.mapi
       (fun i tj ->
-         in_ctx (Printf.sprintf "Codec: transactions[%d]" i) @@ fun () ->
+         in_ctx (fun () -> Printf.sprintf "Codec: transactions[%d]" i)
+         @@ fun () ->
          let tname = Json.(to_str (member "name" tj)) in
          let qids =
            List.mapi
              (fun j qj ->
-                in_ctx (Printf.sprintf "transaction %S: queries[%d]" tname j)
+                in_ctx (fun () ->
+                    Printf.sprintf "transaction %S: queries[%d]" tname j)
                 @@ fun () ->
                 let qname = Json.to_str qj in
                 match Hashtbl.find_opt query_index qname with
@@ -193,14 +199,14 @@ let partitioning_of_json (inst : Instance.t) json =
   let assigned = Array.make (Workload.num_transactions wl) false in
   List.iteri
     (fun i site_json ->
-       in_ctx (Printf.sprintf "Codec: sites[%d]" i) @@ fun () ->
+       in_ctx (fun () -> Printf.sprintf "Codec: sites[%d]" i) @@ fun () ->
        let s = Json.(to_int (member "site" site_json)) in
        if s < 0 || s >= num_sites then
          invalid_arg
            (Printf.sprintf "site %d out of range 0..%d" s (num_sites - 1));
        List.iteri
          (fun j tj ->
-            in_ctx (Printf.sprintf "transactions[%d]" j) @@ fun () ->
+            in_ctx (fun () -> Printf.sprintf "transactions[%d]" j) @@ fun () ->
             let name = Json.to_str tj in
             match Hashtbl.find_opt txn_index name with
             | Some t ->
@@ -210,7 +216,7 @@ let partitioning_of_json (inst : Instance.t) json =
          Json.(to_list (member "transactions" site_json));
        List.iteri
          (fun j aj ->
-            in_ctx (Printf.sprintf "attributes[%d]" j) @@ fun () ->
+            in_ctx (fun () -> Printf.sprintf "attributes[%d]" j) @@ fun () ->
             let full = Json.to_str aj in
             match String.index_opt full '.' with
             | None ->

@@ -183,7 +183,7 @@ module Exact = struct
             (if float_ok then
                "; float certification passes — tolerance-masked refutation"
              else "")
-            detail ]
+            (detail ()) ]
       | E.Masked_violation ->
         [ {
             Diagnostic.code = masked_code;
@@ -194,7 +194,7 @@ module Exact = struct
                  re-derivation by %s (within the float tolerance %g; %s)"
                 claim claimed
                 (Q.to_short_string residual)
-                threshold detail;
+                threshold (detail ());
           } ]
       | _ -> []
     in
@@ -245,14 +245,15 @@ module Exact = struct
         value_report ~claim:"objective (6)" ~refuted_code:"E101"
           ~masked_code:"E102" ~masked_sev:Diagnostic.Info ~float_ok
           ~threshold ~exact ~claimed
-          (Printf.sprintf
-             "lambda %g, exact cost %s, exact max site work %s%s" lambda
-             (Q.to_short_string cost_q)
-             (Q.to_short_string work_q)
-             (if Q.is_zero lat_q then ""
-              else
-                Printf.sprintf ", exact latency term %s"
-                  (Q.to_short_string lat_q)))
+          (fun () ->
+             Printf.sprintf
+                "lambda %g, exact cost %s, exact max site work %s%s" lambda
+                (Q.to_short_string cost_q)
+                (Q.to_short_string work_q)
+                (if Q.is_zero lat_q then ""
+                 else
+                   Printf.sprintf ", exact latency term %s"
+                     (Q.to_short_string lat_q)))
     in
     let threshold = rel tol cost_f in
     let float_ok = Float.abs (cost_f -. claimed_cost) <= threshold in
@@ -260,11 +261,12 @@ module Exact = struct
       value_report ~claim:"cost (objective 4)" ~refuted_code:"E103"
         ~masked_code:"E104" ~masked_sev:Diagnostic.Info ~float_ok ~threshold
         ~exact:cost_q ~claimed:claimed_cost
-        (Printf.sprintf "exact read %s + write %s + %g x transfer %s"
-           (Q.to_short_string bq.read_local)
-           (Q.to_short_string bq.write_local)
-           p
-           (Q.to_short_string bq.transfer))
+        (fun () ->
+           Printf.sprintf "exact read %s + write %s + %g x transfer %s"
+              (Q.to_short_string bq.read_local)
+              (Q.to_short_string bq.write_local)
+              p
+              (Q.to_short_string bq.transfer))
     in
     E.merge o6 c4
 end

@@ -64,30 +64,41 @@ let add_var m ?name ?(lb = 0.) ?(ub = infinity) ?(integer = false) () =
 
 let binary m ?name () = add_var m ?name ~lb:0. ~ub:1. ~integer:true ()
 
-(* Sum duplicate variables, drop exact zeros, sort by variable index. *)
+(* Sum duplicate variables, drop exact zeros, sort by variable index.  A
+   stable sort of the term positions by variable keeps each variable's
+   terms in list order, so the merge sums them from [0.] exactly as they
+   were given. *)
 let normalize_terms m terms =
-  let tbl = Hashtbl.create (List.length terms) in
-  let check v =
-    if v < 0 || v >= m.nvars then
-      invalid_arg (Printf.sprintf "Lp: variable %d out of range (have %d)" v m.nvars)
-  in
-  let add (c, v) =
-    check v;
-    let prev = try Hashtbl.find tbl v with Not_found -> 0. in
-    Hashtbl.replace tbl v (prev +. c)
-  in
-  List.iter add terms;
-  let pairs =
-    Hashtbl.fold (fun v c acc -> if c = 0. then acc else (v, c) :: acc) tbl []
-  in
-  let pairs = List.sort (fun (v1, _) (v2, _) -> compare v1 v2) pairs in
-  let n = List.length pairs in
+  let n = List.length terms in
+  let vars = Array.make n 0 and coefs = Array.make n 0. in
+  List.iteri
+    (fun i (c, v) ->
+       if v < 0 || v >= m.nvars then
+         invalid_arg
+           (Printf.sprintf "Lp: variable %d out of range (have %d)" v m.nvars);
+       vars.(i) <- v;
+       coefs.(i) <- c)
+    terms;
+  let ord = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare vars.(a) vars.(b)) ord;
   let idx = Array.make n 0 and value = Array.make n 0. in
-  List.iteri (fun i (v, c) -> idx.(i) <- v; value.(i) <- c) pairs;
-  (idx, value)
+  let k = ref 0 and i = ref 0 in
+  while !i < n do
+    let v = vars.(ord.(!i)) in
+    let sum = ref 0. in
+    while !i < n && vars.(ord.(!i)) = v do
+      sum := !sum +. coefs.(ord.(!i));
+      incr i
+    done;
+    if !sum <> 0. then begin
+      idx.(!k) <- v;
+      value.(!k) <- !sum;
+      incr k
+    end
+  done;
+  if !k = n then (idx, value) else (Array.sub idx 0 !k, Array.sub value 0 !k)
 
-let add_constr m ?name terms cmp rhs =
-  ignore name;
+let add_constr m terms cmp rhs =
   if Float.is_nan rhs || Float.abs rhs = infinity then
     invalid_arg
       (Printf.sprintf "Lp.add_constr: non-finite right-hand side %g" rhs);

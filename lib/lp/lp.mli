@@ -32,13 +32,13 @@ val add_var :
 val binary : model -> ?name:string -> unit -> var
 (** Shorthand for an integer variable with bounds [0, 1]. *)
 
-val add_constr : model -> ?name:string -> (float * var) list -> cmp -> float -> unit
+val add_constr : model -> (float * var) list -> cmp -> float -> unit
 (** [add_constr m terms cmp rhs] adds the constraint [Σ coef·var cmp rhs].
-    Repeated variables in [terms] are summed.  Zero coefficients are
-    dropped.  @raise Invalid_argument on an out-of-range variable, a
-    non-finite coefficient or right-hand side, or a row whose support
-    normalizes to empty while the comparison is unsatisfiable (e.g.
-    [0·x = 1]). *)
+    Repeated variables in [terms] are summed in list order, from [0.].
+    Zero coefficients are dropped.  @raise Invalid_argument on an
+    out-of-range variable, a non-finite coefficient or right-hand side,
+    or a row whose support normalizes to empty while the comparison is
+    unsatisfiable (e.g. [0·x = 1]). *)
 
 val set_objective : model -> sense -> ?constant:float -> (float * var) list -> unit
 (** Replace the objective.  Terms behave as in {!add_constr}. *)

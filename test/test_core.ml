@@ -372,24 +372,47 @@ let test_codec_roundtrip () =
   Alcotest.(check int) "file roundtrip attrs" 3 (Instance.num_attrs inst'')
 
 let test_codec_errors () =
-  let expect_invalid s =
+  let expect_invalid expected s =
     match Codec.instance_of_json (Json.of_string s) with
-    | exception Invalid_argument _ -> ()
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) "decode error" expected msg
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  expect_invalid {| {"name": 3, "schema": [], "queries": [], "transactions": []} |};
-  expect_invalid
+  expect_invalid {|Codec: "name" must be a string|}
+    {| {"name": 3, "schema": [], "queries": [], "transactions": []} |};
+  expect_invalid {|Codec: queries[0]: query "q": bad kind "scan"|}
     {| {"name": "x",
         "schema": [{"table": "T", "attrs": [{"name": "a", "width": 4}]}],
         "queries": [{"name": "q", "kind": "scan", "freq": 1,
                      "tables": [{"table": "T", "rows": 1}], "attrs": ["T.a"]}],
         "transactions": [{"name": "t", "queries": ["q"]}]} |};
   expect_invalid
+    {|Codec: queries[0]: query "q": attrs[0]: unknown attribute "T.zz"|}
     {| {"name": "x",
         "schema": [{"table": "T", "attrs": [{"name": "a", "width": 4}]}],
         "queries": [{"name": "q", "kind": "read", "freq": 1,
                      "tables": [{"table": "T", "rows": 1}], "attrs": ["T.zz"]}],
-        "transactions": [{"name": "t", "queries": ["q"]}]} |}
+        "transactions": [{"name": "t", "queries": ["q"]}]} |};
+  expect_invalid
+    {|Codec: schema[1]: table "U": attrs[0]: Json: expected integer, found string|}
+    {| {"name": "x",
+        "schema": [{"table": "T", "attrs": [{"name": "a", "width": 4}]},
+                   {"table": "U", "attrs": [{"name": "b", "width": "w"}]}],
+        "queries": [], "transactions": []} |};
+  expect_invalid
+    {|Codec: queries[0]: query "q": tables[0]: unknown table "V"|}
+    {| {"name": "x",
+        "schema": [{"table": "T", "attrs": [{"name": "a", "width": 4}]}],
+        "queries": [{"name": "q", "kind": "read", "freq": 1,
+                     "tables": [{"table": "V", "rows": 1}], "attrs": ["T.a"]}],
+        "transactions": [{"name": "t", "queries": ["q"]}]} |};
+  expect_invalid
+    {|Codec: transactions[0]: transaction "t": queries[1]: unknown query "r"|}
+    {| {"name": "x",
+        "schema": [{"table": "T", "attrs": [{"name": "a", "width": 4}]}],
+        "queries": [{"name": "q", "kind": "read", "freq": 1,
+                     "tables": [{"table": "T", "rows": 1}], "attrs": ["T.a"]}],
+        "transactions": [{"name": "t", "queries": ["q", "r"]}]} |}
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)

@@ -260,6 +260,38 @@ let test_domain_audit_refutes_off_claims () =
   Alcotest.(check int) "cost only: one check" 1
     (List.length cost_only.E.checks)
 
+(* The primal audit runs on every exactly certified solve.  On a feasible
+   point it pays for the rational row activities (measured: 137 minor
+   words per row or column) but writes no label; a label per bound and
+   row adds about 100 more. *)
+let test_point_allocation_budget () =
+  let inst = Instance_gen.generate ~seed:1 (Instance_gen.find "rndBt4x100") in
+  let stats = Stats.compute (Grouping.compute inst).Grouping.reduced ~p:8. in
+  let options = { Qp_solver.default_options with Qp_solver.num_sites = 2 } in
+  let model, _ = Qp_solver.build_model stats options in
+  let std = Lp.standardize model in
+  (* Everything on site 0: x, y and the product indicators u of site 0 are
+     1, the load bound sits at its upper bound, the rest at 0. *)
+  let pt =
+    Array.init std.Lp.ncols (fun j ->
+        match String.split_on_char '_' (Lp.var_name model j) with
+        | ("x" | "y" | "u") :: rest ->
+          if List.nth rest (List.length rest - 1) = "0" then 1. else 0.
+        | _ -> if Lp.var_name model j = "maxload" then std.Lp.ub.(j) else 0.)
+  in
+  Alcotest.(check int) "the point is feasible" 0
+    (List.length (Lp.feasibility_violations std pt));
+  ignore (E.certify_point std pt);
+  let before = Gc.minor_words () in
+  let r = E.certify_point std pt in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (list string)) "no findings" [] (D.codes r.E.findings);
+  let per_row = words /. float_of_int (std.Lp.nrows + std.Lp.ncols) in
+  if per_row > 160. then
+    Alcotest.failf
+      "certify_point allocated %.1f minor words per row or column (budget 160)"
+      per_row
+
 let () =
   Alcotest.run "exact"
     [
@@ -284,6 +316,9 @@ let () =
       ( "domain",
         [ Alcotest.test_case "off claims refuted, true claims hold" `Quick
             test_domain_audit_refutes_off_claims ] );
+      ( "allocation",
+        [ Alcotest.test_case "feasible point writes no labels" `Quick
+            test_point_allocation_budget ] );
       ( "bundled-instances",
         [ Alcotest.test_case "exact accepts float-certified solves" `Slow
             test_exact_accepts_bundled_solves ] );

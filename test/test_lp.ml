@@ -91,6 +91,56 @@ let test_mps () =
        Alcotest.(check bool) (section ^ " present") true (has section))
     [ "NAME"; "ROWS"; "COLUMNS"; "RHS"; "BOUNDS"; "ENDATA"; "INTORG"; "INTEND" ]
 
+(* Reference normalization: sum each variable's terms in list order from
+   [0.] through a hash table, drop exact zeros, sort by variable. *)
+let reference_terms terms =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (c, v) ->
+       let prev = try Hashtbl.find tbl v with Not_found -> 0. in
+       Hashtbl.replace tbl v (prev +. c))
+    terms;
+  Hashtbl.fold (fun v c acc -> if c = 0. then acc else (v, c) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* Coefficients that cancel (0.1 + 0.2 - 0.3, x - x), signed zeros, and
+   magnitudes far apart, so the order of the sums shows in the last bit. *)
+let gen_terms =
+  let open QCheck2.Gen in
+  let coef =
+    oneof
+      [ oneofl [ 1.; -1.; 0.; -0.; 0.1; 0.2; -0.3; 0.5; 3.; 1e-17; -1e16 ];
+        float_range (-10.) 10. ]
+  in
+  let* nvars = int_range 1 6 in
+  let* terms = list_size (int_range 0 12) (pair coef (int_range 0 (nvars - 1))) in
+  return (nvars, terms)
+
+let prop_rows_match_reference =
+  QCheck2.Test.make ~count:500
+    ~name:"add_constr rows equal the hash-table normalization bit for bit"
+    ~print:(fun (n, terms) ->
+        Printf.sprintf "%d vars: %s" n
+          (String.concat "; "
+             (List.map (fun (c, v) -> Printf.sprintf "%h*x%d" c v) terms)))
+    gen_terms
+    (fun (nvars, terms) ->
+       let m = Lp.create () in
+       for _ = 1 to nvars do ignore (Lp.add_var m ()) done;
+       Lp.add_constr m terms Lp.Le 0.;
+       let std = Lp.standardize m in
+       let got =
+         Array.to_list
+           (Array.map2 (fun v c -> (v, c)) std.Lp.row_idx.(0) std.Lp.row_val.(0))
+       in
+       let want = reference_terms terms in
+       List.length got = List.length want
+       && List.for_all2
+            (fun (v, c) (v', c') ->
+               v = v'
+               && Int64.equal (Int64.bits_of_float c) (Int64.bits_of_float c'))
+            got want)
+
 let () =
   Alcotest.run "lp"
     [ ("model",
@@ -102,4 +152,5 @@ let () =
          Alcotest.test_case "out of range" `Quick test_out_of_range;
          Alcotest.test_case "mps export" `Quick test_mps;
        ]);
+      ("properties", [ QCheck_alcotest.to_alcotest prop_rows_match_reference ]);
     ]
