@@ -3,8 +3,8 @@
      vpart info     --tpcc | --instance FILE | --random NAME
      vpart check    FILE... [--strict] [--format json]  (instance lint)
      vpart analyze  FILE... [--sites N] [--format json] (model N/S analysis)
-     vpart solve    [--solver sa|qp] [--sites N] [--lint-model] [--certify]
-                    (--tpcc | ...)
+     vpart solve    [--solver sa|qp|iter|greedy|affinity] [--sites N]
+                    [--lint-model] [--exact] (--tpcc | ...)  (certified)
      vpart certify  FILE... [--solver qp|sa|iter]  (solve + certificates)
      vpart gen      --random NAME [-o FILE]
      vpart export   --tpcc [-o FILE]         (instance as JSON)
@@ -236,21 +236,39 @@ let time_limit_term ~default ~doc =
     value & opt non_negative_float default
     & info [ "time-limit" ] ~docv:"S" ~doc)
 
-(* An infinite tolerance would turn every float check into a pass. *)
-let tol_term =
-  Arg.(
-    value
-    & opt
-        (some
-           (checked float ~what:"a finite number > 0" (fun v ->
-                Float.is_finite v && v > 0.)))
-        None
-    & info [ "tol" ] ~docv:"T"
-        ~doc:
-          "Override the float certification tolerance (default 1e-5 for \
-           MIP-level checks); every float check reports its residual \
-           against this threshold, and the exact auditor uses it as the \
-           masked-vs-refuted boundary.")
+(* The qp, sa and iter options of `solve` and `certify`: every solve
+   certifies its claims, in rational arithmetic too with [exact].  The
+   annealer runs without a time limit unless [sa_time_limit] is given. *)
+let solver_options ?(disjoint = false) ?(no_grouping = false) ?(seed = 1)
+    ?(jobs = 1) ?sa_time_limit ~sites ~p ~lambda ~time_limit ~exact () =
+  let qp =
+    { Qp_solver.default_options with
+      Qp_solver.num_sites = sites;
+      p;
+      lambda;
+      allow_replication = not disjoint;
+      use_grouping = not no_grouping;
+      time_limit;
+      certify = true;
+      certify_exact = exact;
+      jobs;
+    }
+  in
+  ( qp,
+    { Sa_solver.default_options with
+      Sa_solver.num_sites = sites;
+      p;
+      lambda;
+      allow_replication = not disjoint;
+      use_grouping = not no_grouping;
+      seed;
+      time_limit = sa_time_limit;
+      certify = true;
+      certify_exact = exact;
+      restarts = jobs;
+      jobs;
+    },
+    { Iterative_solver.default_options with Iterative_solver.qp } )
 
 let disjoint_term =
   Arg.(
@@ -587,15 +605,6 @@ let solve_cmd =
             "Build the linearized MIP (7) for the instance and print its \
              full static-analysis report (all severities) before solving.")
   in
-  let certify_term =
-    Arg.(
-      value & flag
-      & info [ "certify" ]
-          ~doc:
-            "Independently re-derive every claim of the solve (incumbent \
-             feasibility, dual bounds, cost-model agreement) and print the \
-             certificate verdict; exits non-zero if certification fails.")
-  in
   let trace_term =
     Arg.(
       value
@@ -637,15 +646,16 @@ let solve_cmd =
       value & flag
       & info [ "exact" ]
           ~doc:
-            "With $(b,--certify): additionally re-verify every certificate \
-             in exact rational arithmetic (zero tolerance; the [E]-code \
-             catalog in docs/ANALYSIS.md), reporting per-check exact/float \
-             verdict pairs and failing on exactly-refuted claims.")
+            "Additionally re-verify every certificate in exact rational \
+             arithmetic (zero tolerance; the [E]-code catalog in \
+             docs/ANALYSIS.md), reporting per-check exact/float verdict \
+             pairs and failing on exactly-refuted claims.")
   in
   let run inst solver sites p lambda disjoint no_grouping jobs time_limit seed
-      json lint_model certify exact tol
-      trace progress metrics_summary gc_stats output =
+      json lint_model exact trace progress metrics_summary gc_stats output =
     let jobs = max 1 jobs in
+    (* With --json, stdout carries the partitioning and nothing else. *)
+    let out = if json then Format.err_formatter else Format.std_formatter in
     if lint_model then begin
       let grouping =
         if no_grouping then Grouping.identity inst else Grouping.compute inst
@@ -660,20 +670,39 @@ let solve_cmd =
         }
       in
       let model, _ = Qp_solver.build_model stats opts in
-      Format.printf "@[<v>model lint (%d rows, %d cols):@,%a@]@."
+      Format.fprintf out "@[<v>model lint (%d rows, %d cols):@,%a@]@."
         (Lp.num_constrs model) (Lp.num_vars model) Report.pp_diagnostics
         (Vpart_analysis.Model_lint.lint_model model)
     end;
-    let finish part cost =
-      (let pdiags = Instance_lint.lint_partitioning inst part in
-       if Diagnostic.has_errors pdiags then
-         Format.eprintf "@[<v>warning: solver returned an invalid \
-                         partitioning:@,%a@]@."
-           Report.pp_diagnostics
-           (Diagnostic.errors pdiags));
-      if json then
+    let qp, sa, iter =
+      solver_options ~disjoint ~no_grouping ~seed ~jobs ~sites ~p ~lambda
+        ~time_limit ~exact ()
+    in
+    (* Print the certificate verdict and its findings, and with --exact
+       the exact report; the partitioning is printed only when neither
+       has an Error-level finding. *)
+    let answer part cost certificate exact_report =
+      Format.fprintf out "%a@." Report.pp_certificate certificate;
+      let ds = Option.value certificate ~default:[] in
+      if ds <> [] then Format.fprintf out "%a@." Report.pp_diagnostics ds;
+      let exact_ds =
+        match exact_report with
+        | None -> []
+        | Some r ->
+          Format.fprintf out "%a@." Vpart_certify.Certify.Exact.pp_report r;
+          let ds = r.Vpart_certify.Certify.Exact.findings in
+          if ds <> [] then Format.fprintf out "%a@." Report.pp_diagnostics ds;
+          ds
+      in
+      if Diagnostic.has_errors ds then
+        Error (`Msg "certification failed (see findings above)")
+      else if Diagnostic.has_errors exact_ds then
+        Error (`Msg "exact audit refuted a certificate (see findings above)")
+      else if json then begin
         write_output output
-          (Json.to_string (Codec.partitioning_to_json inst part) ^ "\n")
+          (Json.to_string (Codec.partitioning_to_json inst part) ^ "\n");
+        Ok ()
+      end
       else begin
         let buf = Buffer.create 4096 in
         let ppf = Format.formatter_of_buffer buf in
@@ -681,58 +710,24 @@ let solve_cmd =
         Format.fprintf ppf "%a@." (Report.pp_solution_summary inst ~p ~lambda) part;
         Format.fprintf ppf "cost (objective 4): %.6g@." cost;
         Format.pp_print_flush ppf ();
-        write_output output (Buffer.contents buf)
+        write_output output (Buffer.contents buf);
+        Ok ()
       end
     in
-    (* Print the certificate verdict (and its findings when non-trivial);
-       fail the command on Error-level findings. *)
-    let check_certificate cert =
-      if not certify then Ok ()
-      else begin
-        Format.printf "%a@." Report.pp_certificate cert;
-        match cert with
-        | Some (_ :: _ as ds) ->
-          Format.printf "%a@." Report.pp_diagnostics ds;
-          if Diagnostic.has_errors ds then
-            Error (`Msg "certification failed (see findings above)")
-          else Ok ()
-        | _ -> Ok ()
-      end
+    let answer_opt part cost certificate exact_report =
+      match (part, cost) with
+      | Some part, Some cost -> answer part cost certificate exact_report
+      | _ -> Error (`Msg "no solution found (increase --time-limit?)")
     in
-    (* Exact-audit verdict: print the per-check exact/float pairs and the
-       findings; fail the command on exactly-refuted (Error) findings. *)
-    let check_exact ex =
-      if not exact then Ok ()
-      else
-        match ex with
-        | None -> Ok ()
-        | Some r ->
-          Format.printf "%a@." Vpart_certify.Certify.Exact.pp_report r;
-          let ds = r.Vpart_certify.Certify.Exact.findings in
-          if ds <> [] then Format.printf "%a@." Report.pp_diagnostics ds;
-          if Diagnostic.has_errors ds then
-            Error
-              (`Msg "exact audit refuted a certificate (see findings above)")
-          else Ok ()
-    in
-    let check_all cert ex =
-      match check_certificate cert with
-      | Error _ as e -> e
-      | Ok () -> check_exact ex
-    in
-    (* Baseline solvers have no MIP/dual claims to certify: check the
-       decoded partitioning and the claimed cost against the instance. *)
-    let domain_certificate part cost =
-      Some
-        (Diagnostic.sort
-           (Solution_certify.certify_partitioning (Stats.compute inst ~p) part
-            @ Solution_certify.certify_cost inst ~p part ~claimed:cost))
-    in
-    let domain_exact part cost =
-      if not exact then None
-      else
-        Some
-          (Solution_certify.Exact.audit ?tol inst ~p part ~cost)
+    (* The baselines claim a cost and an objective (6) but no MIP
+       artifacts: their domain claims are certified at the annealer's
+       tolerance. *)
+    let baseline part ~cost ~objective6 =
+      let ds, exact_report =
+        Solution_certify.certify_claims ~tol:1e-6 ~exact inst
+          (Stats.compute inst ~p) ~p ~lambda part ~cost ~objective6
+      in
+      answer part cost (Some (Diagnostic.sort ds)) exact_report
     in
     (* Observability setup: trace / progress sinks and in-process metrics
        live for the duration of the solve, torn down (and the trace file
@@ -759,7 +754,7 @@ let solve_cmd =
        | Some f -> Printf.eprintf "trace written to %s\n%!" f
        | None -> ());
       if metrics_summary then begin
-        Format.printf "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ());
+        Format.fprintf out "%a@." Obs.Metrics.pp (Obs.Metrics.snapshot ());
         Obs.Metrics.disable ()
       end
     in
@@ -767,46 +762,17 @@ let solve_cmd =
     try
       match solver with
     | `Sa ->
-      let options =
-        { Sa_solver.default_options with
-          Sa_solver.num_sites = sites;
-          p;
-          lambda;
-          allow_replication = not disjoint;
-          use_grouping = not no_grouping;
-          seed;
-          certify;
-          certify_exact = exact;
-          certify_tol = tol;
-          restarts = jobs;
-          jobs;
-        }
-      in
-      let r = Sa_solver.solve ~options inst in
-      Printf.printf "SA: %d iterations, %d accepted, %.2fs\n"
+      let r = Sa_solver.solve ~options:sa inst in
+      Format.fprintf out "SA: %d iterations, %d accepted, %.2fs@."
         r.Sa_solver.iterations r.Sa_solver.accepted r.Sa_solver.elapsed;
-      Format.printf "%a@." Report.pp_sa_search r.Sa_solver.search;
+      Format.fprintf out "%a@." Report.pp_sa_search r.Sa_solver.search;
       if Array.length r.Sa_solver.chains > 1 then
-        Format.printf "%a@." Report.pp_sa_chains r.Sa_solver.chains;
-      finish r.Sa_solver.partitioning r.Sa_solver.cost;
-      check_all r.Sa_solver.certificate r.Sa_solver.exact
+        Format.fprintf out "%a@." Report.pp_sa_chains r.Sa_solver.chains;
+      answer r.Sa_solver.partitioning r.Sa_solver.cost r.Sa_solver.certificate
+        r.Sa_solver.exact
     | `Qp ->
-      let options =
-        { Qp_solver.default_options with
-          Qp_solver.num_sites = sites;
-          p;
-          lambda;
-          allow_replication = not disjoint;
-          use_grouping = not no_grouping;
-          time_limit;
-          certify;
-          certify_exact = exact;
-          certify_tol = tol;
-          jobs;
-        }
-      in
-      let r = Qp_solver.solve ~options inst in
-      Printf.printf "QP: %s, %d nodes, %d rows, %.2fs\n"
+      let r = Qp_solver.solve ~options:qp inst in
+      Format.fprintf out "QP: %s, %d nodes, %d rows, %.2fs@."
         (match r.Qp_solver.outcome with
          | Qp_solver.Proved_optimal -> "optimal (within MIP gap)"
          | Qp_solver.Limit_feasible -> "feasible (limit hit)"
@@ -818,43 +784,21 @@ let solve_cmd =
                 r.Qp_solver.model_rows limit
             | None -> "model too large"))
         r.Qp_solver.nodes r.Qp_solver.model_rows r.Qp_solver.elapsed;
-      Format.printf "%a@." Report.pp_mip_kernel r;
+      Format.fprintf out "%a@." Report.pp_mip_kernel r;
       if r.Qp_solver.diagnostics <> [] then
-        Format.printf "%a@." Report.pp_diagnostics r.Qp_solver.diagnostics;
-      (match (r.Qp_solver.partitioning, r.Qp_solver.cost) with
-       | Some part, Some cost ->
-         finish part cost;
-         check_all r.Qp_solver.certificate r.Qp_solver.exact
-       | _ -> Error (`Msg "no solution found (increase --time-limit?)"))
+        Format.fprintf out "%a@." Report.pp_diagnostics r.Qp_solver.diagnostics;
+      answer_opt r.Qp_solver.partitioning r.Qp_solver.cost
+        r.Qp_solver.certificate r.Qp_solver.exact
     | `Iter ->
-      let options =
-        { Iterative_solver.default_options with
-          Iterative_solver.qp =
-            { Qp_solver.default_options with
-              Qp_solver.num_sites = sites;
-              p;
-              lambda;
-              allow_replication = not disjoint;
-              use_grouping = not no_grouping;
-              time_limit;
-              certify;
-              certify_exact = exact;
-              certify_tol = tol;
-              jobs;
-            };
-        }
-      in
-      let r = Iterative_solver.solve ~options inst in
-      Printf.printf "iterative: %d rounds, %.2fs\n"
+      let r = Iterative_solver.solve ~options:iter inst in
+      Format.fprintf out "iterative: %d rounds, %.2fs@."
         (List.length r.Iterative_solver.rounds)
         r.Iterative_solver.elapsed;
       if r.Iterative_solver.diagnostics <> [] then
-        Format.printf "%a@." Report.pp_diagnostics r.Iterative_solver.diagnostics;
-      (match (r.Iterative_solver.partitioning, r.Iterative_solver.cost) with
-       | Some part, Some cost ->
-         finish part cost;
-         check_all r.Iterative_solver.certificate r.Iterative_solver.exact
-       | _ -> Error (`Msg "no solution found (increase --time-limit?)"))
+        Format.fprintf out "%a@." Report.pp_diagnostics
+          r.Iterative_solver.diagnostics;
+      answer_opt r.Iterative_solver.partitioning r.Iterative_solver.cost
+        r.Iterative_solver.certificate r.Iterative_solver.exact
     | `Greedy ->
       let options =
         { Greedy.default_options with
@@ -865,26 +809,16 @@ let solve_cmd =
         }
       in
       let r = Greedy.solve ~options inst in
-      Printf.printf "greedy: %d moves, %.2fs\n" r.Greedy.moves r.Greedy.elapsed;
-      finish r.Greedy.partitioning r.Greedy.cost;
-      if certify || exact then
-        check_all
-          (if certify then domain_certificate r.Greedy.partitioning r.Greedy.cost
-           else None)
-          (domain_exact r.Greedy.partitioning r.Greedy.cost)
-      else Ok ()
+      Format.fprintf out "greedy: %d moves, %.2fs@." r.Greedy.moves
+        r.Greedy.elapsed;
+      baseline r.Greedy.partitioning ~cost:r.Greedy.cost
+        ~objective6:r.Greedy.objective6
     | `Affinity ->
       let r =
         Affinity.solve ~options:{ Affinity.num_sites = sites; p; lambda } inst
       in
-      finish r.Affinity.partitioning r.Affinity.cost;
-      if certify || exact then
-        check_all
-          (if certify then
-             domain_certificate r.Affinity.partitioning r.Affinity.cost
-           else None)
-          (domain_exact r.Affinity.partitioning r.Affinity.cost)
-      else Ok ()
+      baseline r.Affinity.partitioning ~cost:r.Affinity.cost
+        ~objective6:r.Affinity.objective6
     with Diagnostic.Errors ds ->
       Format.eprintf "%a@." Report.pp_diagnostics ds;
       Error (`Msg "the built model failed static analysis; refusing to solve")
@@ -896,8 +830,7 @@ let solve_cmd =
         (const run $ instance_term $ solver_term $ sites_term $ p_term
          $ lambda_term $ disjoint_term $ no_grouping_term $ jobs_term
          $ time_limit_term $ seed_term $ json_term
-         $ lint_model_term $ certify_term $ exact_term $ tol_term
-         $ trace_term $ progress_term $ metrics_term $ gc_stats_term
+         $ lint_model_term $ exact_term $ trace_term $ progress_term $ metrics_term $ gc_stats_term
          $ output_term))
 
 (* ------------------------------------------------------------------ *)
@@ -1228,10 +1161,14 @@ let certify_cmd =
              rational, and [E]-code findings (docs/ANALYSIS.md).  Exits \
              non-zero on exactly-refuted claims.")
   in
-  let run files solver sites p lambda time_limit jobs exact tol fmt =
+  let run files solver sites p lambda time_limit jobs exact fmt =
     (* Solve + certify every file independently (possibly across domains;
        the per-file solvers stay sequential so the fan-out owns the only
        pool), then print the verdicts in command-line order. *)
+    let qp, sa, iter =
+      solver_options ~sa_time_limit:time_limit ~sites ~p ~lambda ~time_limit
+        ~exact ()
+    in
     let certify_one file =
          let cert, exact_report =
            match Codec.load_instance file with
@@ -1248,55 +1185,13 @@ let certify_cmd =
              try
                match solver with
                | `Qp ->
-                 let r =
-                   Qp_solver.solve
-                     ~options:
-                       { Qp_solver.default_options with
-                         Qp_solver.num_sites = sites;
-                         p;
-                         lambda;
-                         time_limit;
-                         certify = true;
-                         certify_exact = exact;
-                         certify_tol = tol;
-                       }
-                     inst
-                 in
+                 let r = Qp_solver.solve ~options:qp inst in
                  (r.Qp_solver.certificate, r.Qp_solver.exact)
                | `Sa ->
-                 let r =
-                   Sa_solver.solve
-                     ~options:
-                       { Sa_solver.default_options with
-                         Sa_solver.num_sites = sites;
-                         p;
-                         lambda;
-                         time_limit = Some time_limit;
-                         certify = true;
-                         certify_exact = exact;
-                         certify_tol = tol;
-                       }
-                     inst
-                 in
+                 let r = Sa_solver.solve ~options:sa inst in
                  (r.Sa_solver.certificate, r.Sa_solver.exact)
                | `Iter ->
-                 let r =
-                   Iterative_solver.solve
-                     ~options:
-                       { Iterative_solver.default_options with
-                         Iterative_solver.qp =
-                           { Qp_solver.default_options with
-                             Qp_solver.num_sites = sites;
-                             p;
-                             lambda;
-                             time_limit;
-                             certify = true;
-                             certify_exact = exact;
-                             certify_tol = tol;
-                           };
-                       }
-                     inst
-                 in
+                 let r = Iterative_solver.solve ~options:iter inst in
                  (r.Iterative_solver.certificate, r.Iterative_solver.exact)
              with Diagnostic.Errors ds -> (Some ds, None))
          in
@@ -1364,7 +1259,7 @@ let certify_cmd =
           Error-level findings.")
     Term.(
       const run $ files_term $ solver_term $ sites_term $ p_term $ lambda_term
-      $ time_limit_term $ jobs_term $ exact_term $ tol_term $ format_term)
+      $ time_limit_term $ jobs_term $ exact_term $ format_term)
 
 (* ------------------------------------------------------------------ *)
 (* gen / export                                                        *)
@@ -1542,12 +1437,12 @@ let batch_cmd =
   in
   let action_term =
     Arg.(
-      value & opt string "solve"
+      value & opt string "certify"
       & info [ "action" ] ~docv:"ACTION"
           ~doc:
             "What to do with each instance: $(b,check) (lint + single-site \
-             baseline objective), $(b,solve) (QP solver) or $(b,certify) \
-             (solve with self-certification of every claim).")
+             baseline objective) or $(b,certify) (QP solve with \
+             self-certification of every claim).")
   in
   let window_term =
     Arg.(
@@ -1596,7 +1491,7 @@ let batch_cmd =
       disjoint time_limit metrics_summary gc_stats output =
     match Batch.action_of_string action with
     | None ->
-      Error (`Msg (Printf.sprintf "unknown action %S (check|solve|certify)" action))
+      Error (`Msg (Printf.sprintf "unknown action %S (check|certify)" action))
     | Some action -> (
       match
         match random with

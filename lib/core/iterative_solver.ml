@@ -194,12 +194,13 @@ let solve ?(options = default_options) (inst : Instance.t) =
        place, so it already carries the polished layout; the reported
        numbers are re-derived from the unchanged Cost_model, never from
        the delta caches. *)
-    let dtol = Option.value options.qp.Qp_solver.certify_tol ~default:1e-5 in
     let cost, objective6, polish_certs, polish_exact =
       match polished with
       | None -> (r.Qp_solver.cost, r.Qp_solver.objective6, [], None)
       | Some (stats, dc) ->
-        let { Qp_solver.p; lambda; latency; _ } = options.qp in
+        let { Qp_solver.p; lambda; latency; certify; certify_exact; _ } =
+          options.qp
+        in
         let part = Delta_cost.partitioning dc in
         let cost = Cost_model.cost stats part in
         let obj6 =
@@ -207,25 +208,16 @@ let solve ?(options = default_options) (inst : Instance.t) =
             ?latency:(Option.map (fun pl -> (inst, pl)) latency)
             stats ~lambda part
         in
-        let certs =
-          if not options.qp.Qp_solver.certify then []
+        (* The local-search polish re-claims the cost/objective; certify
+           the polished layout, not just the QP round's, at the QP
+           rounds' tolerance. *)
+        let certs, exact =
+          if not (certify || certify_exact) then ([], None)
           else
-            Solution_certify.certify_partitioning stats part
-            @ Solution_certify.certify_cost ~tol:dtol inst ~p part
-                ~claimed:cost
-            @ Solution_certify.certify_objective6 ~tol:dtol inst ~p ~lambda
-                ?latency part ~claimed:obj6
-        in
-        let exact =
-          if not options.qp.Qp_solver.certify_exact then None
-          else
-            (* The local-search polish re-claims the cost/objective; audit
-               the polished layout, not just the QP round's. *)
-            Some
-              (Solution_certify.Exact.audit ~tol:dtol
-                 ~objective6:
-                   { Solution_certify.Exact.lambda; latency; claimed = obj6 }
-                 inst ~p part ~cost)
+            Solution_certify.certify_claims
+              ~tol:Vpart_certify.Certify.default_options.Vpart_certify.Certify.tol
+              ~exact:certify_exact ?latency inst stats ~p ~lambda part ~cost
+              ~objective6:obj6
         in
         (Some cost, Some obj6, certs, exact)
     in

@@ -25,8 +25,9 @@
     single-sitedness are not proposed.  Skipped with
     [qp.allow_replication = false] or a single site.  Reported cost and
     objective are re-derived from {!Cost_model} (never from the delta
-    caches), and with [qp.certify] the polished layout gets fresh
-    feasibility/cost/objective certificates. *)
+    caches), and with [qp.certify] the polished layout's claims are
+    certified afresh by {!Solution_certify.certify_claims} ([C202] for
+    the cost, float tolerance [1e-5], as the QP rounds'). *)
 
 type options = {
   qp : Qp_solver.options;   (** per-round solver setup; [qp.time_limit] is

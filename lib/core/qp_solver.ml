@@ -11,7 +11,6 @@ type options = {
   fixed_txns : (int * int) list;
   certify : bool;
   certify_exact : bool;
-  certify_tol : float option;
   jobs : int;
   simplex_workspace : Simplex.Workspace.t option;
 }
@@ -30,7 +29,6 @@ let default_options =
     fixed_txns = [];
     certify = false;
     certify_exact = false;
-    certify_tol = None;
     jobs = 1;
     simplex_workspace = None;
   }
@@ -460,48 +458,34 @@ let solve ?(options = default_options) (inst : Instance.t) =
         (Cost_model.objective ?latency full_stats ~lambda:options.lambda)
         partitioning
     in
-    let copts =
-      let base = Vpart_certify.Certify.default_options in
-      match options.certify_tol with
-      | None -> base
-      | Some t -> { base with Vpart_certify.Certify.tol = t }
-    in
-    let dtol = copts.Vpart_certify.Certify.tol in
     let claimed_obj6 =
       match mip_outcome with
       | Mip.Optimal sol | Mip.Feasible (sol, _) -> Some sol.Mip.obj
       | _ -> None
+    in
+    (* The decoded partitioning's claims re-evaluated straight from the
+       instance (Cost_model.breakdown), bypassing the Stats coefficients
+       the model was built from, at the MIP checks' float tolerance. *)
+    let domain_certs, domain_exact =
+      match (partitioning, cost, claimed_obj6) with
+      | Some part, Some cost, Some objective6
+        when options.certify || options.certify_exact ->
+        Solution_certify.certify_claims
+          ~tol:Vpart_certify.Certify.default_options.Vpart_certify.Certify.tol
+          ~exact:options.certify_exact ?latency:options.latency
+          ~fixed:options.fixed_txns inst full_stats ~p:options.p
+          ~lambda:options.lambda part ~cost ~objective6
+      | _ -> ([], None)
     in
     let certificate =
       if not options.certify then None
       else Obs.with_span "qp.certify" @@ fun () -> begin
         (* Independent certification of every claim this solve made: the
            MIP-level checks re-derive feasibility/bounds/duality from the
-           model and the returned artifacts; the domain-level checks
-           re-evaluate the decoded partitioning straight from the instance
-           (Cost_model.breakdown), bypassing the Stats coefficients the
-           model was built from. *)
+           model and the returned artifacts. *)
         let mip_certs =
-          Vpart_certify.Certify.certify_mip ~options:copts ~gap:options.gap
+          Vpart_certify.Certify.certify_mip ~gap:options.gap
             ~var_name:(Lp.var_name model) model mip_outcome mip_stats
-        in
-        let domain_certs =
-          match partitioning with
-          | None -> []
-          | Some part ->
-            Solution_certify.certify_partitioning full_stats part
-            @ (match claimed_obj6 with
-               | Some obj6 ->
-                 Solution_certify.certify_objective6 ~tol:dtol inst
-                   ~p:options.p ~lambda:options.lambda
-                   ?latency:options.latency part ~claimed:obj6
-               | None -> [])
-            @ (match cost with
-               | Some c ->
-                 Solution_certify.certify_cost ~tol:dtol inst ~p:options.p
-                   part ~claimed:c
-               | None -> [])
-            @ Solution_certify.certify_pins ~fixed:options.fixed_txns part
         in
         let pin_certs =
           if sites_interchangeable options then
@@ -516,28 +500,15 @@ let solve ?(options = default_options) (inst : Instance.t) =
       if not options.certify_exact then None
       else
         (* Tolerance-free re-verification of the same claims in rational
-           arithmetic (E-codes); [copts] still matters — it is the float
-           layer whose verdicts the exact ones are paired with. *)
+           arithmetic (E-codes), paired with the float verdicts at the
+           default tolerance. *)
         let module Exact = Vpart_certify.Certify.Exact in
         let mip_exact =
-          Exact.audit ~options:copts ~gap:options.gap
+          Exact.audit ~gap:options.gap
             ~var_name:(Lp.var_name model) model mip_outcome mip_stats
         in
-        let domain_exact =
-          match (partitioning, cost) with
-          | Some part, Some cost ->
-            let objective6 =
-              Option.map
-                (fun claimed ->
-                   { Solution_certify.Exact.lambda = options.lambda;
-                     latency = options.latency; claimed })
-                claimed_obj6
-            in
-            Solution_certify.Exact.audit ~tol:dtol ?objective6 inst
-              ~p:options.p part ~cost
-          | _ -> Exact.empty
-        in
-        Some (Exact.merge mip_exact domain_exact)
+        Some
+          (Exact.merge mip_exact (Option.value domain_exact ~default:Exact.empty))
     in
     {
       outcome;

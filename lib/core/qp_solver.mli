@@ -22,7 +22,12 @@
       search.  Heuristic partitionings are relabelled to canonical site
       order so they stay feasible, and the certify pass proves the
       pinning sound on the built model ([C112],
-      {!Vpart_certify.Certify.certify_site_pinning}). *)
+      {!Vpart_certify.Certify.certify_site_pinning}).
+
+    With [certify] the MIP-level claims are re-derived by
+    {!Vpart_certify.Certify} and the returned layout's claims by
+    {!Solution_certify.certify_claims} ([C202] for the cost), all at the
+    float tolerance [1e-5]; no option changes it. *)
 
 type options = {
   num_sites : int;
@@ -47,23 +52,20 @@ type options = {
           site-symmetry pinning off. *)
   certify : bool;
       (** Self-certification: after the solve, re-derive every claim
-          (incumbent feasibility, dual bounds, objective-(6)/cost
-          agreement with {!Cost_model.breakdown}, pin satisfaction) with
-          {!Vpart_certify.Certify} and {!Solution_certify}, and return the
-          findings in [certificate].  Off by default (it re-standardizes
-          the model and re-evaluates the instance). *)
+          (incumbent feasibility, dual bounds, site pinning, and the
+          returned layout's claims through
+          {!Solution_certify.certify_claims}: validity, objective (6),
+          cost and pins) and return the findings in [certificate].  The
+          float tolerance is {!Vpart_certify.Certify.default_options}'s
+          ([1e-5]) for every check.  Off by default, but every front end
+          sets it ([vpart solve], [vpart certify], [Batch]). *)
   certify_exact : bool;
       (** Exact audit: additionally re-verify every certificate in
           rational arithmetic with zero tolerance
-          ({!Vpart_certify.Certify.Exact} + {!Solution_certify.Exact})
-          and return the report in [exact].  Independent of [certify] —
-          the exact pass re-derives the float verdicts it pairs with. *)
-  certify_tol : float option;
-      (** Override the float certification tolerance
-          ({!Vpart_certify.Certify.options}[.tol], default [1e-5]); also
-          used as the relative tolerance of the domain-level [C201]/[C202]
-          checks and as the masked-vs-refuted threshold of the exact
-          audit. *)
+          ({!Vpart_certify.Certify.Exact} and the exact half of
+          {!Solution_certify.certify_claims}) and return the report in
+          [exact].  Independent of [certify] — the exact pass re-derives
+          the float verdicts it pairs with. *)
   jobs : int;
       (** Domains the branch-and-bound may use ({!Mip.solve}'s [jobs],
           default 1). *)

@@ -6,14 +6,10 @@ type options = {
   use_grouping : bool;
   seed : int;
   move_fraction : float;
-  inner_loops : int;
-  freeze_ratio : float;
-  max_outer : int;
   time_limit : float option;
   latency : float option;
   certify : bool;
   certify_exact : bool;
-  certify_tol : float option;
   restarts : int;
   jobs : int;
 }
@@ -27,21 +23,21 @@ let default_options =
     use_grouping = true;
     seed = 1;
     move_fraction = 0.10;
-    inner_loops = 40;
-    freeze_ratio = 1e-3;
-    max_outer = 400;
     time_limit = None;
     latency = None;
     certify = false;
     certify_exact = false;
-    certify_tol = None;
     restarts = 1;
     jobs = 1;
   }
 
-(* ρ of Algorithm 1, and §5.1's initial-temperature gap: the first
+(* The schedule of Algorithm 1: ρ, L proposals per epoch, and the
+   search freezes once τ < [freeze_ratio]·τ₀ — after 43 epochs, since
+   0.85^43 < 1e-3 < 0.85^42.  §5.1's initial-temperature gap: the first
    epochs accept a [accept_gap]-worse solution with probability 1/2. *)
 let cooling = 0.85
+let inner_loops = 40
+let freeze_ratio = 1e-3
 let accept_gap = 0.05
 
 type search_stats = {
@@ -411,13 +407,11 @@ let anneal ?epoch_hook (stats : Stats.t) opts rng { dc; propose } =
   let fix = ref `Fix_x in
   (try
      while
-       !tau > opts.freeze_ratio *. tau0
-       && !outer < opts.max_outer
-       && not (out_of_time ())
+       !tau > freeze_ratio *. tau0 && not (out_of_time ())
      do
        incr outer;
        let epoch_start_accepted = !accepted in
-       for _ = 1 to opts.inner_loops do
+       for _ = 1 to inner_loops do
          if out_of_time () then raise Exit;
          incr iterations;
          propose !fix;
@@ -469,7 +463,7 @@ let anneal ?epoch_hook (stats : Stats.t) opts rng { dc; propose } =
                ( "accept_rate",
                  Obs.Float
                    (float_of_int (!accepted - epoch_start_accepted)
-                    /. float_of_int opts.inner_loops) );
+                    /. float_of_int inner_loops) );
                ("best_obj", Obs.Float !best_obj);
                ("current_obj", Obs.Float !current_obj);
              ]
@@ -653,46 +647,36 @@ let solve ?(options = default_options) (inst : Instance.t) =
     Cost_model.objective ?latency full_stats ~lambda:options.lambda
       partitioning
   in
-  let dtol = Option.value options.certify_tol ~default:1e-6 in
-  let certificate =
-    if not options.certify then None
+  let certificate, exact =
+    if not (options.certify || options.certify_exact) then (None, None)
     else
       (* The annealer tracks its objective incrementally; certify both the
          internal best (against a from-scratch reduced-space evaluation)
-         and the reported cost/objective (against the instance-level
-         breakdown, which never touches the Stats coefficients). *)
-      let internal =
-        let fresh = objective best in
-        if Float.abs (fresh -. tracked_obj6) > 1e-6 *. (1. +. Float.abs fresh)
-        then
-          [ Vpart_analysis.Diagnostic.error ~code:"C203"
-              "annealer's tracked best objective %g differs from a fresh \
-               re-evaluation %g of the returned layout"
-              tracked_obj6 fresh ]
-        else []
+         and the reported claims (against the instance-level breakdown,
+         which never touches the Stats coefficients), the cost as C203,
+         at relative tolerance 1e-6. *)
+      let claims, exact =
+        Solution_certify.certify_claims ~cost_code:"C203" ~tol:1e-6
+          ~exact:options.certify_exact ?latency:options.latency inst
+          full_stats ~p:options.p ~lambda:options.lambda partitioning ~cost
+          ~objective6
       in
-      Some
-        (Vpart_analysis.Diagnostic.sort
-           (internal
-            @ Solution_certify.certify_partitioning full_stats partitioning
-            @ Solution_certify.certify_cost ~tol:dtol ~code:"C203" inst
-                ~p:options.p partitioning ~claimed:cost
-            @ Solution_certify.certify_objective6 ~tol:dtol inst ~p:options.p
-                ~lambda:options.lambda ?latency:options.latency partitioning
-                ~claimed:objective6))
-  in
-  let exact =
-    if not options.certify_exact then None
-    else
-      (* The annealer emits no MIP-level artifacts; the exact audit covers
-         the domain-level claims (cost and objective-(6) agreement) in
-         rational arithmetic. *)
-      Some
-        (Solution_certify.Exact.audit ~tol:dtol
-           ~objective6:
-             { Solution_certify.Exact.lambda = options.lambda;
-               latency = options.latency; claimed = objective6 }
-           inst ~p:options.p partitioning ~cost)
+      ( (if not options.certify then None
+         else
+           let fresh = objective best in
+           let internal =
+             if
+               Float.abs (fresh -. tracked_obj6)
+               > 1e-6 *. (1. +. Float.abs fresh)
+             then
+               [ Vpart_analysis.Diagnostic.error ~code:"C203"
+                   "annealer's tracked best objective %g differs from a \
+                    fresh re-evaluation %g of the returned layout"
+                   tracked_obj6 fresh ]
+             else []
+           in
+           Some (Vpart_analysis.Diagnostic.sort (internal @ claims))),
+        exact )
   in
   {
     partitioning;

@@ -30,7 +30,10 @@
     read, and which is resynced against float drift at every epoch
     boundary.  The start layouts, the collapsed candidate and the
     portfolio's side polish run the same sub-steps on a fresh
-    evaluator.  The final claims are re-derived from {!Cost_model}. *)
+    evaluator.  The final claims are re-derived from {!Cost_model}, and
+    with [certify] they are certified by
+    {!Solution_certify.certify_claims} ([C203] for the cost) at the
+    float tolerance [1e-6]; no option changes it. *)
 
 type options = {
   num_sites : int;
@@ -40,28 +43,25 @@ type options = {
   use_grouping : bool;
   seed : int;               (** PRNG seed; results are deterministic per seed *)
   move_fraction : float;    (** §3: fraction of txns/attrs perturbed (0.10) *)
-  inner_loops : int;        (** L in Algorithm 1 *)
-  freeze_ratio : float;     (** frozen when τ < freeze_ratio·τ₀ *)
-  max_outer : int;
   time_limit : float option;
   latency : float option;
       (** Appendix A: when [Some pl], adds [λ·pl·Σ_q f_q·ψ_q] to the
           annealed objective (ψ_q = 1 when write query q updates an
           attribute replicated away from its home site). *)
   certify : bool;
-      (** Self-certification: re-derive the reported cost/objective from
-          {!Cost_model.breakdown} and a from-scratch evaluation of the
-          annealer's tracked best, returning the findings in
-          [certificate].  Off by default. *)
+      (** Self-certification: check the annealer's tracked best against
+          a from-scratch evaluation of the returned layout ([C203]) and
+          certify the reported claims through
+          {!Solution_certify.certify_claims} (validity [C205], objective
+          (6) [C201], cost [C203]) at relative tolerance [1e-6],
+          returning the findings in [certificate].  Off by default. *)
   certify_exact : bool;
       (** Exact audit: re-derive the reported cost and objective-(6)
-          claims in rational arithmetic ({!Solution_certify.Exact}),
-          returning the report in [exact].  The annealer emits no
-          MIP-level artifacts, so there is no dual/Farkas side here. *)
-  certify_tol : float option;
-      (** Override the float certification tolerance (default [1e-6] for
-          the domain-level checks); also the masked-vs-refuted threshold
-          of the exact audit. *)
+          claims in rational arithmetic (the exact half of
+          {!Solution_certify.certify_claims}, masked-vs-refuted at the
+          same [1e-6]), returning the report in [exact].  The annealer
+          emits no MIP-level artifacts, so there is no dual/Farkas side
+          here. *)
   restarts : int;
       (** Portfolio width: number of independent annealing chains.  With
           [restarts = 1] (default) the solver runs the single sequential
@@ -80,14 +80,14 @@ type options = {
 
 val default_options : options
 (** 2 sites, p = 8, λ = 0.1, replication and grouping on, seed 1,
-    10 % moves, L = 40, freeze at τ₀/1000, at most 400 outer rounds,
-    no time limit, no latency term, one chain ([restarts = 1]) on one
-    domain ([jobs = 1]).
+    10 % moves, no time limit, no latency term, one chain
+    ([restarts = 1]) on one domain ([jobs = 1]).
 
-    Two schedule constants are not options: the cooling factor
-    ρ = 0.85 of Algorithm 1, and §5.1's initial-temperature gap of 5 %
-    (τ₀ is set so that a solution 5 % worse than the start is accepted
-    with probability 1/2).
+    The schedule is fixed, not optional: Algorithm 1's cooling factor
+    ρ = 0.85 and L = 40 proposals per epoch; the search freezes once
+    τ < τ₀/1000, that is after 43 epochs; and §5.1's
+    initial-temperature gap of 5 % (τ₀ is set so that a solution 5 %
+    worse than the start is accepted with probability 1/2).
 
     The returned solution is additionally never worse (in objective (6))
     than the best {e collapsed} layout — all transactions on one site with

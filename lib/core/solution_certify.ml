@@ -2,52 +2,27 @@ module Diagnostic = Vpart_analysis.Diagnostic
 
 let rel tol reference = tol *. (1. +. Float.abs reference)
 
-let certify_partitioning stats part =
-  Obs.timed "certify.partitioning.seconds" @@ fun () ->
-  match Partitioning.validate stats part with
-  | Ok () -> []
-  | Error msg ->
-    [ Diagnostic.error ~code:"C205"
-        "returned partitioning fails structural validation: %s" msg ]
-
-let independent_cost (b : Cost_model.breakdown) ~p =
-  b.Cost_model.read_local +. b.Cost_model.write_local
-  +. (p *. b.Cost_model.transfer)
-
-let certify_cost ?(tol = 1e-6) ?(code = "C202") inst ~p part ~claimed =
-  Obs.timed "certify.cost.seconds" @@ fun () ->
-  let b = Cost_model.breakdown inst part in
-  let indep = independent_cost b ~p in
-  if not (Float.abs (indep -. claimed) <= rel tol indep) then
-    [ Diagnostic.error ~code
-        "claimed cost %g differs from the independent breakdown \
-         re-derivation %g (read %g + write %g + %g x transfer %g)"
-        claimed indep b.Cost_model.read_local b.Cost_model.write_local p
-        b.Cost_model.transfer ]
-  else []
-
-let certify_objective6 ?(tol = 1e-6) ?(code = "C201") inst ~p ~lambda ?latency
-    part ~claimed =
-  Obs.timed "certify.objective6.seconds" @@ fun () ->
-  let b = Cost_model.breakdown inst part in
-  let cost = independent_cost b ~p in
-  let work = Array.fold_left Float.max 0. b.Cost_model.site_work in
-  let lat =
-    match latency with
-    | None -> 0.
-    | Some pl -> lambda *. Cost_model.latency inst ~pl part
-  in
-  let indep = (lambda *. cost) +. ((1. -. lambda) *. work) +. lat in
-  if not (Float.abs (indep -. claimed) <= rel tol indep) then
-    [ Diagnostic.error ~code
-        "claimed objective (6) %g differs from the independent instance \
-         evaluation %g (lambda %g, cost %g, max site work %g%s)"
-        claimed indep lambda cost work
-        (if lat = 0. then "" else Printf.sprintf ", latency term %g" lat) ]
-  else []
+let certify_pins ~fixed part =
+  let nt = Array.length part.Partitioning.txn_site in
+  List.filter_map
+    (fun (t, site) ->
+       if t < 0 || t >= nt then
+         Some
+           (Diagnostic.error ~code:"C204"
+              "pinned transaction %d is out of range (0..%d)" t (nt - 1))
+       else if part.Partitioning.txn_site.(t) <> site then
+         Some
+           (Diagnostic.error ~code:"C204"
+              "pinned transaction %d homed on site %d, but the pin required \
+               site %d"
+              t
+              part.Partitioning.txn_site.(t)
+              site)
+       else None)
+    fixed
 
 (* ------------------------------------------------------------------ *)
-(* Exact (rational) domain-level audits: E101-E104                    *)
+(* Exact (rational) re-derivation: E101-E104                           *)
 (* ------------------------------------------------------------------ *)
 
 module Exact = struct
@@ -164,8 +139,8 @@ module Exact = struct
     done;
     Q.mul (Q.of_float pl) !total
 
-  let value_report ~claim ~refuted_code ~masked_code ~masked_sev ~float_ok
-      ~threshold ~exact ~claimed detail =
+  let value_report ~claim ~refuted_code ~masked_code ~float_ok ~threshold
+      ~exact ~claimed detail =
     let residual = Q.abs (Q.sub exact (Q.of_float claimed)) in
     let verdict = E.classify ~threshold residual in
     let code =
@@ -185,17 +160,12 @@ module Exact = struct
              else "")
             (detail ()) ]
       | E.Masked_violation ->
-        [ {
-            Diagnostic.code = masked_code;
-            severity = masked_sev;
-            message =
-              Printf.sprintf
-                "tolerance-masked %s drift: claimed %g is off the exact \
-                 re-derivation by %s (within the float tolerance %g; %s)"
-                claim claimed
-                (Q.to_short_string residual)
-                threshold (detail ());
-          } ]
+        [ Diagnostic.info ~code:masked_code
+            "tolerance-masked %s drift: claimed %g is off the exact \
+             re-derivation by %s (within the float tolerance %g; %s)"
+            claim claimed
+            (Q.to_short_string residual)
+            threshold (detail ()) ]
       | _ -> []
     in
     {
@@ -204,88 +174,112 @@ module Exact = struct
       findings;
     }
 
-  type objective6 = { lambda : float; latency : float option; claimed : float }
-
-  let audit ?(tol = 1e-6) ?objective6 inst ~p part ~cost:claimed_cost =
+  (* [cost]/[obj6] pair each claim with its float re-derivation and
+     threshold, so the exact verdicts are paired with the float ones. *)
+  let audit inst ~p ~lambda ?latency:pl part ~cost:(claimed_cost, cost_t, cost_ok)
+      ~obj6:(claimed, obj6_t, obj6_ok) =
     Obs.with_span "certify.exact" @@ fun () ->
     Obs.timed "certify.exact.domain.seconds" @@ fun () ->
-    (* One exact and one float breakdown serve both claims; the float side
-       is the view of {!certify_cost}/{!certify_objective6} the exact
-       verdicts are paired with. *)
-    let bq = breakdown inst part and bf = Cost_model.breakdown inst part in
+    let bq = breakdown inst part in
     let cost_q =
       Q.add bq.read_local
         (Q.add bq.write_local (Q.mul (Q.of_float p) bq.transfer))
     in
-    let cost_f = independent_cost bf ~p in
-    let o6 =
-      match objective6 with
-      | None -> E.empty
-      | Some { lambda; latency = pl; claimed } ->
-        let lq = Q.of_float lambda in
-        let work_q = Array.fold_left Q.max Q.zero bq.site_work in
-        let lat_q, lat_f =
-          match pl with
-          | None -> (Q.zero, 0.)
-          | Some pl ->
-            ( Q.mul lq (latency inst ~pl part),
-              lambda *. Cost_model.latency inst ~pl part )
-        in
-        let exact =
-          Q.add
-            (Q.add (Q.mul lq cost_q) (Q.mul (Q.sub Q.one lq) work_q))
-            lat_q
-        in
-        let work_f = Array.fold_left Float.max 0. bf.Cost_model.site_work in
-        let indep =
-          (lambda *. cost_f) +. ((1. -. lambda) *. work_f) +. lat_f
-        in
-        let threshold = rel tol indep in
-        let float_ok = Float.abs (indep -. claimed) <= threshold in
-        value_report ~claim:"objective (6)" ~refuted_code:"E101"
-          ~masked_code:"E102" ~masked_sev:Diagnostic.Info ~float_ok
-          ~threshold ~exact ~claimed
-          (fun () ->
-             Printf.sprintf
-                "lambda %g, exact cost %s, exact max site work %s%s" lambda
-                (Q.to_short_string cost_q)
-                (Q.to_short_string work_q)
-                (if Q.is_zero lat_q then ""
-                 else
-                   Printf.sprintf ", exact latency term %s"
-                     (Q.to_short_string lat_q)))
+    let lq = Q.of_float lambda in
+    let work_q = Array.fold_left Q.max Q.zero bq.site_work in
+    let lat_q =
+      match pl with
+      | None -> Q.zero
+      | Some pl -> Q.mul lq (latency inst ~pl part)
     in
-    let threshold = rel tol cost_f in
-    let float_ok = Float.abs (cost_f -. claimed_cost) <= threshold in
+    let exact =
+      Q.add (Q.add (Q.mul lq cost_q) (Q.mul (Q.sub Q.one lq) work_q)) lat_q
+    in
+    let o6 =
+      value_report ~claim:"objective (6)" ~refuted_code:"E101"
+        ~masked_code:"E102" ~float_ok:obj6_ok ~threshold:obj6_t ~exact
+        ~claimed
+        (fun () ->
+           Printf.sprintf "lambda %g, exact cost %s, exact max site work %s%s"
+             lambda (Q.to_short_string cost_q) (Q.to_short_string work_q)
+             (if Q.is_zero lat_q then ""
+              else
+                Printf.sprintf ", exact latency term %s"
+                  (Q.to_short_string lat_q)))
+    in
     let c4 =
       value_report ~claim:"cost (objective 4)" ~refuted_code:"E103"
-        ~masked_code:"E104" ~masked_sev:Diagnostic.Info ~float_ok ~threshold
-        ~exact:cost_q ~claimed:claimed_cost
+        ~masked_code:"E104" ~float_ok:cost_ok ~threshold:cost_t ~exact:cost_q
+        ~claimed:claimed_cost
         (fun () ->
            Printf.sprintf "exact read %s + write %s + %g x transfer %s"
-              (Q.to_short_string bq.read_local)
-              (Q.to_short_string bq.write_local)
-              p
-              (Q.to_short_string bq.transfer))
+             (Q.to_short_string bq.read_local)
+             (Q.to_short_string bq.write_local)
+             p
+             (Q.to_short_string bq.transfer))
     in
     E.merge o6 c4
 end
 
-let certify_pins ~fixed part =
-  let nt = Array.length part.Partitioning.txn_site in
-  List.filter_map
-    (fun (t, site) ->
-       if t < 0 || t >= nt then
-         Some
-           (Diagnostic.error ~code:"C204"
-              "pinned transaction %d is out of range (0..%d)" t (nt - 1))
-       else if part.Partitioning.txn_site.(t) <> site then
-         Some
-           (Diagnostic.error ~code:"C204"
-              "pinned transaction %d homed on site %d, but the pin required \
-               site %d"
-              t
-              part.Partitioning.txn_site.(t)
-              site)
-       else None)
-    fixed
+(* ------------------------------------------------------------------ *)
+(* The claims of a returned layout: C201-C205                          *)
+(* ------------------------------------------------------------------ *)
+
+let certify_claims ?(cost_code = "C202") ?latency ?(fixed = []) ~tol ~exact
+    inst stats ~p ~lambda part ~cost ~objective6 =
+  let claims () =
+    let structure =
+      match Partitioning.validate stats part with
+      | Ok () -> []
+      | Error msg ->
+        [ Diagnostic.error ~code:"C205"
+            "returned partitioning fails structural validation: %s" msg ]
+    in
+    (* One float breakdown serves both value claims and the float side of
+       the exact verdicts. *)
+    let b = Cost_model.breakdown inst part in
+    let cost_f =
+      b.Cost_model.read_local +. b.Cost_model.write_local
+      +. (p *. b.Cost_model.transfer)
+    in
+    let work = Array.fold_left Float.max 0. b.Cost_model.site_work in
+    let lat =
+      match latency with
+      | None -> 0.
+      | Some pl -> lambda *. Cost_model.latency inst ~pl part
+    in
+    let obj6_f = (lambda *. cost_f) +. ((1. -. lambda) *. work) +. lat in
+    (* A non-finite claim or re-derivation never passes. *)
+    let judge indep claimed =
+      let threshold = rel tol indep in
+      (claimed, threshold, Float.abs (indep -. claimed) <= threshold)
+    in
+    let ((_, _, obj6_ok) as obj6) = judge obj6_f objective6
+    and ((_, _, cost_ok) as c4) = judge cost_f cost in
+    let findings =
+      structure
+      @ (if obj6_ok then []
+         else
+           [ Diagnostic.error ~code:"C201"
+               "claimed objective (6) %g differs from the independent \
+                instance evaluation %g (lambda %g, cost %g, max site work \
+                %g%s)"
+               objective6 obj6_f lambda cost_f work
+               (if lat = 0. then ""
+                else Printf.sprintf ", latency term %g" lat) ])
+      @ (if cost_ok then []
+         else
+           [ Diagnostic.error ~code:cost_code
+               "claimed cost %g differs from the independent breakdown \
+                re-derivation %g (read %g + write %g + %g x transfer %g)"
+               cost cost_f b.Cost_model.read_local b.Cost_model.write_local p
+               b.Cost_model.transfer ])
+      @ certify_pins ~fixed part
+    in
+    (findings, obj6, c4)
+  in
+  let findings, obj6, c4 = Obs.timed "certify.claims.seconds" claims in
+  ( findings,
+    if exact then
+      Some (Exact.audit inst ~p ~lambda ?latency part ~cost:c4 ~obj6)
+    else None )

@@ -1,17 +1,13 @@
 open Vpart
 
-type action = Check | Solve | Certify
+type action = Check | Certify
 
 let action_of_string = function
   | "check" -> Some Check
-  | "solve" -> Some Solve
   | "certify" -> Some Certify
   | _ -> None
 
-let string_of_action = function
-  | Check -> "check"
-  | Solve -> "solve"
-  | Certify -> "certify"
+let string_of_action = function Check -> "check" | Certify -> "certify"
 
 type response = {
   index : int;
@@ -150,12 +146,11 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
             seconds = 0.;
             error = None;
           }
-        | Solve | Certify ->
+        | Certify ->
           let options =
             {
               options with
-              Qp_solver.certify =
-                options.Qp_solver.certify || action = Certify;
+              Qp_solver.certify = true;
               simplex_workspace = Some sx_ws.(wi);
             }
           in
@@ -167,7 +162,7 @@ let run ?(jobs = 1) ?window ?(options = Qp_solver.default_options) ~action
           in
           let certified =
             match r.Qp_solver.certificate with
-            | None -> true
+            | None -> false
             | Some ds -> not (Vpart_analysis.Diagnostic.has_errors ds)
           in
           {

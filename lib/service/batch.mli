@@ -32,14 +32,15 @@ type action =
           single-site baseline with {!Cost_model.cost} and
           {!Cost_model.objective} — the cheap action for
           memory-behaviour sweeps. *)
-  | Solve  (** {!Qp_solver.solve} with the pooled simplex workspace. *)
   | Certify
-      (** [Solve] with self-certification on: every claim of every
-          result is re-derived ({!Qp_solver.options.certify}), and a
-          response is only [ok] when its certificate is clean. *)
+      (** {!Qp_solver.solve} with the pooled simplex workspace and
+          self-certification on: every claim of every result is
+          re-derived ({!Qp_solver.options.certify}), and a response is
+          only [ok] when its certificate is clean.  There is no
+          uncertified solve action. *)
 
 val action_of_string : string -> action option
-(** Parses ["check"], ["solve"], ["certify"]; [None] otherwise. *)
+(** Parses ["check"] and ["certify"]; [None] otherwise. *)
 
 val string_of_action : action -> string
 
@@ -47,10 +48,10 @@ type response = {
   index : int;          (** position in the request stream *)
   name : string;        (** instance name *)
   ok : bool;
-      (** [Check]: no error-level lint findings.  [Solve]: an incumbent
-          was returned.  [Certify]: additionally, a clean certificate. *)
+      (** [Check]: no error-level lint findings.  [Certify]: an
+          incumbent was returned and its certificate is clean. *)
   outcome : string;
-      (** [Check]: ["clean"] or ["findings"].  [Solve]/[Certify]: the
+      (** [Check]: ["clean"] or ["findings"].  [Certify]: the
           solver outcome tag ([optimal], [feasible], [no_solution],
           [too_large]), or ["error"] when the request raised. *)
   cost : float option;        (** objective (4) of the returned layout *)
@@ -90,10 +91,10 @@ val run :
   summary
 (** Consume the stream.  [jobs] (default 1) sizes the domain pool;
     [window] (default [8 * jobs]) bounds in-flight requests; [options]
-    (default {!Qp_solver.default_options}) configures [Solve]/[Certify]
+    (default {!Qp_solver.default_options}) configures [Certify]
     solves and the [Check] evaluation ([p], [lambda], [num_sites]) —
-    its [certify] flag is forced on by [Certify] and its
-    [simplex_workspace] is overridden with the per-domain arena.
+    its [certify] flag is forced on and its [simplex_workspace] is
+    overridden with the per-domain arena.
     [emit] runs on the calling domain, in stream order.  A request that
     raises becomes an [outcome = "error"] response instead of aborting
     the sweep. *)

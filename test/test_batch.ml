@@ -55,7 +55,7 @@ let test_check_clean () =
 let test_solve_matches_standalone () =
   let options = { Qp_solver.default_options with Qp_solver.time_limit = 10. } in
   let responses, summary =
-    collect ~jobs:2 ~options ~action:Batch.Solve 4
+    collect ~jobs:2 ~options ~action:Batch.Certify 4
   in
   Alcotest.(check int) "no failures" 0 summary.Batch.failures;
   List.iteri
@@ -74,7 +74,7 @@ let test_solve_matches_standalone () =
     responses
 
 let test_empty_stream () =
-  let responses, summary = collect ~action:Batch.Solve 0 in
+  let responses, summary = collect ~action:Batch.Certify 0 in
   Alcotest.(check int) "no responses" 0 (List.length responses);
   Alcotest.(check int) "no requests" 0 summary.Batch.requests;
   Alcotest.(check int) "no failures" 0 summary.Batch.failures
@@ -98,7 +98,7 @@ let test_error_isolation () =
   let seq = List.to_seq [ ("good0", good); ("bad", bad); ("good1", good) ] in
   let out = ref [] in
   let summary =
-    Batch.run ~jobs:2 ~action:Batch.Solve
+    Batch.run ~jobs:2 ~action:Batch.Certify
       ~emit:(fun r -> out := r :: !out)
       seq
   in
@@ -141,9 +141,11 @@ let test_action_strings () =
        match Batch.action_of_string (Batch.string_of_action a) with
        | Some a' -> Alcotest.(check bool) "round trip" true (a = a')
        | None -> Alcotest.fail "action string did not round-trip")
-    [ Batch.Check; Batch.Solve; Batch.Certify ];
+    [ Batch.Check; Batch.Certify ];
   Alcotest.(check bool) "unknown rejected" true
-    (Batch.action_of_string "frobnicate" = None)
+    (Batch.action_of_string "frobnicate" = None);
+  Alcotest.(check bool) "no uncertified solve action" true
+    (Batch.action_of_string "solve" = None)
 
 let () =
   Alcotest.run "batch"

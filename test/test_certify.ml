@@ -1,6 +1,6 @@
 (* Tests for the certification layer: primal/dual/Farkas certificates
-   (Vpart_certify.Certify) and the domain-level cost re-derivations
-   (Vpart.Solution_certify via Qp_solver's [certify] option). *)
+   (Vpart_certify.Certify) and the domain-level claim certifier
+   (Vpart.Solution_certify.certify_claims) every solver path calls. *)
 
 open Vpart
 module C = Vpart_certify.Certify
@@ -271,19 +271,107 @@ let test_qp_agrees_with_cost_model () =
 let test_non_finite_claims_rejected () =
   let inst = Lazy.force Tpcc.instance in
   let part = Partitioning.single_site inst in
-  let cost = Cost_model.cost (Stats.compute inst ~p:8.) part in
-  check_clean "true cost"
-    (Solution_certify.certify_cost inst ~p:8. part ~claimed:cost);
+  let stats = Stats.compute inst ~p:8. in
+  let claims ?(p = 8.) ?(cost = Cost_model.cost stats part)
+      ?(objective6 = Cost_model.objective stats ~lambda:0.5 part) () =
+    fst
+      (Solution_certify.certify_claims ~tol:1e-6 ~exact:false inst stats ~p
+         ~lambda:0.5 part ~cost ~objective6)
+  in
+  check_clean "true claims" (claims ());
   Alcotest.(check bool) "NaN cost claim rejected (C202)" true
-    (has_code "C202"
-       (Solution_certify.certify_cost inst ~p:8. part ~claimed:nan));
+    (has_code "C202" (claims ~cost:nan ()));
   Alcotest.(check bool) "NaN penalty rejected (C202)" true
-    (has_code "C202"
-       (Solution_certify.certify_cost inst ~p:nan part ~claimed:nan));
+    (has_code "C202" (claims ~p:nan ~cost:nan ()));
   Alcotest.(check bool) "NaN objective (6) claim rejected (C201)" true
-    (has_code "C201"
-       (Solution_certify.certify_objective6 inst ~p:8. ~lambda:0.5 part
-          ~claimed:nan))
+    (has_code "C201" (claims ~objective6:nan ()))
+
+(* Every solver path certifies its answer through
+   [Solution_certify.certify_claims], with its own cost code and
+   tolerance: QP and iterative C202 at 1e-5, SA C203 at 1e-6, the greedy
+   and affinity baselines C202 at 1e-6.  On each solver's own answer a
+   cost claim 1 % off and an objective-(6) claim 1 % off are rejected
+   with exactly one float code each, and exactly refuted as E103 and
+   E101. *)
+let test_corrupted_claims_per_solver () =
+  let inst = Lazy.force Tpcc.instance in
+  let p = 8. and lambda = 0.9 and num_sites = 2 in
+  let stats = Stats.compute inst ~p in
+  let qp = { Qp_solver.default_options with Qp_solver.num_sites; p; lambda } in
+  let answers =
+    [ ( "qp", "C202", 1e-5,
+        let r = Qp_solver.solve ~options:qp inst in
+        ( Option.get r.Qp_solver.partitioning,
+          Option.get r.Qp_solver.cost,
+          Option.get r.Qp_solver.objective6 ) );
+      ( "sa", "C203", 1e-6,
+        let r =
+          Sa_solver.solve
+            ~options:
+              { Sa_solver.default_options with Sa_solver.num_sites; p; lambda }
+            inst
+        in
+        (r.Sa_solver.partitioning, r.Sa_solver.cost, r.Sa_solver.objective6) );
+      ( "iter", "C202", 1e-5,
+        let r =
+          Iterative_solver.solve
+            ~options:{ Iterative_solver.default_options with Iterative_solver.qp }
+            inst
+        in
+        ( Option.get r.Iterative_solver.partitioning,
+          Option.get r.Iterative_solver.cost,
+          Option.get r.Iterative_solver.objective6 ) );
+      ( "greedy", "C202", 1e-6,
+        let r =
+          Greedy.solve
+            ~options:{ Greedy.default_options with Greedy.num_sites; p; lambda }
+            inst
+        in
+        (r.Greedy.partitioning, r.Greedy.cost, r.Greedy.objective6) );
+      ( "affinity", "C202", 1e-6,
+        let r =
+          Affinity.solve ~options:{ Affinity.num_sites; p; lambda } inst
+        in
+        (r.Affinity.partitioning, r.Affinity.cost, r.Affinity.objective6) );
+    ]
+  in
+  List.iter
+    (fun (name, cost_code, tol, (part, cost, objective6)) ->
+       let certify ~cost ~objective6 =
+         let ds, report =
+           Solution_certify.certify_claims ~cost_code ~tol ~exact:true inst
+             stats ~p ~lambda part ~cost ~objective6
+         in
+         let report = Option.get report in
+         ( D.codes (D.errors ds),
+           D.codes (D.errors report.C.Exact.findings),
+           List.map
+             (fun c -> (c.C.Exact.claim, c.C.Exact.verdict))
+             report.C.Exact.checks )
+       in
+       let codes = Alcotest.(list string) in
+       let float_t, exact_t, checks = certify ~cost ~objective6 in
+       Alcotest.check codes (name ^ ": true claims, float") [] float_t;
+       Alcotest.check codes (name ^ ": true claims, exact") [] exact_t;
+       Alcotest.(check (list string))
+         (name ^ ": objective (6) checked first, then cost")
+         [ "objective (6)"; "cost (objective 4)" ]
+         (List.map fst checks);
+       let float_c, exact_c, checks = certify ~cost:(cost *. 1.01) ~objective6 in
+       Alcotest.check codes (name ^ ": cost off, float") [ cost_code ] float_c;
+       Alcotest.check codes (name ^ ": cost off, exact") [ "E103" ] exact_c;
+       Alcotest.(check bool) (name ^ ": cost exactly refuted") true
+         (List.assoc "cost (objective 4)" checks = C.Exact.Exactly_refuted);
+       let float_o, exact_o, checks =
+         certify ~cost ~objective6:(objective6 *. 1.01)
+       in
+       Alcotest.check codes (name ^ ": objective (6) off, float") [ "C201" ]
+         float_o;
+       Alcotest.check codes (name ^ ": objective (6) off, exact") [ "E101" ]
+         exact_o;
+       Alcotest.(check bool) (name ^ ": objective (6) exactly refuted") true
+         (List.assoc "objective (6)" checks = C.Exact.Exactly_refuted))
+    answers
 
 (* ------------------------------------------------------------------ *)
 (* Site-symmetry pinning (C112)                                        *)
@@ -438,6 +526,8 @@ let () =
             test_fractional_rejected;
           Alcotest.test_case "non-finite claims rejected (C202/C201)" `Quick
             test_non_finite_claims_rejected;
+          Alcotest.test_case "corrupted claims per solver (C20x/E10x)" `Quick
+            test_corrupted_claims_per_solver;
           Alcotest.test_case "pinned txn breaks site pinning (C112)" `Quick
             test_pinned_txn_breaks_site_pinning;
         ] );

@@ -76,24 +76,22 @@ let test_sa_option_variants () =
   let inst = small_instance 2 in
   let stats = Stats.compute inst ~p:8. in
   List.iter
-    (fun (inner, freeze) ->
+    (fun move_fraction ->
        let options =
          { Sa_solver.default_options with
-           Sa_solver.num_sites = 3; lambda = 0.9;
-           inner_loops = inner; freeze_ratio = freeze }
+           Sa_solver.num_sites = 3; lambda = 0.9; move_fraction }
        in
        let r = Sa_solver.solve ~options inst in
        match Partitioning.validate stats r.Sa_solver.partitioning with
        | Ok () -> ()
-       | Error e -> Alcotest.failf "L = %d, freeze %g: %s" inner freeze e)
-    [ (5, 0.1); (80, 1e-4); (1, 1e-3) ]
+       | Error e -> Alcotest.failf "move fraction %g: %s" move_fraction e)
+    [ 0.01; 0.1; 0.5; 1.0 ]
 
 let test_sa_time_limit () =
   let inst = small_instance 3 in
   let options =
     { Sa_solver.default_options with
-      Sa_solver.num_sites = 2; lambda = 0.9; time_limit = Some 0.001;
-      max_outer = 1_000_000 }
+      Sa_solver.num_sites = 2; lambda = 0.9; time_limit = Some 0.001 }
   in
   let t0 = Unix.gettimeofday () in
   let r = Sa_solver.solve ~options inst in

@@ -136,7 +136,7 @@ let test_cli_rejects_bad_parameters () =
               Alcotest.failf "`vpart %s` exited %d%s" args code
                 (if internal then " with an internal error" else "")))
       [
-        "solve -i " ^ inst ^ " -p nan --solver sa --certify";
+        "solve -i " ^ inst ^ " -p nan --solver sa";
         "solve -i " ^ inst ^ " --sites 0 --solver sa";
         "solve -i " ^ inst ^ " --sites=-1 --solver sa";
         "solve -i " ^ inst ^ " --sites 0 --solver greedy";
@@ -149,13 +149,6 @@ let test_cli_rejects_bad_parameters () =
         "analyze " ^ inst ^ " --sites 0";
         "batch --tables 0 --count 1";
         "batch --txns 0 --count 1";
-        (* an infinite tolerance passes every float check; the exact
-           audit cannot convert it *)
-        "certify --tol inf " ^ inst;
-        "certify --exact --tol inf " ^ inst;
-        "certify --tol nan " ^ inst;
-        "certify --tol=-1 " ^ inst;
-        "solve -i " ^ inst ^ " --solver qp --certify --tol inf";
         (* a NaN deadline never trips, so the solve would run unbounded *)
         "solve -i " ^ inst ^ " --solver qp --time-limit nan";
         "solve -i " ^ inst ^ " --solver qp --time-limit=-1";
@@ -163,6 +156,53 @@ let test_cli_rejects_bad_parameters () =
         "certify --time-limit=-1 " ^ inst;
         "batch --tables 2 --txns 2 --count 1 --time-limit nan";
       ]
+
+(* Every solver's answer is certified without a flag, and with --json
+   stdout carries the partitioning alone: the status lines, the
+   certificate verdict and the exact report go to stderr, so stdout
+   decodes as a partitioning of the instance.  With --exact every
+   solver's report checks the objective-(6) claim as well as the cost. *)
+let test_cli_solve_json_stdout () =
+  let open Vpart in
+  let cli = "../bin/vpart_cli.exe" in
+  if not (Sys.file_exists cli) then
+    Alcotest.skip ()
+  else
+    let file = "../instances/smallbank.json" in
+    let inst = Codec.load_instance file in
+    let stats = Stats.compute inst ~p:8. in
+    List.iter
+      (fun solver ->
+        let out = Filename.temp_file "vpart_forensics" ".json" in
+        let err = Filename.temp_file "vpart_forensics" ".stderr" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove out; Sys.remove err)
+          (fun () ->
+            let code =
+              Sys.command
+                (Printf.sprintf "%s solve -i %s --solver %s --json --exact >%s 2>%s"
+                   (Filename.quote cli) file solver (Filename.quote out)
+                   (Filename.quote err))
+            in
+            let read f = In_channel.with_open_bin f In_channel.input_all in
+            if code <> 0 then
+              Alcotest.failf "solve --solver %s exited %d: %s" solver code
+                (read err);
+            let part =
+              Codec.partitioning_of_json inst (Json.of_string (read out))
+            in
+            (match Partitioning.validate stats part with
+             | Ok () -> ()
+             | Error e -> Alcotest.failf "%s: %s" solver e);
+            let stderr = read err in
+            List.iter
+              (fun affix ->
+                if not (Astring.String.is_infix ~affix stderr) then
+                  Alcotest.failf "%s: %S missing from stderr:\n%s" solver
+                    affix stderr)
+              [ "certificate: all claims verified"; "objective (6)";
+                "cost (objective 4)" ]))
+      [ "sa"; "qp"; "iter"; "greedy"; "affinity" ]
 
 (* ------------------------------------------------------------------ *)
 (* Profile: folding, folded stacks, speedscope                         *)
@@ -897,6 +937,8 @@ let () =
             test_cli_summarize_exits_nonzero;
           Alcotest.test_case "CLI rejects bad parameters" `Quick
             test_cli_rejects_bad_parameters;
+          Alcotest.test_case "CLI solve --json stdout is the partitioning"
+            `Quick test_cli_solve_json_stdout;
         ] );
       ( "profile",
         [

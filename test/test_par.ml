@@ -241,7 +241,6 @@ let sa_options ?(restarts = 1) ?(jobs = 1) ?(allow_replication = true) seed =
     lambda = 0.9;
     seed;
     allow_replication;
-    max_outer = 60;
     restarts;
     jobs;
   }
